@@ -12,14 +12,15 @@ from .atmosphere import (FogCondition, SensorCalibration, effective_range,
 from .gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, GazeTraceError,
                    compute_rof, compute_roi, load_gaze_trace, normalize_angle)
 from .lidar import (PointCloud, Return, ScanPlan, ScanSegment, angular_spacing,
-                    pulse_directions, scan_revolution, write_point_cloud_csv)
+                    pulse_directions, revolution_setup, scan_revolution,
+                    write_point_cloud_csv)
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
                      RangePolicy, ResolutionPolicy, VariantConfig, build_scan_plan,
                      solve_power_levels, solve_spin_rates)
 from .runner import (ConfigError, RunConfig, RunRecord, ScenarioConfig,
                      load_run_config, run_single, run_sweep, summarize,
-                     validate_run_config)
+                     uses_rng, validate_run_config)
 from .scene import (ObstacleBox, RayHit, Scene, Vec2, advance, cast_ray, cast_rays,
                     contains_point_of)
 
@@ -33,10 +34,11 @@ __all__ = [
     "RangePolicy", "ResolutionPolicy", "VariantConfig",
     "solve_power_levels", "solve_spin_rates", "build_scan_plan",
     "ScanPlan", "ScanSegment", "PointCloud", "Return", "angular_spacing",
-    "pulse_directions", "scan_revolution", "write_point_cloud_csv",
+    "pulse_directions", "revolution_setup", "scan_revolution", "write_point_cloud_csv",
     "DetectionEvent", "DensitySample", "detect", "tta_at_detection", "density",
     "ConfigError", "RunConfig", "RunRecord", "ScenarioConfig",
     "load_run_config", "validate_run_config", "run_single", "run_sweep", "summarize",
+    "uses_rng",
     "Vec2", "ObstacleBox", "Scene", "RayHit", "advance", "cast_ray", "cast_rays",
     "contains_point_of",
 ]

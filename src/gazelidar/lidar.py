@@ -121,23 +121,52 @@ class PointCloud:
     rays_per_arc: dict[tuple[float, float], int]
 
 
-def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
-                    cal: SensorCalibration, start_time: float,
-                    dropout: bool = False, rng=None) -> PointCloud:
-    """Sweep one revolution over a frozen scene.
+class RevolutionSetup(NamedTuple):
+    """Per-pulse firing angles, segment indices and fog-limited max ranges.
 
-    Each pulse is range-limited by the effective range of its segment's
-    emitted power under the given fog. With dropout enabled, a hit survives
-    with probability exp(-sigma r); one uniform is drawn per pulse so the
-    draw order does not depend on the hit pattern.
+    These depend only on the plan, the fog and the calibration, so a run
+    computes them once per gaze state and reuses them every frame. The
+    arrays are read-only because they are shared between frames.
+    """
+
+    angles: np.ndarray
+    seg_idx: np.ndarray
+    max_ranges: np.ndarray
+
+
+def revolution_setup(plan: ScanPlan, fog: FogCondition,
+                     cal: SensorCalibration) -> RevolutionSetup:
+    """Pulse directions and each pulse's effective range for one plan.
+
+    effective_range runs once per distinct segment power.
     """
     angles, seg_idx = pulse_directions(plan)
     seg_ranges = {}
     for seg in plan.segments:
         if seg.power not in seg_ranges:
             seg_ranges[seg.power] = effective_range(seg.power, fog, cal)
-    max_ranges = np.array([seg_ranges[seg.power] for seg in plan.segments])
-    ranges, hit_ids = cast_rays(scene, scene.ego_position, angles, max_ranges[seg_idx])
+    max_ranges = np.array([seg_ranges[seg.power] for seg in plan.segments])[seg_idx]
+    for array in (angles, seg_idx, max_ranges):
+        array.flags.writeable = False
+    return RevolutionSetup(angles, seg_idx, max_ranges)
+
+
+def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
+                    cal: SensorCalibration, start_time: float,
+                    dropout: bool = False, rng=None,
+                    setup: RevolutionSetup | None = None) -> PointCloud:
+    """Sweep one revolution over a frozen scene.
+
+    Each pulse is range-limited by the effective range of its segment's
+    emitted power under the given fog. With dropout enabled, a hit survives
+    with probability exp(-sigma r); one uniform is drawn per pulse so the
+    draw order does not depend on the hit pattern. `setup` must be
+    revolution_setup(plan, fog, cal) when given; it is computed otherwise.
+    """
+    if setup is None:
+        setup = revolution_setup(plan, fog, cal)
+    angles, seg_idx, max_ranges = setup
+    ranges, hit_ids = cast_rays(scene, scene.ego_position, angles, max_ranges)
 
     hit = hit_ids >= 0
     if dropout and fog.sigma > 0.0:

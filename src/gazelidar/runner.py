@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
-from .lidar import scan_revolution
+from .lidar import revolution_setup, scan_revolution
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import PolicyError, VariantConfig, build_scan_plan, solve_power_levels
 from .scene import ObstacleBox, Scene, Vec2, advance
@@ -78,6 +79,8 @@ class RunRecord:
     failed: bool
     failure_reason: str | None
     wall_time: float
+    # Seed of the simulated record this one copies; None if simulated itself.
+    reused_from: int | None = None
 
 
 def _require(obj: dict, key: str, context: str):
@@ -312,17 +315,29 @@ def _build_start_scene(config: RunConfig, rng) -> Scene:
     return Scene(scene.ego_position, tuple(jittered), scene.conflict_point)
 
 
+def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
+    """Whether a run at this fog level draws from its seed's generator.
+
+    Mirrors the two draw sites: spawn jitter in _build_start_scene and fog
+    dropout in scan_revolution. When false, the seed cannot change a record.
+    """
+    return config.spawn_jitter_m > 0.0 or (
+        config.dropout and fog_from_fraction(fog_fraction, config.kappa).sigma > 0.0)
+
+
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                seed: int) -> RunRecord:
     """Simulate one run; stops at target detection or max_sim_time.
 
     The seed drives only spawn jitter and fog dropout, so with both off the
-    record is identical across seeds.
+    record is identical across seeds. The RoI, scan plan and per-pulse setup
+    are built once per distinct gaze state in the trace, not per frame.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
     omega = TAU * config.frame_rate
+    per_gaze = {}
 
     try:
         scene0 = _build_start_scene(config, rng)
@@ -335,12 +350,15 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
             t = frame / config.frame_rate
             scene_t = advance(scene0, t)
             gaze_state = config.gaze_trace.at(t)
-            rof = compute_rof(gaze_state, config.acuity)
-            roi = compute_roi(rof)
-            plan = build_scan_plan(variant, rof, roi, config.calibration, omega,
-                                   config.pulse_rate, config.p_max)
+            if gaze_state not in per_gaze:
+                rof = compute_rof(gaze_state, config.acuity)
+                roi = compute_roi(rof)
+                plan = build_scan_plan(variant, rof, roi, config.calibration, omega,
+                                       config.pulse_rate, config.p_max)
+                per_gaze[gaze_state] = (roi, plan, revolution_setup(plan, fog, config.calibration))
+            roi, plan, setup = per_gaze[gaze_state]
             cloud = scan_revolution(scene_t, plan, fog, config.calibration, t,
-                                    dropout=config.dropout, rng=rng)
+                                    dropout=config.dropout, rng=rng, setup=setup)
             samples.append(density(cloud, roi, frame_index=frame))
             if detect(cloud, config.scenario.target_id, config.min_points):
                 tgt = scene_t.obstacle(config.scenario.target_id)
@@ -350,7 +368,7 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                 frame += 1
                 break
             frame += 1
-    except (PolicyError, ValueError) as exc:
+    except PolicyError as exc:
         return RunRecord(variant, fog_fraction, seed, None, None, (), 0,
                          True, str(exc), time.perf_counter() - t_start)
 
@@ -372,17 +390,26 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
     Individual runs are independent; jobs > 1 executes them in worker
-    processes with identical results.
+    processes with identical results. A (variant, fog) cell whose runs draw
+    no random numbers is simulated once, with the first seed, and copied to
+    the other seeds; copies carry reused_from and a wall_time of 0.
     """
     grid = [(config, variant, fog, seed)
             for variant in config.variants
             for fog in config.fog_fractions
-            for seed in config.seeds]
+            for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
+            simulated = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
     else:
-        records = [_run_cell(cell) for cell in grid]
+        simulated = [_run_cell(cell) for cell in grid]
+    records = []
+    for record in simulated:
+        records.append(record)
+        if not uses_rng(config, record.fog_fraction):
+            records += [dataclasses.replace(record, seed=seed, wall_time=0.0,
+                                            reused_from=record.seed)
+                        for seed in config.seeds[1:]]
     records.sort(key=_record_key)
     return records
 

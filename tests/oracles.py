@@ -3,14 +3,23 @@
 Each oracle takes a different computational route from the production code:
 line-line intersection via homogeneous determinants instead of the ray
 parameter solve, fixed-point iteration instead of bisection, per-frame
-stepping instead of closed-form motion, and stdlib statistics instead of
-numpy percentiles.
+stepping instead of closed-form motion, stdlib statistics instead of
+numpy percentiles, and a run loop that rebuilds the scan plan every frame
+instead of once per gaze state.
 """
 from __future__ import annotations
 
 import math
 import statistics
 
+import numpy as np
+
+from gazelidar.atmosphere import fog_from_fraction
+from gazelidar.gaze import compute_rof, compute_roi
+from gazelidar.lidar import scan_revolution
+from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
+from gazelidar.policy import build_scan_plan
+from gazelidar.runner import RunRecord, _build_start_scene
 from gazelidar.scene import RayHit, Scene, Vec2, advance
 
 
@@ -87,3 +96,39 @@ def quartiles_inclusive(values):
     vals = sorted(values)
     q = statistics.quantiles(vals, n=4, method="inclusive")
     return q[0], q[1], q[2]
+
+
+def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
+    """run_single's frame loop with nothing cached across frames.
+
+    RoF, RoI, scan plan, pulse directions and effective ranges are all
+    rebuilt every frame. Failures propagate; wall_time is 0.
+    """
+    rng = np.random.default_rng(seed)
+    fog = fog_from_fraction(fog_fraction, config.kappa)
+    omega = math.tau * config.frame_rate
+    scene0 = _build_start_scene(config, rng)
+    target = scene0.obstacle(config.scenario.target_id)
+    samples = []
+    detection = None
+    tta = None
+    frame = 0
+    while frame / config.frame_rate < config.max_sim_time:
+        t = frame / config.frame_rate
+        scene_t = advance(scene0, t)
+        rof = compute_rof(config.gaze_trace.at(t), config.acuity)
+        roi = compute_roi(rof)
+        plan = build_scan_plan(variant, rof, roi, config.calibration, omega,
+                               config.pulse_rate, config.p_max)
+        cloud = scan_revolution(scene_t, plan, fog, config.calibration, t,
+                                dropout=config.dropout, rng=rng)
+        samples.append(density(cloud, roi, frame_index=frame))
+        frame += 1
+        if detect(cloud, config.scenario.target_id, config.min_points):
+            tgt = scene_t.obstacle(config.scenario.target_id)
+            dist = tgt.center.distance_to(scene_t.conflict_point)
+            detection = DetectionEvent(frame - 1, t, config.scenario.target_id, dist)
+            tta = tta_at_detection(detection, target.speed)
+            break
+    return RunRecord(variant, fog_fraction, seed, detection, tta, tuple(samples),
+                     frame, False, None, 0.0)

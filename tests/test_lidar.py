@@ -11,7 +11,8 @@ from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import (PointCloud, Return, ScanPlan, ScanSegment,
                              angular_spacing, pulse_directions,
-                             scan_revolution, write_point_cloud_csv)
+                             revolution_setup, scan_revolution,
+                             write_point_cloud_csv)
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.scene import ObstacleBox, Scene, Vec2
 from helpers import make_enclosing_scene, make_random_scene
@@ -185,6 +186,17 @@ class TestScanRevolution:
                         VariantConfig("range_and_resolution", p_low_ratio=1.0,
                                       omega_high_ratio=1.0)):
             assert scan_revolution(scene, _plan_for(variant), fog, CAL, 0.0) == reference
+
+    def test_precomputed_setup_is_reusable_across_scenes(self):
+        plan = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
+        fog = FogCondition(0.25, 0.0025)
+        setup = revolution_setup(plan, fog, CAL)
+        assert not any(a.flags.writeable for a in setup)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            scene = make_random_scene(rng)
+            assert (scan_revolution(scene, plan, fog, CAL, 0.0, setup=setup)
+                    == scan_revolution(scene, plan, fog, CAL, 0.0))
 
 
 class TestDropout:

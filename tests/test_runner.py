@@ -4,20 +4,22 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gazelidar import __version__
+from gazelidar import __version__, runner
+from gazelidar.gaze import GazeState, GazeTrace
 from gazelidar.policy import VariantConfig
 from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
                               quartiles, run_single, run_sweep, summarize,
-                              validate_run_config, write_density_samples_csv,
-                              write_results_csv, write_summary_json,
-                              _build_start_scene)
+                              uses_rng, validate_run_config,
+                              write_density_samples_csv, write_results_csv,
+                              write_summary_json, _build_start_scene)
 from gazelidar.scene import Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
-from oracles import quartiles_inclusive
+from oracles import per_frame_run, quartiles_inclusive
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
 
@@ -36,6 +38,27 @@ def _strip_wall_time(record):
     return (record.variant, record.fog_fraction, record.seed, record.detection,
             record.tta, record.samples, record.frames, record.failed,
             record.failure_reason)
+
+
+class _NoDraws:
+    """Stands in for a numpy Generator; every draw method raises."""
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            raise AssertionError(f"run drew from rng.{name}")
+        return draw
+
+
+def _sweep_config(default_config, kind):
+    """Three seeds; `kind` picks which random draws are on."""
+    seeds = (101, 102, 103)
+    if kind == "default":
+        return dataclasses.replace(default_config, seeds=seeds)
+    short = dict(variants=(default_config.variants[0], default_config.variants[3]),
+                 fog_fractions=(0.0, 0.5), seeds=seeds)
+    if kind == "dropout":
+        return dataclasses.replace(default_config, dropout=True, **short)
+    return dataclasses.replace(default_config, dropout=True, spawn_jitter_m=3.0, **short)
 
 
 class TestLoadRunConfig:
@@ -208,6 +231,37 @@ class TestRunSingle:
         assert foggy.detection.frame_index > clear.detection.frame_index
         assert foggy.tta < clear.tta
 
+    @pytest.mark.parametrize("random_draws", [False, True])
+    def test_revisited_gaze_state_matches_per_frame_rebuild(self, default_config,
+                                                            monkeypatch, random_draws):
+        left = default_config.gaze_trace.states[0]
+        right = GazeState(math.radians(45.0), left.eta)
+        config = dataclasses.replace(
+            default_config,
+            gaze_trace=GazeTrace((0.0, 0.15, 0.3), (left, right, left)),
+            dropout=random_draws, spawn_jitter_m=3.0 if random_draws else 0.0)
+        variant = config.variants[3]
+        build_scan_plan = runner.build_scan_plan
+        plans = []
+
+        def counting_build(*args, **kwargs):
+            plans.append(args)
+            return build_scan_plan(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_scan_plan", counting_build)
+        record = run_single(config, variant, 0.25, 101)
+        assert record.frames > 6, "run must reach the revisited sample at t = 0.3 s"
+        assert len(plans) == 2
+        expected = per_frame_run(config, variant, 0.25, 101)
+        assert _strip_wall_time(record) == _strip_wall_time(expected)
+
+    def test_programming_errors_propagate(self, default_config, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the frame path")
+        monkeypatch.setattr(runner, "scan_revolution", broken)
+        with pytest.raises(ValueError, match="bug in the frame path"):
+            run_single(default_config, default_config.variants[0], 0.0, 101)
+
     def test_policy_failures_become_failed_records(self, default_config):
         config = dataclasses.replace(default_config, p_max=1.05)
         record = run_single(config, VariantConfig("range", 0.2, 2.0), 0.0, 101)
@@ -216,6 +270,35 @@ class TestRunSingle:
         assert record.detection is None
         assert record.samples == ()
         assert record.frames == 0
+
+
+class TestUsesRng:
+    @pytest.mark.parametrize("jitter, dropout, fog, expected", [
+        (3.0, False, 0.0, True),
+        (0.0, True, 0.0, False),
+        (0.0, True, 0.25, True),
+        (0.0, False, 0.25, False),
+    ], ids=["jitter", "dropout-clear", "dropout-fog", "neither"])
+    def test_truth_table(self, default_config, jitter, dropout, fog, expected):
+        config = dataclasses.replace(default_config, spawn_jitter_m=jitter,
+                                     dropout=dropout)
+        assert uses_rng(config, fog) is expected
+
+    @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
+    def test_runs_without_rng_never_draw(self, default_config, monkeypatch, kind):
+        config = _sweep_config(default_config, kind)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws())
+        checked = 0
+        for variant in config.variants:
+            for fog in config.fog_fractions:
+                if uses_rng(config, fog):
+                    with pytest.raises(AssertionError, match="drew from rng"):
+                        run_single(config, variant, fog, 101)
+                else:
+                    record = run_single(config, variant, fog, 101)
+                    assert not record.failed and record.frames > 0
+                    checked += 1
+        assert checked == {"default": 12, "dropout": 2, "jitter_dropout": 0}[kind]
 
 
 class TestSpawnJitter:
@@ -263,6 +346,22 @@ class TestRunSweep:
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
         parallel = [_strip_wall_time(r) for r in run_sweep(config, jobs=2)]
         assert serial == parallel
+
+    @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
+    def test_sweep_equals_the_per_seed_grid(self, default_config, kind):
+        config = _sweep_config(default_config, kind)
+        expected = [_strip_wall_time(run_single(config, variant, fog, seed))
+                    for variant in sorted(config.variants, key=lambda v: v.variant)
+                    for fog in sorted(config.fog_fractions)
+                    for seed in sorted(config.seeds)]
+        for jobs in (1, 2):
+            records = run_sweep(config, jobs=jobs)
+            assert [_strip_wall_time(r) for r in records] == expected
+            for r in records:
+                copied = not uses_rng(config, r.fog_fraction) and r.seed != config.seeds[0]
+                assert r.reused_from == (config.seeds[0] if copied else None)
+                if copied:
+                    assert r.wall_time == 0.0
 
 
 class TestAggregation:
