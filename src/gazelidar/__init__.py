@@ -11,9 +11,8 @@ from .atmosphere import (FogCondition, SensorCalibration, effective_range,
                          fog_from_fraction, return_survival_probability)
 from .gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, GazeTraceError,
                    compute_rof, compute_roi, load_gaze_trace, normalize_angle)
-from .lidar import (PointCloud, Return, ScanPlan, ScanSegment, angular_spacing,
-                    pulse_directions, revolution_setup, scan_revolution,
-                    write_point_cloud_csv)
+from .lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, pulse_directions,
+                    revolution_setup, scan_revolution)
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
                      RangePolicy, ResolutionPolicy, VariantConfig, build_scan_plan,
@@ -21,8 +20,7 @@ from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
 from .runner import (ConfigError, RunConfig, RunRecord, ScenarioConfig,
                      load_run_config, run_single, run_sweep, summarize,
                      uses_rng, validate_run_config)
-from .scene import (ObstacleBox, RayHit, Scene, Vec2, advance, cast_ray, cast_rays,
-                    contains_point_of)
+from .scene import ObstacleBox, Scene, Vec2, advance, cast_rays
 
 __all__ = [
     "__version__",
@@ -33,12 +31,11 @@ __all__ = [
     "PolicyError", "DegeneratePartitionError", "EyeSafetyError",
     "RangePolicy", "ResolutionPolicy", "VariantConfig",
     "solve_power_levels", "solve_spin_rates", "build_scan_plan",
-    "ScanPlan", "ScanSegment", "PointCloud", "Return", "angular_spacing",
-    "pulse_directions", "revolution_setup", "scan_revolution", "write_point_cloud_csv",
+    "ScanPlan", "ScanSegment", "PointCloud", "RETURN_DTYPE",
+    "pulse_directions", "revolution_setup", "scan_revolution",
     "DetectionEvent", "DensitySample", "detect", "tta_at_detection", "density",
     "ConfigError", "RunConfig", "RunRecord", "ScenarioConfig",
     "load_run_config", "validate_run_config", "run_single", "run_sweep", "summarize",
     "uses_rng",
-    "Vec2", "ObstacleBox", "Scene", "RayHit", "advance", "cast_ray", "cast_rays",
-    "contains_point_of",
+    "Vec2", "ObstacleBox", "Scene", "advance", "cast_rays",
 ]

@@ -11,6 +11,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 TAU = math.tau
 
 
@@ -87,6 +89,18 @@ class ArcSet:
             if a < start:
                 break
         return False
+
+    def contains_many(self, angles) -> np.ndarray:
+        """contains() over an array of angles, as a boolean array."""
+        with np.errstate(invalid="ignore"):     # inf gives nan, contained nowhere
+            a = np.mod(np.asarray(angles, dtype=np.float64), TAU)
+        a[a >= TAU] -= TAU      # as in normalize_angle
+        if not self.arcs:
+            return np.zeros(a.shape, dtype=bool)
+        starts, ends = np.array(self.arcs).T
+        # the last arc starting at or before a holds it if a is short of its end
+        i = np.searchsorted(starts, a, side="right") - 1
+        return (i >= 0) & (a < ends[i])
 
     def complement(self) -> "ArcSet":
         gaps = []

@@ -6,7 +6,6 @@ frozen for the duration of a revolution and the start angle resets to 0.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,27 +65,6 @@ class ScanPlan:
     def rays_per_revolution(self) -> int:
         return int(math.floor(self.pulse_rate * self.revolution_period))
 
-    def _segment_index(self, angle: float) -> int:
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.segments[mid].start <= angle:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def power_at(self, angle: float) -> float:
-        return self.segments[self._segment_index(angle)].power
-
-    def spin_rate_at(self, angle: float) -> float:
-        return self.segments[self._segment_index(angle)].spin_rate
-
-
-def angular_spacing(plan: ScanPlan, angle: float) -> float:
-    """Angle swept between consecutive pulses at the given bearing."""
-    return plan.spin_rate_at(angle) / plan.pulse_rate
-
 
 def pulse_directions(plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
     """Exact firing angles for one revolution and their segment indices.
@@ -105,20 +83,31 @@ def pulse_directions(plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
     return angles, idx
 
 
-class Return(NamedTuple):
-    angle: float
-    range_m: float
-    hit_id: int
+# One record per return: firing angle (rad), range (m), obstacle id.
+RETURN_DTYPE = np.dtype([("angle", np.float64), ("range_m", np.float64), ("hit_id", np.int64)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Returns from one revolution, plus per-arc ray accounting."""
+    """Returns from one revolution, plus per-arc ray accounting.
+
+    returns is a structured array of RETURN_DTYPE in firing order. Two
+    clouds are equal when every field, returns included, is equal.
+    """
 
     frame_time: float
-    returns: tuple[Return, ...]
+    returns: np.ndarray
     rays_fired: int
     rays_per_arc: dict[tuple[float, float], int]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointCloud):
+            return NotImplemented
+        return (self.frame_time == other.frame_time
+                and self.rays_fired == other.rays_fired
+                and self.rays_per_arc == other.rays_per_arc
+                and self.returns.dtype == other.returns.dtype
+                and np.array_equal(self.returns, other.returns))
 
 
 class RevolutionSetup(NamedTuple):
@@ -176,19 +165,11 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
         drop = rng.random(len(angles)) >= survival
         hit &= ~drop
 
-    returns = tuple(Return(float(angles[i]), float(ranges[i]), int(hit_ids[i]))
-                    for i in np.flatnonzero(hit))
+    returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
+    returns["angle"] = angles[hit]
+    returns["range_m"] = ranges[hit]
+    returns["hit_id"] = hit_ids[hit]
     counts = np.bincount(seg_idx, minlength=len(plan.segments))
     rays_per_arc = {(seg.start, seg.end): int(counts[i]) for i, seg in enumerate(plan.segments)}
     return PointCloud(start_time, returns, len(angles), rays_per_arc)
 
-
-def write_point_cloud_csv(path, clouds) -> None:
-    """Dump point clouds as frame,angle_deg,range_m,hit_id rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame", "angle_deg", "range_m", "hit_id"])
-        for frame, cloud in enumerate(clouds):
-            for ret in cloud.returns:
-                writer.writerow([frame, format(math.degrees(ret.angle), ".12g"),
-                                 format(ret.range_m, ".12g"), ret.hit_id])

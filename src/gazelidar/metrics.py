@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gaze import ArcSet
 from .lidar import PointCloud
 
@@ -29,13 +31,7 @@ def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:
     """Whether the cloud carries at least min_points returns off the target."""
     if min_points < 1:
         raise ValueError("min_points must be at least 1")
-    count = 0
-    for ret in cloud.returns:
-        if ret.hit_id == target_id:
-            count += 1
-            if count >= min_points:
-                return True
-    return False
+    return int(np.count_nonzero(cloud.returns["hit_id"] == target_id)) >= min_points
 
 
 def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
@@ -49,6 +45,6 @@ def density(cloud: PointCloud, roi: ArcSet, frame_index: int = 0) -> DensitySamp
     """Returns per degree inside the region of interest for one frame."""
     if roi.is_empty():
         raise ValueError("roi must have positive width")
-    count = sum(1 for ret in cloud.returns if roi.contains(ret.angle))
+    count = int(np.count_nonzero(roi.contains_many(cloud.returns["angle"])))
     width_deg = math.degrees(roi.width)
     return DensitySample(frame_index, count, width_deg, count / width_deg)

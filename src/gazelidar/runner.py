@@ -89,13 +89,38 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
+            low_open: bool = False, integer: bool = False):
+    """A JSON number for `field`, checked for type, finiteness and range.
+
+    Accepts [low, high], or (low, high] with low_open; returns a float, or
+    the int itself when `integer`. Booleans and numeric strings are not
+    numbers. Raises ConfigError naming the field otherwise.
+    """
+    kinds = (int,) if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{field}: {value!r} is not {'an integer' if integer else 'a number'}")
+    if not integer:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{field}: {value!r} is not finite")
+    if not low <= value <= high or (low_open and value == low):
+        interval = f"{'(' if low_open else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        raise ConfigError(f"{field}: {value!r} outside {interval}")
+    return value
+
+
+def _positive(value, field: str) -> float:
+    return _number(value, field, 0.0, low_open=True)
+
+
 def _vec2(value, context: str) -> Vec2:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{context}: expected [x, y]")
-    try:
-        return Vec2(float(value[0]), float(value[1]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return Vec2(_number(value[0], f"{context}[0]"), _number(value[1], f"{context}[1]"))
 
 
 def load_run_config(path) -> RunConfig:
@@ -113,55 +138,44 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    frame_rate = float(raw.get("frame_rate_hz", DEFAULT_FRAME_RATE))
-    pulse_rate = float(raw.get("pulse_rate_hz", DEFAULT_PULSE_RATE))
-    max_sim_time = float(raw.get("max_sim_time_s", DEFAULT_MAX_SIM_TIME))
-    kappa = float(raw.get("kappa_per_m", DEFAULT_KAPPA))
-    if frame_rate <= 0.0:
-        raise ConfigError(f"{path}: frame_rate_hz must be positive")
-    if pulse_rate <= 0.0:
-        raise ConfigError(f"{path}: pulse_rate_hz must be positive")
-    if max_sim_time <= 0.0:
-        raise ConfigError(f"{path}: max_sim_time_s must be positive")
-    if kappa <= 0.0:
-        raise ConfigError(f"{path}: kappa_per_m must be positive")
+    frame_rate = _positive(raw.get("frame_rate_hz", DEFAULT_FRAME_RATE), f"{path}: frame_rate_hz")
+    pulse_rate = _positive(raw.get("pulse_rate_hz", DEFAULT_PULSE_RATE), f"{path}: pulse_rate_hz")
+    max_sim_time = _positive(raw.get("max_sim_time_s", DEFAULT_MAX_SIM_TIME),
+                             f"{path}: max_sim_time_s")
+    kappa = _positive(raw.get("kappa_per_m", DEFAULT_KAPPA), f"{path}: kappa_per_m")
 
     fog_fractions = raw.get("fog_fractions", [0.0, 0.25, 0.5])
     if not isinstance(fog_fractions, list) or not fog_fractions:
         raise ConfigError(f"{path}: fog_fractions must be a non-empty list")
-    for f in fog_fractions:
-        if not 0.0 <= float(f) <= 1.0:
-            raise ConfigError(f"{path}: fog fraction {f} outside [0, 1]")
+    fog_fractions = [_number(f, f"{path}: fog_fractions[{i}]", 0.0, 1.0)
+                     for i, f in enumerate(fog_fractions)]
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{path}: seeds must be a non-empty list")
-    for s in seeds:
-        if not isinstance(s, int):
-            raise ConfigError(f"{path}: seed {s!r} is not an integer")
+    for i, s in enumerate(seeds):
+        _number(s, f"{path}: seeds[{i}]", integer=True)
 
     sensor = raw.get("sensor", {})
-    try:
-        calibration = SensorCalibration(float(sensor.get("p_nominal_w", 1.0)),
-                                        float(sensor.get("r_nominal_m", 100.0)))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: sensor: {exc}") from exc
-    p_max_ratio = float(sensor.get("p_max_ratio", 4.0))
-    if p_max_ratio <= 0.0:
-        raise ConfigError(f"{path}: sensor.p_max_ratio must be positive")
+    calibration = SensorCalibration(
+        _positive(sensor.get("p_nominal_w", 1.0), f"{path}: sensor.p_nominal_w"),
+        _positive(sensor.get("r_nominal_m", 100.0), f"{path}: sensor.r_nominal_m"))
+    p_max_ratio = _positive(sensor.get("p_max_ratio", 4.0), f"{path}: sensor.p_max_ratio")
 
     acuity_raw = raw.get("acuity", {})
     kind = acuity_raw.get("kind", "boxcar")
-    eta = float(acuity_raw.get("eta", DEFAULT_ETA))
+    eta = _number(acuity_raw.get("eta", DEFAULT_ETA), f"{path}: acuity.eta", 0.0, 1.0,
+                  low_open=True)
     try:
         if kind == "boxcar":
-            acuity = AcuityFunction.boxcar(math.radians(float(acuity_raw.get("half_width_deg", 30.0))))
+            acuity = AcuityFunction.boxcar(math.radians(_number(
+                acuity_raw.get("half_width_deg", 30.0), f"{path}: acuity.half_width_deg",
+                0.0, 180.0, low_open=True)))
         elif kind == "gaussian":
-            acuity = AcuityFunction.gaussian(math.radians(float(_require(acuity_raw, "sigma_deg", f"{path}: acuity"))))
+            acuity = AcuityFunction.gaussian(math.radians(_positive(
+                _require(acuity_raw, "sigma_deg", f"{path}: acuity"), f"{path}: acuity.sigma_deg")))
         else:
             raise ConfigError(f"{path}: acuity.kind {kind!r} is not 'boxcar' or 'gaussian'")
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"{path}: acuity.eta must lie in (0, 1]")
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -184,49 +198,44 @@ def load_run_config(path) -> RunConfig:
         context = f"{path}: variants[{i}]"
         if not isinstance(v, dict):
             raise ConfigError(f"{context}: expected an object")
+        name = _require(v, "name", context)
+        p_low_ratio = _number(v.get("p_low_ratio", DEFAULT_P_LOW_RATIO),
+                              f"{context}.p_low_ratio", 0.0, 1.0, low_open=True)
+        omega_high_ratio = _number(v.get("omega_high_ratio", DEFAULT_OMEGA_HIGH_RATIO),
+                                   f"{context}.omega_high_ratio", 1.0)
         try:
-            variants.append(VariantConfig(
-                _require(v, "name", context),
-                float(v.get("p_low_ratio", DEFAULT_P_LOW_RATIO)),
-                float(v.get("omega_high_ratio", DEFAULT_OMEGA_HIGH_RATIO))))
+            variants.append(VariantConfig(name, p_low_ratio, omega_high_ratio))
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"{context}: {exc}") from exc
 
     detection_raw = raw.get("detection", {})
-    min_points = int(detection_raw.get("min_points", 1))
-    if min_points < 1:
-        raise ConfigError(f"{path}: detection.min_points must be at least 1")
+    min_points = _number(detection_raw.get("min_points", 1), f"{path}: detection.min_points",
+                         1, integer=True)
 
-    dropout = bool(raw.get("fog_dropout", False))
-    spawn_jitter = float(raw.get("spawn_jitter_m", 0.0))
-    if spawn_jitter < 0.0:
-        raise ConfigError(f"{path}: spawn_jitter_m must be non-negative")
+    dropout = raw.get("fog_dropout", False)
+    if not isinstance(dropout, bool):
+        raise ConfigError(f"{path}: fog_dropout: {dropout!r} is not true or false")
+    spawn_jitter = _number(raw.get("spawn_jitter_m", 0.0), f"{path}: spawn_jitter_m", 0.0)
 
     scenario_raw = _require(raw, "scenario", str(path))
     context = f"{path}: scenario"
     ego = _vec2(_require(scenario_raw, "ego", context), f"{context}.ego")
     conflict = _vec2(_require(scenario_raw, "conflict_point", context), f"{context}.conflict_point")
-    target_id = int(_require(scenario_raw, "target_id", context))
+    target_id = _number(_require(scenario_raw, "target_id", context), f"{context}.target_id",
+                        integer=True)
     obstacles_raw = _require(scenario_raw, "obstacles", context)
     if not isinstance(obstacles_raw, list) or not obstacles_raw:
         raise ConfigError(f"{context}.obstacles must be a non-empty list")
     obstacles = []
     for i, o in enumerate(obstacles_raw):
         octx = f"{context}.obstacles[{i}]"
-        try:
-            obstacles.append(ObstacleBox.spawn(
-                int(_require(o, "id", octx)),
-                _vec2(_require(o, "center", octx), f"{octx}.center"),
-                math.radians(float(_require(o, "heading_deg", octx))),
-                float(_require(o, "half_length", octx)),
-                float(_require(o, "half_width", octx)),
-                float(_require(o, "speed_mps", octx))))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{octx}: {exc}") from exc
+        obstacles.append(ObstacleBox.spawn(
+            _number(_require(o, "id", octx), f"{octx}.id", integer=True),
+            _vec2(_require(o, "center", octx), f"{octx}.center"),
+            math.radians(_number(_require(o, "heading_deg", octx), f"{octx}.heading_deg")),
+            _positive(_require(o, "half_length", octx), f"{octx}.half_length"),
+            _positive(_require(o, "half_width", octx), f"{octx}.half_width"),
+            _number(_require(o, "speed_mps", octx), f"{octx}.speed_mps", 0.0)))
     try:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
@@ -235,8 +244,8 @@ def load_run_config(path) -> RunConfig:
     return RunConfig(
         scenario=ScenarioConfig(scene, target_id),
         variants=tuple(variants),
-        fog_fractions=tuple(float(f) for f in fog_fractions),
-        seeds=tuple(int(s) for s in seeds),
+        fog_fractions=tuple(fog_fractions),
+        seeds=tuple(seeds),
         frame_rate=frame_rate,
         pulse_rate=pulse_rate,
         max_sim_time=max_sim_time,
@@ -259,6 +268,17 @@ def validate_run_config(config: RunConfig) -> list[str]:
     Returns a list of human-readable problems; empty means runnable.
     """
     problems: list[str] = []
+    # the same expression as ScanPlan.rays_per_revolution for the plan run_single builds
+    rays = math.floor(config.pulse_rate * (TAU / (TAU * config.frame_rate)))
+    if rays < 1:
+        problems.append(f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz "
+                        f"{config.frame_rate:g} fires no pulse per revolution")
+    first_index: dict[str, int] = {}
+    for i, variant in enumerate(config.variants):
+        j = first_index.setdefault(variant.variant, i)
+        if j != i:
+            problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
+                            "output rows are keyed by name, so their runs would merge")
     scene = config.scenario.scene
     try:
         target = scene.obstacle(config.scenario.target_id)

@@ -9,9 +9,21 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property
 
 import numpy as np
+
+TAU = math.tau
+
+# Each edge's bearing interval is widened by this much on both sides, far
+# more than the rounding of the intersection algebra can move a hit.
+BEARING_PAD = 1e-6
+# An edge whose bearing span comes this close to pi lies on a line through
+# or near the sensor; its interval is not trusted and every ray tests it.
+NEAR_PI = 1e-3
+# Likewise when the sensor sits this close to an edge end, relative to the
+# end distances, and that end's bearing is mostly rounding.
+NEAR_END = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,18 @@ class ObstacleBox:
         c = self.corners()
         return [(c[i], c[(i + 1) % 4]) for i in range(4)]
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """segments() as a read-only (4, 4) array of px, py, qx, qy rows.
+
+        Cached on the instance: advance() passes a static box through as
+        the same object, so its edges are built once per run, while a moved
+        box is a new instance whose corners come from its advanced center.
+        """
+        edges = np.array([(px, py, qx, qy) for (px, py), (qx, qy) in self.segments()])
+        edges.flags.writeable = False
+        return edges
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -112,99 +136,93 @@ def advance(scene: Scene, t: float) -> Scene:
     return dataclasses.replace(scene, obstacles=tuple(moved))
 
 
-class RayHit(NamedTuple):
-    range_m: float
-    hit_id: int
+def _candidate_pairs(angles: np.ndarray, wx: np.ndarray, wy: np.ndarray,
+                     ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ray, edge) index pairs whose ray can intersect the edge.
 
-
-def cast_ray(scene: Scene, origin: Vec2, angle: float, max_range: float) -> Optional[RayHit]:
-    """Nearest intersection of a ray with any obstacle edge.
-
-    Returns None on a miss. Hit range lies in (0, max_range]; exact range
-    ties across obstacles resolve to the smaller obstacle id.
+    Seen from the origin, the edge from w to w + e covers the shorter arc
+    between its end bearings. Rays sorted by bearing give each padded arc
+    as one or, across 0/tau, two runs of rays. Edges on a line through or
+    near the origin, or with an end at it, are paired with every ray.
     """
-    if max_range <= 0.0:
-        raise ValueError("max_range must be positive")
-    dx = math.cos(angle)
-    dy = math.sin(angle)
-    ox = origin.x
-    oy = origin.y
-    best_t = math.inf
-    best_id = -1
-    for obstacle in scene.obstacles:
-        for (px, py), (qx, qy) in obstacle.segments():
-            ex = qx - px
-            ey = qy - py
-            denom = dx * ey - dy * ex
-            if denom == 0.0:
-                continue
-            wx = px - ox
-            wy = py - oy
-            t = (wx * ey - wy * ex) / denom
-            u = (wx * dy - wy * dx) / denom
-            if 0.0 <= u <= 1.0 and 0.0 < t <= max_range and t < best_t:
-                best_t = t
-                best_id = obstacle.id
-    if best_id < 0:
-        return None
-    return RayHit(best_t, best_id)
+    n = angles.shape[0]
+    key = np.mod(angles, TAU)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    qx = wx + ex
+    qy = wy + ey
+    b1 = np.arctan2(wy, wx)
+    ccw_span = np.mod(np.arctan2(qy, qx) - b1, TAU)
+    ccw = ccw_span <= math.pi
+    start = np.where(ccw, b1, b1 + ccw_span)
+    width = np.where(ccw, ccw_span, TAU - ccw_span)
+    r1 = np.hypot(wx, wy)
+    r2 = np.hypot(qx, qy)
+    whole = (width > math.pi - NEAR_PI) | (np.minimum(r1, r2) <= NEAR_END * (r1 + r2))
 
+    lo = np.mod(start - BEARING_PAD, TAU)
+    hi = lo + width + 2.0 * BEARING_PAD
+    wrap = hi > TAU
+    starts = np.searchsorted(key, lo, side="left")
+    stops = np.searchsorted(key, np.where(wrap, TAU, hi), side="right")
+    wrap_stops = np.where(wrap, np.searchsorted(key, hi - TAU, side="right"), 0)
+    starts[whole] = 0
+    stops[whole] = n
+    wrap_stops[whole] = 0
 
-def _segment_arrays(scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p1 = []
-    p2 = []
-    ids = []
-    for obstacle in scene.obstacles:
-        for (px, py), (qx, qy) in obstacle.segments():
-            p1.append((px, py))
-            p2.append((qx, qy))
-            ids.append(obstacle.id)
-    if not p1:
-        return (np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
-    return (np.asarray(p1, dtype=np.float64),
-            np.asarray(p2, dtype=np.float64),
-            np.asarray(ids, dtype=np.int64))
+    m = wx.shape[0]
+    starts = np.concatenate((starts, np.zeros(m, dtype=starts.dtype)))
+    stops = np.concatenate((stops, wrap_stops))
+    lengths = stops - starts
+    edge = np.repeat(np.tile(np.arange(m), 2), lengths)
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return order[np.arange(edge.shape[0]) + offsets], edge
 
 
 def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray,
               max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched cast_ray over many angles at once.
+    """Nearest intersection of each ray with any obstacle edge.
 
-    Returns (ranges, hit_ids); misses carry range nan and id -1. Uses the
-    same intersection algebra as cast_ray, so results agree bit for bit.
+    Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
+    lies in (0, max_range]; exact range ties across obstacles resolve to the
+    smaller obstacle id. Only the (ray, edge) pairs that _candidate_pairs
+    keeps are solved; every other pair misses by construction.
     """
     angles = np.asarray(angles, dtype=np.float64)
     max_ranges = np.asarray(max_ranges, dtype=np.float64)
     if np.any(max_ranges <= 0.0):
         raise ValueError("max_range must be positive")
     n = angles.shape[0]
-    p1, p2, seg_ids = _segment_arrays(scene)
     out_r = np.full(n, np.nan)
     out_id = np.full(n, -1, dtype=np.int64)
-    if seg_ids.shape[0] == 0 or n == 0:
+    if not scene.obstacles or n == 0:
         return out_r, out_id
-    dx = np.cos(angles)
-    dy = np.sin(angles)
-    ex = p2[:, 0] - p1[:, 0]
-    ey = p2[:, 1] - p1[:, 1]
-    wx = p1[:, 0] - origin.x
-    wy = p1[:, 1] - origin.y
-    denom = np.outer(dx, ey) - np.outer(dy, ex)          # (rays, segments)
+    edges = np.concatenate([o.edge_array for o in scene.obstacles])
+    edge_ids = np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
+    ex = edges[:, 2] - edges[:, 0]
+    ey = edges[:, 3] - edges[:, 1]
+    wx = edges[:, 0] - origin.x
+    wy = edges[:, 1] - origin.y
+    ray, edge = _candidate_pairs(angles, wx, wy, ex, ey)
+
+    # ray-parameter solve of ray o + t d against edge p + u e
+    dx = np.cos(angles)[ray]
+    dy = np.sin(angles)[ray]
+    denom = dx * ey[edge] - dy * ex[edge]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (wx * ey - wy * ex) / denom
-        u = (np.outer(dy, wx) - np.outer(dx, wy)) / denom
-    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= max_ranges[:, None])
-    t = np.where(valid, t, np.inf)
-    # segments are ordered by obstacle id, and argmin takes the first
-    # minimum, so exact range ties already resolve to the smaller id
-    j = np.argmin(t, axis=1)
-    best = t[np.arange(n), j]
-    hit = np.isfinite(best)
-    out_r[hit] = best[hit]
-    out_id[hit] = seg_ids[j[hit]]
+        t = (wx * ey - wy * ex)[edge] / denom
+        u = (dy * wx[edge] - dx * wy[edge]) / denom
+    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= max_ranges[ray])
+    ray, edge, t = ray[valid], edge[valid], t[valid]
+    # each ray's nearest range, then the first edge reaching it: edges are
+    # ordered by obstacle id, so exact ties go to the smaller id
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, ray, t)
+    at_nearest = t == nearest[ray]
+    m = edge_ids.shape[0]
+    first_edge = np.full(n, m)
+    np.minimum.at(first_edge, ray[at_nearest], edge[at_nearest])
+    hit = first_edge < m
+    out_r[hit] = nearest[hit]
+    out_id[hit] = edge_ids[first_edge[hit]]
     return out_r, out_id
-
-
-def contains_point_of(hit_id: int, obstacle_id: int) -> bool:
-    """Whether a return attributed to hit_id belongs to obstacle_id."""
-    return hit_id == obstacle_id

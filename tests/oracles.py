@@ -2,15 +2,18 @@
 
 Each oracle takes a different computational route from the production code:
 line-line intersection via homogeneous determinants instead of the ray
-parameter solve, fixed-point iteration instead of bisection, per-frame
-stepping instead of closed-form motion, stdlib statistics instead of
-numpy percentiles, and a run loop that rebuilds the scan plan every frame
-instead of once per gaze state.
+parameter solve, a scalar and a dense rays x edges ray-parameter solve
+instead of the bearing-culled one, fixed-point iteration instead of
+bisection, per-frame stepping instead of closed-form motion, stdlib
+statistics instead of numpy percentiles, a linear scan instead of a
+search for the plan segment under a bearing, and a run loop that rebuilds
+the scan plan every frame instead of once per gaze state.
 """
 from __future__ import annotations
 
 import math
 import statistics
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +23,12 @@ from gazelidar.lidar import scan_revolution
 from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
 from gazelidar.policy import build_scan_plan
 from gazelidar.runner import RunRecord, _build_start_scene
-from gazelidar.scene import RayHit, Scene, Vec2, advance
+from gazelidar.scene import Scene, Vec2, advance
+
+
+class RayHit(NamedTuple):
+    range_m: float
+    hit_id: int
 
 
 def brute_force_cast(scene: Scene, origin: Vec2, angle: float, max_range: float):
@@ -55,6 +63,84 @@ def brute_force_cast(scene: Scene, origin: Vec2, angle: float, max_range: float)
     if best_id < 0:
         return None
     return RayHit(best_t, best_id)
+
+
+def scalar_cast(scene: Scene, origin: Vec2, angle: float, max_range: float):
+    """Nearest hit of one ray, the ray-parameter solve in scalar math.
+
+    Same algebra as cast_rays, so a hit's range agrees bit for bit; exact
+    range ties resolve to the smaller obstacle id.
+    """
+    if max_range <= 0.0:
+        raise ValueError("max_range must be positive")
+    dx = math.cos(angle)
+    dy = math.sin(angle)
+    best_t = math.inf
+    best_id = -1
+    for obstacle in scene.obstacles:
+        for (px, py), (qx, qy) in obstacle.segments():
+            ex = qx - px
+            ey = qy - py
+            denom = dx * ey - dy * ex
+            if denom == 0.0:
+                continue
+            wx = px - origin.x
+            wy = py - origin.y
+            t = (wx * ey - wy * ex) / denom
+            u = (wx * dy - wy * dx) / denom
+            if 0.0 <= u <= 1.0 and 0.0 < t <= max_range and t < best_t:
+                best_t = t
+                best_id = obstacle.id
+    if best_id < 0:
+        return None
+    return RayHit(best_t, best_id)
+
+
+def dense_cast_rays(scene: Scene, origin: Vec2, angles, max_ranges):
+    """cast_rays without culling: every ray against every edge, rays x edges.
+
+    Returns (ranges, hit_ids) with nan / -1 on a miss.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    max_ranges = np.asarray(max_ranges, dtype=np.float64)
+    if np.any(max_ranges <= 0.0):
+        raise ValueError("max_range must be positive")
+    n = angles.shape[0]
+    segments = [(p, q, o.id) for o in scene.obstacles for p, q in o.segments()]
+    out_r = np.full(n, np.nan)
+    out_id = np.full(n, -1, dtype=np.int64)
+    if not segments or n == 0:
+        return out_r, out_id
+    p1 = np.array([p for p, _, _ in segments], dtype=np.float64)
+    p2 = np.array([q for _, q, _ in segments], dtype=np.float64)
+    seg_ids = np.array([i for _, _, i in segments], dtype=np.int64)
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    ex = p2[:, 0] - p1[:, 0]
+    ey = p2[:, 1] - p1[:, 1]
+    wx = p1[:, 0] - origin.x
+    wy = p1[:, 1] - origin.y
+    denom = np.outer(dx, ey) - np.outer(dy, ex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (wx * ey - wy * ex) / denom
+        u = (np.outer(dy, wx) - np.outer(dx, wy)) / denom
+    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= max_ranges[:, None])
+    t = np.where(valid, t, np.inf)
+    # segments follow obstacle id order and argmin takes the first minimum
+    j = np.argmin(t, axis=1)
+    best = t[np.arange(n), j]
+    hit = np.isfinite(best)
+    out_r[hit] = best[hit]
+    out_id[hit] = seg_ids[j[hit]]
+    return out_r, out_id
+
+
+def segment_at(plan, angle: float):
+    """The plan segment whose half-open arc [start, end) holds the bearing."""
+    for seg in plan.segments:
+        if seg.start <= angle < seg.end:
+            return seg
+    raise ValueError(f"bearing {angle} outside the plan")
 
 
 def stepped_advance(scene: Scene, total_t: float, steps: int) -> Scene:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from gazelidar import __version__
-from gazelidar.cli import main
+from gazelidar.cli import entry, main
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
@@ -64,6 +64,17 @@ class TestValidate:
         assert main(["validate", "--config", str(bad)]) == 1
         assert "invalid:" in capsys.readouterr().out
 
+    def test_rejects_senseless_configs(self, tmp_path, capsys):
+        for overrides, message in (({"pulse_rate_hz": 1.0}, "no pulse"),
+                                   ({"variants": DEFAULT_JSON["variants"] + [{"name": "baseline"}]},
+                                    "repeats the name")):
+            config = _write_trimmed_config(tmp_path, **overrides)
+            assert main(["validate", "--config", str(config)]) == 1
+            assert message in capsys.readouterr().out
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_rejects_semantic_problems(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
@@ -88,6 +99,23 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"frame_rate_hz": "abc"}, "frame_rate_hz"),
+        ({"frame_rate_hz": float("nan")}, "frame_rate_hz"),
+        ({"fog_fractions": ["x"]}, "fog_fractions[0]"),
+        ({"detection": {"min_points": "two"}}, "detection.min_points"),
+    ])
+    def test_malformed_numbers_exit_2_naming_the_field(self, tmp_path, capsys, monkeypatch,
+                                                       overrides, field):
+        config = _write_trimmed_config(tmp_path, **overrides)
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_semantically_invalid_config_exits_2(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)

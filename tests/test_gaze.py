@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +94,23 @@ class TestArcSet:
         assert s.contains(0.0)
         assert s.contains(6.1)
         assert not s.contains(3.0)
+
+    def test_contains_many_edge_angles_match_contains(self):
+        below_zero = [-1e-300, -1e-20, -5e-324, np.nextafter(0.0, -1.0), -0.0]
+        at_tau = [TAU, np.nextafter(TAU, 0.0), np.nextafter(TAU, 7.0), -TAU, 2.0 * TAU]
+        probes = np.array(below_zero + at_tau + [0.0, 1.0, 2.0, 6.0, 0.5, math.nan, math.inf])
+        for s in (ArcSet.from_arc(1.0, 2.0), ArcSet.from_arc(6.0, 0.5), ArcSet.from_arc(0.0, 1.0),
+                  ArcSet(((2.0, TAU),)), ArcSet.full(), ArcSet.empty(),
+                  ArcSet(((0.0, 0.5), (1.0, 2.0), (3.0, 3.5), (6.0, TAU)))):
+            many = s.contains_many(probes)
+            assert many.dtype == bool
+            assert many.tolist() == [s.contains(float(a)) for a in probes]
+
+    @given(st.lists(st.floats(0.0, TAU), max_size=10),
+           st.lists(st.floats(-3.0 * TAU, 3.0 * TAU), max_size=50))
+    def test_contains_many_matches_contains(self, cuts, probes):
+        s = ArcSet(tuple(zip(*[iter(sorted(set(cuts)))] * 2)))
+        assert s.contains_many(np.array(probes)).tolist() == [s.contains(a) for a in probes]
 
     def test_rejects_overlapping_arcs(self):
         with pytest.raises(ValueError):

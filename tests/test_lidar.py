@@ -1,7 +1,6 @@
 """Scan plans, pulse scheduling, and revolution sweeps."""
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -9,13 +8,12 @@ import pytest
 
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
-from gazelidar.lidar import (PointCloud, Return, ScanPlan, ScanSegment,
-                             angular_spacing, pulse_directions,
-                             revolution_setup, scan_revolution,
-                             write_point_cloud_csv)
+from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
+                             pulse_directions, revolution_setup, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
-from gazelidar.scene import ObstacleBox, Scene, Vec2
+from gazelidar.scene import ObstacleBox, Scene, Vec2, cast_rays
 from helpers import make_enclosing_scene, make_random_scene
+from oracles import segment_at
 
 TAU = math.tau
 CAL = SensorCalibration(1.0, 100.0)
@@ -77,11 +75,14 @@ class TestScanPlanValidation:
             ScanPlan((ScanSegment(0.0, TAU, 1.0, OMEGA),), TAU / OMEGA, 0.0)
 
     def test_lookup_at_segment_boundary_takes_the_next_segment(self):
-        plan = ScanPlan((ScanSegment(0.0, 1.0, 0.5, OMEGA),
-                         ScanSegment(1.0, TAU, 1.5, OMEGA)),
-                        TAU / OMEGA, PULSE_RATE)
-        assert plan.power_at(1.0 - 1e-12) == 0.5
-        assert plan.power_at(1.0) == 1.5
+        # at 1 rad/s and 4 pulses/s, pulse 4 fires exactly on the 1 rad boundary
+        plan = ScanPlan((ScanSegment(0.0, 1.0, 0.5, 1.0),
+                         ScanSegment(1.0, TAU, 1.5, 1.0)), TAU, 4.0)
+        angles, seg_idx = pulse_directions(plan)
+        assert angles[3] == 0.75 and seg_idx[3] == 0
+        assert angles[4] == 1.0 and seg_idx[4] == 1
+        assert segment_at(plan, 1.0 - 1e-12).power == 0.5
+        assert segment_at(plan, 1.0).power == 1.5
 
 
 class TestPulseDirections:
@@ -95,8 +96,9 @@ class TestPulseDirections:
         assert angles[-1] < TAU
         spacing = np.diff(angles)
         assert np.allclose(spacing, OMEGA / PULSE_RATE, rtol=1e-12)
-        assert math.degrees(angular_spacing(plan, 1.0)) == pytest.approx(
+        assert math.degrees(segment_at(plan, 1.0).spin_rate / plan.pulse_rate) == pytest.approx(
             0.9216, rel=1e-12)
+        assert np.allclose(np.degrees(spacing), 0.9216, rtol=1e-12)
         assert np.all(idx == 0)
 
     def test_ray_count_is_conserved_across_variants(self):
@@ -119,9 +121,17 @@ class TestPulseDirections:
 
     def test_spacing_ratio_follows_the_spin_rates(self):
         plan = _plan_for(VariantConfig("resolution", omega_high_ratio=2.0))
-        ratio = (angular_spacing(plan, THETA)
-                 / angular_spacing(plan, THETA + math.pi))
+        ratio = (segment_at(plan, THETA).spin_rate / plan.pulse_rate
+                 / (segment_at(plan, THETA + math.pi).spin_rate / plan.pulse_rate))
         assert ratio == pytest.approx(2.0 * 11.0 / 10.0, rel=1e-12)
+        angles, idx = pulse_directions(plan)
+        spacing = np.diff(angles)
+        inside = idx[1:] == idx[:-1]
+        rof_idx = plan.segments.index(segment_at(plan, THETA))
+        roi_idx = plan.segments.index(segment_at(plan, THETA + math.pi))
+        measured = (np.median(spacing[inside & (idx[1:] == rof_idx)])
+                    / np.median(spacing[inside & (idx[1:] == roi_idx)]))
+        assert measured == pytest.approx(2.0 * 11.0 / 10.0, rel=1e-9)
 
     def test_per_arc_counts_match_dwell_times(self):
         plan = _plan_for(VariantConfig("resolution", omega_high_ratio=2.0))
@@ -145,11 +155,12 @@ class TestScanRevolution:
         assert cloud.rays_fired == 390
         assert sum(cloud.rays_per_arc.values()) == 390
         assert len(cloud.returns) > 0
+        assert cloud.returns.dtype == RETURN_DTYPE
         angles, _ = pulse_directions(plan)
-        for ret in cloud.returns:
-            assert ret.hit_id == 5
-            assert 47.9 < ret.range_m < 51.0
-            assert ret.angle in angles
+        assert np.all(cloud.returns["hit_id"] == 5)
+        assert np.all((47.9 < cloud.returns["range_m"]) & (cloud.returns["range_m"] < 51.0))
+        assert np.all(np.isin(cloud.returns["angle"], angles))
+        assert np.all(np.diff(cloud.returns["angle"]) > 0.0)
 
     def test_power_reallocation_extends_roi_reach(self):
         # near face at 104.5 m: past the nominal 100 m but inside the
@@ -163,17 +174,17 @@ class TestScanRevolution:
                                    OMEGA, PULSE_RATE)
         boosted = build_scan_plan(VariantConfig("range", p_low_ratio=0.5),
                                   rof, roi, CAL, OMEGA, PULSE_RATE)
-        assert scan_revolution(scene, baseline, CLEAR, CAL, 0.0).returns == ()
+        assert len(scan_revolution(scene, baseline, CLEAR, CAL, 0.0).returns) == 0
         hits = scan_revolution(scene, boosted, CLEAR, CAL, 0.0).returns
-        assert hits and all(r.hit_id == 2 for r in hits)
+        assert len(hits) > 0 and np.all(hits["hit_id"] == 2)
 
     def test_fog_shortens_reach(self):
         box = ObstacleBox.spawn(1, Vec2(80.0, 0.0), 0.0, 1.0, 3.0, 0.0)
         scene = Scene(Vec2(0, 0), (box,), Vec2(0, 1))
         plan = _plan_for(VariantConfig("baseline"))
-        assert scan_revolution(scene, plan, CLEAR, CAL, 0.0).returns != ()
+        assert len(scan_revolution(scene, plan, CLEAR, CAL, 0.0).returns) > 0
         foggy = FogCondition(0.5, 0.005)
-        assert scan_revolution(scene, plan, foggy, CAL, 0.0).returns == ()
+        assert len(scan_revolution(scene, plan, foggy, CAL, 0.0).returns) == 0
 
     def test_trivial_ratio_plans_reproduce_baseline_exactly(self):
         rng = np.random.default_rng(3)
@@ -243,19 +254,25 @@ class TestDropout:
         assert rng.random() == reference.random()
 
 
-class TestPointCloudCsv:
-    def test_layout_and_formatting(self, tmp_path):
-        clouds = [
-            PointCloud(0.0, (Return(0.1, 12.345678901234, 3),), 390, {}),
-            PointCloud(0.05, (Return(1.0, 50.0, 4), Return(2.0, 60.0, 5)), 390, {}),
-        ]
-        path = tmp_path / "cloud.csv"
-        write_point_cloud_csv(path, clouds)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        rows = list(csv.reader(raw.decode().splitlines()))
-        assert rows[0] == ["frame", "angle_deg", "range_m", "hit_id"]
-        assert len(rows) == 4
-        assert rows[1] == ["0", format(math.degrees(0.1), ".12g"),
-                           "12.3456789012", "3"]
-        assert rows[2][0] == "1"
+
+class TestPointCloud:
+    def test_returns_are_the_surviving_hits_in_firing_order(self):
+        rng = np.random.default_rng(6)
+        scene = make_random_scene(rng)
+        plan = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
+        fog = FogCondition(0.25, 0.0025)
+        setup = revolution_setup(plan, fog, CAL)
+        ranges, ids = cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
+        cloud = scan_revolution(scene, plan, fog, CAL, 0.0, setup=setup)
+        hit = ids >= 0
+        assert cloud.returns["angle"].tolist() == setup.angles[hit].tolist()
+        assert cloud.returns["range_m"].tolist() == ranges[hit].tolist()
+        assert cloud.returns["hit_id"].tolist() == ids[hit].tolist()
+
+    def test_equality_compares_the_returns(self):
+        one = np.array([(0.1, 50.0, 3)], dtype=RETURN_DTYPE)
+        other = np.array([(0.1, 50.0, 4)], dtype=RETURN_DTYPE)
+        assert PointCloud(0.0, one, 390, {}) == PointCloud(0.0, one.copy(), 390, {})
+        assert PointCloud(0.0, one, 390, {}) != PointCloud(0.0, other, 390, {})
+        assert PointCloud(0.0, one, 390, {}) != PointCloud(0.0, one[:0], 390, {})
+        assert PointCloud(0.0, one, 390, {}) != PointCloud(0.05, one, 390, {})

@@ -13,6 +13,7 @@ from gazelidar.lidar import ScanSegment
 from gazelidar.policy import (DegeneratePartitionError, EyeSafetyError,
                               VariantConfig, build_scan_plan,
                               solve_power_levels, solve_spin_rates)
+from oracles import segment_at
 
 TAU = math.tau
 CAL = SensorCalibration(1.0, 100.0)
@@ -159,21 +160,21 @@ class TestBuildScanPlan:
         plan = build_scan_plan(VariantConfig("range", p_low_ratio=0.5),
                                rof, roi, CAL, OMEGA, PULSE_RATE)
         assert len(plan.segments) == 3
-        assert plan.power_at(theta) == 0.5
-        assert plan.power_at(theta + math.pi) == pytest.approx(1.1, rel=1e-12)
+        assert segment_at(plan, theta).power == 0.5
+        assert segment_at(plan, theta + math.pi).power == pytest.approx(1.1, rel=1e-12)
         mean = sum(s.power * (s.end - s.start) for s in plan.segments) / TAU
         assert mean == pytest.approx(1.0, rel=1e-12)
-        assert plan.spin_rate_at(theta) == OMEGA
+        assert segment_at(plan, theta).spin_rate == OMEGA
 
     def test_resolution_plan_reallocates_spin(self):
         rof, roi = _regions()
         theta = math.radians(135.4308)
         plan = build_scan_plan(VariantConfig("resolution", omega_high_ratio=2.0),
                                rof, roi, CAL, OMEGA, PULSE_RATE)
-        assert plan.spin_rate_at(theta) == 2.0 * OMEGA
-        assert plan.spin_rate_at(theta + math.pi) == pytest.approx(
+        assert segment_at(plan, theta).spin_rate == 2.0 * OMEGA
+        assert segment_at(plan, theta + math.pi).spin_rate == pytest.approx(
             OMEGA * 10.0 / 11.0, rel=1e-12)
-        assert plan.power_at(theta) == 1.0
+        assert segment_at(plan, theta).power == 1.0
         assert plan.revolution_period == TAU / OMEGA
 
     def test_combined_plan_reallocates_both(self):
@@ -183,9 +184,9 @@ class TestBuildScanPlan:
             VariantConfig("range_and_resolution", p_low_ratio=0.2,
                           omega_high_ratio=2.0),
             rof, roi, CAL, OMEGA, PULSE_RATE)
-        assert plan.power_at(theta) == pytest.approx(0.2, rel=1e-15)
-        assert plan.power_at(theta + math.pi) == pytest.approx(1.16, rel=1e-12)
-        assert plan.spin_rate_at(theta) == 2.0 * OMEGA
+        assert segment_at(plan, theta).power == pytest.approx(0.2, rel=1e-15)
+        assert segment_at(plan, theta + math.pi).power == pytest.approx(1.16, rel=1e-12)
+        assert segment_at(plan, theta).spin_rate == 2.0 * OMEGA
 
     def test_wrapped_focus_region_yields_contiguous_segments(self):
         rof = compute_rof(GazeState(0.0, 0.5),
@@ -194,9 +195,9 @@ class TestBuildScanPlan:
         plan = build_scan_plan(VariantConfig("range", p_low_ratio=0.5),
                                rof, roi, CAL, OMEGA, PULSE_RATE)
         assert len(plan.segments) == 3
-        assert plan.power_at(0.0) == 0.5
-        assert plan.power_at(TAU - math.radians(15.0)) == 0.5
-        assert plan.power_at(math.pi) == pytest.approx(1.1, rel=1e-12)
+        assert segment_at(plan, 0.0).power == 0.5
+        assert segment_at(plan, TAU - math.radians(15.0)).power == 0.5
+        assert segment_at(plan, math.pi).power == pytest.approx(1.1, rel=1e-12)
 
     def test_eye_safety_cap_propagates(self):
         rof = ArcSet.from_arc(0.0, 5.0)

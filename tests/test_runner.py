@@ -5,9 +5,13 @@ import copy
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazelidar import __version__, runner
 from gazelidar.gaze import GazeState, GazeTrace
@@ -158,10 +162,96 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="non-empty"):
             load_run_config(_write_config(tmp_path, mutate))
 
+    @pytest.mark.parametrize("where, key, value, field", [
+        ((), "frame_rate_hz", "abc", "frame_rate_hz"),
+        ((), "frame_rate_hz", math.nan, "frame_rate_hz"),
+        ((), "frame_rate_hz", math.inf, "frame_rate_hz"),
+        ((), "frame_rate_hz", True, "frame_rate_hz"),
+        ((), "frame_rate_hz", 0, "frame_rate_hz"),
+        ((), "pulse_rate_hz", "7812.5", "pulse_rate_hz"),
+        ((), "kappa_per_m", 10 ** 400, "kappa_per_m"),
+        ((), "fog_fractions", ["x"], r"fog_fractions\[0\]"),
+        ((), "fog_fractions", [0.0, math.nan], r"fog_fractions\[1\]"),
+        ((), "seeds", [1, True], r"seeds\[1\]"),
+        ((), "spawn_jitter_m", math.nan, "spawn_jitter_m"),
+        ((), "fog_dropout", "false", "fog_dropout"),
+        (("detection",), "min_points", "two", "detection.min_points"),
+        (("detection",), "min_points", 2.5, "detection.min_points"),
+        (("sensor",), "p_nominal_w", math.nan, "sensor.p_nominal_w"),
+        (("sensor",), "p_max_ratio", None, "sensor.p_max_ratio"),
+        (("acuity",), "eta", 1.5, "acuity.eta"),
+        (("acuity",), "half_width_deg", 270.0, "acuity.half_width_deg"),
+        (("variants", 1), "p_low_ratio", math.nan, r"variants\[1\].p_low_ratio"),
+        (("variants", 2), "omega_high_ratio", math.nan, r"variants\[2\].omega_high_ratio"),
+        (("scenario",), "target_id", 1.5, "scenario.target_id"),
+        (("scenario",), "ego", ["a", 0.0], r"scenario.ego\[0\]"),
+        (("scenario", "obstacles", 0), "half_length", "2", r"obstacles\[0\].half_length"),
+        (("scenario", "obstacles", 2), "heading_deg", math.inf, r"obstacles\[2\].heading_deg"),
+        (("scenario", "obstacles", 1), "speed_mps", -1.0, r"obstacles\[1\].speed_mps"),
+    ])
+    def test_numbers_are_checked_and_named(self, tmp_path, where, key, value, field):
+        def mutate(raw):
+            node = raw
+            for step in where:
+                node = node[step]
+            node[key] = value
+        with pytest.raises(ConfigError, match=field):
+            load_run_config(_write_config(tmp_path, mutate))
+
+    def test_integers_are_accepted_as_numbers(self, tmp_path):
+        config = load_run_config(_write_config(tmp_path, lambda raw: raw.update(
+            frame_rate_hz=20, fog_fractions=[0, 1])))
+        assert config.frame_rate == 20.0 and isinstance(config.frame_rate, float)
+        assert config.fog_fractions == (0.0, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_scalar_in_a_numeric_field_loads_or_raises_config_error(self, data):
+        raw = copy.deepcopy(DEFAULT_JSON)
+        raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
+        leaves = []
+
+        def collect(node, route):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for k, v in items:
+                if isinstance(v, (dict, list)):
+                    collect(v, route + (k,))
+                elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                    leaves.append(route + (k,))
+        collect(raw, ())
+        route = data.draw(st.sampled_from(leaves))
+        value = data.draw(st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                                    st.integers(), st.floats(), st.lists(st.integers(), max_size=2)))
+        node = raw
+        for step in route[:-1]:
+            node = node[step]
+        node[route[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(raw))
+            try:
+                load_run_config(path)
+            except ConfigError:
+                pass
+
 
 class TestValidateRunConfig:
     def test_shipped_config_is_clean(self, default_config):
         assert validate_run_config(default_config) == []
+
+    def test_flags_zero_pulses_per_revolution(self, default_config):
+        config = dataclasses.replace(default_config, pulse_rate=1.0)
+        assert any("no pulse" in p for p in validate_run_config(config))
+        one_pulse = dataclasses.replace(default_config, pulse_rate=default_config.frame_rate)
+        assert validate_run_config(one_pulse) == []
+
+    def test_flags_repeated_variant_names(self, default_config):
+        variants = default_config.variants
+        for extra in (variants[0], VariantConfig("range", p_low_ratio=0.5)):
+            config = dataclasses.replace(default_config, variants=variants + (extra,))
+            problems = validate_run_config(config)
+            assert len(problems) == 1
+            assert "variants[4] repeats the name" in problems[0]
 
     def test_flags_unknown_target(self, default_config):
         scenario = ScenarioConfig(default_config.scenario.scene, 99)

@@ -1,4 +1,4 @@
-"""World model: box geometry, motion, and both ray casters."""
+"""World model: box geometry, motion, and the ray caster."""
 from __future__ import annotations
 
 import math
@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_ray,
-                             cast_rays, contains_point_of)
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays
 from helpers import make_random_scene
-from oracles import brute_force_cast, stepped_advance
+from oracles import brute_force_cast, dense_cast_rays, scalar_cast, stepped_advance
 
 TAU = math.tau
 
@@ -18,6 +17,15 @@ def _single_box_scene(center=(50.0, 0.0), heading=0.0, hl=2.0, hw=3.0, oid=1,
                       speed=0.0):
     box = ObstacleBox.spawn(oid, Vec2(*center), heading, hl, hw, speed)
     return Scene(Vec2(0.0, 0.0), (box,), Vec2(0.0, 10.0))
+
+
+def _cast_one(scene, origin, angle, max_range):
+    """cast_rays for a single ray: (range, id), or None on a miss."""
+    ranges, ids = cast_rays(scene, origin, np.array([angle]), np.array([max_range]))
+    if ids[0] < 0:
+        assert math.isnan(ranges[0])
+        return None
+    return float(ranges[0]), int(ids[0])
 
 
 class TestVec2:
@@ -69,6 +77,29 @@ class TestObstacleBox:
     def test_spawn_records_the_initial_center(self):
         box = ObstacleBox.spawn(1, Vec2(5.0, 6.0), 0.0, 1.0, 1.0, 2.0)
         assert box.spawn_center == Vec2(5.0, 6.0)
+
+    def test_edge_array_is_the_segments_and_read_only(self):
+        box = ObstacleBox.spawn(1, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
+        expected = [(p[0], p[1], q[0], q[1]) for p, q in box.segments()]
+        assert box.edge_array.tolist() == [list(row) for row in expected]
+        assert not box.edge_array.flags.writeable
+        assert box.edge_array is box.edge_array
+
+
+class TestEdgeArrayAcrossMotion:
+    def test_static_boxes_keep_their_cached_edges(self):
+        scene = _single_box_scene(speed=0.0)
+        edges = scene.obstacles[0].edge_array
+        assert advance(scene, 2.5).obstacles[0].edge_array is edges
+
+    def test_moving_boxes_take_corners_from_the_advanced_center(self):
+        scene = _single_box_scene(center=(67.0, 66.0), heading=math.pi, speed=13.88888888888889)
+        spawn_edges = scene.obstacles[0].edge_array
+        for t in (0.05, 1.0, 3.35):
+            moved = advance(scene, t).obstacles[0]
+            fresh = ObstacleBox.spawn(1, moved.center, moved.heading, 2.0, 3.0, 0.0)
+            assert moved.edge_array is not spawn_edges
+            assert np.array_equal(moved.edge_array, fresh.edge_array)
 
 
 class TestScene:
@@ -135,33 +166,27 @@ class TestAdvance:
 class TestCastRay:
     def test_axis_aligned_hit_is_exact(self):
         scene = _single_box_scene(center=(50.0, 0.0), hl=2.0, hw=3.0)
-        hit = cast_ray(scene, Vec2(0.0, 0.0), 0.0, 120.0)
-        assert hit is not None
-        assert hit.range_m == 48.0
-        assert hit.hit_id == 1
+        assert _cast_one(scene, Vec2(0.0, 0.0), 0.0, 120.0) == (48.0, 1)
 
     def test_max_range_is_inclusive(self):
         scene = _single_box_scene(center=(50.0, 0.0), hl=2.0)
-        assert cast_ray(scene, Vec2(0, 0), 0.0, 48.0) is not None
-        assert cast_ray(scene, Vec2(0, 0), 0.0, 47.999) is None
+        assert _cast_one(scene, Vec2(0, 0), 0.0, 48.0) is not None
+        assert _cast_one(scene, Vec2(0, 0), 0.0, 47.999) is None
 
     def test_miss_returns_none(self):
         scene = _single_box_scene(center=(50.0, 0.0))
-        assert cast_ray(scene, Vec2(0, 0), math.pi, 120.0) is None
+        assert _cast_one(scene, Vec2(0, 0), math.pi, 120.0) is None
 
     def test_rejects_non_positive_max_range(self):
         with pytest.raises(ValueError):
-            cast_ray(_single_box_scene(), Vec2(0, 0), 0.0, 0.0)
+            _cast_one(_single_box_scene(), Vec2(0, 0), 0.0, 0.0)
 
     def test_exact_tie_goes_to_the_smaller_id(self):
         box_hi = ObstacleBox.spawn(7, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
         box_lo = ObstacleBox.spawn(3, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
         scene = Scene(Vec2(0, 0), (box_hi, box_lo), Vec2(0, 1))
-        hit = cast_ray(scene, Vec2(0, 0), 0.0, 120.0)
-        assert hit == (48.0, 3)
-        ranges, ids = cast_rays(scene, Vec2(0, 0), np.array([0.0]), np.array([120.0]))
-        assert ids[0] == 3
-        assert ranges[0] == 48.0
+        assert scalar_cast(scene, Vec2(0, 0), 0.0, 120.0) == (48.0, 3)
+        assert _cast_one(scene, Vec2(0, 0), 0.0, 120.0) == (48.0, 3)
 
 
 class TestCastRaysBatch:
@@ -173,7 +198,7 @@ class TestCastRaysBatch:
             max_ranges = np.full(256, 90.0)
             ranges, ids = cast_rays(scene, scene.ego_position, angles, max_ranges)
             for k in range(256):
-                hit = cast_ray(scene, scene.ego_position, float(angles[k]), 90.0)
+                hit = scalar_cast(scene, scene.ego_position, float(angles[k]), 90.0)
                 if hit is None:
                     assert ids[k] == -1 and math.isnan(ranges[k])
                 else:
@@ -219,7 +244,114 @@ class TestCastRaysBatch:
                       np.array([0.0]))
 
 
-def test_contains_point_of_is_id_equality():
-    assert contains_point_of(4, 4)
-    assert not contains_point_of(4, 5)
-    assert not contains_point_of(-1, 4)
+
+def _same_casts(scene, origin, angles, max_ranges):
+    """The culled caster equals the dense oracle bit for bit, NaN-aware."""
+    ranges, ids = cast_rays(scene, origin, angles, max_ranges)
+    ref_ranges, ref_ids = dense_cast_rays(scene, origin, angles, max_ranges)
+    return (np.array_equal(ids, ref_ids)
+            and np.array_equal(ranges, ref_ranges, equal_nan=True))
+
+
+def _random_boxes(rng, n, spread):
+    return tuple(ObstacleBox.spawn(i + 1, Vec2(*rng.uniform(-spread, spread, 2)),
+                                   rng.uniform(0.0, TAU), rng.uniform(0.2, 5.0),
+                                   rng.uniform(0.2, 3.0), 0.0)
+                 for i in range(n))
+
+
+def _edge_bearings(scene, origin):
+    return np.array([math.atan2(y - origin.y, x - origin.x)
+                     for o in scene.obstacles for x, y in o.corners()])
+
+
+class TestCulledCasterMatchesDenseOracle:
+    """cast_rays solves only the (ray, edge) pairs whose bearings overlap;
+    the dense oracle solves all of them with the same algebra."""
+
+    def test_random_scenes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            scene = make_random_scene(rng, 1, 25)
+            angles = rng.uniform(0.0, TAU, size=600)
+            max_ranges = rng.uniform(5.0, 120.0, size=600)
+            assert _same_casts(scene, scene.ego_position, angles, max_ranges)
+
+    def test_pulse_grid_through_every_corner_bearing(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            scene = make_random_scene(rng)
+            origin = scene.ego_position
+            angles = np.concatenate((np.arange(3600) * (TAU / 3600.0),
+                                     _edge_bearings(scene, origin) % TAU))
+            assert _same_casts(scene, origin, np.sort(angles), np.full(angles.shape, 120.0))
+
+    def test_sensor_inside_a_box(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            scene = Scene(Vec2(0, 0), _random_boxes(rng, int(rng.integers(1, 6)), 6.0), Vec2(0, 1))
+            box = scene.obstacles[0]
+            origin = Vec2(box.center.x + rng.uniform(-0.1, 0.1), box.center.y + rng.uniform(-0.1, 0.1))
+            angles = rng.uniform(0.0, TAU, size=400)
+            assert _same_casts(scene, origin, angles, np.full(400, 30.0))
+
+    def test_sensor_on_an_edge_line_or_corner(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            scene = Scene(Vec2(0, 0), _random_boxes(rng, int(rng.integers(1, 6)), 6.0), Vec2(0, 1))
+            (px, py), (qx, qy) = scene.obstacles[0].segments()[int(rng.integers(0, 4))]
+            s = rng.choice([0.0, 1.0, 0.5, -0.5, 1.5, rng.uniform(-3.0, 4.0)])
+            origin = Vec2(px + s * (qx - px), py + s * (qy - py))
+            angles = np.concatenate((rng.uniform(0.0, TAU, size=200),
+                                     _edge_bearings(scene, origin),
+                                     [math.atan2(qy - py, qx - px), math.atan2(py - qy, px - qx)]))
+            assert _same_casts(scene, origin, angles, np.full(angles.shape, 25.0))
+
+    def test_sensor_just_off_a_corner(self):
+        # an end bearing taken from a vector a few ulps long is mostly rounding
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            box = ObstacleBox.spawn(1, Vec2(*rng.uniform(-50.0, 50.0, 2)), rng.uniform(0.0, TAU),
+                                    rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), 0.0)
+            scene = Scene(Vec2(0, 0), (box,), Vec2(0, 1))
+            cx, cy = box.corners()[int(rng.integers(0, 4))]
+            offset = 10.0 ** rng.uniform(-14.0, -6.0)
+            heading = rng.uniform(0.0, TAU)
+            origin = Vec2(cx + offset * math.cos(heading), cy + offset * math.sin(heading))
+            angles = np.concatenate([b + np.linspace(-1e-4, 1e-4, 201)
+                                     for b in _edge_bearings(scene, origin)])
+            assert _same_casts(scene, origin, angles, np.full(angles.shape, 100.0))
+
+    def test_unsorted_and_out_of_range_angles(self):
+        rng = np.random.default_rng(10)
+        edge_cases = np.array([0.0, -0.0, -1e-20, 1e-20, TAU, -TAU, np.nextafter(TAU, 0.0),
+                               math.pi, -math.pi, 3.0 * TAU + 0.25, -7.0 * TAU - 1.0])
+        for _ in range(40):
+            scene = make_random_scene(rng, 1, 25)
+            angles = np.concatenate((rng.uniform(-4.0 * TAU, 4.0 * TAU, size=400), edge_cases))
+            rng.shuffle(angles)
+            assert _same_casts(scene, scene.ego_position, angles,
+                               rng.uniform(5.0, 120.0, size=angles.shape))
+
+    def test_empty_scene_and_all_miss(self):
+        angles = np.arange(360) * (TAU / 360.0)
+        empty = Scene(Vec2(0, 0), (), Vec2(0, 1))
+        assert _same_casts(empty, Vec2(0, 0), angles, np.full(360, 50.0))
+        scene = make_random_scene(np.random.default_rng(12))
+        ranges, ids = cast_rays(scene, scene.ego_position, angles, np.full(360, 5.0))
+        assert np.all(ids == -1) and np.all(np.isnan(ranges))
+        assert _same_casts(scene, scene.ego_position, angles, np.full(360, 5.0))
+        no_rays = np.empty(0)
+        assert _same_casts(scene, scene.ego_position, no_rays, no_rays)
+
+    def test_exact_ties_go_to_the_smaller_id(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            base = make_random_scene(rng)
+            twins = tuple(ObstacleBox.spawn(o.id + 100, o.center, o.heading, o.half_length,
+                                            o.half_width, 0.0) for o in base.obstacles)
+            scene = Scene(base.ego_position, base.obstacles + twins, base.conflict_point)
+            angles = rng.uniform(0.0, TAU, size=500)
+            ranges, ids = cast_rays(scene, scene.ego_position, angles, np.full(500, 120.0))
+            assert np.all(ids < 100)
+            assert _same_casts(scene, scene.ego_position, angles, np.full(500, 120.0))
