@@ -7,8 +7,7 @@ complementary region under exact conservation constraints.
 
 __version__ = "0.1.0"
 
-from .atmosphere import (FogCondition, SensorCalibration, effective_range,
-                         fog_from_fraction, return_survival_probability)
+from .atmosphere import FogCondition, SensorCalibration, effective_range, fog_from_fraction
 from .gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, GazeTraceError,
                    compute_rof, compute_roi, load_gaze_trace, normalize_angle)
 from .lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, pulse_directions,
@@ -27,7 +26,6 @@ __all__ = [
     "AcuityFunction", "ArcSet", "GazeState", "GazeTrace", "GazeTraceError",
     "compute_rof", "compute_roi", "load_gaze_trace", "normalize_angle",
     "FogCondition", "SensorCalibration", "effective_range", "fog_from_fraction",
-    "return_survival_probability",
     "PolicyError", "DegeneratePartitionError", "EyeSafetyError",
     "RangePolicy", "ResolutionPolicy", "VariantConfig",
     "solve_power_levels", "solve_spin_rates", "build_scan_plan",

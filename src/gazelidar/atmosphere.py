@@ -77,10 +77,3 @@ def effective_range(p_emit: float, fog: FogCondition, cal: SensorCalibration) ->
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def return_survival_probability(r: float, fog: FogCondition) -> float:
-    """One-way survival probability exp(-sigma r) for optional fog dropout."""
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
-    return math.exp(-fog.sigma * r)

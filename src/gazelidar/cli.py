@@ -2,16 +2,14 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .runner import (ConfigError, load_run_config, quartiles, run_sweep, summarize,
-                     validate_run_config, write_density_samples_csv, write_results_csv,
-                     write_summary_json)
+from .runner import (ConfigError, load_run_config, read_summary_json, run_sweep, summarize,
+                     summary_text, validate_run_config, write_density_samples_csv,
+                     write_results_csv, write_summary_json)
 
 
 def cmd_validate(config_path: str) -> int:
@@ -55,73 +53,27 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1,
     return 1 if failures else 0
 
 
-def _read_results(out_dir: Path):
-    """Parse results.csv and density_samples.csv back into per-cell lists."""
-    ttas: dict[tuple[str, float], list[float]] = {}
-    densities: dict[tuple[str, float], list[float]] = {}
-    counts: dict[tuple[str, float], int] = {}
-    results_path = out_dir / "results.csv"
-    with open(results_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                key = (row["variant"], float(row["fog"]))
-                counts[key] = counts.get(key, 0) + 1
-                if row["detected"] == "true":
-                    ttas.setdefault(key, []).append(float(row["tta_s"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{results_path}: row {rownum}: {exc}") from exc
-    samples_path = out_dir / "density_samples.csv"
-    with open(samples_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                key = (row["variant"], float(row["fog"]))
-                densities.setdefault(key, []).append(float(row["density_pts_per_deg"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{samples_path}: row {rownum}: {exc}") from exc
-    return counts, ttas, densities
-
-
-def _report_cells(out_dir: Path) -> list[dict]:
-    counts, ttas, densities = _read_results(out_dir)
-    cells = []
-    for key in sorted(counts):
-        name, fog = key
-        cell = {"variant": name, "fog": fog, "runs": counts[key],
-                "detected": len(ttas.get(key, [])), "tta_s": None,
-                "density_pts_per_deg": None}
-        if key in ttas:
-            q1, med, q3 = quartiles(ttas[key])
-            cell["tta_s"] = {"q1": q1, "median": med, "q3": q3}
-        if key in densities:
-            q1, med, q3 = quartiles(densities[key])
-            cell["density_pts_per_deg"] = {"q1": q1, "median": med, "q3": q3}
-        cells.append(cell)
-    return cells
-
-
 def cmd_report(results_dir: str, fmt: str = "table") -> int:
-    out_dir = Path(results_dir)
+    path = Path(results_dir) / "summary.json"
     try:
-        cells = _report_cells(out_dir)
-    except (OSError, ConfigError) as exc:
+        summary = read_summary_json(path)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if fmt == "json":
-        print(json.dumps({"version": __version__, "cells": cells}, indent=2, sort_keys=True))
+        sys.stdout.write(summary_text(summary))
         return 0
-    header = (f"{'variant':<22} {'fog':>5} {'runs':>4} {'det':>4} "
+    header = (f"{'variant':<22} {'fog':>5} {'runs':>4} {'fail':>4} {'det':>4} "
               f"{'tta q1':>8} {'tta med':>8} {'tta q3':>8} "
               f"{'dens q1':>9} {'dens med':>9} {'dens q3':>9}")
     print(header)
     print("-" * len(header))
-    for c in cells:
+    for c in summary["cells"]:
         tta = c["tta_s"]
         dens = c["density_pts_per_deg"]
         tta_cols = tuple(f"{tta[k]:8.3f}" for k in ("q1", "median", "q3")) if tta else ("-".rjust(8),) * 3
         dens_cols = tuple(f"{dens[k]:9.4f}" for k in ("q1", "median", "q3")) if dens else ("-".rjust(9),) * 3
-        print(f"{c['variant']:<22} {c['fog']:>5.2f} {c['runs']:>4} {c['detected']:>4} "
+        print(f"{c['variant']:<22} {c['fog']:>5.2f} {c['runs']:>4} {c['failures']:>4} {c['detected']:>4} "
               f"{' '.join(tta_cols)} {' '.join(dens_cols)}")
     return 0
 
@@ -143,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed-override", type=int, default=None,
                        help="replace the configured seed list with this single seed")
 
-    p_report = sub.add_parser("report", help="summarize a results directory")
+    p_report = sub.add_parser("report", help="print the summary.json of a results directory")
     p_report.add_argument("--out", required=True, help="results directory written by run")
     p_report.add_argument("--format", choices=("table", "json"), default="table")
     return parser

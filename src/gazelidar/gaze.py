@@ -25,14 +25,6 @@ def normalize_angle(angle: float) -> float:
     return a
 
 
-def wrap_to_pi(angle: float) -> float:
-    """Map an angle in radians to (-pi, pi]."""
-    a = normalize_angle(angle)
-    if a > math.pi:
-        a -= TAU
-    return a
-
-
 @dataclass(frozen=True)
 class ArcSet:
     """Union of disjoint half-open arcs [start, end) on the circle [0, tau).
@@ -155,12 +147,6 @@ class AcuityFunction:
     @classmethod
     def gaussian(cls, sigma: float) -> "AcuityFunction":
         return cls("gaussian", sigma=sigma)
-
-    def value(self, offset: float) -> float:
-        a = wrap_to_pi(offset)
-        if self.kind == "boxcar":
-            return 1.0 if abs(a) <= self.half_width else 0.0
-        return math.exp(-(a * a) / (2.0 * self.sigma * self.sigma))
 
     def threshold_half_width(self, eta: float) -> float:
         """Half-width of {alpha : V(alpha) > eta}, capped at pi."""

@@ -37,7 +37,7 @@ DEFAULT_OMEGA_HIGH_RATIO = 2.0
 
 
 class ConfigError(ValueError):
-    """Raised when a run configuration fails to load or validate."""
+    """Raised when a run configuration or a summary.json fails to load or validate."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,16 @@ def _require(obj: dict, key: str, context: str):
     if key not in obj:
         raise ConfigError(f"{context}: missing required key '{key}'")
     return obj[key]
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, field: str):
+    """`value` if it is a `kind` (dict, list or str), else a ConfigError naming `field`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{field}: expected {_JSON_TYPES[kind]}")
+    return value
 
 
 def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
@@ -156,13 +166,13 @@ def load_run_config(path) -> RunConfig:
     for i, s in enumerate(seeds):
         _number(s, f"{path}: seeds[{i}]", integer=True)
 
-    sensor = raw.get("sensor", {})
+    sensor = _typed(raw.get("sensor", {}), dict, f"{path}: sensor")
     calibration = SensorCalibration(
         _positive(sensor.get("p_nominal_w", 1.0), f"{path}: sensor.p_nominal_w"),
         _positive(sensor.get("r_nominal_m", 100.0), f"{path}: sensor.r_nominal_m"))
     p_max_ratio = _positive(sensor.get("p_max_ratio", 4.0), f"{path}: sensor.p_max_ratio")
 
-    acuity_raw = raw.get("acuity", {})
+    acuity_raw = _typed(raw.get("acuity", {}), dict, f"{path}: acuity")
     kind = acuity_raw.get("kind", "boxcar")
     eta = _number(acuity_raw.get("eta", DEFAULT_ETA), f"{path}: acuity.eta", 0.0, 1.0,
                   low_open=True)
@@ -181,8 +191,7 @@ def load_run_config(path) -> RunConfig:
             raise
         raise ConfigError(f"{path}: acuity: {exc}") from exc
 
-    trace_ref = _require(raw, "gaze_trace", str(path))
-    trace_path = Path(trace_ref)
+    trace_path = Path(_typed(_require(raw, "gaze_trace", str(path)), str, f"{path}: gaze_trace"))
     if not trace_path.is_absolute():
         trace_path = path.parent / trace_path
     try:
@@ -196,8 +205,7 @@ def load_run_config(path) -> RunConfig:
     variants = []
     for i, v in enumerate(variants_raw):
         context = f"{path}: variants[{i}]"
-        if not isinstance(v, dict):
-            raise ConfigError(f"{context}: expected an object")
+        _typed(v, dict, context)
         name = _require(v, "name", context)
         p_low_ratio = _number(v.get("p_low_ratio", DEFAULT_P_LOW_RATIO),
                               f"{context}.p_low_ratio", 0.0, 1.0, low_open=True)
@@ -208,7 +216,7 @@ def load_run_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
 
-    detection_raw = raw.get("detection", {})
+    detection_raw = _typed(raw.get("detection", {}), dict, f"{path}: detection")
     min_points = _number(detection_raw.get("min_points", 1), f"{path}: detection.min_points",
                          1, integer=True)
 
@@ -217,8 +225,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: fog_dropout: {dropout!r} is not true or false")
     spawn_jitter = _number(raw.get("spawn_jitter_m", 0.0), f"{path}: spawn_jitter_m", 0.0)
 
-    scenario_raw = _require(raw, "scenario", str(path))
     context = f"{path}: scenario"
+    scenario_raw = _typed(_require(raw, "scenario", str(path)), dict, context)
     ego = _vec2(_require(scenario_raw, "ego", context), f"{context}.ego")
     conflict = _vec2(_require(scenario_raw, "conflict_point", context), f"{context}.conflict_point")
     target_id = _number(_require(scenario_raw, "target_id", context), f"{context}.target_id",
@@ -229,6 +237,7 @@ def load_run_config(path) -> RunConfig:
     obstacles = []
     for i, o in enumerate(obstacles_raw):
         octx = f"{context}.obstacles[{i}]"
+        _typed(o, dict, octx)
         obstacles.append(ObstacleBox.spawn(
             _number(_require(o, "id", octx), f"{octx}.id", integer=True),
             _vec2(_require(o, "center", octx), f"{octx}.center"),
@@ -512,5 +521,38 @@ def summarize(records: list[RunRecord]) -> dict:
     return {"version": __version__, "cells": out}
 
 
+def summary_text(summary: dict) -> str:
+    """The exact text of summary.json; `report --format json` prints the same."""
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
 def write_summary_json(summary: dict, path) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(summary_text(summary))
+
+
+def read_summary_json(path) -> dict:
+    """Load a summary.json and check every field `report` prints.
+
+    Raises ConfigError naming the file and the bad cell or key.
+    """
+    path = Path(path)
+    try:
+        summary = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    _typed(summary, dict, str(path))
+    cells = _typed(_require(summary, "cells", str(path)), list, f"{path}: cells")
+    for i, cell in enumerate(cells):
+        context = f"{path}: cells[{i}]"
+        _typed(cell, dict, context)
+        _typed(_require(cell, "variant", context), str, f"{context}.variant")
+        _number(_require(cell, "fog", context), f"{context}.fog", 0.0, 1.0)
+        for key in ("runs", "failures", "detected"):
+            _number(_require(cell, key, context), f"{context}.{key}", 0, integer=True)
+        for key in ("tta_s", "density_pts_per_deg"):
+            stats = _require(cell, key, context)
+            if stats is not None:
+                _typed(stats, dict, f"{context}.{key}")
+                for q in ("q1", "median", "q3"):
+                    _number(_require(stats, q, f"{context}.{key}"), f"{context}.{key}.{q}")
+    return summary

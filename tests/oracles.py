@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gazelidar.atmosphere import fog_from_fraction
-from gazelidar.gaze import compute_rof, compute_roi
+from gazelidar.gaze import compute_rof, compute_roi, normalize_angle
 from gazelidar.lidar import scan_revolution
 from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
 from gazelidar.policy import build_scan_plan
@@ -151,17 +151,33 @@ def stepped_advance(scene: Scene, total_t: float, steps: int) -> Scene:
     return out
 
 
+def wrap_to_pi(angle: float) -> float:
+    """Map an angle in radians to (-pi, pi]."""
+    a = normalize_angle(angle)
+    if a > math.pi:
+        a -= math.tau
+    return a
+
+
+def acuity_value(acuity, offset: float) -> float:
+    """The acuity profile V at a bearing offset from the gaze, in radians."""
+    a = wrap_to_pi(offset)
+    if acuity.kind == "boxcar":
+        return 1.0 if abs(a) <= acuity.half_width else 0.0
+    return math.exp(-(a * a) / (2.0 * acuity.sigma * acuity.sigma))
+
+
 def bisect_threshold_half_width(acuity, eta: float, tol: float = 1e-12) -> float:
     """Half-width of {V > eta} found by bisection on V(alpha) - eta.
 
     Assumes V is non-increasing on [0, pi] with V(0) = 1 > eta.
     """
     lo, hi = 0.0, math.pi
-    if acuity.value(hi) > eta:
+    if acuity_value(acuity, hi) > eta:
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if acuity.value(mid) > eta:
+        if acuity_value(acuity, mid) > eta:
             lo = mid
         else:
             hi = mid

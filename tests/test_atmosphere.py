@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from gazelidar.atmosphere import (FogCondition, SensorCalibration,
-                                  effective_range, fog_from_fraction,
-                                  return_survival_probability)
+                                  effective_range, fog_from_fraction)
 from oracles import fixed_point_range
 
 CAL = SensorCalibration(1.0, 100.0)
@@ -92,18 +91,3 @@ class TestEffectiveRange:
     def test_rejects_non_positive_power(self):
         with pytest.raises(ValueError):
             effective_range(0.0, CLEAR, CAL)
-
-
-class TestSurvival:
-    def test_exponential_decay(self):
-        fog = FogCondition(0.5, 0.005)
-        assert return_survival_probability(0.0, fog) == 1.0
-        assert return_survival_probability(100.0, fog) == pytest.approx(
-            math.exp(-0.5), rel=1e-15)
-
-    def test_clear_air_never_drops(self):
-        assert return_survival_probability(500.0, CLEAR) == 1.0
-
-    def test_rejects_negative_range(self):
-        with pytest.raises(ValueError):
-            return_survival_probability(-1.0, CLEAR)

@@ -9,6 +9,7 @@ import pytest
 
 from gazelidar import __version__
 from gazelidar.cli import entry, main
+from gazelidar.runner import ConfigError, load_run_config
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
@@ -117,6 +118,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"sensor": []}, "sensor"),
+        ({"acuity": []}, "acuity"),
+        ({"detection": None}, "detection"),
+        ({"scenario": "ego"}, "scenario"),
+        ({"scenario": dict(DEFAULT_JSON["scenario"], obstacles=[5])}, "scenario.obstacles[0]"),
+        ({"gaze_trace": 5}, "gaze_trace"),
+    ], ids=["sensor", "acuity", "detection", "scenario", "obstacle", "gaze_trace"])
+    def test_sections_of_the_wrong_type_exit_2_naming_the_field(self, tmp_path, capsys,
+                                                                monkeypatch, overrides, field):
+        config = _write_trimmed_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as exc:
+            load_run_config(config)
+        assert f"{config}: {field}: expected" in str(exc.value)
+        assert main(["validate", "--config", str(config)]) == 1
+        assert field in capsys.readouterr().out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exit_:
+            entry()
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_semantically_invalid_config_exits_2(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
@@ -169,32 +195,49 @@ class TestReport:
         _, out = _run(tmp_path)
         capsys.readouterr()
         assert main(["report", "--out", str(out), "--format", "json"]) == 0
-        reported = json.loads(capsys.readouterr().out)
-        summary = json.loads((out / "summary.json").read_text())
-        assert reported["version"] == __version__
-        stored = {(c["variant"], c["fog"]): c for c in summary["cells"]}
-        assert len(reported["cells"]) == len(stored)
-        for cell in reported["cells"]:
-            expect = stored[(cell["variant"], cell["fog"])]
-            assert cell["runs"] == expect["runs"]
-            assert cell["detected"] == expect["detected"]
-            assert cell["tta_s"]["median"] == pytest.approx(
-                expect["tta_s"]["median"], rel=1e-9)
-            assert cell["density_pts_per_deg"]["median"] == pytest.approx(
-                expect["density_pts_per_deg"]["median"], rel=1e-9)
+        assert capsys.readouterr().out.encode() == (out / "summary.json").read_bytes()
+
+    def test_needs_only_the_summary(self, tmp_path, capsys):
+        _, out = _run(tmp_path)
+        (out / "results.csv").unlink()
+        (out / "density_samples.csv").unlink()
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 8
+
+    def test_table_counts_failed_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("gazelidar.cli.validate_run_config", lambda c: [])
+        config = _write_trimmed_config(
+            tmp_path, sensor={"p_nominal_w": 1.0, "r_nominal_m": 100.0,
+                              "p_max_ratio": 1.05})
+        assert _run(tmp_path, "out", config)[0] == 1
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path / "out")]) == 0
+        header, _, *rows = capsys.readouterr().out.splitlines()
+        fail_col = header.split().index("fail")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [int(row.split()[fail_col]) for row in rows] == [
+            c["failures"] for c in summary["cells"]]
+        assert any(c["failures"] > 0 for c in summary["cells"])
 
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_corrupt_results_name_the_row(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "results.csv").write_text(
-            "variant,fog,seed,detected,tta_s,frames,mean_density_pts_per_deg\n"
-            "baseline,0,101,true,4.824,1,0.84\n"
-            "baseline,bad,101,true,4.824,1,0.84\n")
-        (out / "density_samples.csv").write_text(
-            "variant,fog,seed,frame,points_in_roi,roi_width_deg,density_pts_per_deg\n")
-        assert main(["report", "--out", str(out)]) == 2
-        assert "row 3" in capsys.readouterr().err
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("corrupt, problem", [
+        (lambda text: text[:-3], "Expecting"),
+        (lambda text: text.replace('"runs"', '"rns"', 1), "cells[0]: missing required key 'runs'"),
+    ], ids=["bad_json", "cell_without_runs"])
+    def test_corrupt_summary_exits_2_naming_the_problem(self, tmp_path, capsys, corrupt,
+                                                         problem, fmt):
+        _, out = _run(tmp_path)
+        summary = out / "summary.json"
+        summary.write_text(corrupt(summary.read_text()))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: {summary}: ") and problem in err_lines[0]

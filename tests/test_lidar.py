@@ -253,6 +253,26 @@ class TestDropout:
         reference.random(plan.rays_per_revolution)
         assert rng.random() == reference.random()
 
+    @pytest.mark.parametrize("seed", [12, 99])
+    def test_a_hit_survives_when_its_draw_is_below_exp_minus_sigma_r(self, seed):
+        scene = make_enclosing_scene(30.0)
+        plan = _plan_for(VariantConfig("baseline"))
+        for fog in (FogCondition(1.0, 0.02), CLEAR):
+            full = scan_revolution(scene, plan, fog, CAL, 0.0)
+            thinned = scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True,
+                                      rng=np.random.default_rng(seed))
+            # one draw per pulse, in firing order; pick out the pulses that hit
+            draws = np.random.default_rng(seed).random(plan.rays_per_revolution)
+            angles = revolution_setup(plan, fog, CAL).angles
+            hit_draws = draws[np.isin(angles, full.returns["angle"])]
+            kept = [draw < math.exp(-fog.sigma * r)
+                    for draw, r in zip(hit_draws, full.returns["range_m"])]
+            assert np.array_equal(thinned.returns, full.returns[kept])
+            if fog.sigma == 0.0:
+                assert all(kept)
+            else:
+                assert 0 < sum(kept) < len(kept)
+
 
 
 class TestPointCloud:
