@@ -12,16 +12,21 @@ from .runner import (ConfigError, load_run_config, read_summary_json, run_sweep,
                      write_results_csv, write_summary_json)
 
 
-def cmd_validate(config_path: str) -> int:
+def _checked_config(config_path: str, prefix: str, stream):
+    """The config if it loads and validates, else None after printing its problems."""
     try:
         config = load_run_config(config_path)
     except ConfigError as exc:
-        print(f"invalid: {exc}")
-        return 1
+        print(f"{prefix} {exc}", file=stream)
+        return None
     problems = validate_run_config(config)
-    if problems:
-        for p in problems:
-            print(f"invalid: {config_path}: {p}")
+    for p in problems:
+        print(f"{prefix} {config_path}: {p}", file=stream)
+    return None if problems else config
+
+
+def cmd_validate(config_path: str) -> int:
+    if _checked_config(config_path, "invalid:", sys.stdout) is None:
         return 1
     print(f"ok: {config_path}")
     return 0
@@ -29,15 +34,8 @@ def cmd_validate(config_path: str) -> int:
 
 def cmd_run(config_path: str, out_dir: str, jobs: int = 1,
             seed_override: int | None = None) -> int:
-    try:
-        config = load_run_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_run_config(config)
-    if problems:
-        for p in problems:
-            print(f"error: {config_path}: {p}", file=sys.stderr)
+    config = _checked_config(config_path, "error:", sys.stderr)
+    if config is None:
         return 2
     if seed_override is not None:
         config = dataclasses.replace(config, seeds=(seed_override,))
@@ -102,10 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.config)
     if args.command == "run":
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         return cmd_run(args.config, args.out, jobs=args.jobs, seed_override=args.seed_override)
     return cmd_report(args.out, fmt=args.format)
 

@@ -209,8 +209,8 @@ class GazeTrace:
 def load_gaze_trace(path, eta: float = 0.5) -> GazeTrace:
     """Load a gaze trace CSV with header ``t_s,theta_g_deg``.
 
-    Timestamps must be strictly increasing and the file non-empty. The
-    threshold eta is applied to every entry.
+    Values must be finite, timestamps strictly increasing and the file
+    non-empty. The threshold eta is applied to every entry.
     """
     times: list[float] = []
     states: list[GazeState] = []
@@ -229,6 +229,8 @@ def load_gaze_trace(path, eta: float = 0.5) -> GazeTrace:
                 theta_deg = float(row[1])
             except ValueError as exc:
                 raise GazeTraceError(f"{path}: line {lineno}: {exc}") from exc
+            if not (math.isfinite(t) and math.isfinite(theta_deg)):
+                raise GazeTraceError(f"{path}: line {lineno}: t_s and theta_g_deg must be finite")
             if times and t <= times[-1]:
                 raise GazeTraceError(f"{path}: line {lineno}: timestamps must be strictly increasing")
             times.append(t)

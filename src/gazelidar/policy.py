@@ -14,6 +14,7 @@ from .gaze import ArcSet, TAU
 from .lidar import ScanPlan, ScanSegment
 
 VARIANT_NAMES = ("baseline", "range", "resolution", "range_and_resolution")
+P_MAX_RATIO = 4.0   # default eye-safety cap on emitted power, in units of p_nominal
 
 
 class PolicyError(ValueError):
@@ -91,9 +92,9 @@ def solve_power_levels(p_nominal: float, delta_driver: float, p_low: float,
     if p_low == p_nominal:
         return RangePolicy(p_nominal, p_nominal)
     p_high = (TAU * p_nominal - delta_driver * p_low) / (TAU - delta_driver)
-    cap = 4.0 * p_nominal if p_max is None else p_max
+    cap = P_MAX_RATIO * p_nominal if p_max is None else p_max
     if p_high > cap:
-        raise EyeSafetyError(f"p_high {p_high:.6g} W exceeds cap {cap:.6g} W")
+        raise EyeSafetyError(f"p_high {p_high!r} W exceeds cap {cap!r} W")
     return RangePolicy(p_low, p_high)
 
 

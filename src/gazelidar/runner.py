@@ -22,7 +22,7 @@ from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
 from .lidar import revolution_setup, scan_revolution
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
-from .policy import PolicyError, VariantConfig, build_scan_plan, solve_power_levels
+from .policy import P_MAX_RATIO, PolicyError, VariantConfig, build_scan_plan
 from .scene import ObstacleBox, Scene, Vec2, advance
 
 TAU = math.tau
@@ -59,9 +59,7 @@ class RunConfig:
     calibration: SensorCalibration
     p_max: float
     acuity: AcuityFunction
-    eta: float
     gaze_trace: GazeTrace
-    gaze_trace_path: str
     min_points: int
     dropout: bool
     spawn_jitter_m: float
@@ -170,7 +168,7 @@ def load_run_config(path) -> RunConfig:
     calibration = SensorCalibration(
         _positive(sensor.get("p_nominal_w", 1.0), f"{path}: sensor.p_nominal_w"),
         _positive(sensor.get("r_nominal_m", 100.0), f"{path}: sensor.r_nominal_m"))
-    p_max_ratio = _positive(sensor.get("p_max_ratio", 4.0), f"{path}: sensor.p_max_ratio")
+    p_max_ratio = _positive(sensor.get("p_max_ratio", P_MAX_RATIO), f"{path}: sensor.p_max_ratio")
 
     acuity_raw = _typed(raw.get("acuity", {}), dict, f"{path}: acuity")
     kind = acuity_raw.get("kind", "boxcar")
@@ -262,39 +260,34 @@ def load_run_config(path) -> RunConfig:
         calibration=calibration,
         p_max=p_max_ratio * calibration.p_nominal,
         acuity=acuity,
-        eta=eta,
         gaze_trace=gaze_trace,
-        gaze_trace_path=str(trace_path),
         min_points=min_points,
         dropout=dropout,
         spawn_jitter_m=spawn_jitter,
     )
 
 
+def _scan_plan(config: RunConfig, variant: VariantConfig, gaze_state):
+    """(RoI, scan plan) of `variant` under `gaze_state`; PolicyError if infeasible."""
+    rof = compute_rof(gaze_state, config.acuity)
+    roi = compute_roi(rof)
+    return roi, build_scan_plan(variant, rof, roi, config.calibration, TAU * config.frame_rate,
+                                config.pulse_rate, config.p_max)
+
+
 def validate_run_config(config: RunConfig) -> list[str]:
     """Semantic feasibility diagnostics beyond structural loading.
 
-    Returns a list of human-readable problems; empty means runnable.
+    Builds each variant's scan plan, as its runs do, for every gaze state a run
+    can reach. Returns human-readable problems; empty means runnable.
     """
     problems: list[str] = []
-    # the same expression as ScanPlan.rays_per_revolution for the plan run_single builds
-    rays = math.floor(config.pulse_rate * (TAU / (TAU * config.frame_rate)))
-    if rays < 1:
-        problems.append(f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz "
-                        f"{config.frame_rate:g} fires no pulse per revolution")
-    first_index: dict[str, int] = {}
-    for i, variant in enumerate(config.variants):
-        j = first_index.setdefault(variant.variant, i)
-        if j != i:
-            problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
-                            "output rows are keyed by name, so their runs would merge")
     scene = config.scenario.scene
     try:
         target = scene.obstacle(config.scenario.target_id)
     except KeyError:
         problems.append(f"scenario.target_id {config.scenario.target_id} matches no obstacle")
-        target = None
-    if target is not None:
+    else:
         if target.speed <= 0.0:
             problems.append("target obstacle must be moving (speed_mps > 0)")
         else:
@@ -309,20 +302,26 @@ def validate_run_config(config: RunConfig) -> list[str]:
             elif rx * ux + ry * uy <= 0.0:
                 problems.append("target moves away from the conflict point")
 
-    delta_driver = 2.0 * config.acuity.threshold_half_width(config.eta)
-    if delta_driver <= 0.0:
+    trace = config.gaze_trace
+    states = dict.fromkeys(trace.at(t) for t in (0.0, *trace.times) if 0.0 <= t < config.max_sim_time)
+    rofs = [compute_rof(state, config.acuity) for state in states]
+    if any(rof.is_empty() for rof in rofs):
         problems.append("acuity/eta give an empty region of focus (degenerate partition)")
-    elif delta_driver >= TAU:
+    elif any(compute_roi(rof).is_empty() for rof in rofs):
         problems.append("acuity/eta give a full-circle region of focus (degenerate partition)")
-    else:
-        for i, variant in enumerate(config.variants):
-            if variant.adapts_power and variant.p_low_ratio != 1.0:
-                try:
-                    solve_power_levels(config.calibration.p_nominal, delta_driver,
-                                       variant.p_low_ratio * config.calibration.p_nominal,
-                                       config.p_max)
-                except PolicyError as exc:
-                    problems.append(f"variants[{i}] ({variant.variant}): {exc}")
+    rays = []
+    for i, variant in enumerate(config.variants):
+        j = [v.variant for v in config.variants].index(variant.variant)
+        if j != i:
+            problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
+                            "output rows are keyed by name, so their runs would merge")
+        try:
+            rays += [_scan_plan(config, variant, state)[1].rays_per_revolution for state in states]
+        except PolicyError as exc:
+            problems.append(f"variants[{i}] ({variant.variant}): {exc}")
+    if min(rays, default=1) < 1:
+        problems.append(f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz "
+                        f"{config.frame_rate:g} fires no pulse per revolution")
     return problems
 
 
@@ -365,7 +364,6 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
-    omega = TAU * config.frame_rate
     per_gaze = {}
 
     try:
@@ -380,10 +378,7 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
             scene_t = advance(scene0, t)
             gaze_state = config.gaze_trace.at(t)
             if gaze_state not in per_gaze:
-                rof = compute_rof(gaze_state, config.acuity)
-                roi = compute_roi(rof)
-                plan = build_scan_plan(variant, rof, roi, config.calibration, omega,
-                                       config.pulse_rate, config.p_max)
+                roi, plan = _scan_plan(config, variant, gaze_state)
                 per_gaze[gaze_state] = (roi, plan, revolution_setup(plan, fog, config.calibration))
             roi, plan, setup = per_gaze[gaze_state]
             cloud = scan_revolution(scene_t, plan, fog, config.calibration, t,
@@ -418,17 +413,17 @@ def _run_cell(args):
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    Individual runs are independent; jobs > 1 executes them in worker
-    processes with identical results. A (variant, fog) cell whose runs draw
-    no random numbers is simulated once, with the first seed, and copied to
-    the other seeds; copies carry reused_from and a wall_time of 0.
+    Runs are independent; jobs > 1 executes them in worker processes, at most
+    one per simulated run, with identical results. A (variant, fog) cell whose
+    runs draw no random numbers is simulated once, with the first seed, and
+    copied to the other seeds; copies carry reused_from and a wall_time of 0.
     """
     grid = [(config, variant, fog, seed)
             for variant in config.variants
             for fog in config.fog_fractions
             for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and len(grid) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             simulated = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
     else:
         simulated = [_run_cell(cell) for cell in grid]

@@ -76,6 +76,38 @@ class TestValidate:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    def test_refuses_the_plans_its_runs_would_fail_on(self, tmp_path, capsys):
+        # Gaze at 0 deg splits the RoF across 0/tau; its arc width solves
+        # p_high to one ulp above the 1.16 W cap for the two range variants.
+        trace = tmp_path / "gaze_ahead.csv"
+        trace.write_text("t_s,theta_g_deg\n0.0,0\n")
+        config = _write_trimmed_config(tmp_path, gaze_trace=str(trace), sensor={
+            "p_nominal_w": 1.0, "r_nominal_m": 100.0, "p_max_ratio": 1.16})
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert [line.split(": ")[2].split(" ")[0] for line in out.splitlines()] == [
+            "variants[1]", "variants[3]"]
+        assert "p_high 1.1600000000000001 W exceeds cap 1.16 W" in out
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "variants[1] (range)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", ["{},0", "0.0,{}"], ids=["t_s", "theta_g_deg"])
+    def test_rejects_non_finite_gaze_samples(self, tmp_path, capsys, monkeypatch, value, row):
+        trace = tmp_path / "gaze.csv"
+        trace.write_text("t_s,theta_g_deg\n" + row.format(value) + "\n")
+        config = _write_trimmed_config(tmp_path, gaze_trace=str(trace))
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "gaze.csv: line 2: t_s and theta_g_deg must be finite" in capsys.readouterr().out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
     def test_rejects_semantic_problems(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
@@ -141,6 +173,15 @@ class TestRun:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        config = _write_trimmed_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_semantically_invalid_config_exits_2(self, tmp_path, capsys):

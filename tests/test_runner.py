@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazelidar import __version__, runner
-from gazelidar.gaze import GazeState, GazeTrace
-from gazelidar.policy import VariantConfig
+from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
+from gazelidar.policy import VariantConfig, solve_power_levels
 from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
                               quartiles, run_single, run_sweep, summarize,
                               uses_rng, validate_run_config,
@@ -80,7 +80,7 @@ class TestLoadRunConfig:
         assert c.variants[3].omega_high_ratio == 2.0
         assert c.calibration.p_nominal == 1.0
         assert c.p_max == 4.0
-        assert c.eta == 0.5
+        assert {s.eta for s in c.gaze_trace.states} == {0.5}
         assert c.acuity.kind == "boxcar"
         assert c.min_points == 1
         assert c.dropout is False
@@ -282,8 +282,56 @@ class TestValidateRunConfig:
         assert any("away" in p for p in validate_run_config(config))
 
     def test_flags_degenerate_focus_region(self, default_config):
-        config = dataclasses.replace(default_config, eta=1.0)
+        trace = default_config.gaze_trace
+        states = tuple(dataclasses.replace(s, eta=1.0) for s in trace.states)
+        config = dataclasses.replace(default_config, gaze_trace=GazeTrace(trace.times, states))
         assert any("degenerate" in p for p in validate_run_config(config))
+
+    @pytest.mark.parametrize("times, bad, max_sim_time, reported", [
+        ((0.0, 1.0), 1, 15.0, True),
+        ((0.0, 15.0), 1, 15.0, False),
+        ((-1.0, 0.0), 0, 15.0, False),
+        ((0.5, 1.0), 0, 15.0, True),
+    ], ids=["later", "at-max-sim-time", "superseded-before-0", "clamped-to-first"])
+    def test_checks_every_gaze_state_a_run_can_reach(self, default_config, times, bad,
+                                                     max_sim_time, reported):
+        left = default_config.gaze_trace.states[0]
+        states = [left, left]
+        states[bad] = GazeState(math.radians(10.0), 1.0)
+        config = dataclasses.replace(default_config, gaze_trace=GazeTrace(times, tuple(states)),
+                                     max_sim_time=max_sim_time)
+        problems = validate_run_config(config)
+        assert any("degenerate" in p for p in problems) is reported
+        assert [p.split(" ")[0] for p in problems if p.startswith("variants[")] == (
+            ["variants[1]", "variants[2]", "variants[3]"] if reported else [])
+
+    @settings(max_examples=80, deadline=None)
+    @given(theta_deg=st.floats(0.0, 360.0), half_width_deg=st.floats(1.0, 179.0),
+           p_low_ratio=st.floats(0.05, 1.0), free_cap=st.floats(1.0, 4.0),
+           cap=st.sampled_from(["free", "nominal_width", "arc_width"]))
+    def test_reports_exactly_the_variants_whose_runs_fail(self, default_config, theta_deg,
+                                                         half_width_deg, p_low_ratio,
+                                                         free_cap, cap):
+        acuity = AcuityFunction.boxcar(math.radians(half_width_deg))
+        state = GazeState(math.radians(theta_deg), 0.5)
+        # Caps placed exactly on p_high as solved from the nominal RoF width
+        # 2 * half_width and from the width of the arcs a run builds: the two
+        # can round apart, so a check that measures one and runs the other
+        # disagrees with the run there.
+        width = {"free": None, "nominal_width": 2.0 * acuity.half_width,
+                 "arc_width": compute_rof(state, acuity).width}[cap]
+        p_max = free_cap if width is None else solve_power_levels(
+            1.0, width, p_low_ratio, p_max=math.inf).p_high
+        config = dataclasses.replace(
+            default_config, acuity=acuity, gaze_trace=GazeTrace((0.0,), (state,)),
+            p_max=p_max, max_sim_time=0.05,
+            variants=(VariantConfig("baseline"), VariantConfig("range", p_low_ratio),
+                      VariantConfig("resolution", 1.0, 2.0),
+                      VariantConfig("range_and_resolution", p_low_ratio, 2.0)))
+        problems = validate_run_config(config)
+        for i, variant in enumerate(config.variants):
+            reported = any(p.startswith(f"variants[{i}] ") for p in problems)
+            assert reported == run_single(config, variant, 0.0, 101).failed, (i, problems)
 
     def test_flags_eye_safety_violations_per_variant(self, default_config):
         config = dataclasses.replace(default_config, p_max=1.05)
@@ -436,6 +484,32 @@ class TestRunSweep:
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
         parallel = [_strip_wall_time(r) for r in run_sweep(config, jobs=2)]
         assert serial == parallel
+
+    def test_pool_starts_no_more_workers_than_simulated_runs(self, default_config,
+                                                             monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config = dataclasses.replace(default_config, variants=default_config.variants[:2],
+                                     fog_fractions=(0.0,), seeds=(101, 102, 103))
+        assert len(run_sweep(config, jobs=64)) == 6
+        assert started == [2]
+        one_run = dataclasses.replace(config, variants=config.variants[:1])
+        assert len(run_sweep(one_run, jobs=64)) == 3
+        assert started == [2]
 
     @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
     def test_sweep_equals_the_per_seed_grid(self, default_config, kind):
