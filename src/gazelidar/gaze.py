@@ -10,6 +10,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,13 @@ class ArcSet:
                 break
         return False
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Arc starts and ends as a read-only (2, n) array, built once per set."""
+        bounds = np.array(self.arcs, dtype=np.float64).reshape(-1, 2).T
+        bounds.flags.writeable = False
+        return bounds
+
     def contains_many(self, angles) -> np.ndarray:
         """contains() over an array of angles, as a boolean array."""
         with np.errstate(invalid="ignore"):     # inf gives nan, contained nowhere
@@ -89,7 +97,7 @@ class ArcSet:
         a[a >= TAU] -= TAU      # as in normalize_angle
         if not self.arcs:
             return np.zeros(a.shape, dtype=bool)
-        starts, ends = np.array(self.arcs).T
+        starts, ends = self.bounds
         # the last arc starting at or before a holds it if a is short of its end
         i = np.searchsorted(starts, a, side="right") - 1
         return (i >= 0) & (a < ends[i])

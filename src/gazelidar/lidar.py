@@ -111,23 +111,31 @@ class PointCloud:
 
 
 class RevolutionSetup(NamedTuple):
-    """Per-pulse firing angles, segment indices and fog-limited max ranges.
+    """Per-pulse firing angles, segment indices, fog-limited max ranges and
+    the cast of the scene's static layer.
 
-    These depend only on the plan, the fog and the calibration, so a run
-    computes them once per gaze state and reuses them every frame. The
-    arrays are read-only because they are shared between frames.
+    These depend only on the plan, the fog, the calibration and the static
+    boxes, so a run computes them once per gaze state and reuses them every
+    frame. static_ranges and static_ids are cast_rays' result for the static
+    boxes (all misses, nan and -1, when there are none); each frame casts
+    only the moving boxes and merges the two layers per ray. The arrays are
+    read-only because they are shared between frames.
     """
 
     angles: np.ndarray
     seg_idx: np.ndarray
     max_ranges: np.ndarray
+    static_ranges: np.ndarray
+    static_ids: np.ndarray
 
 
-def revolution_setup(plan: ScanPlan, fog: FogCondition,
-                     cal: SensorCalibration) -> RevolutionSetup:
-    """Pulse directions and each pulse's effective range for one plan.
+def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
+                     static_scene: Scene | None = None) -> RevolutionSetup:
+    """Pulse directions, each pulse's effective range and the static cast.
 
-    effective_range runs once per distinct segment power.
+    effective_range runs once per distinct segment power. The boxes of
+    static_scene are cast from its ego position once, here; scan_revolution
+    must then be given a scene that holds the other boxes.
     """
     angles, seg_idx = pulse_directions(plan)
     seg_ranges = {}
@@ -135,9 +143,30 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition,
         if seg.power not in seg_ranges:
             seg_ranges[seg.power] = effective_range(seg.power, fog, cal)
     max_ranges = np.array([seg_ranges[seg.power] for seg in plan.segments])[seg_idx]
-    for array in (angles, seg_idx, max_ranges):
+    if static_scene is None:
+        static_ranges = np.full(len(angles), np.nan)
+        static_ids = np.full(len(angles), -1, dtype=np.int64)
+    else:
+        static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
+                                              angles, max_ranges)
+    setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids)
+    for array in setup:
         array.flags.writeable = False
-    return RevolutionSetup(angles, seg_idx, max_ranges)
+    return setup
+
+
+def _merge_layers(ranges: np.ndarray, hit_ids: np.ndarray, setup: RevolutionSetup):
+    """Per ray, the nearer of the frame's cast and the static cast.
+
+    A ray takes the static cast's result when the frame's cast missed, is
+    farther, or is as far with a larger id: the smaller-id tie rule of
+    cast_rays. A static miss (nan, -1) never compares true, so it is taken
+    only over a miss.
+    """
+    static_r = setup.static_ranges
+    static_id = setup.static_ids
+    take = (hit_ids < 0) | (static_r < ranges) | ((static_r == ranges) & (static_id < hit_ids))
+    return np.where(take, static_r, ranges), np.where(take, static_id, hit_ids)
 
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
@@ -150,12 +179,15 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     emitted power under the given fog. With dropout enabled, a hit survives
     with probability exp(-sigma r); one uniform is drawn per pulse so the
     draw order does not depend on the hit pattern. `setup` must be
-    revolution_setup(plan, fog, cal) when given; it is computed otherwise.
+    revolution_setup(plan, fog, cal, static_scene) when given, with `scene`
+    holding the boxes that static_scene does not; it is computed otherwise,
+    without a static layer.
     """
     if setup is None:
         setup = revolution_setup(plan, fog, cal)
-    angles, seg_idx, max_ranges = setup
-    ranges, hit_ids = cast_rays(scene, scene.ego_position, angles, max_ranges)
+    angles, seg_idx, max_ranges = setup[:3]
+    ranges, hit_ids = _merge_layers(*cast_rays(scene, scene.ego_position, angles, max_ranges),
+                                    setup)
 
     hit = hit_ids >= 0
     if dropout and fog.sigma > 0.0:

@@ -15,6 +15,11 @@ from .lidar import ScanPlan, ScanSegment
 
 VARIANT_NAMES = ("baseline", "range", "resolution", "range_and_resolution")
 P_MAX_RATIO = 4.0   # default eye-safety cap on emitted power, in units of p_nominal
+# Narrowest complementary region (rad) the solvers accept. They take its width
+# as tau - delta_driver, which can differ from its arcs' summed width by a few
+# ulps of tau; below about 3e-6 rad that error alone breaks ScanPlan's 1e-9
+# period check for a spin plan.
+MIN_COMPLEMENT = 1e-4
 
 
 class PolicyError(ValueError):
@@ -73,9 +78,10 @@ class VariantConfig:
 
 
 def _check_partition(delta_driver: float) -> None:
-    if not 0.0 < delta_driver < TAU:
+    if not 0.0 < delta_driver <= TAU - MIN_COMPLEMENT:
         raise DegeneratePartitionError(
-            f"focus region width {delta_driver} rad leaves no complementary region")
+            f"focus region width {delta_driver} rad leaves no complementary region "
+            f"of at least {MIN_COMPLEMENT} rad")
 
 
 def solve_power_levels(p_nominal: float, delta_driver: float, p_low: float,

@@ -7,7 +7,8 @@ instead of the bearing-culled one, fixed-point iteration instead of
 bisection, per-frame stepping instead of closed-form motion, stdlib
 statistics instead of numpy percentiles, a linear scan instead of a
 search for the plan segment under a bearing, and a run loop that rebuilds
-the scan plan every frame instead of once per gaze state.
+the scan plan every frame instead of once per gaze state and casts the whole
+scene every frame instead of its static boxes once per gaze state.
 """
 from __future__ import annotations
 
@@ -204,7 +205,8 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
     """run_single's frame loop with nothing cached across frames.
 
     RoF, RoI, scan plan, pulse directions and effective ranges are all
-    rebuilt every frame. Failures propagate; wall_time is 0.
+    rebuilt every frame, and every box, static or moving, is advanced and
+    cast in one layer. Failures propagate; wall_time is 0.
     """
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)

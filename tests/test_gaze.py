@@ -112,6 +112,13 @@ class TestArcSet:
         s = ArcSet(tuple(zip(*[iter(sorted(set(cuts)))] * 2)))
         assert s.contains_many(np.array(probes)).tolist() == [s.contains(a) for a in probes]
 
+    def test_bounds_are_built_once_and_read_only(self):
+        s = ArcSet(((0.0, 0.5), (1.0, 2.0), (6.0, TAU)))
+        assert s.bounds.tolist() == [[0.0, 1.0, 6.0], [0.5, 2.0, TAU]]
+        assert s.bounds is s.bounds and not s.bounds.flags.writeable
+        assert ArcSet.empty().bounds.shape == (2, 0)
+        assert s == ArcSet(s.arcs) and hash(s) == hash(ArcSet(s.arcs))
+
     def test_rejects_overlapping_arcs(self):
         with pytest.raises(ValueError):
             ArcSet(((0.0, 2.0), (1.0, 3.0)))

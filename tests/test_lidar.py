@@ -1,6 +1,7 @@
 """Scan plans, pulse scheduling, and revolution sweeps."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
                              pulse_directions, revolution_setup, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
-from gazelidar.scene import ObstacleBox, Scene, Vec2, cast_rays
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays
 from helpers import make_enclosing_scene, make_random_scene
-from oracles import segment_at
+from oracles import dense_cast_rays, segment_at
 
 TAU = math.tau
 CAL = SensorCalibration(1.0, 100.0)
@@ -208,6 +209,115 @@ class TestScanRevolution:
             scene = make_random_scene(rng)
             assert (scan_revolution(scene, plan, fog, CAL, 0.0, setup=setup)
                     == scan_revolution(scene, plan, fog, CAL, 0.0))
+
+
+def _layers(scene):
+    """The run's split of a scene: (static boxes, moving boxes)."""
+    def layer(boxes):
+        return Scene(scene.ego_position, tuple(boxes), scene.conflict_point)
+    return (layer(o for o in scene.obstacles if o.speed == 0.0),
+            layer(o for o in scene.obstacles if o.speed != 0.0))
+
+
+def _dense_cloud(scene, setup, start_time):
+    """The cloud of a dense every-ray-every-edge cast of the whole scene."""
+    ranges, ids = dense_cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
+    hit = ids >= 0
+    returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
+    returns["angle"] = setup.angles[hit]
+    returns["range_m"] = ranges[hit]
+    returns["hit_id"] = ids[hit]
+    return returns
+
+
+class TestLayeredCast:
+    """A static layer cast once in revolution_setup, merged with a cast of the
+    movers each frame, equals one cast of the whole scene."""
+
+    PLAN = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
+    FOG = FogCondition(0.25, 0.0025)
+
+    def _check(self, scene, t=0.0):
+        """Layered scan of advance(scene, t) equals the dense cast of it; returns the cloud."""
+        static, movers = _layers(scene)
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        assert not any(a.flags.writeable for a in setup)
+        cloud = scan_revolution(advance(movers, t), self.PLAN, self.FOG, CAL, t, setup=setup)
+        whole = advance(scene, t)
+        assert np.array_equal(cloud.returns, _dense_cloud(whole, setup, t))
+        assert cloud == scan_revolution(whole, self.PLAN, self.FOG, CAL, t)
+        return cloud
+
+    def test_random_static_mover_mixes(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            scene = make_random_scene(rng, 4, 20)
+            moving = rng.random(len(scene.obstacles)) < rng.uniform(0.0, 1.0)
+            boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(1.0, 20.0))) if m else o
+                          for o, m in zip(scene.obstacles, moving))
+            self._check(dataclasses.replace(scene, obstacles=boxes), float(rng.uniform(0.0, 3.0)))
+
+    def test_dropout_draws_on_the_merged_hits(self):
+        rng = np.random.default_rng(22)
+        scene = make_random_scene(rng, 10, 20)
+        boxes = tuple(dataclasses.replace(o, speed=8.0) if i % 3 == 0 else o
+                      for i, o in enumerate(scene.obstacles))
+        scene = dataclasses.replace(scene, obstacles=boxes)
+        static, movers = _layers(scene)
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        for seed in range(5):
+            layered = scan_revolution(advance(movers, 0.5), self.PLAN, self.FOG, CAL, 0.5,
+                                      dropout=True, rng=np.random.default_rng(seed), setup=setup)
+            whole = scan_revolution(advance(scene, 0.5), self.PLAN, self.FOG, CAL, 0.5,
+                                    dropout=True, rng=np.random.default_rng(seed))
+            assert layered == whole
+
+    @pytest.mark.parametrize("static_id, mover_id", [(3, 7), (7, 3)],
+                             ids=["static-smaller", "mover-smaller"])
+    def test_exact_ties_across_layers_go_to_the_smaller_id(self, static_id, mover_id):
+        rng = np.random.default_rng(23)
+        base = make_random_scene(rng, 1, 1).obstacles[0]
+        # a mover at t = 0 sits exactly on its static twin: every range ties
+        twin = dataclasses.replace(base, id=static_id)
+        mover = dataclasses.replace(base, id=mover_id, speed=5.0)
+        scene = Scene(Vec2(0, 0), (twin, mover), Vec2(0, 1))
+        cloud = self._check(scene)
+        assert len(cloud.returns) > 0
+        assert np.all(cloud.returns["hit_id"] == min(static_id, mover_id))
+
+    def test_mover_passing_behind_a_static_box(self):
+        # the car crosses bearings 233-307 deg, inside the boosted RoI
+        wall = ObstacleBox.spawn(5, Vec2(0.0, -20.0), 0.0, 4.0, 0.5, 0.0)
+        car = ObstacleBox.spawn(2, Vec2(-30.0, -40.0), 0.0, 2.0, 1.0, 10.0)
+        scene = Scene(Vec2(0, 0), (wall, car), Vec2(0, 1))
+        seen = []
+        for t in np.arange(0.0, 6.05, 0.25):
+            cloud = self._check(scene, t)
+            seen.append(bool(np.any(cloud.returns["hit_id"] == 2)))
+        # the wall's shadow hides the whole car while it crosses x in [-6, 6]
+        assert seen[0] and seen[-1] and not seen[12]
+        assert seen.count(False) >= 3
+
+    def test_no_static_boxes(self):
+        scene = make_random_scene(np.random.default_rng(24))
+        movers = tuple(dataclasses.replace(o, speed=3.0) for o in scene.obstacles)
+        scene = dataclasses.replace(scene, obstacles=movers)
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, _layers(scene)[0])
+        assert np.all(setup.static_ids == -1) and np.all(np.isnan(setup.static_ranges))
+        assert len(self._check(scene, 1.5).returns) > 0
+
+    def test_no_movers(self):
+        scene = make_random_scene(np.random.default_rng(25))
+        static, movers = _layers(scene)
+        assert movers.obstacles == ()
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        assert np.any(setup.static_ids >= 0)
+        assert len(self._check(scene, 1.5).returns) > 0
+
+    def test_without_a_static_scene_the_static_layer_misses(self):
+        setup = revolution_setup(self.PLAN, self.FOG, CAL)
+        assert np.all(setup.static_ids == -1) and np.all(np.isnan(setup.static_ranges))
+        assert setup.static_ids.shape == setup.angles.shape
 
 
 class TestDropout:

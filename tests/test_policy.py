@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, ArcSet, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import ScanSegment
-from gazelidar.policy import (DegeneratePartitionError, EyeSafetyError,
+from gazelidar.policy import (MIN_COMPLEMENT, DegeneratePartitionError, EyeSafetyError,
                               VariantConfig, build_scan_plan,
                               solve_power_levels, solve_spin_rates)
 from oracles import segment_at
@@ -104,6 +104,21 @@ class TestSpinSolver:
             solve_spin_rates(1.0, 0.0, 2.0)
         with pytest.raises(DegeneratePartitionError):
             solve_spin_rates(1.0, TAU, 2.0)
+
+    def test_rejects_a_complement_too_narrow_to_conserve_the_period(self):
+        # a 1e-15 rad RoI: its arcs and tau - delta_driver differ by a third
+        rof, roi = _regions(185.5, 179.99999999999997)
+        for variant in (VariantConfig("resolution", omega_high_ratio=2.0),
+                        VariantConfig("range", p_low_ratio=0.5)):
+            with pytest.raises(DegeneratePartitionError, match="no complementary region"):
+                build_scan_plan(variant, rof, roi, CAL, OMEGA, PULSE_RATE,
+                                p_max=math.inf)
+        for delta in (TAU - MIN_COMPLEMENT, TAU - 2.0 * MIN_COMPLEMENT):
+            rates = solve_spin_rates(OMEGA, delta, 2.0 * OMEGA)
+            period = delta / rates.omega_high + (TAU - delta) / rates.omega_low
+            assert period == pytest.approx(TAU / OMEGA, rel=1e-12)
+        with pytest.raises(DegeneratePartitionError):
+            solve_spin_rates(OMEGA, math.nextafter(TAU - MIN_COMPLEMENT, TAU), 2.0 * OMEGA)
 
     def test_rejects_slowdown_in_the_focus_region(self):
         with pytest.raises(ValueError):

@@ -10,22 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelidar import __version__, runner
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
-from gazelidar.policy import VariantConfig, solve_power_levels
+from gazelidar.policy import DegeneratePartitionError, VariantConfig, solve_power_levels
 from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
                               quartiles, run_single, run_sweep, summarize,
                               uses_rng, validate_run_config,
                               write_density_samples_csv, write_results_csv,
                               write_summary_json, _build_start_scene)
-from gazelidar.scene import Vec2
+from gazelidar.scene import ObstacleBox, Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
 from oracles import per_frame_run, quartiles_inclusive
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
+# gaze angles in degrees; 0 gives a RoF wrapped across 0/tau
+_THETA_DEG = st.one_of(st.sampled_from([0.0, 135.4308]), st.floats(0.0, 360.0))
 
 
 def _write_config(tmp_path, mutate=None):
@@ -302,29 +304,61 @@ class TestValidateRunConfig:
                                      max_sim_time=max_sim_time)
         problems = validate_run_config(config)
         assert any("degenerate" in p for p in problems) is reported
+        # a degenerate partition fails every variant's runs, baseline too
         assert [p.split(" ")[0] for p in problems if p.startswith("variants[")] == (
-            ["variants[1]", "variants[2]", "variants[3]"] if reported else [])
+            ["variants[0]", "variants[1]", "variants[2]", "variants[3]"] if reported else [])
+
+    def test_skips_a_sample_that_no_frame_reads(self, default_config):
+        # at 20 Hz the 0 deg sample is superseded before the frame at 0.05 s;
+        # its wrapped RoF solves p_high to 1.1600000000000001, over the cap
+        left = default_config.gaze_trace.states[0]
+        trace = GazeTrace((0.0, 0.01, 0.02), (left, GazeState(0.0, left.eta), left))
+        config = dataclasses.replace(default_config, gaze_trace=trace, p_max=1.16)
+        assert validate_run_config(config) == []
+        assert not any(r.failed for r in run_sweep(config))
+        read = dataclasses.replace(config, gaze_trace=GazeTrace((0.0, 0.05), trace.states[:2]))
+        assert [p.split(" ")[0] for p in validate_run_config(read)] == ["variants[1]",
+                                                                       "variants[3]"]
 
     @settings(max_examples=80, deadline=None)
-    @given(theta_deg=st.floats(0.0, 360.0), half_width_deg=st.floats(1.0, 179.0),
+    @given(theta_deg=_THETA_DEG, half_width_deg=st.floats(1.0, 180.0),
            p_low_ratio=st.floats(0.05, 1.0), free_cap=st.floats(1.0, 4.0),
-           cap=st.sampled_from(["free", "nominal_width", "arc_width"]))
+           cap=st.sampled_from(["free", "nominal_width", "arc_width"]),
+           later=st.lists(st.tuples(st.floats(0.001, 0.08), _THETA_DEG), max_size=3),
+           capped=st.integers(0, 3))
+    @example(theta_deg=135.4308, half_width_deg=30.0, p_low_ratio=0.2, free_cap=1.16,
+             cap="free", later=[(0.01, 0.0), (0.01, 135.4308)], capped=0)
+    @example(theta_deg=135.4308, half_width_deg=30.0, p_low_ratio=0.2, free_cap=1.16,
+             cap="free", later=[(0.05, 0.0)], capped=0)
+    @example(theta_deg=0.0, half_width_deg=180.0, p_low_ratio=1.0, free_cap=4.0,
+             cap="free", later=[], capped=0)
+    @example(theta_deg=185.5, half_width_deg=179.99999999999997, p_low_ratio=1.0, free_cap=1.0,
+             cap="free", later=[], capped=0)
     def test_reports_exactly_the_variants_whose_runs_fail(self, default_config, theta_deg,
                                                          half_width_deg, p_low_ratio,
-                                                         free_cap, cap):
+                                                         free_cap, cap, later, capped):
         acuity = AcuityFunction.boxcar(math.radians(half_width_deg))
-        state = GazeState(math.radians(theta_deg), 0.5)
+        times = [0.0]
+        states = [GazeState(math.radians(theta_deg), 0.5)]
+        for gap, theta in later:
+            times.append(times[-1] + gap)
+            states.append(GazeState(math.radians(theta), 0.5))
         # Caps placed exactly on p_high as solved from the nominal RoF width
-        # 2 * half_width and from the width of the arcs a run builds: the two
-        # can round apart, so a check that measures one and runs the other
-        # disagrees with the run there.
+        # 2 * half_width and from the width of the arcs a run builds under one
+        # of the trace's states: the two can round apart, so a check that
+        # measures one and runs the other disagrees with the run there.
         width = {"free": None, "nominal_width": 2.0 * acuity.half_width,
-                 "arc_width": compute_rof(state, acuity).width}[cap]
-        p_max = free_cap if width is None else solve_power_levels(
-            1.0, width, p_low_ratio, p_max=math.inf).p_high
+                 "arc_width": compute_rof(states[capped % len(states)], acuity).width}[cap]
+        try:
+            p_max = free_cap if width is None else solve_power_levels(
+                1.0, width, p_low_ratio, p_max=math.inf).p_high
+        except DegeneratePartitionError:    # no p_high to place a cap on
+            p_max = free_cap
+        # min_points out of reach: every run lasts max_sim_time, frames at
+        # 0, 0.05 and 0.1 s, and reads every state a frame can read
         config = dataclasses.replace(
-            default_config, acuity=acuity, gaze_trace=GazeTrace((0.0,), (state,)),
-            p_max=p_max, max_sim_time=0.05,
+            default_config, acuity=acuity, gaze_trace=GazeTrace(tuple(times), tuple(states)),
+            p_max=p_max, max_sim_time=0.15, min_points=10 ** 6,
             variants=(VariantConfig("baseline"), VariantConfig("range", p_low_ratio),
                       VariantConfig("resolution", 1.0, 2.0),
                       VariantConfig("range_and_resolution", p_low_ratio, 2.0)))
@@ -392,6 +426,36 @@ class TestRunSingle:
         assert len(plans) == 2
         expected = per_frame_run(config, variant, 0.25, 101)
         assert _strip_wall_time(record) == _strip_wall_time(expected)
+
+    @pytest.mark.parametrize("acuity, eta", [(AcuityFunction.boxcar(math.pi), 0.5),
+                                             (AcuityFunction.boxcar(math.radians(30.0)), 1.0)],
+                             ids=["full-circle-rof", "empty-rof"])
+    def test_degenerate_focus_region_fails_every_variant(self, default_config, acuity, eta):
+        trace = default_config.gaze_trace
+        states = tuple(dataclasses.replace(s, eta=eta) for s in trace.states)
+        config = dataclasses.replace(default_config, acuity=acuity,
+                                     gaze_trace=GazeTrace(trace.times, states))
+        for variant in config.variants:
+            record = run_single(config, variant, 0.0, 101)
+            assert record.failed
+            assert "degenerate partition" in record.failure_reason
+            assert record.samples == () and record.frames == 0
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_static_and_moving_layers_match_the_per_frame_reference(self, default_config, seed):
+        # jitter + dropout, and a wall that hides the target for a while, so
+        # runs last many frames with the movers crossing behind static boxes
+        wall = ObstacleBox.spawn(30, Vec2(21.2132, 21.2132), math.radians(135.0), 6.0, 0.5, 0.0)
+        scene = default_config.scenario.scene
+        scenario = ScenarioConfig(dataclasses.replace(scene, obstacles=scene.obstacles + (wall,)),
+                                  default_config.scenario.target_id)
+        config = dataclasses.replace(default_config, scenario=scenario, dropout=True,
+                                     spawn_jitter_m=3.0, max_sim_time=2.0)
+        for variant in config.variants:
+            for fog in (0.0, 0.5):
+                record = run_single(config, variant, fog, seed)
+                assert _strip_wall_time(record) == _strip_wall_time(
+                    per_frame_run(config, variant, fog, seed))
 
     def test_programming_errors_propagate(self, default_config, monkeypatch):
         def broken(*args, **kwargs):
