@@ -11,7 +11,7 @@ from .atmosphere import FogCondition, SensorCalibration, effective_range, fog_fr
 from .gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, GazeTraceError,
                    compute_rof, compute_roi, load_gaze_trace, normalize_angle)
 from .lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, pulse_directions,
-                    revolution_setup, scan_revolution)
+                    revolution_setup, scan_frames, scan_revolution)
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
                      RangePolicy, ResolutionPolicy, VariantConfig, build_scan_plan,
@@ -19,7 +19,7 @@ from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
 from .runner import (ConfigError, RunConfig, RunRecord, ScenarioConfig,
                      load_run_config, run_single, run_sweep, summarize,
                      uses_rng, validate_run_config)
-from .scene import ObstacleBox, Scene, Vec2, advance, cast_rays
+from .scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
 
 __all__ = [
     "__version__",
@@ -30,10 +30,10 @@ __all__ = [
     "RangePolicy", "ResolutionPolicy", "VariantConfig",
     "solve_power_levels", "solve_spin_rates", "build_scan_plan",
     "ScanPlan", "ScanSegment", "PointCloud", "RETURN_DTYPE",
-    "pulse_directions", "revolution_setup", "scan_revolution",
+    "pulse_directions", "revolution_setup", "scan_frames", "scan_revolution",
     "DetectionEvent", "DensitySample", "detect", "tta_at_detection", "density",
     "ConfigError", "RunConfig", "RunRecord", "ScenarioConfig",
     "load_run_config", "validate_run_config", "run_single", "run_sweep", "summarize",
     "uses_rng",
-    "Vec2", "ObstacleBox", "Scene", "advance", "cast_rays",
+    "Vec2", "ObstacleBox", "Scene", "advance", "cast_rays", "edges_at",
 ]

@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .atmosphere import FogCondition, SensorCalibration, effective_range
-from .gaze import TAU
-from .scene import Scene, cast_rays
+from .gaze import TAU, ArcSet
+from .scene import Scene, Vec2, cast_edges, cast_rays, ray_fan
 
 
 class ScanSegment(NamedTuple):
@@ -91,14 +91,22 @@ RETURN_DTYPE = np.dtype([("angle", np.float64), ("range_m", np.float64), ("hit_i
 class PointCloud:
     """Returns from one revolution, plus per-arc ray accounting.
 
-    returns is a structured array of RETURN_DTYPE in firing order. Two
+    returns is a structured array of RETURN_DTYPE in firing order;
+    segment_rays[i] is the number of pulses fired in segments[i]. Two
     clouds are equal when every field, returns included, is equal.
     """
 
     frame_time: float
     returns: np.ndarray
     rays_fired: int
-    rays_per_arc: dict[tuple[float, float], int]
+    segments: tuple[ScanSegment, ...] = ()
+    segment_rays: np.ndarray | tuple[int, ...] = ()
+
+    @property
+    def rays_per_arc(self) -> dict[tuple[float, float], int]:
+        """Pulses fired per plan arc, keyed by (start, end)."""
+        return {(seg.start, seg.end): int(count)
+                for seg, count in zip(self.segments, self.segment_rays)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
@@ -111,15 +119,17 @@ class PointCloud:
 
 
 class RevolutionSetup(NamedTuple):
-    """Per-pulse firing angles, segment indices, fog-limited max ranges and
-    the cast of the scene's static layer.
+    """Everything about one revolution that does not depend on the moving boxes.
 
-    These depend only on the plan, the fog, the calibration and the static
-    boxes, so a run computes them once per gaze state and reuses them every
-    frame. static_ranges and static_ids are cast_rays' result for the static
-    boxes (all misses, nan and -1, when there are none); each frame casts
-    only the moving boxes and merges the two layers per ray. The arrays are
-    read-only because they are shared between frames.
+    Per pulse: firing angle, segment index, fog-limited max range, the cast
+    of the scene's static layer (static_ranges and static_ids, all misses,
+    nan and -1, when there are none), cos and sin of the angle, and whether
+    the angle lies in the RoI. key and order are the bearings mod tau in
+    ascending order and the pulse index of each, as scene.ray_fan gives
+    them; segment_rays counts the pulses per plan segment. These depend
+    only on the plan, the fog, the calibration, the static boxes and the
+    RoI, so a run computes them once per gaze state and reuses them every
+    frame. The arrays are read-only because they are shared between frames.
     """
 
     angles: np.ndarray
@@ -127,15 +137,23 @@ class RevolutionSetup(NamedTuple):
     max_ranges: np.ndarray
     static_ranges: np.ndarray
     static_ids: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    key: np.ndarray
+    order: np.ndarray
+    in_roi: np.ndarray
+    segment_rays: np.ndarray
 
 
 def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
-                     static_scene: Scene | None = None) -> RevolutionSetup:
-    """Pulse directions, each pulse's effective range and the static cast.
+                     static_scene: Scene | None = None,
+                     roi: ArcSet | None = None) -> RevolutionSetup:
+    """Pulse directions, each pulse's effective range, the static cast and the RoI mask.
 
     effective_range runs once per distinct segment power. The boxes of
     static_scene are cast from its ego position once, here; scan_revolution
-    must then be given a scene that holds the other boxes.
+    and scan_frames must then be given the other boxes. Without a roi no
+    pulse counts as inside it.
     """
     angles, seg_idx = pulse_directions(plan)
     seg_ranges = {}
@@ -149,7 +167,10 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
     else:
         static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
                                               angles, max_ranges)
-    setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids)
+    in_roi = np.zeros(len(angles), dtype=bool) if roi is None else roi.contains_many(angles)
+    setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids,
+                            *ray_fan(angles), in_roi,
+                            np.bincount(seg_idx, minlength=len(plan.segments)))
     for array in setup:
         array.flags.writeable = False
     return setup
@@ -161,19 +182,43 @@ def _merge_layers(ranges: np.ndarray, hit_ids: np.ndarray, setup: RevolutionSetu
     A ray takes the static cast's result when the frame's cast missed, is
     farther, or is as far with a larger id: the smaller-id tie rule of
     cast_rays. A static miss (nan, -1) never compares true, so it is taken
-    only over a miss.
+    only over a miss. Frames may be stacked along a leading axis. Merges
+    into ranges and hit_ids in place.
     """
     static_r = setup.static_ranges
     static_id = setup.static_ids
     take = (hit_ids < 0) | (static_r < ranges) | ((static_r == ranges) & (static_id < hit_ids))
-    return np.where(take, static_r, ranges), np.where(take, static_id, hit_ids)
+    np.copyto(ranges, static_r, where=take)
+    np.copyto(hit_ids, static_id, where=take)
+
+
+def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
+                sigma: float = 0.0, rng=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K revolutions under one setup, each over its own frame of edges, in one pass.
+
+    edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
+    the obstacle id of each of the E rows. Each frame's cast is merged with
+    the setup's static cast. With sigma > 0 a hit survives with probability
+    exp(-sigma r): rng.random(K * n) is drawn once, one uniform per pulse in
+    frame order, which is the stream K one-frame calls would draw. Returns
+    (ranges, hit_ids, hit) as (K, n) arrays; hit marks the surviving hits.
+    """
+    ranges, hit_ids = cast_edges(edges, edge_ids, origin, setup, setup.max_ranges)
+    _merge_layers(ranges, hit_ids, setup)
+    hit = hit_ids >= 0
+    if sigma > 0.0:
+        survival = np.where(hit, ranges, 0.0)
+        survival *= -sigma
+        np.exp(survival, out=survival)
+        hit &= rng.random(hit.size).reshape(hit.shape) < survival
+    return ranges, hit_ids, hit
 
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
                     cal: SensorCalibration, start_time: float,
                     dropout: bool = False, rng=None,
                     setup: RevolutionSetup | None = None) -> PointCloud:
-    """Sweep one revolution over a frozen scene.
+    """Sweep one revolution over a frozen scene: a one-frame scan_frames.
 
     Each pulse is range-limited by the effective range of its segment's
     emitted power under the given fog. With dropout enabled, a hit survives
@@ -185,23 +230,15 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     """
     if setup is None:
         setup = revolution_setup(plan, fog, cal)
-    angles, seg_idx, max_ranges = setup[:3]
-    ranges, hit_ids = _merge_layers(*cast_rays(scene, scene.ego_position, angles, max_ranges),
-                                    setup)
-
-    hit = hit_ids >= 0
-    if dropout and fog.sigma > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng")
-        survival = np.exp(-fog.sigma * np.where(hit, ranges, 0.0))
-        drop = rng.random(len(angles)) >= survival
-        hit &= ~drop
-
+    sigma = fog.sigma if dropout else 0.0
+    if sigma > 0.0 and rng is None:
+        raise ValueError("dropout requires an rng")
+    edges = np.array([o.edge_array for o in scene.obstacles]).reshape(1, -1, 4)
+    edge_ids = np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
+    ranges, hit_ids, hit = scan_frames(edges, edge_ids, scene.ego_position, setup, sigma, rng)
+    hit = hit[0]
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
-    returns["angle"] = angles[hit]
-    returns["range_m"] = ranges[hit]
-    returns["hit_id"] = hit_ids[hit]
-    counts = np.bincount(seg_idx, minlength=len(plan.segments))
-    rays_per_arc = {(seg.start, seg.end): int(counts[i]) for i, seg in enumerate(plan.segments)}
-    return PointCloud(start_time, returns, len(angles), rays_per_arc)
-
+    returns["angle"] = setup.angles[hit]
+    returns["range_m"] = ranges[0][hit]
+    returns["hit_id"] = hit_ids[0][hit]
+    return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays)

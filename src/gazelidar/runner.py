@@ -20,11 +20,13 @@ import numpy as np
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
-from .lidar import revolution_setup, scan_revolution
+# scan_revolution, density and detect are the one-frame forms of what
+# run_single does per chunk; bench/tracing.py wraps them under these names.
+from .lidar import revolution_setup, scan_frames, scan_revolution
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan)
-from .scene import ObstacleBox, Scene, Vec2, advance
+from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
 
 TAU = math.tau
 
@@ -35,6 +37,8 @@ DEFAULT_KAPPA = 0.01
 DEFAULT_ETA = 0.5
 DEFAULT_P_LOW_RATIO = 0.2
 DEFAULT_OMEGA_HIGH_RATIO = 2.0
+# Most frames run_single casts in one scan_frames call.
+CHUNK_FRAMES = 24
 
 
 class ConfigError(ValueError):
@@ -75,6 +79,9 @@ class RunRecord:
     tta: float | None
     samples: tuple[DensitySample, ...]
     frames: int
+    # Frames scan_frames cast, at least `frames`: a chunk's frames after the
+    # detecting frame are cast and discarded. Not written to any output file.
+    frames_cast: int
     failed: bool
     failure_reason: str | None
     wall_time: float
@@ -357,7 +364,7 @@ def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
     """Whether a run at this fog level draws from its seed's generator.
 
     Mirrors the two draw sites: spawn jitter in _build_start_scene and fog
-    dropout in scan_revolution. When false, the seed cannot change a record.
+    dropout in scan_frames. When false, the seed cannot change a record.
     """
     return config.spawn_jitter_m > 0.0 or (
         config.dropout and fog_from_fraction(fog_fraction, config.kappa).sigma > 0.0)
@@ -370,14 +377,21 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     The seed drives only spawn jitter and fog dropout, so with both off the
     record is identical across seeds. The RoI, scan plan, per-pulse setup
     and the cast of the static boxes are built once per distinct gaze state
-    in the trace, not per frame; each frame advances and casts only the
-    moving boxes.
+    in the trace, not per frame. Frames are simulated in chunks of up to
+    CHUNK_FRAMES that share a gaze state: one scan_frames call advances and
+    casts the moving boxes for the whole chunk, then each frame's RoI and
+    target returns are counted. Frames of the chunk after the detecting
+    frame, and their dropout draws, are discarded; frames_cast counts them.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
+    sigma = fog.sigma if config.dropout else 0.0
+    trace = config.gaze_trace
     per_gaze = {}
     target_id = config.scenario.target_id
+    frame = 0
+    frames_cast = 0
 
     try:
         scene0 = _build_start_scene(config, rng)
@@ -386,36 +400,47 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                        scene0.conflict_point)
         movers = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed != 0.0),
                        scene0.conflict_point)
+        mover_ids = np.repeat(np.array([o.id for o in movers.obstacles], dtype=np.int64), 4)
         samples: list[DensitySample] = []
         detection = None
         tta = None
-        frame = 0
-        while frame / config.frame_rate < config.max_sim_time:
-            t = frame / config.frame_rate
-            movers_t = advance(movers, t)
-            gaze_state = config.gaze_trace.at(t)
+        while detection is None:
+            times = np.arange(frame, frame + CHUNK_FRAMES) / config.frame_rate
+            times = times[times < config.max_sim_time].tolist()
+            if not times:
+                break
+            gaze_state = trace.at(times[0])
+            k = 1
+            while k < len(times) and trace.at(times[k]) == gaze_state:
+                k += 1
+            times = times[:k]
             if gaze_state not in per_gaze:
                 roi, plan = _scan_plan(config, variant, gaze_state)
-                per_gaze[gaze_state] = (roi, plan, revolution_setup(plan, fog, config.calibration,
-                                                                    static))
-            roi, plan, setup = per_gaze[gaze_state]
-            cloud = scan_revolution(movers_t, plan, fog, config.calibration, t,
-                                    dropout=config.dropout, rng=rng, setup=setup)
-            samples.append(density(cloud, roi, frame_index=frame))
-            if detect(cloud, target_id, config.min_points):
-                tgt = movers_t.obstacle(target_id) if target.speed != 0.0 else target
+                per_gaze[gaze_state] = (math.degrees(roi.width), revolution_setup(
+                    plan, fog, config.calibration, static, roi))
+            width_deg, setup = per_gaze[gaze_state]
+            _, hit_ids, hit = scan_frames(edges_at(movers, times), mover_ids,
+                                          scene0.ego_position, setup, sigma, rng)
+            frames_cast += k
+            in_roi = np.count_nonzero(hit & setup.in_roi, axis=1).tolist()
+            detected = np.flatnonzero(np.count_nonzero(hit & (hit_ids == target_id), axis=1)
+                                      >= config.min_points)
+            if detected.size:
+                k = int(detected[0]) + 1
+                t = times[k - 1]
+                tgt = advance(movers, t).obstacle(target_id) if target.speed != 0.0 else target
                 dist = tgt.center.distance_to(scene0.conflict_point)
-                detection = DetectionEvent(frame, t, target_id, dist)
+                detection = DetectionEvent(frame + k - 1, t, target_id, dist)
                 tta = tta_at_detection(detection, target.speed)
-                frame += 1
-                break
-            frame += 1
+            samples += [DensitySample(frame + i, count, width_deg, count / width_deg)
+                        for i, count in enumerate(in_roi[:k])]
+            frame += k
     except PolicyError as exc:
-        return RunRecord(variant, fog_fraction, seed, None, None, (), 0,
+        return RunRecord(variant, fog_fraction, seed, None, None, (), 0, frames_cast,
                          True, str(exc), time.perf_counter() - t_start)
 
     return RunRecord(variant, fog_fraction, seed, detection, tta, tuple(samples),
-                     frame, False, None, time.perf_counter() - t_start)
+                     frame, frames_cast, False, None, time.perf_counter() - t_start)
 
 
 def _record_key(record: RunRecord):

@@ -10,6 +10,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,19 +137,64 @@ def advance(scene: Scene, t: float) -> Scene:
     return dataclasses.replace(scene, obstacles=tuple(moved))
 
 
-def _candidate_pairs(angles: np.ndarray, wx: np.ndarray, wy: np.ndarray,
+def edges_at(scene: Scene, times) -> np.ndarray:
+    """Edge rows of advance(scene, t) for every t in times, as a (K, 4m, 4) array.
+
+    Row 4i + j of frame k is advance(scene, times[k]).obstacles[i].edge_array[j],
+    bit for bit: the centers and corners take the same float operations in
+    the same order. A box that advance() leaves in place gets x + 0.0 here,
+    which can change only the sign of a zero coordinate, and every corner
+    adds a nonzero offset to it.
+    """
+    boxes = scene.obstacles
+    heading_cos = np.array([math.cos(o.heading) for o in boxes])
+    heading_sin = np.array([math.sin(o.heading) for o in boxes])
+    speed = np.array([o.speed for o in boxes])
+    x0 = np.array([o.center.x for o in boxes])
+    y0 = np.array([o.center.y for o in boxes])
+    t = np.asarray(times, dtype=np.float64)[:, None]
+    cx = (x0 + t * speed * heading_cos)[:, :, None]
+    cy = (y0 + t * speed * heading_sin)[:, :, None]
+    # corners in corners() order: (hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)
+    sl = np.array([o.half_length for o in boxes])[:, None] * [1.0, -1.0, -1.0, 1.0]
+    sw = np.array([o.half_width for o in boxes])[:, None] * [1.0, 1.0, -1.0, -1.0]
+    ch = heading_cos[:, None]
+    sh = heading_sin[:, None]
+    px = cx + sl * ch - sw * sh
+    py = cy + sl * sh + sw * ch
+    nxt = [1, 2, 3, 0]
+    edges = np.stack((px, py, px[..., nxt], py[..., nxt]), axis=-1)
+    return edges.reshape(t.shape[0], 4 * len(boxes), 4)
+
+
+class RayFan(NamedTuple):
+    """Invariants of a set of firing angles that every cast of them reuses:
+    cos and sin per ray, and the bearings mod tau in ascending order with
+    the ray index of each (a stable sort)."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    key: np.ndarray
+    order: np.ndarray
+
+
+def ray_fan(angles: np.ndarray) -> RayFan:
+    key = np.mod(angles, TAU)
+    order = np.argsort(key, kind="stable")
+    return RayFan(np.cos(angles), np.sin(angles), key[order], order)
+
+
+def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.ndarray,
                      ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ray, edge) index pairs whose ray can intersect the edge.
 
     Seen from the origin, the edge from w to w + e covers the shorter arc
-    between its end bearings. Rays sorted by bearing give each padded arc
-    as one or, across 0/tau, two runs of rays. Edges on a line through or
-    near the origin, or with an end at it, are paired with every ray.
+    between its end bearings. Rays sorted by bearing (key, with the ray
+    index of each in order) give each padded arc as one or, across 0/tau,
+    two runs of rays. Edges on a line through or near the origin, or with
+    an end at it, are paired with every ray.
     """
-    n = angles.shape[0]
-    key = np.mod(angles, TAU)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    n = key.shape[0]
     qx = wx + ex
     qy = wy + ey
     b1 = np.arctan2(wy, wx)
@@ -179,50 +225,68 @@ def _candidate_pairs(angles: np.ndarray, wx: np.ndarray, wy: np.ndarray,
     return order[np.arange(edge.shape[0]) + offsets], edge
 
 
-def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray,
-              max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest intersection of each ray with any obstacle edge.
+def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: RayFan,
+               max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest hit of every ray of the fan in each of K frames of edges.
 
-    Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
-    lies in (0, max_range]; exact range ties across obstacles resolve to the
-    smaller obstacle id. Only the (ray, edge) pairs that _candidate_pairs
-    keeps are solved; every other pair misses by construction.
+    edges is a (K, E, 4) array of px, py, qx, qy rows, in the same order in
+    every frame, and edge_ids the (E,) obstacle id of each row. `fan` is
+    anything with ray_fan's fields, such as a RevolutionSetup. Returns
+    (ranges, hit_ids) as (K, n) arrays, nan and -1 on a miss. Only the
+    (ray, edge) pairs that _candidate_pairs keeps are solved, all K frames
+    in one pass; each (frame, ray) takes its nearest range and, on an exact
+    tie, the edge listed first.
     """
-    angles = np.asarray(angles, dtype=np.float64)
-    max_ranges = np.asarray(max_ranges, dtype=np.float64)
-    if np.any(max_ranges <= 0.0):
-        raise ValueError("max_range must be positive")
-    n = angles.shape[0]
-    out_r = np.full(n, np.nan)
-    out_id = np.full(n, -1, dtype=np.int64)
-    if not scene.obstacles or n == 0:
-        return out_r, out_id
-    edges = np.concatenate([o.edge_array for o in scene.obstacles])
-    edge_ids = np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
+    frames, m = edges.shape[:2]
+    n = fan.cos.shape[0]
+    if m == 0 or n == 0:
+        return np.full((frames, n), np.nan), np.full((frames, n), -1, dtype=np.int64)
+    edges = edges.reshape(-1, 4)
     ex = edges[:, 2] - edges[:, 0]
     ey = edges[:, 3] - edges[:, 1]
     wx = edges[:, 0] - origin.x
     wy = edges[:, 1] - origin.y
-    ray, edge = _candidate_pairs(angles, wx, wy, ex, ey)
+    ray, edge = _candidate_pairs(fan.key, fan.order, wx, wy, ex, ey)
 
     # ray-parameter solve of ray o + t d against edge p + u e
-    dx = np.cos(angles)[ray]
-    dy = np.sin(angles)[ray]
+    dx = fan.cos[ray]
+    dy = fan.sin[ray]
     denom = dx * ey[edge] - dy * ex[edge]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (wx * ey - wy * ex)[edge] / denom
         u = (dy * wx[edge] - dx * wy[edge]) / denom
     valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= max_ranges[ray])
     ray, edge, t = ray[valid], edge[valid], t[valid]
-    # each ray's nearest range, then the first edge reaching it: edges are
-    # ordered by obstacle id, so exact ties go to the smaller id
-    nearest = np.full(n, np.inf)
-    np.minimum.at(nearest, ray, t)
-    at_nearest = t == nearest[ray]
-    m = edge_ids.shape[0]
-    first_edge = np.full(n, m)
-    np.minimum.at(first_edge, ray[at_nearest], edge[at_nearest])
-    hit = first_edge < m
-    out_r[hit] = nearest[hit]
-    out_id[hit] = edge_ids[first_edge[hit]]
-    return out_r, out_id
+    # each (frame, ray)'s nearest range, then the first edge reaching it;
+    # edges run frame by frame, so the first is the first in its frame. The
+    # edge index is turned into its obstacle id in place.
+    slot = edge // m * n + ray
+    nearest = np.full(frames * n, np.inf)
+    np.minimum.at(nearest, slot, t)
+    at_nearest = t == nearest[slot]
+    hit_ids = np.full(frames * n, frames * m)
+    np.minimum.at(hit_ids, slot[at_nearest], edge[at_nearest])
+    miss = hit_ids == frames * m
+    hit_ids[~miss] = edge_ids[hit_ids[~miss] % m]
+    hit_ids[miss] = -1
+    nearest[miss] = np.nan
+    return nearest.reshape(frames, n), hit_ids.reshape(frames, n)
+
+
+def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray,
+              max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest intersection of each ray with any obstacle edge.
+
+    Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
+    lies in (0, max_range]; exact range ties across obstacles resolve to the
+    smaller obstacle id, since the edges are listed in obstacle id order.
+    A one-frame cast_edges.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    max_ranges = np.asarray(max_ranges, dtype=np.float64)
+    if np.any(max_ranges <= 0.0):
+        raise ValueError("max_range must be positive")
+    edges = np.array([o.edge_array for o in scene.obstacles]).reshape(1, -1, 4)
+    edge_ids = np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
+    ranges, hit_ids = cast_edges(edges, edge_ids, origin, ray_fan(angles), max_ranges)
+    return ranges[0], hit_ids[0]

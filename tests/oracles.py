@@ -7,8 +7,9 @@ instead of the bearing-culled one, fixed-point iteration instead of
 bisection, per-frame stepping instead of closed-form motion, stdlib
 statistics instead of numpy percentiles, a linear scan instead of a
 search for the plan segment under a bearing, and a run loop that rebuilds
-the scan plan every frame instead of once per gaze state and casts the whole
-scene every frame instead of its static boxes once per gaze state.
+the scan plan every frame instead of once per gaze state, casts the whole
+scene every frame instead of its static boxes once per gaze state, and scans
+and counts one frame at a time instead of a chunk of frames per call.
 """
 from __future__ import annotations
 
@@ -235,4 +236,4 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
             tta = tta_at_detection(detection, target.speed)
             break
     return RunRecord(variant, fog_fraction, seed, detection, tta, tuple(samples),
-                     frame, False, None, 0.0)
+                     frame, frame, False, None, 0.0)

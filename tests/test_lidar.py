@@ -10,9 +10,9 @@ import pytest
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
-                             pulse_directions, revolution_setup, scan_revolution)
+                             pulse_directions, revolution_setup, scan_frames, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
-from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
 from helpers import make_enclosing_scene, make_random_scene
 from oracles import dense_cast_rays, segment_at
 
@@ -155,6 +155,7 @@ class TestScanRevolution:
         assert cloud.frame_time == 0.25
         assert cloud.rays_fired == 390
         assert sum(cloud.rays_per_arc.values()) == 390
+        assert cloud.rays_per_arc == {(seg.start, seg.end): 390 for seg in plan.segments}
         assert len(cloud.returns) > 0
         assert cloud.returns.dtype == RETURN_DTYPE
         angles, _ = pulse_directions(plan)
@@ -383,6 +384,60 @@ class TestDropout:
             else:
                 assert 0 < sum(kept) < len(kept)
 
+
+    def test_one_draw_for_k_frames_is_k_draws_of_one_frame(self):
+        # scan_frames draws random(K * n) once per chunk where the per-frame
+        # loop drew random(n) K times, after a spawn jitter uniform draw
+        for seed in (0, 101, 2 ** 31 - 1):
+            chunk, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert chunk.uniform(-3.0, 3.0) == each.uniform(-3.0, 3.0)
+            batched = chunk.random(7 * 390)
+            assert np.array_equal(batched, np.concatenate([each.random(390) for _ in range(7)]))
+            assert chunk.random() == each.random()
+
+
+class TestScanFrames:
+    """K frames in one scan_frames call equal K one-frame scans."""
+
+    PLAN = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
+    FOG = FogCondition(1.0, 0.01)
+
+    def test_k_frames_equal_k_scan_revolutions(self):
+        rng = np.random.default_rng(41)
+        for seed in range(4):
+            scene = make_random_scene(rng, 6, 12)
+            boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
+                          if i % 2 else o for i, o in enumerate(scene.obstacles))
+            static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
+            roi = compute_roi(compute_rof(GazeState(THETA, 0.5),
+                                          AcuityFunction.boxcar(math.radians(30.0))))
+            setup = revolution_setup(self.PLAN, self.FOG, CAL, static, roi)
+            times = [0.0, 0.05, 0.1, 0.15, 1.0]
+            ids = np.repeat(np.array([o.id for o in movers.obstacles], dtype=np.int64), 4)
+            ranges, hit_ids, hit = scan_frames(edges_at(movers, times), ids, movers.ego_position,
+                                               setup, self.FOG.sigma, np.random.default_rng(seed))
+            one_by_one = np.random.default_rng(seed)
+            for k, t in enumerate(times):
+                cloud = scan_revolution(advance(movers, t), self.PLAN, self.FOG, CAL, t,
+                                        dropout=True, rng=one_by_one, setup=setup)
+                assert np.array_equal(cloud.returns["angle"], setup.angles[hit[k]])
+                assert np.array_equal(cloud.returns["range_m"], ranges[k][hit[k]])
+                assert np.array_equal(cloud.returns["hit_id"], hit_ids[k][hit[k]])
+                assert np.count_nonzero(hit[k] & setup.in_roi) == np.count_nonzero(
+                    roi.contains_many(cloud.returns["angle"]))
+
+    def test_setup_carries_the_per_ray_invariants(self):
+        roi = compute_roi(compute_rof(GazeState(THETA, 0.5),
+                                      AcuityFunction.boxcar(math.radians(30.0))))
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, roi=roi)
+        assert np.array_equal(setup.cos, np.cos(setup.angles))
+        assert np.array_equal(setup.sin, np.sin(setup.angles))
+        assert np.array_equal(setup.key, np.sort(np.mod(setup.angles, TAU)))
+        assert np.array_equal(setup.key, np.mod(setup.angles, TAU)[setup.order])
+        assert np.array_equal(setup.in_roi, roi.contains_many(setup.angles))
+        assert setup.segment_rays.tolist() == np.bincount(
+            setup.seg_idx, minlength=len(self.PLAN.segments)).tolist()
+        assert not np.any(revolution_setup(self.PLAN, self.FOG, CAL).in_roi)
 
 
 class TestPointCloud:

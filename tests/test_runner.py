@@ -46,6 +46,15 @@ def _strip_wall_time(record):
             record.failure_reason)
 
 
+def _hidden_target(config, **changes):
+    """config with a wall that hides the target for a while, plus `changes`."""
+    wall = ObstacleBox.spawn(30, Vec2(21.2132, 21.2132), math.radians(135.0), 6.0, 0.5, 0.0)
+    scene = config.scenario.scene
+    scenario = ScenarioConfig(dataclasses.replace(scene, obstacles=scene.obstacles + (wall,)),
+                              config.scenario.target_id)
+    return dataclasses.replace(config, scenario=scenario, **changes)
+
+
 class _NoDraws:
     """Stands in for a numpy Generator; every draw method raises."""
 
@@ -445,12 +454,8 @@ class TestRunSingle:
     def test_static_and_moving_layers_match_the_per_frame_reference(self, default_config, seed):
         # jitter + dropout, and a wall that hides the target for a while, so
         # runs last many frames with the movers crossing behind static boxes
-        wall = ObstacleBox.spawn(30, Vec2(21.2132, 21.2132), math.radians(135.0), 6.0, 0.5, 0.0)
-        scene = default_config.scenario.scene
-        scenario = ScenarioConfig(dataclasses.replace(scene, obstacles=scene.obstacles + (wall,)),
-                                  default_config.scenario.target_id)
-        config = dataclasses.replace(default_config, scenario=scenario, dropout=True,
-                                     spawn_jitter_m=3.0, max_sim_time=2.0)
+        config = _hidden_target(default_config, dropout=True, spawn_jitter_m=3.0,
+                                max_sim_time=2.0)
         for variant in config.variants:
             for fog in (0.0, 0.5):
                 record = run_single(config, variant, fog, seed)
@@ -460,7 +465,7 @@ class TestRunSingle:
     def test_programming_errors_propagate(self, default_config, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("bug in the frame path")
-        monkeypatch.setattr(runner, "scan_revolution", broken)
+        monkeypatch.setattr(runner, "scan_frames", broken)
         with pytest.raises(ValueError, match="bug in the frame path"):
             run_single(default_config, default_config.variants[0], 0.0, 101)
 
@@ -472,6 +477,95 @@ class TestRunSingle:
         assert record.detection is None
         assert record.samples == ()
         assert record.frames == 0
+
+
+
+class _ChunkLog:
+    """Wraps runner.scan_frames and records the frame count of each call."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        scan = runner.scan_frames
+
+        def recording(edges, *args):
+            self.sizes.append(len(edges))
+            return scan(edges, *args)
+
+        monkeypatch.setattr(runner, "scan_frames", recording)
+
+    def run(self, config, variant, fog, seed):
+        self.sizes = []
+        return run_single(config, variant, fog, seed)
+
+
+class TestChunkKernel:
+    """run_single casts chunks of frames that share a gaze state in one
+    scan_frames call; every record equals the per-frame reference loop."""
+
+    def test_chunks_match_the_per_frame_reference(self, default_config, monkeypatch):
+        left = default_config.gaze_trace.states[0]
+        right = GazeState(math.radians(45.0), left.eta)
+        # gaze changes at frames 4 and 9, inside chunks of 5 and more; 39
+        # frames is no multiple of any chunk size tried
+        config = _hidden_target(default_config, dropout=True, spawn_jitter_m=3.0, min_points=3,
+                                max_sim_time=1.93,
+                                gaze_trace=GazeTrace((0.0, 0.17, 0.43), (left, right, left)))
+        log = _ChunkLog(monkeypatch)
+        expected = {}
+        seen = set()
+        for chunk in (2, 3, 5, 8, runner.CHUNK_FRAMES):
+            monkeypatch.setattr(runner, "CHUNK_FRAMES", chunk)
+            for variant in config.variants:
+                for fog in (0.0, 0.5):
+                    for seed in (7, 8):
+                        record = log.run(config, variant, fog, seed)
+                        key = (variant, fog, seed)
+                        if key not in expected:
+                            expected[key] = _strip_wall_time(per_frame_run(config, *key))
+                        assert _strip_wall_time(record) == expected[key]
+                        assert record.frames_cast == sum(log.sizes) >= record.frames
+                        assert max(log.sizes) <= chunk
+                        # every chunk ends where the gaze state changes
+                        ends = np.cumsum(log.sizes).tolist()
+                        assert {4, 9} & set(range(record.frames_cast)) <= set(ends)
+                        if record.detection is None:
+                            assert record.frames_cast == record.frames == 39
+                            seen.add("undetected")
+                            continue
+                        start = record.frames_cast - log.sizes[-1]
+                        at = record.detection.frame_index - start
+                        seen.add("first" if at == 0 else "last" if at == log.sizes[-1] - 1
+                                 else "inside")
+        assert seen >= {"first", "last", "inside"}
+
+    def test_first_frame_detection_casts_one_chunk(self, default_config, monkeypatch):
+        log = _ChunkLog(monkeypatch)
+        record = log.run(default_config, default_config.variants[0], 0.0, 101)
+        assert record.detection.frame_index == 0 and record.frames == 1
+        assert log.sizes == [runner.CHUNK_FRAMES] and record.frames_cast == runner.CHUNK_FRAMES
+        assert _strip_wall_time(record) == _strip_wall_time(
+            per_frame_run(default_config, default_config.variants[0], 0.0, 101))
+
+    def test_random_configs_match_the_per_frame_reference(self, default_config, monkeypatch):
+        rng = np.random.default_rng(77)
+        eta = default_config.gaze_trace.states[0].eta
+        for _ in range(12):
+            monkeypatch.setattr(runner, "CHUNK_FRAMES", int(rng.integers(1, 30)))
+            samples = int(rng.integers(1, 5))
+            times = (0.0,) + tuple(np.sort(rng.uniform(0.01, 1.5, samples - 1)).tolist())
+            states = tuple(GazeState(math.radians(float(rng.choice([0.0, 45.0, 135.4308, 250.0]))),
+                                     eta) for _ in times)
+            config = _hidden_target(
+                default_config, dropout=bool(rng.integers(0, 2)),
+                spawn_jitter_m=float(rng.choice([0.0, 3.0])), min_points=int(rng.integers(1, 6)),
+                max_sim_time=float(rng.uniform(0.2, 2.0)), gaze_trace=GazeTrace(times, states))
+            variant = config.variants[int(rng.integers(0, 4))]
+            fog = float(rng.choice([0.0, 0.25, 0.5]))
+            seed = int(rng.integers(0, 1000))
+            record = run_single(config, variant, fog, seed)
+            assert record.frames_cast >= record.frames
+            assert _strip_wall_time(record) == _strip_wall_time(
+                per_frame_run(config, variant, fog, seed))
 
 
 class TestUsesRng:
@@ -585,11 +679,15 @@ class TestRunSweep:
         for jobs in (1, 2):
             records = run_sweep(config, jobs=jobs)
             assert [_strip_wall_time(r) for r in records] == expected
+            first = {(r.variant, r.fog_fraction): r for r in records
+                     if r.seed == config.seeds[0]}
             for r in records:
                 copied = not uses_rng(config, r.fog_fraction) and r.seed != config.seeds[0]
                 assert r.reused_from == (config.seeds[0] if copied else None)
+                assert r.frames_cast >= r.frames
                 if copied:
                     assert r.wall_time == 0.0
+                    assert r.frames_cast == first[(r.variant, r.fog_fraction)].frames_cast
 
 
 class TestAggregation:

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays
+from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_edges, cast_rays, edges_at,
+                             ray_fan)
 from helpers import make_random_scene
 from oracles import brute_force_cast, dense_cast_rays, scalar_cast, stepped_advance
 
@@ -355,3 +358,79 @@ class TestCulledCasterMatchesDenseOracle:
             ranges, ids = cast_rays(scene, scene.ego_position, angles, np.full(500, 120.0))
             assert np.all(ids < 100)
             assert _same_casts(scene, scene.ego_position, angles, np.full(500, 120.0))
+
+
+_COORD = st.floats(-200.0, 200.0, allow_nan=False)
+_BOX = st.tuples(_COORD, _COORD,
+                 st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, 1.5 * math.pi]),
+                           st.floats(0.0, TAU, exclude_max=True)),
+                 st.floats(0.1, 10.0), st.floats(0.1, 5.0),
+                 st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
+
+
+def _bits(a):
+    """The raw float bits, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _scene_of(boxes):
+    return Scene(Vec2(0.0, 0.0), tuple(ObstacleBox.spawn(i + 1, Vec2(x, y), h, hl, hw, v)
+                                       for i, (x, y, h, hl, hw, v) in enumerate(boxes)),
+                 Vec2(0.0, 1.0))
+
+
+class TestFrameBatches:
+    """edges_at and cast_edges take K frames of moving boxes in one pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_BOX, max_size=6),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)), min_size=1, max_size=8))
+    def test_edges_at_matches_advance_bit_for_bit(self, boxes, times):
+        scene = _scene_of(boxes)
+        edges = edges_at(scene, times)
+        assert edges.shape == (len(times), 4 * len(boxes), 4)
+        for k, t in enumerate(times):
+            moved = advance(scene, t).obstacles
+            expected = (np.concatenate([o.edge_array for o in moved]) if moved
+                        else np.empty((0, 4)))
+            assert np.array_equal(_bits(edges[k]), _bits(expected))
+
+    def test_k_frame_cast_equals_k_dense_casts(self):
+        rng = np.random.default_rng(31)
+        ties = 0
+        for _ in range(15):
+            base = make_random_scene(rng, 1, 8)
+            boxes = tuple(ObstacleBox.spawn(o.id, o.center, o.heading, o.half_length,
+                                            o.half_width, float(rng.uniform(0.0, 15.0)))
+                          for o in base.obstacles)
+            # a static twin of the first box ties with it at t = 0
+            twin = boxes[0]
+            boxes += (ObstacleBox.spawn(twin.id + 100, twin.center, twin.heading,
+                                        twin.half_length, twin.half_width, 0.0),)
+            scene = Scene(Vec2(*rng.uniform(-5.0, 5.0, 2)), boxes, base.conflict_point)
+            times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 4.0, 6))))
+            angles = rng.uniform(0.0, TAU, size=500)
+            max_ranges = rng.uniform(5.0, 120.0, size=500)
+            ids = np.repeat(np.array([o.id for o in scene.obstacles]), 4)
+            ranges, hit_ids = cast_edges(edges_at(scene, times), ids, scene.ego_position,
+                                         ray_fan(angles), max_ranges)
+            assert ranges.shape == hit_ids.shape == (len(times), 500)
+            for k, t in enumerate(times):
+                ref_ranges, ref_ids = dense_cast_rays(advance(scene, t), scene.ego_position,
+                                                      angles, max_ranges)
+                assert np.array_equal(hit_ids[k], ref_ids)
+                assert np.array_equal(ranges[k], ref_ranges, equal_nan=True)
+            assert not np.any(hit_ids[0] == twin.id + 100)
+            ties += bool(np.any(hit_ids[0] == twin.id))
+        assert ties > 0
+
+    def test_no_edges_and_no_rays_miss(self):
+        angles = np.arange(8) * (TAU / 8)
+        ranges, ids = cast_edges(np.empty((3, 0, 4)), np.empty(0, dtype=np.int64), Vec2(0, 0),
+                                 ray_fan(angles), np.full(8, 50.0))
+        assert ranges.shape == (3, 8) and np.all(np.isnan(ranges)) and np.all(ids == -1)
+        scene = make_random_scene(np.random.default_rng(32))
+        ids = np.repeat(np.array([o.id for o in scene.obstacles]), 4)
+        ranges, hit_ids = cast_edges(edges_at(scene, [0.0, 1.0]), ids, scene.ego_position,
+                                     ray_fan(np.empty(0)), np.empty(0))
+        assert ranges.shape == hit_ids.shape == (2, 0)
