@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .atmosphere import FogCondition, SensorCalibration, effective_range
-from .gaze import TAU, ArcSet
-from .scene import Scene, Vec2, cast_edges, cast_rays, ray_fan
+from .gaze import TAU
+from .scene import Scene, Vec2, cast_edges, cast_rays, edge_rows, ray_fan
 
 
 class ScanSegment(NamedTuple):
@@ -99,8 +99,8 @@ class PointCloud:
     frame_time: float
     returns: np.ndarray
     rays_fired: int
-    segments: tuple[ScanSegment, ...] = ()
-    segment_rays: np.ndarray | tuple[int, ...] = ()
+    segments: tuple[ScanSegment, ...]
+    segment_rays: np.ndarray | tuple[int, ...]
 
     @property
     def rays_per_arc(self) -> dict[tuple[float, float], int]:
@@ -121,15 +121,14 @@ class PointCloud:
 class RevolutionSetup(NamedTuple):
     """Everything about one revolution that does not depend on the moving boxes.
 
-    Per pulse: firing angle, segment index, fog-limited max range, the cast
-    of the scene's static layer (static_ranges and static_ids, all misses,
-    nan and -1, when there are none), cos and sin of the angle, and whether
-    the angle lies in the RoI. key and order are the bearings mod tau in
-    ascending order and the pulse index of each, as scene.ray_fan gives
-    them; segment_rays counts the pulses per plan segment. These depend
-    only on the plan, the fog, the calibration, the static boxes and the
-    RoI, so a run computes them once per gaze state and reuses them every
-    frame. The arrays are read-only because they are shared between frames.
+    Per pulse: firing angle, segment index, fog-limited max range, and the
+    cast of the scene's static layer (static_ranges and static_ids, all
+    misses, nan and -1, when there are none). cos, sin, key and order are
+    scene.ray_fan of the angles, which every cast of them reuses, and
+    segment_rays counts the pulses per plan segment. These depend only on
+    the plan, the fog, the calibration and the static boxes, so a run
+    computes them once per gaze state and reuses them every frame. The
+    arrays are read-only because they are shared between frames.
     """
 
     angles: np.ndarray
@@ -141,19 +140,16 @@ class RevolutionSetup(NamedTuple):
     sin: np.ndarray
     key: np.ndarray
     order: np.ndarray
-    in_roi: np.ndarray
     segment_rays: np.ndarray
 
 
 def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
-                     static_scene: Scene | None = None,
-                     roi: ArcSet | None = None) -> RevolutionSetup:
-    """Pulse directions, each pulse's effective range, the static cast and the RoI mask.
+                     static_scene: Scene | None = None) -> RevolutionSetup:
+    """Pulse directions, each pulse's effective range and the static cast.
 
     effective_range runs once per distinct segment power. The boxes of
     static_scene are cast from its ego position once, here; scan_revolution
-    and scan_frames must then be given the other boxes. Without a roi no
-    pulse counts as inside it.
+    and scan_frames must then be given the other boxes.
     """
     angles, seg_idx = pulse_directions(plan)
     seg_ranges = {}
@@ -161,15 +157,14 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
         if seg.power not in seg_ranges:
             seg_ranges[seg.power] = effective_range(seg.power, fog, cal)
     max_ranges = np.array([seg_ranges[seg.power] for seg in plan.segments])[seg_idx]
+    fan = ray_fan(angles)
     if static_scene is None:
         static_ranges = np.full(len(angles), np.nan)
         static_ids = np.full(len(angles), -1, dtype=np.int64)
     else:
         static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
-                                              angles, max_ranges)
-    in_roi = np.zeros(len(angles), dtype=bool) if roi is None else roi.contains_many(angles)
-    setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids,
-                            *ray_fan(angles), in_roi,
+                                              angles, max_ranges, fan)
+    setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids, *fan,
                             np.bincount(seg_idx, minlength=len(plan.segments)))
     for array in setup:
         array.flags.writeable = False
@@ -203,7 +198,8 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     frame order, which is the stream K one-frame calls would draw. Returns
     (ranges, hit_ids, hit) as (K, n) arrays; hit marks the surviving hits.
     """
-    ranges, hit_ids = cast_edges(edges, edge_ids, origin, setup, setup.max_ranges)
+    fan = (setup.cos, setup.sin, setup.key, setup.order)
+    ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan, setup.max_ranges)
     _merge_layers(ranges, hit_ids, setup)
     hit = hit_ids >= 0
     if sigma > 0.0:
@@ -217,7 +213,7 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
                     cal: SensorCalibration, start_time: float,
                     dropout: bool = False, rng=None,
-                    setup: RevolutionSetup | None = None) -> PointCloud:
+                    setup: RevolutionSetup | None = None, swept=None) -> PointCloud:
     """Sweep one revolution over a frozen scene: a one-frame scan_frames.
 
     Each pulse is range-limited by the effective range of its segment's
@@ -226,19 +222,23 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     draw order does not depend on the hit pattern. `setup` must be
     revolution_setup(plan, fog, cal, static_scene) when given, with `scene`
     holding the boxes that static_scene does not; it is computed otherwise,
-    without a static layer.
+    without a static layer. `swept`, when given, is this revolution's frame
+    of a scan_frames call under `setup`, as (ranges, hit_ids, hit) rows; the
+    returns are then collected from it and scene, fog, dropout and rng are
+    not read again.
     """
     if setup is None:
         setup = revolution_setup(plan, fog, cal)
-    sigma = fog.sigma if dropout else 0.0
-    if sigma > 0.0 and rng is None:
-        raise ValueError("dropout requires an rng")
-    edges = np.array([o.edge_array for o in scene.obstacles]).reshape(1, -1, 4)
-    edge_ids = np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
-    ranges, hit_ids, hit = scan_frames(edges, edge_ids, scene.ego_position, setup, sigma, rng)
-    hit = hit[0]
+    if swept is None:
+        sigma = fog.sigma if dropout else 0.0
+        if sigma > 0.0 and rng is None:
+            raise ValueError("dropout requires an rng")
+        edges, edge_ids = edge_rows(scene)
+        swept = [frames[0] for frames in scan_frames(edges[None], edge_ids, scene.ego_position,
+                                                     setup, sigma, rng)]
+    ranges, hit_ids, hit = swept
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
-    returns["range_m"] = ranges[0][hit]
-    returns["hit_id"] = hit_ids[0][hit]
+    returns["range_m"] = ranges[hit]
+    returns["hit_id"] = hit_ids[hit]
     return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays)

@@ -20,13 +20,11 @@ import numpy as np
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
-# scan_revolution, density and detect are the one-frame forms of what
-# run_single does per chunk; bench/tracing.py wraps them under these names.
 from .lidar import revolution_setup, scan_frames, scan_revolution
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan)
-from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
+from .scene import ObstacleBox, Scene, Vec2, advance, edge_rows, edges_at
 
 TAU = math.tau
 
@@ -377,11 +375,13 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     The seed drives only spawn jitter and fog dropout, so with both off the
     record is identical across seeds. The RoI, scan plan, per-pulse setup
     and the cast of the static boxes are built once per distinct gaze state
-    in the trace, not per frame. Frames are simulated in chunks of up to
+    in the trace, not per frame. Frames are swept in chunks of up to
     CHUNK_FRAMES that share a gaze state: one scan_frames call advances and
-    casts the moving boxes for the whole chunk, then each frame's RoI and
-    target returns are counted. Frames of the chunk after the detecting
-    frame, and their dropout draws, are discarded; frames_cast counts them.
+    casts the moving boxes for the whole chunk and draws its dropout. Then,
+    frame by frame, scan_revolution collects the frame's returns from the
+    chunk, and density and detect read them. Frames of the chunk after the
+    detecting frame, and their dropout draws, are discarded; frames_cast
+    counts them.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -400,7 +400,7 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                        scene0.conflict_point)
         movers = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed != 0.0),
                        scene0.conflict_point)
-        mover_ids = np.repeat(np.array([o.id for o in movers.obstacles], dtype=np.int64), 4)
+        mover_ids = edge_rows(movers)[1]
         samples: list[DensitySample] = []
         detection = None
         tta = None
@@ -416,25 +416,23 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
             times = times[:k]
             if gaze_state not in per_gaze:
                 roi, plan = _scan_plan(config, variant, gaze_state)
-                per_gaze[gaze_state] = (math.degrees(roi.width), revolution_setup(
-                    plan, fog, config.calibration, static, roi))
-            width_deg, setup = per_gaze[gaze_state]
-            _, hit_ids, hit = scan_frames(edges_at(movers, times), mover_ids,
-                                          scene0.ego_position, setup, sigma, rng)
+                per_gaze[gaze_state] = (roi, plan, revolution_setup(plan, fog, config.calibration,
+                                                                    static))
+            roi, plan, setup = per_gaze[gaze_state]
+            chunk = scan_frames(edges_at(movers, times), mover_ids, scene0.ego_position, setup,
+                                sigma, rng)
             frames_cast += k
-            in_roi = np.count_nonzero(hit & setup.in_roi, axis=1).tolist()
-            detected = np.flatnonzero(np.count_nonzero(hit & (hit_ids == target_id), axis=1)
-                                      >= config.min_points)
-            if detected.size:
-                k = int(detected[0]) + 1
-                t = times[k - 1]
-                tgt = advance(movers, t).obstacle(target_id) if target.speed != 0.0 else target
-                dist = tgt.center.distance_to(scene0.conflict_point)
-                detection = DetectionEvent(frame + k - 1, t, target_id, dist)
-                tta = tta_at_detection(detection, target.speed)
-            samples += [DensitySample(frame + i, count, width_deg, count / width_deg)
-                        for i, count in enumerate(in_roi[:k])]
-            frame += k
+            for j, t in enumerate(times):
+                cloud = scan_revolution(movers, plan, fog, config.calibration, t, setup=setup,
+                                        swept=[rows[j] for rows in chunk])
+                samples.append(density(cloud, roi, frame_index=frame))
+                frame += 1
+                if detect(cloud, target_id, config.min_points):
+                    tgt = advance(movers, t).obstacle(target_id) if target.speed != 0.0 else target
+                    dist = tgt.center.distance_to(scene0.conflict_point)
+                    detection = DetectionEvent(frame - 1, t, target_id, dist)
+                    tta = tta_at_detection(detection, target.speed)
+                    break
     except PolicyError as exc:
         return RunRecord(variant, fog_fraction, seed, None, None, (), 0, frames_cast,
                          True, str(exc), time.perf_counter() - t_start)

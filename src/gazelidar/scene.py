@@ -10,7 +10,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -167,21 +166,19 @@ def edges_at(scene: Scene, times) -> np.ndarray:
     return edges.reshape(t.shape[0], 4 * len(boxes), 4)
 
 
-class RayFan(NamedTuple):
+def edge_rows(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    """Every box's edge_array stacked as one (4m, 4) array, and the id of each row's box."""
+    edges = np.array([o.edge_array for o in scene.obstacles]).reshape(-1, 4)
+    return edges, np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
+
+
+def ray_fan(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Invariants of a set of firing angles that every cast of them reuses:
-    cos and sin per ray, and the bearings mod tau in ascending order with
-    the ray index of each (a stable sort)."""
-
-    cos: np.ndarray
-    sin: np.ndarray
-    key: np.ndarray
-    order: np.ndarray
-
-
-def ray_fan(angles: np.ndarray) -> RayFan:
+    (cos, sin, key, order), the cos and sin per ray, and the bearings mod
+    tau in ascending order with the ray index of each (a stable sort)."""
     key = np.mod(angles, TAU)
     order = np.argsort(key, kind="stable")
-    return RayFan(np.cos(angles), np.sin(angles), key[order], order)
+    return np.cos(angles), np.sin(angles), key[order], order
 
 
 def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.ndarray,
@@ -225,20 +222,21 @@ def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.
     return order[np.arange(edge.shape[0]) + offsets], edge
 
 
-def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: RayFan,
+def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple,
                max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest hit of every ray of the fan in each of K frames of edges.
 
     edges is a (K, E, 4) array of px, py, qx, qy rows, in the same order in
-    every frame, and edge_ids the (E,) obstacle id of each row. `fan` is
-    anything with ray_fan's fields, such as a RevolutionSetup. Returns
+    every frame, and edge_ids the (E,) obstacle id of each row, as
+    edge_rows gives them. `fan` is ray_fan of the rays' angles. Returns
     (ranges, hit_ids) as (K, n) arrays, nan and -1 on a miss. Only the
     (ray, edge) pairs that _candidate_pairs keeps are solved, all K frames
     in one pass; each (frame, ray) takes its nearest range and, on an exact
     tie, the edge listed first.
     """
+    cos, sin, key, order = fan
     frames, m = edges.shape[:2]
-    n = fan.cos.shape[0]
+    n = cos.shape[0]
     if m == 0 or n == 0:
         return np.full((frames, n), np.nan), np.full((frames, n), -1, dtype=np.int64)
     edges = edges.reshape(-1, 4)
@@ -246,11 +244,11 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: RayFa
     ey = edges[:, 3] - edges[:, 1]
     wx = edges[:, 0] - origin.x
     wy = edges[:, 1] - origin.y
-    ray, edge = _candidate_pairs(fan.key, fan.order, wx, wy, ex, ey)
+    ray, edge = _candidate_pairs(key, order, wx, wy, ex, ey)
 
     # ray-parameter solve of ray o + t d against edge p + u e
-    dx = fan.cos[ray]
-    dy = fan.sin[ray]
+    dx = cos[ray]
+    dy = sin[ray]
     denom = dx * ey[edge] - dy * ex[edge]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (wx * ey - wy * ex)[edge] / denom
@@ -273,20 +271,20 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: RayFa
     return nearest.reshape(frames, n), hit_ids.reshape(frames, n)
 
 
-def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray,
-              max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.ndarray,
+              fan: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest intersection of each ray with any obstacle edge.
 
     Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
     lies in (0, max_range]; exact range ties across obstacles resolve to the
     smaller obstacle id, since the edges are listed in obstacle id order.
-    A one-frame cast_edges.
+    A one-frame cast_edges; `fan` must be ray_fan(angles) when given.
     """
     angles = np.asarray(angles, dtype=np.float64)
     max_ranges = np.asarray(max_ranges, dtype=np.float64)
     if np.any(max_ranges <= 0.0):
         raise ValueError("max_range must be positive")
-    edges = np.array([o.edge_array for o in scene.obstacles]).reshape(1, -1, 4)
-    edge_ids = np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
-    ranges, hit_ids = cast_edges(edges, edge_ids, origin, ray_fan(angles), max_ranges)
+    edges, edge_ids = edge_rows(scene)
+    ranges, hit_ids = cast_edges(edges[None], edge_ids, origin,
+                                 ray_fan(angles) if fan is None else fan, max_ranges)
     return ranges[0], hit_ids[0]

@@ -12,7 +12,7 @@ from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
                              pulse_directions, revolution_setup, scan_frames, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
-from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edge_rows, edges_at
 from helpers import make_enclosing_scene, make_random_scene
 from oracles import dense_cast_rays, segment_at
 
@@ -409,13 +409,12 @@ class TestScanFrames:
             boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
                           if i % 2 else o for i, o in enumerate(scene.obstacles))
             static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
-            roi = compute_roi(compute_rof(GazeState(THETA, 0.5),
-                                          AcuityFunction.boxcar(math.radians(30.0))))
-            setup = revolution_setup(self.PLAN, self.FOG, CAL, static, roi)
+            setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
             times = [0.0, 0.05, 0.1, 0.15, 1.0]
-            ids = np.repeat(np.array([o.id for o in movers.obstacles], dtype=np.int64), 4)
-            ranges, hit_ids, hit = scan_frames(edges_at(movers, times), ids, movers.ego_position,
-                                               setup, self.FOG.sigma, np.random.default_rng(seed))
+            ids = edge_rows(movers)[1]
+            chunk = scan_frames(edges_at(movers, times), ids, movers.ego_position,
+                                setup, self.FOG.sigma, np.random.default_rng(seed))
+            ranges, hit_ids, hit = chunk
             one_by_one = np.random.default_rng(seed)
             for k, t in enumerate(times):
                 cloud = scan_revolution(advance(movers, t), self.PLAN, self.FOG, CAL, t,
@@ -423,21 +422,18 @@ class TestScanFrames:
                 assert np.array_equal(cloud.returns["angle"], setup.angles[hit[k]])
                 assert np.array_equal(cloud.returns["range_m"], ranges[k][hit[k]])
                 assert np.array_equal(cloud.returns["hit_id"], hit_ids[k][hit[k]])
-                assert np.count_nonzero(hit[k] & setup.in_roi) == np.count_nonzero(
-                    roi.contains_many(cloud.returns["angle"]))
+                # the frame collected from the chunk is the frame swept alone
+                assert cloud == scan_revolution(movers, self.PLAN, self.FOG, CAL, t, setup=setup,
+                                                swept=[rows[k] for rows in chunk])
 
     def test_setup_carries_the_per_ray_invariants(self):
-        roi = compute_roi(compute_rof(GazeState(THETA, 0.5),
-                                      AcuityFunction.boxcar(math.radians(30.0))))
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, roi=roi)
+        setup = revolution_setup(self.PLAN, self.FOG, CAL)
         assert np.array_equal(setup.cos, np.cos(setup.angles))
         assert np.array_equal(setup.sin, np.sin(setup.angles))
         assert np.array_equal(setup.key, np.sort(np.mod(setup.angles, TAU)))
         assert np.array_equal(setup.key, np.mod(setup.angles, TAU)[setup.order])
-        assert np.array_equal(setup.in_roi, roi.contains_many(setup.angles))
         assert setup.segment_rays.tolist() == np.bincount(
             setup.seg_idx, minlength=len(self.PLAN.segments)).tolist()
-        assert not np.any(revolution_setup(self.PLAN, self.FOG, CAL).in_roi)
 
 
 class TestPointCloud:
@@ -457,7 +453,15 @@ class TestPointCloud:
     def test_equality_compares_the_returns(self):
         one = np.array([(0.1, 50.0, 3)], dtype=RETURN_DTYPE)
         other = np.array([(0.1, 50.0, 4)], dtype=RETURN_DTYPE)
-        assert PointCloud(0.0, one, 390, {}) == PointCloud(0.0, one.copy(), 390, {})
-        assert PointCloud(0.0, one, 390, {}) != PointCloud(0.0, other, 390, {})
-        assert PointCloud(0.0, one, 390, {}) != PointCloud(0.0, one[:0], 390, {})
-        assert PointCloud(0.0, one, 390, {}) != PointCloud(0.05, one, 390, {})
+        whole = (ScanSegment(0.0, TAU, 1.0, OMEGA),)
+        halves = (ScanSegment(0.0, math.pi, 1.0, OMEGA), ScanSegment(math.pi, TAU, 1.0, OMEGA))
+
+        def cloud(t, returns, segments=whole, counts=(390,)):
+            return PointCloud(t, returns, 390, segments, counts)
+
+        assert cloud(0.0, one) == cloud(0.0, one.copy())
+        assert cloud(0.0, one) != cloud(0.0, other)
+        assert cloud(0.0, one) != cloud(0.0, one[:0])
+        assert cloud(0.0, one) != cloud(0.05, one)
+        assert cloud(0.0, one, halves, (195, 195)) != cloud(0.0, one, halves, (194, 196))
+        assert cloud(0.0, one, halves, (195, 195)) == cloud(0.0, one, halves, np.array([195, 195]))

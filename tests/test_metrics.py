@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gazelidar.gaze import ArcSet
-from gazelidar.lidar import RETURN_DTYPE, PointCloud
+from gazelidar.lidar import RETURN_DTYPE, PointCloud, ScanSegment
 from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
 
 TAU = math.tau
@@ -17,7 +17,8 @@ TAU = math.tau
 
 def _cloud(*returns):
     """A cloud of (angle, range_m, hit_id) returns."""
-    return PointCloud(0.0, np.array(list(returns), dtype=RETURN_DTYPE), 390, {})
+    return PointCloud(0.0, np.array(list(returns), dtype=RETURN_DTYPE), 390,
+                      (ScanSegment(0.0, TAU, 1.0, 1.0),), (390,))
 
 
 class TestDetect:

@@ -465,9 +465,18 @@ class TestRunSingle:
     def test_programming_errors_propagate(self, default_config, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("bug in the frame path")
-        monkeypatch.setattr(runner, "scan_frames", broken)
+        monkeypatch.setattr(runner, "scan_revolution", broken)
         with pytest.raises(ValueError, match="bug in the frame path"):
             run_single(default_config, default_config.variants[0], 0.0, 101)
+
+    def test_min_points_below_one_is_refused_like_the_per_frame_loop(self, default_config):
+        # load_run_config refuses it; a RunConfig built in code reaches detect
+        config = dataclasses.replace(default_config, min_points=0)
+        variant = config.variants[0]
+        with pytest.raises(ValueError, match="min_points"):
+            per_frame_run(config, variant, 0.0, 101)
+        with pytest.raises(ValueError, match="min_points"):
+            run_single(config, variant, 0.0, 101)
 
     def test_policy_failures_become_failed_records(self, default_config):
         config = dataclasses.replace(default_config, p_max=1.05)
@@ -477,7 +486,6 @@ class TestRunSingle:
         assert record.detection is None
         assert record.samples == ()
         assert record.frames == 0
-
 
 
 class _ChunkLog:
@@ -537,6 +545,21 @@ class TestChunkKernel:
                         seen.add("first" if at == 0 else "last" if at == log.sizes[-1] - 1
                                  else "inside")
         assert seen >= {"first", "last", "inside"}
+
+    def test_each_output_frame_is_collected_counted_and_tested_once(self, default_config,
+                                                                    monkeypatch):
+        calls = {"scan_revolution": 0, "density": 0, "detect": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(runner, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(runner, name, counting)
+        log = _ChunkLog(monkeypatch)
+        config = _hidden_target(default_config, dropout=True, spawn_jitter_m=3.0,
+                                max_sim_time=2.0)
+        record = log.run(config, config.variants[0], 0.5, 7)
+        assert record.frames > runner.CHUNK_FRAMES and len(log.sizes) > 1
+        assert calls == dict.fromkeys(calls, record.frames)
 
     def test_first_frame_detection_casts_one_chunk(self, default_config, monkeypatch):
         log = _ChunkLog(monkeypatch)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_edges, cast_rays, edges_at,
-                             ray_fan)
+from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_edges, cast_rays, edge_rows,
+                             edges_at, ray_fan)
 from helpers import make_random_scene
 from oracles import brute_force_cast, dense_cast_rays, scalar_cast, stepped_advance
 
@@ -380,7 +380,8 @@ def _scene_of(boxes):
 
 
 class TestFrameBatches:
-    """edges_at and cast_edges take K frames of moving boxes in one pass."""
+    """edges_at and cast_edges take K frames of moving boxes in one pass;
+    edge_rows gives one frame's rows as edges_at lays them out."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_BOX, max_size=6),
@@ -394,6 +395,9 @@ class TestFrameBatches:
             expected = (np.concatenate([o.edge_array for o in moved]) if moved
                         else np.empty((0, 4)))
             assert np.array_equal(_bits(edges[k]), _bits(expected))
+            rows, ids = edge_rows(advance(scene, t))
+            assert np.array_equal(_bits(rows), _bits(expected))
+            assert ids.tolist() == [o.id for o in moved for _ in range(4)]
 
     def test_k_frame_cast_equals_k_dense_casts(self):
         rng = np.random.default_rng(31)
