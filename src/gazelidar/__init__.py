@@ -19,7 +19,7 @@ from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
 from .runner import (ConfigError, RunConfig, RunRecord, ScenarioConfig,
                      load_run_config, run_single, run_sweep, summarize,
                      uses_rng, validate_run_config)
-from .scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edge_rows, edges_at
+from .scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
 
 __all__ = [
     "__version__",
@@ -35,5 +35,5 @@ __all__ = [
     "ConfigError", "RunConfig", "RunRecord", "ScenarioConfig",
     "load_run_config", "validate_run_config", "run_single", "run_sweep", "summarize",
     "uses_rng",
-    "Vec2", "ObstacleBox", "Scene", "advance", "cast_rays", "edge_rows", "edges_at",
+    "Vec2", "ObstacleBox", "Scene", "advance", "cast_rays", "edges_at",
 ]

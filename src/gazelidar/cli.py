@@ -107,6 +107,8 @@ def main(argv=None) -> int:
     if args.command == "run":
         if args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        if args.seed_override is not None and args.seed_override < 0:
+            parser.error(f"argument --seed-override: must be at least 0, got {args.seed_override}")
         return cmd_run(args.config, args.out, jobs=args.jobs, seed_override=args.seed_override)
     return cmd_report(args.out, fmt=args.format)
 

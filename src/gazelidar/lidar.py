@@ -14,7 +14,7 @@ import numpy as np
 
 from .atmosphere import FogCondition, SensorCalibration, effective_range
 from .gaze import TAU
-from .scene import Scene, Vec2, cast_edges, cast_rays, edge_rows, ray_fan
+from .scene import Scene, Vec2, cast_edges, cast_rays, edges_at, ray_fan
 
 
 class ScanSegment(NamedTuple):
@@ -233,8 +233,8 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
         sigma = fog.sigma if dropout else 0.0
         if sigma > 0.0 and rng is None:
             raise ValueError("dropout requires an rng")
-        edges, edge_ids = edge_rows(scene)
-        swept = [frames[0] for frames in scan_frames(edges[None], edge_ids, scene.ego_position,
+        edges, edge_ids = edges_at(scene, (0.0,))
+        swept = [frames[0] for frames in scan_frames(edges, edge_ids, scene.ego_position,
                                                      setup, sigma, rng)]
     ranges, hit_ids, hit = swept
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)

@@ -24,7 +24,7 @@ from .lidar import revolution_setup, scan_frames, scan_revolution
 from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan)
-from .scene import ObstacleBox, Scene, Vec2, advance, edge_rows, edges_at
+from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
 
 TAU = math.tau
 
@@ -168,7 +168,7 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{path}: seeds must be a non-empty list")
     for i, s in enumerate(seeds):
-        _number(s, f"{path}: seeds[{i}]", integer=True)
+        _number(s, f"{path}: seeds[{i}]", 0, integer=True)
 
     sensor = _typed(raw.get("sensor", {}), dict, f"{path}: sensor")
     calibration = SensorCalibration(
@@ -291,6 +291,26 @@ def _scan_plan(config: RunConfig, variant: VariantConfig, gaze_state):
                                 config.pulse_rate, config.p_max)
 
 
+def _samples_read(times, frame_rate: float, end: float) -> list[int]:
+    """Indices of the trace samples that frames read, as trace.at finds them.
+
+    Frame k runs at k / frame_rate while that is below `end`. first[i] is the
+    first frame at or after times[i]: ceil(times[i] * frame_rate), corrected
+    by one step either way, since that product and k / frame_rate both
+    round. Sample 0 is read from frame 0 on, since trace.at clamps earlier
+    times to it. Sample i is read if first[i] comes before first[i + 1] and
+    before the first frame at `end`. Costs O(samples), not O(frames).
+    """
+    x = np.array([*times, end], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        first = np.maximum(np.ceil(x * frame_rate), 0.0)
+    first -= (first >= 1.0) & ((first - 1.0) / frame_rate >= x)
+    first += first / frame_rate < x
+    first[0] = 0.0
+    stop = np.minimum(np.append(first[1:-1], np.inf), first[-1])
+    return np.flatnonzero(first[:-1] < stop).tolist()
+
+
 def validate_run_config(config: RunConfig) -> list[str]:
     """Semantic feasibility diagnostics beyond structural loading.
 
@@ -318,12 +338,17 @@ def validate_run_config(config: RunConfig) -> list[str]:
             elif rx * ux + ry * uy <= 0.0:
                 problems.append("target moves away from the conflict point")
 
+    for axis in ("seeds", "fog_fractions"):
+        values = getattr(config, axis)
+        for i, value in enumerate(values):
+            j = values.index(value)
+            if j != i:
+                problems.append(f"{axis}[{i}] repeats {axis}[{j}] ({value!r}); "
+                                "the same runs would be written twice")
+
     trace = config.gaze_trace
-    # the trace sample each frame reads, as trace.at(frame / frame_rate) finds it
-    t = np.arange(math.ceil(config.max_sim_time * config.frame_rate) + 1) / config.frame_rate
-    read = np.searchsorted(trace.times, t[t < config.max_sim_time], side="right") - 1
-    # set, not np.unique: np.unique's first call imports numpy.ma, 10 ms of set-up
-    states = dict.fromkeys(trace.states[i] for i in sorted(set(read.clip(0).tolist())))
+    read = _samples_read(trace.times, config.frame_rate, config.max_sim_time)
+    states = dict.fromkeys(trace.states[i] for i in read)
     rays = []
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
@@ -400,7 +425,6 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                        scene0.conflict_point)
         movers = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed != 0.0),
                        scene0.conflict_point)
-        mover_ids = edge_rows(movers)[1]
         samples: list[DensitySample] = []
         detection = None
         tta = None
@@ -419,8 +443,7 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                 per_gaze[gaze_state] = (roi, plan, revolution_setup(plan, fog, config.calibration,
                                                                     static))
             roi, plan, setup = per_gaze[gaze_state]
-            chunk = scan_frames(edges_at(movers, times), mover_ids, scene0.ego_position, setup,
-                                sigma, rng)
+            chunk = scan_frames(*edges_at(movers, times), scene0.ego_position, setup, sigma, rng)
             frames_cast += k
             for j, t in enumerate(times):
                 cloud = scan_revolution(movers, plan, fog, config.calibration, t, setup=setup,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,35 +65,6 @@ class ObstacleBox:
               half_width: float, speed: float) -> "ObstacleBox":
         return cls(id, center, heading, half_length, half_width, speed, center)
 
-    def corners(self) -> list[tuple[float, float]]:
-        """Corner coordinates in counter-clockwise order."""
-        ch = math.cos(self.heading)
-        sh = math.sin(self.heading)
-        hl = self.half_length
-        hw = self.half_width
-        cx = self.center.x
-        cy = self.center.y
-        out = []
-        for sl, sw in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-            out.append((cx + sl * ch - sw * sh, cy + sl * sh + sw * ch))
-        return out
-
-    def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-        c = self.corners()
-        return [(c[i], c[(i + 1) % 4]) for i in range(4)]
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """segments() as a read-only (4, 4) array of px, py, qx, qy rows.
-
-        Cached on the instance: advance() passes a static box through as
-        the same object, so its edges are built once per run, while a moved
-        box is a new instance whose corners come from its advanced center.
-        """
-        edges = np.array([(px, py, qx, qy) for (px, py), (qx, qy) in self.segments()])
-        edges.flags.writeable = False
-        return edges
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -136,14 +106,17 @@ def advance(scene: Scene, t: float) -> Scene:
     return dataclasses.replace(scene, obstacles=tuple(moved))
 
 
-def edges_at(scene: Scene, times) -> np.ndarray:
-    """Edge rows of advance(scene, t) for every t in times, as a (K, 4m, 4) array.
+def edges_at(scene: Scene, times) -> tuple[np.ndarray, np.ndarray]:
+    """Edge rows of every box of advance(scene, t) for every t in times.
 
-    Row 4i + j of frame k is advance(scene, times[k]).obstacles[i].edge_array[j],
-    bit for bit: the centers and corners take the same float operations in
-    the same order. A box that advance() leaves in place gets x + 0.0 here,
-    which can change only the sign of a zero coordinate, and every corner
-    adds a nonzero offset to it.
+    Returns (edges, ids): a (K, 4m, 4) array whose row 4i + j of frame k is
+    edge j of advance(scene, times[k]).obstacles[i] as px, py, qx, qy, and
+    the (4m,) obstacle id of each row. A box's vertices run counter-clockwise
+    from (+half_length, +half_width) in its own frame, and edge j goes from
+    vertex j to vertex j + 1 mod 4. The centers take advance()'s float
+    operations in the same order; a box that advance() leaves in place gets
+    x + 0.0 here, which can change only the sign of a zero coordinate, and
+    every vertex adds a nonzero offset to it.
     """
     boxes = scene.obstacles
     heading_cos = np.array([math.cos(o.heading) for o in boxes])
@@ -154,7 +127,7 @@ def edges_at(scene: Scene, times) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64)[:, None]
     cx = (x0 + t * speed * heading_cos)[:, :, None]
     cy = (y0 + t * speed * heading_sin)[:, :, None]
-    # corners in corners() order: (hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)
+    # vertex offsets along and across the heading: (hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)
     sl = np.array([o.half_length for o in boxes])[:, None] * [1.0, -1.0, -1.0, 1.0]
     sw = np.array([o.half_width for o in boxes])[:, None] * [1.0, 1.0, -1.0, -1.0]
     ch = heading_cos[:, None]
@@ -163,13 +136,8 @@ def edges_at(scene: Scene, times) -> np.ndarray:
     py = cy + sl * sh + sw * ch
     nxt = [1, 2, 3, 0]
     edges = np.stack((px, py, px[..., nxt], py[..., nxt]), axis=-1)
-    return edges.reshape(t.shape[0], 4 * len(boxes), 4)
-
-
-def edge_rows(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Every box's edge_array stacked as one (4m, 4) array, and the id of each row's box."""
-    edges = np.array([o.edge_array for o in scene.obstacles]).reshape(-1, 4)
-    return edges, np.repeat(np.array([o.id for o in scene.obstacles], dtype=np.int64), 4)
+    ids = np.repeat(np.array([o.id for o in boxes], dtype=np.int64), 4)
+    return edges.reshape(t.shape[0], 4 * len(boxes), 4), ids
 
 
 def ray_fan(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -228,7 +196,7 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
 
     edges is a (K, E, 4) array of px, py, qx, qy rows, in the same order in
     every frame, and edge_ids the (E,) obstacle id of each row, as
-    edge_rows gives them. `fan` is ray_fan of the rays' angles. Returns
+    edges_at gives them. `fan` is ray_fan of the rays' angles. Returns
     (ranges, hit_ids) as (K, n) arrays, nan and -1 on a miss. Only the
     (ray, edge) pairs that _candidate_pairs keeps are solved, all K frames
     in one pass; each (frame, ray) takes its nearest range and, on an exact
@@ -284,7 +252,7 @@ def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.nda
     max_ranges = np.asarray(max_ranges, dtype=np.float64)
     if np.any(max_ranges <= 0.0):
         raise ValueError("max_range must be positive")
-    edges, edge_ids = edge_rows(scene)
-    ranges, hit_ids = cast_edges(edges[None], edge_ids, origin,
+    edges, edge_ids = edges_at(scene, (0.0,))
+    ranges, hit_ids = cast_edges(edges, edge_ids, origin,
                                  ray_fan(angles) if fan is None else fan, max_ranges)
     return ranges[0], hit_ids[0]

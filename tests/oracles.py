@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Each oracle takes a different computational route from the production code:
+box edges from scalar vertex math instead of edges_at's arrays,
 line-line intersection via homogeneous determinants instead of the ray
 parameter solve, a scalar and a dense rays x edges ray-parameter solve
 instead of the bearing-culled one, fixed-point iteration instead of
 bisection, per-frame stepping instead of closed-form motion, stdlib
 statistics instead of numpy percentiles, a linear scan instead of a
-search for the plan segment under a bearing, and a run loop that rebuilds
+search for the plan segment under a bearing, a trace lookup per frame
+instead of one frame bound per trace sample, and a run loop that rebuilds
 the scan plan every frame instead of once per gaze state, casts the whole
 scene every frame instead of its static boxes once per gaze state, and scans
 and counts one frame at a time instead of a chunk of frames per call.
@@ -33,6 +35,23 @@ class RayHit(NamedTuple):
     hit_id: int
 
 
+def box_segments(box) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """The box's four edges as ((px, py), (qx, qy)), scalar math.
+
+    Vertices run counter-clockwise from (+half_length, +half_width) in the
+    box frame, and edge j joins vertex j to vertex j + 1 mod 4.
+    """
+    ch = math.cos(box.heading)
+    sh = math.sin(box.heading)
+    hl = box.half_length
+    hw = box.half_width
+    cx = box.center.x
+    cy = box.center.y
+    v = [(cx + sl * ch - sw * sh, cy + sl * sh + sw * ch)
+         for sl, sw in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+    return [(v[i], v[(i + 1) % 4]) for i in range(4)]
+
+
 def brute_force_cast(scene: Scene, origin: Vec2, angle: float, max_range: float):
     """Nearest hit by checking every edge of every obstacle, scalar math."""
     ox, oy = origin.x, origin.y
@@ -43,7 +62,7 @@ def brute_force_cast(scene: Scene, origin: Vec2, angle: float, max_range: float)
     best_t = math.inf
     best_id = -1
     for obstacle in scene.obstacles:
-        for (x1, y1), (x2, y2) in obstacle.segments():
+        for (x1, y1), (x2, y2) in box_segments(obstacle):
             a2 = y2 - y1
             b2 = -(x2 - x1)
             c2 = a2 * x1 + b2 * y1
@@ -80,7 +99,7 @@ def scalar_cast(scene: Scene, origin: Vec2, angle: float, max_range: float):
     best_t = math.inf
     best_id = -1
     for obstacle in scene.obstacles:
-        for (px, py), (qx, qy) in obstacle.segments():
+        for (px, py), (qx, qy) in box_segments(obstacle):
             ex = qx - px
             ey = qy - py
             denom = dx * ey - dy * ex
@@ -108,7 +127,7 @@ def dense_cast_rays(scene: Scene, origin: Vec2, angles, max_ranges):
     if np.any(max_ranges <= 0.0):
         raise ValueError("max_range must be positive")
     n = angles.shape[0]
-    segments = [(p, q, o.id) for o in scene.obstacles for p, q in o.segments()]
+    segments = [(p, q, o.id) for o in scene.obstacles for p, q in box_segments(o)]
     out_r = np.full(n, np.nan)
     out_id = np.full(n, -1, dtype=np.int64)
     if not segments or n == 0:
@@ -143,6 +162,17 @@ def segment_at(plan, angle: float):
         if seg.start <= angle < seg.end:
             return seg
     raise ValueError(f"bearing {angle} outside the plan")
+
+
+def samples_read_per_frame(times, frame_rate: float, end: float) -> list[int]:
+    """Indices of the trace samples that frames read, one lookup per frame.
+
+    Frame k runs at k / frame_rate while that is below `end` and reads the
+    last sample at or before its time, or sample 0 before the first.
+    """
+    t = np.arange(math.ceil(end * frame_rate) + 1) / frame_rate
+    read = np.searchsorted(times, t[t < end], side="right") - 1
+    return sorted(set(read.clip(0).tolist()))
 
 
 def stepped_advance(scene: Scene, total_t: float, steps: int) -> Scene:

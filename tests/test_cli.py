@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,11 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
 
+    def test_accepts_a_max_sim_time_of_1e12(self, tmp_path, capsys):
+        config = _write_trimmed_config(tmp_path, max_sim_time_s=1e12)
+        assert main(["validate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
+
     def test_rejects_semantic_problems(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
@@ -184,6 +191,37 @@ class TestRun:
         assert "--jobs: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"seeds": [-1]}, "seeds[0]: -1 outside [0, inf)"),
+        ({"seeds": [1, 1]}, "seeds[1] repeats seeds[0]"),
+        ({"fog_fractions": [0.5, 0.5]}, "fog_fractions[1] repeats fog_fractions[0]"),
+    ], ids=["negative-seed", "repeated-seed", "repeated-fog"])
+    def test_bad_seeds_and_fog_levels_exit_without_running(self, tmp_path, capsys, monkeypatch,
+                                                           overrides, problem):
+        config = _write_trimmed_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(config)]) == 1
+        assert problem in capsys.readouterr().out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, monkeypatch, seed):
+        config = _write_trimmed_config(tmp_path)
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o"), "--seed-override", seed])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed-override: must be at least 0" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_semantically_invalid_config_exits_2(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
@@ -220,6 +258,25 @@ class TestRun:
         assert code == 1
         assert "failures" in capsys.readouterr().out
         assert (out / "summary.json").is_file()
+
+
+class TestShippedOutputs:
+    """The shipped sweep's three output files, pinned by SHA-256.
+
+    tests/shipped_outputs.sha256 is in `sha256sum` format, so
+    `sha256sum -c` checks an output directory against it as well.
+    """
+
+    PINS = Path(__file__).with_name("shipped_outputs.sha256")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_outputs_match_the_pinned_hashes(self, tmp_path, capsys, jobs):
+        pins = dict(reversed(line.split()) for line in self.PINS.read_text().splitlines())
+        assert sorted(pins) == ["density_samples.csv", "results.csv", "summary.json"]
+        assert main(["run", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path),
+                     "--jobs", jobs]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in pins} == pins
 
 
 class TestReport:

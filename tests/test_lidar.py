@@ -12,7 +12,7 @@ from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
                              pulse_directions, revolution_setup, scan_frames, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
-from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edge_rows, edges_at
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
 from helpers import make_enclosing_scene, make_random_scene
 from oracles import dense_cast_rays, segment_at
 
@@ -411,8 +411,7 @@ class TestScanFrames:
             static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
             setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
             times = [0.0, 0.05, 0.1, 0.15, 1.0]
-            ids = edge_rows(movers)[1]
-            chunk = scan_frames(edges_at(movers, times), ids, movers.ego_position,
+            chunk = scan_frames(*edges_at(movers, times), movers.ego_position,
                                 setup, self.FOG.sigma, np.random.default_rng(seed))
             ranges, hit_ids, hit = chunk
             one_by_one = np.random.default_rng(seed)

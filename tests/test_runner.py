@@ -23,7 +23,7 @@ from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
                               write_summary_json, _build_start_scene)
 from gazelidar.scene import ObstacleBox, Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
-from oracles import per_frame_run, quartiles_inclusive
+from oracles import per_frame_run, quartiles_inclusive, samples_read_per_frame
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
 # gaze angles in degrees; 0 gives a RoF wrapped across 0/tau
@@ -74,6 +74,23 @@ def _sweep_config(default_config, kind):
     if kind == "dropout":
         return dataclasses.replace(default_config, dropout=True, **short)
     return dataclasses.replace(default_config, dropout=True, spawn_jitter_m=3.0, **short)
+
+
+@st.composite
+def _frame_case(draw):
+    """(trace times, frame rate, end time) with times on, one ulp off or between frames."""
+    frame_rate = draw(st.one_of(st.sampled_from([20.0, 11.0, 3.0, 0.7, 29.97]),
+                                st.floats(0.1, 100.0)))
+
+    def near_frame(low):
+        k = st.integers(low, 40)
+        return st.one_of(k.map(lambda k: k / frame_rate),
+                         st.tuples(k, st.sampled_from([-math.inf, math.inf])).map(
+                             lambda ks: math.nextafter(ks[0] / frame_rate, ks[1])),
+                         st.floats(low / frame_rate, 40.0 / frame_rate))
+    times = sorted(set(draw(st.lists(near_frame(-3), min_size=1, max_size=8))))
+    end = draw(near_frame(1).filter(lambda t: t > 0.0))
+    return tuple(times), frame_rate, end
 
 
 class TestLoadRunConfig:
@@ -199,6 +216,7 @@ class TestLoadRunConfig:
         (("scenario", "obstacles", 0), "half_length", "2", r"obstacles\[0\].half_length"),
         (("scenario", "obstacles", 2), "heading_deg", math.inf, r"obstacles\[2\].heading_deg"),
         (("scenario", "obstacles", 1), "speed_mps", -1.0, r"obstacles\[1\].speed_mps"),
+        ((), "seeds", [3, -1], r"seeds\[1\]: -1 outside \[0, inf\)"),
     ])
     def test_numbers_are_checked_and_named(self, tmp_path, where, key, value, field):
         def mutate(raw):
@@ -264,6 +282,18 @@ class TestValidateRunConfig:
             assert len(problems) == 1
             assert "variants[4] repeats the name" in problems[0]
 
+    @pytest.mark.parametrize("axis, values, problem", [
+        ("seeds", (1, 1), "seeds[1] repeats seeds[0] (1)"),
+        ("seeds", (5, 6, 7, 6), "seeds[3] repeats seeds[1] (6)"),
+        ("fog_fractions", (0.5, 0.5), "fog_fractions[1] repeats fog_fractions[0] (0.5)"),
+        ("fog_fractions", (0.0, 0.25, -0.0), "fog_fractions[2] repeats fog_fractions[0] (-0.0)"),
+    ])
+    def test_flags_repeated_seeds_and_fog_fractions(self, default_config, axis, values, problem):
+        # a repeated value would run and write its rows twice
+        problems = validate_run_config(dataclasses.replace(default_config, **{axis: values}))
+        assert len(problems) == 1
+        assert problems[0].startswith(problem)
+
     def test_flags_unknown_target(self, default_config):
         scenario = ScenarioConfig(default_config.scenario.scene, 99)
         config = dataclasses.replace(default_config, scenario=scenario)
@@ -316,6 +346,22 @@ class TestValidateRunConfig:
         # a degenerate partition fails every variant's runs, baseline too
         assert [p.split(" ")[0] for p in problems if p.startswith("variants[")] == (
             ["variants[0]", "variants[1]", "variants[2]", "variants[3]"] if reported else [])
+
+    def test_a_long_max_sim_time_validates_clean(self, default_config):
+        # 2e13 frames at 20 Hz: one array element per frame would not fit in memory
+        config = dataclasses.replace(default_config, max_sim_time=1e12)
+        assert validate_run_config(config) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_frame_case())
+    # ceil(t * frame_rate) one frame late: 255 / 11.0 * 11.0 rounds above 255
+    @example(case=((0.0, 255 / 11.0), 11.0, 256 / 11.0))
+    # and one frame early: the frame at 35 / 0.7 s comes one ulp before the sample
+    @example(case=((0.0, math.nextafter(35 / 0.7, math.inf)), 0.7, 36 / 0.7))
+    def test_samples_read_match_the_per_frame_lookup(self, case):
+        times, frame_rate, end = case
+        assert runner._samples_read(times, frame_rate, end) == samples_read_per_frame(
+            times, frame_rate, end)
 
     def test_skips_a_sample_that_no_frame_reads(self, default_config):
         # at 20 Hz the 0 deg sample is superseded before the frame at 0.05 s;

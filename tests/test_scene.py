@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_edges, cast_rays, edge_rows,
-                             edges_at, ray_fan)
+from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_edges, cast_rays, edges_at,
+                             ray_fan)
 from helpers import make_random_scene
-from oracles import brute_force_cast, dense_cast_rays, scalar_cast, stepped_advance
+from oracles import box_segments, brute_force_cast, dense_cast_rays, scalar_cast, stepped_advance
 
 TAU = math.tau
 
@@ -20,6 +20,16 @@ def _single_box_scene(center=(50.0, 0.0), heading=0.0, hl=2.0, hw=3.0, oid=1,
                       speed=0.0):
     box = ObstacleBox.spawn(oid, Vec2(*center), heading, hl, hw, speed)
     return Scene(Vec2(0.0, 0.0), (box,), Vec2(0.0, 10.0))
+
+
+def _edges_of(box):
+    """edges_at's (4, 4) rows of one box where it stands."""
+    return edges_at(Scene(Vec2(0.0, 0.0), (box,), Vec2(0.0, 1.0)), (0.0,))[0][0]
+
+
+def _vertices(box):
+    """The box's vertices, in edges_at's order, as (x, y) tuples."""
+    return [(px, py) for px, py, _, _ in _edges_of(box).tolist()]
 
 
 def _cast_one(scene, origin, angle, max_range):
@@ -53,11 +63,11 @@ class TestObstacleBox:
 
     def test_corners_axis_aligned(self):
         box = ObstacleBox.spawn(1, Vec2(0.0, 0.0), 0.0, 2.0, 1.0, 0.0)
-        assert box.corners() == [(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)]
+        assert _vertices(box) == [(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)]
 
     def test_corners_are_counterclockwise_with_the_right_area(self):
         box = ObstacleBox.spawn(1, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
-        c = box.corners()
+        c = _vertices(box)
         shoelace = sum(c[i][0] * c[(i + 1) % 4][1] - c[(i + 1) % 4][0] * c[i][1]
                        for i in range(4))
         assert shoelace / 2.0 == pytest.approx(4 * 2.5 * 1.25, rel=1e-12)
@@ -65,44 +75,30 @@ class TestObstacleBox:
 
     def test_heading_rotates_the_long_axis(self):
         box = ObstacleBox.spawn(1, Vec2(0.0, 0.0), math.pi / 2, 4.0, 1.0, 0.0)
-        xs = [x for x, _ in box.corners()]
-        ys = [y for _, y in box.corners()]
+        xs = [x for x, _ in _vertices(box)]
+        ys = [y for _, y in _vertices(box)]
         assert max(xs) == pytest.approx(1.0, abs=1e-12)
         assert max(ys) == pytest.approx(4.0, abs=1e-12)
 
     def test_segments_close_the_loop(self):
         box = ObstacleBox.spawn(1, Vec2(1.0, 2.0), 0.3, 2.0, 1.0, 0.0)
-        segs = box.segments()
-        assert len(segs) == 4
-        for (_, end), (start, _) in zip(segs, segs[1:] + segs[:1]):
-            assert end == start
+        rows = _edges_of(box)
+        assert rows.shape == (4, 4)
+        for row, following in zip(rows, np.roll(rows, -1, axis=0)):
+            assert row[2:].tolist() == following[:2].tolist()
 
     def test_spawn_records_the_initial_center(self):
         box = ObstacleBox.spawn(1, Vec2(5.0, 6.0), 0.0, 1.0, 1.0, 2.0)
         assert box.spawn_center == Vec2(5.0, 6.0)
 
-    def test_edge_array_is_the_segments_and_read_only(self):
-        box = ObstacleBox.spawn(1, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
-        expected = [(p[0], p[1], q[0], q[1]) for p, q in box.segments()]
-        assert box.edge_array.tolist() == [list(row) for row in expected]
-        assert not box.edge_array.flags.writeable
-        assert box.edge_array is box.edge_array
-
-
-class TestEdgeArrayAcrossMotion:
-    def test_static_boxes_keep_their_cached_edges(self):
-        scene = _single_box_scene(speed=0.0)
-        edges = scene.obstacles[0].edge_array
-        assert advance(scene, 2.5).obstacles[0].edge_array is edges
-
-    def test_moving_boxes_take_corners_from_the_advanced_center(self):
-        scene = _single_box_scene(center=(67.0, 66.0), heading=math.pi, speed=13.88888888888889)
-        spawn_edges = scene.obstacles[0].edge_array
-        for t in (0.05, 1.0, 3.35):
-            moved = advance(scene, t).obstacles[0]
-            fresh = ObstacleBox.spawn(1, moved.center, moved.heading, 2.0, 3.0, 0.0)
-            assert moved.edge_array is not spawn_edges
-            assert np.array_equal(moved.edge_array, fresh.edge_array)
+    def test_edges_at_rows_are_the_segments_with_their_ids(self):
+        a = ObstacleBox.spawn(4, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
+        b = ObstacleBox.spawn(2, Vec2(-1.0, 9.0), 2.1, 1.5, 0.5, 3.0)
+        edges, ids = edges_at(Scene(Vec2(0, 0), (a, b), Vec2(0, 1)), (0.0,))
+        expected = [[px, py, qx, qy] for o in (b, a) for (px, py), (qx, qy) in box_segments(o)]
+        assert edges.shape == (1, 8, 4)
+        assert edges[0].tolist() == expected
+        assert ids.dtype == np.int64 and ids.tolist() == [2] * 4 + [4] * 4
 
 
 class TestScene:
@@ -265,7 +261,7 @@ def _random_boxes(rng, n, spread):
 
 def _edge_bearings(scene, origin):
     return np.array([math.atan2(y - origin.y, x - origin.x)
-                     for o in scene.obstacles for x, y in o.corners()])
+                     for o in scene.obstacles for (x, y), _ in box_segments(o)])
 
 
 class TestCulledCasterMatchesDenseOracle:
@@ -302,7 +298,7 @@ class TestCulledCasterMatchesDenseOracle:
         rng = np.random.default_rng(9)
         for _ in range(200):
             scene = Scene(Vec2(0, 0), _random_boxes(rng, int(rng.integers(1, 6)), 6.0), Vec2(0, 1))
-            (px, py), (qx, qy) = scene.obstacles[0].segments()[int(rng.integers(0, 4))]
+            (px, py), (qx, qy) = box_segments(scene.obstacles[0])[int(rng.integers(0, 4))]
             s = rng.choice([0.0, 1.0, 0.5, -0.5, 1.5, rng.uniform(-3.0, 4.0)])
             origin = Vec2(px + s * (qx - px), py + s * (qy - py))
             angles = np.concatenate((rng.uniform(0.0, TAU, size=200),
@@ -317,7 +313,7 @@ class TestCulledCasterMatchesDenseOracle:
             box = ObstacleBox.spawn(1, Vec2(*rng.uniform(-50.0, 50.0, 2)), rng.uniform(0.0, TAU),
                                     rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), 0.0)
             scene = Scene(Vec2(0, 0), (box,), Vec2(0, 1))
-            cx, cy = box.corners()[int(rng.integers(0, 4))]
+            (cx, cy), _ = box_segments(box)[int(rng.integers(0, 4))]
             offset = 10.0 ** rng.uniform(-14.0, -6.0)
             heading = rng.uniform(0.0, TAU)
             origin = Vec2(cx + offset * math.cos(heading), cy + offset * math.sin(heading))
@@ -380,24 +376,24 @@ def _scene_of(boxes):
 
 
 class TestFrameBatches:
-    """edges_at and cast_edges take K frames of moving boxes in one pass;
-    edge_rows gives one frame's rows as edges_at lays them out."""
+    """edges_at and cast_edges take K frames of moving boxes in one pass."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_BOX, max_size=6),
            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)), min_size=1, max_size=8))
+    @example([(0.0, -0.0, math.pi / 2, 2.0, 1.0, 0.0), (-0.0, 0.0, math.pi, 1.5, 0.5, 3.0)],
+             [0.0, 1.0])
+    @example([(-0.0, -0.0, 1.5 * math.pi, 0.1, 5.0, 7.5), (0.0, 0.0, 0.0, 10.0, 0.1, 0.0),
+              (0.0, -0.0, 2.0 * math.pi, 3.0, 2.0, 1.0)], [0.0, 0.0, 2.5])
     def test_edges_at_matches_advance_bit_for_bit(self, boxes, times):
         scene = _scene_of(boxes)
-        edges = edges_at(scene, times)
+        edges, ids = edges_at(scene, times)
         assert edges.shape == (len(times), 4 * len(boxes), 4)
+        assert ids.tolist() == [o.id for o in scene.obstacles for _ in range(4)]
         for k, t in enumerate(times):
-            moved = advance(scene, t).obstacles
-            expected = (np.concatenate([o.edge_array for o in moved]) if moved
-                        else np.empty((0, 4)))
-            assert np.array_equal(_bits(edges[k]), _bits(expected))
-            rows, ids = edge_rows(advance(scene, t))
-            assert np.array_equal(_bits(rows), _bits(expected))
-            assert ids.tolist() == [o.id for o in moved for _ in range(4)]
+            expected = [[px, py, qx, qy] for o in advance(scene, t).obstacles
+                        for (px, py), (qx, qy) in box_segments(o)]
+            assert np.array_equal(_bits(edges[k]), _bits(np.array(expected).reshape(-1, 4)))
 
     def test_k_frame_cast_equals_k_dense_casts(self):
         rng = np.random.default_rng(31)
@@ -415,8 +411,7 @@ class TestFrameBatches:
             times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 4.0, 6))))
             angles = rng.uniform(0.0, TAU, size=500)
             max_ranges = rng.uniform(5.0, 120.0, size=500)
-            ids = np.repeat(np.array([o.id for o in scene.obstacles]), 4)
-            ranges, hit_ids = cast_edges(edges_at(scene, times), ids, scene.ego_position,
+            ranges, hit_ids = cast_edges(*edges_at(scene, times), scene.ego_position,
                                          ray_fan(angles), max_ranges)
             assert ranges.shape == hit_ids.shape == (len(times), 500)
             for k, t in enumerate(times):
@@ -434,7 +429,6 @@ class TestFrameBatches:
                                  ray_fan(angles), np.full(8, 50.0))
         assert ranges.shape == (3, 8) and np.all(np.isnan(ranges)) and np.all(ids == -1)
         scene = make_random_scene(np.random.default_rng(32))
-        ids = np.repeat(np.array([o.id for o in scene.obstacles]), 4)
-        ranges, hit_ids = cast_edges(edges_at(scene, [0.0, 1.0]), ids, scene.ego_position,
+        ranges, hit_ids = cast_edges(*edges_at(scene, [0.0, 1.0]), scene.ego_position,
                                      ray_fan(np.empty(0)), np.empty(0))
         assert ranges.shape == hit_ids.shape == (2, 0)
