@@ -67,7 +67,7 @@ class ArcSet:
             return cls(((s, TAU),))
         return cls(((0.0, e), (s, TAU)))
 
-    @property
+    @cached_property
     def width(self) -> float:
         return sum(end - start for start, end in self.arcs)
 

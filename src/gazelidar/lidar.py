@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atmosphere import FogCondition, SensorCalibration, effective_range
-from .gaze import TAU
+from .gaze import TAU, ArcSet
 from .scene import Scene, Vec2, cast_edges, cast_rays, edges_at, ray_fan
 
 
@@ -92,8 +92,11 @@ class PointCloud:
     """Returns from one revolution, plus per-arc ray accounting.
 
     returns is a structured array of RETURN_DTYPE in firing order;
-    segment_rays[i] is the number of pulses fired in segments[i]. Two
-    clouds are equal when every field, returns included, is equal.
+    segment_rays[i] is the number of pulses fired in segments[i]. When
+    given, in_roi[i] flags whether returns[i] fired inside the RoI whose
+    ArcSet.bounds are roi_bounds: metrics.density counts these flags
+    instead of mapping angles. Two clouds are equal when every other field,
+    returns included, is equal; the flags are derived from returns.
     """
 
     frame_time: float
@@ -101,6 +104,8 @@ class PointCloud:
     rays_fired: int
     segments: tuple[ScanSegment, ...]
     segment_rays: np.ndarray | tuple[int, ...]
+    roi_bounds: np.ndarray | None = None
+    in_roi: np.ndarray | None = None
 
     @property
     def rays_per_arc(self) -> dict[tuple[float, float], int]:
@@ -125,10 +130,13 @@ class RevolutionSetup(NamedTuple):
     cast of the scene's static layer (static_ranges and static_ids, all
     misses, nan and -1, when there are none). cos, sin, key and order are
     scene.ray_fan of the angles, which every cast of them reuses, and
-    segment_rays counts the pulses per plan segment. These depend only on
-    the plan, the fog, the calibration and the static boxes, so a run
-    computes them once per gaze state and reuses them every frame. The
-    arrays are read-only because they are shared between frames.
+    segment_rays counts the pulses per plan segment. in_roi is
+    roi.contains_many(angles) and roi_bounds is roi.bounds, for the RoI
+    given to revolution_setup, else for the empty set. These depend only on
+    the plan, the fog, the calibration, the static boxes and the RoI, so a
+    sweep computes them once per gaze state of a (variant, fog) cell and
+    reuses them every frame of every seed. The arrays are read-only because
+    they are shared between frames.
     """
 
     angles: np.ndarray
@@ -141,17 +149,23 @@ class RevolutionSetup(NamedTuple):
     key: np.ndarray
     order: np.ndarray
     segment_rays: np.ndarray
+    roi_bounds: np.ndarray
+    in_roi: np.ndarray
 
 
 def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
-                     static_scene: Scene | None = None) -> RevolutionSetup:
+                     static_scene: Scene | None = None,
+                     roi: ArcSet | None = None) -> RevolutionSetup:
     """Pulse directions, each pulse's effective range and the static cast.
 
     effective_range runs once per distinct segment power. The boxes of
     static_scene are cast from its ego position once, here; scan_revolution
-    and scan_frames must then be given the other boxes.
+    and scan_frames must then be given the other boxes. Each pulse is
+    flagged by whether it fires inside roi, and the clouds scan_revolution
+    collects under this setup carry their returns' flags.
     """
     angles, seg_idx = pulse_directions(plan)
+    roi = ArcSet.empty() if roi is None else roi
     seg_ranges = {}
     for seg in plan.segments:
         if seg.power not in seg_ranges:
@@ -165,7 +179,8 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
         static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
                                               angles, max_ranges, fan)
     setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids, *fan,
-                            np.bincount(seg_idx, minlength=len(plan.segments)))
+                            np.bincount(seg_idx, minlength=len(plan.segments)),
+                            roi.bounds, roi.contains_many(angles))
     for array in setup:
         array.flags.writeable = False
     return setup
@@ -225,7 +240,7 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     without a static layer. `swept`, when given, is this revolution's frame
     of a scan_frames call under `setup`, as (ranges, hit_ids, hit) rows; the
     returns are then collected from it and scene, fog, dropout and rng are
-    not read again.
+    not read again. The cloud carries its returns' flags from setup.in_roi.
     """
     if setup is None:
         setup = revolution_setup(plan, fog, cal)
@@ -241,4 +256,5 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = ranges[hit]
     returns["hit_id"] = hit_ids[hit]
-    return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays)
+    return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays,
+                      setup.roi_bounds, setup.in_roi[hit])

@@ -42,9 +42,17 @@ def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
 
 
 def density(cloud: PointCloud, roi: ArcSet, frame_index: int = 0) -> DensitySample:
-    """Returns per degree inside the region of interest for one frame."""
+    """Returns per degree inside the region of interest for one frame.
+
+    A cloud whose RoI flags were built for this roi, which its bounds array
+    identifies, is counted through them; otherwise, an equal but distinct
+    ArcSet included, every return's angle is mapped into the roi.
+    """
     if roi.is_empty():
         raise ValueError("roi must have positive width")
-    count = int(np.count_nonzero(roi.contains_many(cloud.returns["angle"])))
+    if cloud.roi_bounds is roi.bounds:
+        count = int(np.count_nonzero(cloud.in_roi))
+    else:
+        count = int(np.count_nonzero(roi.contains_many(cloud.returns["angle"])))
     width_deg = math.degrees(roi.width)
     return DensitySample(frame_index, count, width_deg, count / width_deg)

@@ -109,7 +109,8 @@ def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
 
     Accepts [low, high], or (low, high] with low_open; returns a float, or
     the int itself when `integer`. Booleans and numeric strings are not
-    numbers. Raises ConfigError naming the field otherwise.
+    numbers. Raises ConfigError naming the field otherwise, with integer
+    bounds printed in full.
     """
     kinds = (int,) if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -122,7 +123,9 @@ def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
         if not math.isfinite(value):
             raise ConfigError(f"{field}: {value!r} is not finite")
     if not low <= value <= high or (low_open and value == low):
-        interval = f"{'(' if low_open else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        form = "" if integer else "g"
+        interval = (f"{'(' if low_open else '['}{low:{form}}, {high:{form}}"
+                    f"{']' if high < math.inf else ')'}")
         raise ConfigError(f"{field}: {value!r} outside {interval}")
     return value
 
@@ -242,8 +245,9 @@ def load_run_config(path) -> RunConfig:
     for i, o in enumerate(obstacles_raw):
         octx = f"{context}.obstacles[{i}]"
         _typed(o, dict, octx)
+        # edges_at stores obstacle ids as int64, and casts mark a miss -1
         obstacles.append(ObstacleBox.spawn(
-            _number(_require(o, "id", octx), f"{octx}.id", integer=True),
+            _number(_require(o, "id", octx), f"{octx}.id", 0, 2 ** 63 - 1, integer=True),
             _vec2(_require(o, "center", octx), f"{octx}.center"),
             math.radians(_number(_require(o, "heading_deg", octx), f"{octx}.heading_deg")),
             _positive(_require(o, "half_length", octx), f"{octx}.half_length"),
@@ -394,26 +398,29 @@ def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
 
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
-               seed: int) -> RunRecord:
+               seed: int, setups: dict | None = None) -> RunRecord:
     """Simulate one run; stops at target detection or max_sim_time.
 
     The seed drives only spawn jitter and fog dropout, so with both off the
-    record is identical across seeds. The RoI, scan plan, per-pulse setup
-    and the cast of the static boxes are built once per distinct gaze state
-    in the trace, not per frame. Frames are swept in chunks of up to
-    CHUNK_FRAMES that share a gaze state: one scan_frames call advances and
-    casts the moving boxes for the whole chunk and draws its dropout. Then,
-    frame by frame, scan_revolution collects the frame's returns from the
-    chunk, and density and detect read them. Frames of the chunk after the
-    detecting frame, and their dropout draws, are discarded; frames_cast
-    counts them.
+    record is identical across seeds. The RoI, scan plan and per-pulse setup
+    (with the static boxes' cast and the RoI flags) are built once per
+    distinct gaze state in the trace, not per frame, and kept in `setups`
+    under (variant, fog_fraction, gaze_state). Spawn jitter moves only the
+    movers, so every seed builds the same setups, and runs of one config
+    that share a `setups` dict build each of them once. Frames are swept in
+    chunks of up to CHUNK_FRAMES that share a gaze state: one scan_frames
+    call advances and casts the moving boxes for the whole chunk and draws
+    its dropout. Then, frame by frame, scan_revolution collects the frame's
+    returns from the chunk, and density and detect read them. Frames of the
+    chunk after the detecting frame, and their dropout draws, are discarded;
+    frames_cast counts them.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
     sigma = fog.sigma if config.dropout else 0.0
     trace = config.gaze_trace
-    per_gaze = {}
+    setups = {} if setups is None else setups
     target_id = config.scenario.target_id
     frame = 0
     frames_cast = 0
@@ -438,11 +445,12 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
             while k < len(times) and trace.at(times[k]) == gaze_state:
                 k += 1
             times = times[:k]
-            if gaze_state not in per_gaze:
+            key = (variant, fog_fraction, gaze_state)
+            if key not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
-                per_gaze[gaze_state] = (roi, plan, revolution_setup(plan, fog, config.calibration,
-                                                                    static))
-            roi, plan, setup = per_gaze[gaze_state]
+                setups[key] = (roi, plan, revolution_setup(plan, fog, config.calibration,
+                                                           static, roi))
+            roi, plan, setup = setups[key]
             chunk = scan_frames(*edges_at(movers, times), scene0.ego_position, setup, sigma, rng)
             frames_cast += k
             for j, t in enumerate(times):
@@ -469,30 +477,32 @@ def _record_key(record: RunRecord):
     return (v.variant, v.p_low_ratio, v.omega_high_ratio, record.fog_fraction, record.seed)
 
 
-def _run_cell(args):
-    config, variant, fog, seed = args
-    return run_single(config, variant, fog, seed)
+def _run_cell(args) -> list[RunRecord]:
+    """The runs of one (variant, fog) cell, one per seed, sharing one setup cache."""
+    config, variant, fog, seeds = args
+    setups = {}
+    return [run_single(config, variant, fog, seed, setups) for seed in seeds]
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    Runs are independent; jobs > 1 executes them in worker processes, at most
-    one per simulated run, with identical results. A (variant, fog) cell whose
+    Each (variant, fog) cell is one task: its runs share the revolution
+    setups of each gaze state. jobs > 1 executes the cells in worker
+    processes, at most one per cell, with identical results. A cell whose
     runs draw no random numbers is simulated once, with the first seed, and
     copied to the other seeds; copies carry reused_from and a wall_time of 0.
     """
-    grid = [(config, variant, fog, seed)
+    grid = [(config, variant, fog, config.seeds if uses_rng(config, fog) else config.seeds[:1])
             for variant in config.variants
-            for fog in config.fog_fractions
-            for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
+            for fog in config.fog_fractions]
     if jobs > 1 and len(grid) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            simulated = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
+            cells = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
     else:
-        simulated = [_run_cell(cell) for cell in grid]
+        cells = [_run_cell(cell) for cell in grid]
     records = []
-    for record in simulated:
+    for record in [record for cell in cells for record in cell]:
         records.append(record)
         if not uses_rng(config, record.fog_fraction):
             records += [dataclasses.replace(record, seed=seed, wall_time=0.0,

@@ -55,6 +55,8 @@ class ObstacleBox:
     spawn_center: Vec2
 
     def __post_init__(self) -> None:
+        if self.id < 0:
+            raise ValueError(f"obstacle {self.id}: id must be non-negative; casts mark a miss -1")
         if self.half_length <= 0.0 or self.half_width <= 0.0:
             raise ValueError(f"obstacle {self.id}: box half-extents must be positive")
         if self.speed < 0.0:

@@ -5,10 +5,14 @@ import copy
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gazelidar
 from gazelidar import __version__
 from gazelidar.cli import entry, main
 from gazelidar.runner import ConfigError, load_run_config
@@ -222,6 +226,25 @@ class TestRun:
         assert "--seed-override: must be at least 0" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("obstacle_id", [10 ** 20, 2 ** 63, -1])
+    def test_obstacle_ids_outside_0_to_int64_max_exit_without_running(self, tmp_path, capsys,
+                                                                      monkeypatch, obstacle_id):
+        scenario = copy.deepcopy(DEFAULT_JSON["scenario"])
+        scenario["obstacles"][3]["id"] = obstacle_id
+        config = _write_trimmed_config(tmp_path, scenario=scenario)
+        field = "scenario.obstacles[3].id"
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert field in out and "Traceback" not in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_semantically_invalid_config_exits_2(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
@@ -258,6 +281,19 @@ class TestRun:
         assert code == 1
         assert "failures" in capsys.readouterr().out
         assert (out / "summary.json").is_file()
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["gazelidar", "gazelidar.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        src = str(Path(gazelidar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", module, "validate", "--config",
+                               "configs/t_intersection.json"], cwd=CONFIG_DIR.parent, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ok:")
 
 
 class TestShippedOutputs:

@@ -1,16 +1,22 @@
 """Detection decision, time-to-arrival, and RoI density."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gazelidar.gaze import ArcSet
-from gazelidar.lidar import RETURN_DTYPE, PointCloud, ScanSegment
+from gazelidar.atmosphere import FogCondition, SensorCalibration
+from gazelidar.gaze import AcuityFunction, ArcSet, GazeState, compute_rof, compute_roi
+from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, revolution_setup,
+                             scan_frames, scan_revolution)
 from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
+from gazelidar.policy import VariantConfig, build_scan_plan
+from gazelidar.scene import edges_at
+from helpers import make_enclosing_scene
 
 TAU = math.tau
 
@@ -106,3 +112,80 @@ class TestVectorisedAgainstScalarLoops:
         sample = density(cloud, roi, frame_index=3)
         assert type(sample.points_in_roi) is int and sample.points_in_roi == count
         assert sample.density == count / math.degrees(roi.width)
+
+
+CAL = SensorCalibration(1.0, 100.0)
+FOG = FogCondition(0.5, 0.005)
+# A one-segment plan and a plan whose two spin rates space the pulses unevenly.
+_ROF = compute_rof(GazeState(math.radians(135.4308), 0.5),
+                   AcuityFunction.boxcar(math.radians(30.0)))
+PLANS = (ScanPlan((ScanSegment(0.0, TAU, 1.0, TAU * 20.0),), 0.05, 7812.5),
+         build_scan_plan(VariantConfig("range_and_resolution", 0.2, 2.0), _ROF,
+                         compute_roi(_ROF), CAL, TAU * 20.0, 7812.5))
+
+
+@st.composite
+def _roi_on(draw, angles):
+    """An RoI whose arcs end on pulse angles, one ulp wide, or anywhere; may wrap."""
+    pulse = st.sampled_from(angles.tolist())
+    kind = draw(st.sampled_from(["on_pulses", "one_ulp", "floats"]))
+    if kind == "on_pulses":
+        return ArcSet.from_arc(draw(pulse), draw(pulse))
+    if kind == "one_ulp":
+        start = draw(pulse)
+        return ArcSet.from_arc(start, math.nextafter(start, math.inf))
+    return ArcSet.from_arc(draw(st.floats(0.0, TAU)), draw(st.floats(0.0, TAU)))
+
+
+class TestRoiFlags:
+    """density counts a cloud's per-return RoI flags in place of mapping its
+    angles only when the flags were built for the RoI it is asked about."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_flag_count_equals_the_mapped_angle_count(self, data):
+        plan = data.draw(st.sampled_from(PLANS))
+        angles = revolution_setup(plan, FOG, CAL).angles
+        roi = data.draw(_roi_on(angles))
+        assume(not roi.is_empty())
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        scene = make_enclosing_scene()
+        setup = revolution_setup(plan, FOG, CAL, roi=roi)
+        times = (0.0, 0.05, 0.1)
+        chunk = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
+                            np.random.default_rng(seed))
+        clouds = [scan_revolution(scene, plan, FOG, CAL, t, setup=setup,
+                                  swept=[rows[k] for rows in chunk])
+                  for k, t in enumerate(times)]
+        clouds.append(scan_revolution(scene, plan, FOG, CAL, 0.0, dropout=True,
+                                      rng=np.random.default_rng(seed), setup=setup))
+        for cloud in clouds:
+            assert cloud.roi_bounds is roi.bounds
+            expected = int(np.count_nonzero(roi.contains_many(cloud.returns["angle"])))
+            sample = density(cloud, roi, frame_index=2)
+            assert sample.points_in_roi == expected
+            assert sample == density(dataclasses.replace(cloud, roi_bounds=None, in_roi=None),
+                                     roi, frame_index=2)
+
+    def test_flags_built_for_another_roi_are_not_counted(self):
+        plan = PLANS[1]
+        built_for = ArcSet.from_arc(0.0, math.pi)
+        setup = revolution_setup(plan, FOG, CAL, roi=built_for)
+        cloud = scan_revolution(make_enclosing_scene(), plan, FOG, CAL, 0.0, setup=setup)
+        # every flag set: a count that read them would give every return
+        cloud = dataclasses.replace(cloud, in_roi=np.ones(len(cloud.returns), dtype=bool))
+        assert density(cloud, built_for).points_in_roi == len(cloud.returns)
+        for other in (built_for.complement(), ArcSet.from_arc(1.5 * math.pi, 0.5 * math.pi),
+                      ArcSet(built_for.arcs)):
+            expected = int(np.count_nonzero(other.contains_many(cloud.returns["angle"])))
+            assert expected < len(cloud.returns)
+            assert density(cloud, other).points_in_roi == expected
+
+    def test_a_setup_without_an_roi_flags_no_pulse(self):
+        setup = revolution_setup(PLANS[0], FOG, CAL)
+        assert not setup.in_roi.any() and setup.roi_bounds.shape == (2, 0)
+        assert not setup.in_roi.flags.writeable
+        cloud = scan_revolution(make_enclosing_scene(), PLANS[0], FOG, CAL, 0.0, setup=setup)
+        roi = ArcSet.from_arc(0.0, 1.0)
+        assert density(cloud, roi).points_in_roi == int(
+            np.count_nonzero(roi.contains_many(cloud.returns["angle"]))) > 0

@@ -217,6 +217,10 @@ class TestLoadRunConfig:
         (("scenario", "obstacles", 2), "heading_deg", math.inf, r"obstacles\[2\].heading_deg"),
         (("scenario", "obstacles", 1), "speed_mps", -1.0, r"obstacles\[1\].speed_mps"),
         ((), "seeds", [3, -1], r"seeds\[1\]: -1 outside \[0, inf\)"),
+        (("scenario", "obstacles", 3), "id", 10 ** 20,
+         r"obstacles\[3\].id: 100000000000000000000 outside \[0, 9223372036854775807\]"),
+        (("scenario", "obstacles", 3), "id", 2 ** 63, r"obstacles\[3\].id"),
+        (("scenario", "obstacles", 3), "id", -1, r"obstacles\[3\].id: -1 outside"),
     ])
     def test_numbers_are_checked_and_named(self, tmp_path, where, key, value, field):
         def mutate(raw):
@@ -232,6 +236,16 @@ class TestLoadRunConfig:
             frame_rate_hz=20, fog_fractions=[0, 1])))
         assert config.frame_rate == 20.0 and isinstance(config.frame_rate, float)
         assert config.fog_fractions == (0.0, 1.0)
+
+    def test_obstacle_ids_at_the_bounds_run_like_any_other(self, tmp_path, default_config):
+        def mutate(raw):
+            raw["scenario"]["obstacles"][2]["id"] = 0
+            raw["scenario"]["obstacles"][3]["id"] = 2 ** 63 - 1
+        config = load_run_config(_write_config(tmp_path, mutate))
+        assert validate_run_config(config) == []
+        record = run_single(config, config.variants[0], 0.5, 101)
+        assert _strip_wall_time(record) == _strip_wall_time(
+            run_single(default_config, default_config.variants[0], 0.5, 101))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -757,6 +771,31 @@ class TestRunSweep:
                 if copied:
                     assert r.wall_time == 0.0
                     assert r.frames_cast == first[(r.variant, r.fog_fraction)].frames_cast
+
+    def test_each_cell_builds_each_gaze_state_setup_once(self, default_config, monkeypatch):
+        left = default_config.gaze_trace.states[0]
+        right = GazeState(math.radians(45.0), left.eta)
+        config = _hidden_target(_sweep_config(default_config, "jitter_dropout"),
+                                max_sim_time=1.0, gaze_trace=GazeTrace((0.0, 0.17), (left, right)))
+        built = []
+        setup_fn = runner.revolution_setup
+
+        def counting(plan, fog, cal, static_scene, roi):
+            built.append((plan, fog, roi))
+            return setup_fn(plan, fog, cal, static_scene, roi)
+        monkeypatch.setattr(runner, "revolution_setup", counting)
+        standalone = [_strip_wall_time(run_single(config, variant, fog, seed))
+                      for variant in sorted(config.variants, key=lambda v: v.variant)
+                      for fog in sorted(config.fog_fractions)
+                      for seed in sorted(config.seeds)]
+        assert len(built) > len(standalone)
+        per_run = set(built)
+        built.clear()
+        records = run_sweep(config)
+        assert [_strip_wall_time(r) for r in records] == standalone
+        # one setup per (variant, fog, gaze state), however many seeds a cell has
+        assert len(built) == len(set(built)) == len(config.variants) * len(config.fog_fractions) * 2
+        assert set(built) == per_run
 
 
 class TestAggregation:

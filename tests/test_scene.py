@@ -61,6 +61,12 @@ class TestObstacleBox:
         with pytest.raises(ValueError):
             ObstacleBox.spawn(1, Vec2(0, 0), 0.0, 1.0, 1.0, -2.0)
 
+    def test_rejects_a_negative_id(self):
+        # a cast marks a miss with id -1, so a box with a negative id would be unseen
+        with pytest.raises(ValueError, match="non-negative"):
+            ObstacleBox.spawn(-1, Vec2(10.0, 0.0), 0.0, 1.0, 1.0, 0.0)
+        assert ObstacleBox.spawn(0, Vec2(10.0, 0.0), 0.0, 1.0, 1.0, 0.0).id == 0
+
     def test_corners_axis_aligned(self):
         box = ObstacleBox.spawn(1, Vec2(0.0, 0.0), 0.0, 2.0, 1.0, 0.0)
         assert _vertices(box) == [(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)]
