@@ -92,11 +92,8 @@ class PointCloud:
     """Returns from one revolution, plus per-arc ray accounting.
 
     returns is a structured array of RETURN_DTYPE in firing order;
-    segment_rays[i] is the number of pulses fired in segments[i]. When
-    given, in_roi[i] flags whether returns[i] fired inside the RoI whose
-    ArcSet.bounds are roi_bounds: metrics.density counts these flags
-    instead of mapping angles. Two clouds are equal when every other field,
-    returns included, is equal; the flags are derived from returns.
+    segment_rays[i] is the number of pulses fired in segments[i]. Two
+    clouds are equal when every field, returns included, is equal.
     """
 
     frame_time: float
@@ -104,8 +101,6 @@ class PointCloud:
     rays_fired: int
     segments: tuple[ScanSegment, ...]
     segment_rays: np.ndarray | tuple[int, ...]
-    roi_bounds: np.ndarray | None = None
-    in_roi: np.ndarray | None = None
 
     @property
     def rays_per_arc(self) -> dict[tuple[float, float], int]:
@@ -131,8 +126,8 @@ class RevolutionSetup(NamedTuple):
     misses, nan and -1, when there are none). cos, sin, key and order are
     scene.ray_fan of the angles, which every cast of them reuses, and
     segment_rays counts the pulses per plan segment. in_roi is
-    roi.contains_many(angles) and roi_bounds is roi.bounds, for the RoI
-    given to revolution_setup, else for the empty set. These depend only on
+    roi.contains_many(angles) for the RoI given to revolution_setup, all
+    false without one; metrics.roi_densities counts it. These depend only on
     the plan, the fog, the calibration, the static boxes and the RoI, so a
     sweep computes them once per gaze state of a (variant, fog) cell and
     reuses them every frame of every seed. The arrays are read-only because
@@ -149,23 +144,20 @@ class RevolutionSetup(NamedTuple):
     key: np.ndarray
     order: np.ndarray
     segment_rays: np.ndarray
-    roi_bounds: np.ndarray
     in_roi: np.ndarray
 
 
 def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
                      static_scene: Scene | None = None,
-                     roi: ArcSet | None = None) -> RevolutionSetup:
+                     roi: ArcSet = ArcSet.empty()) -> RevolutionSetup:
     """Pulse directions, each pulse's effective range and the static cast.
 
     effective_range runs once per distinct segment power. The boxes of
     static_scene are cast from its ego position once, here; scan_revolution
     and scan_frames must then be given the other boxes. Each pulse is
-    flagged by whether it fires inside roi, and the clouds scan_revolution
-    collects under this setup carry their returns' flags.
+    flagged by whether it fires inside roi.
     """
     angles, seg_idx = pulse_directions(plan)
-    roi = ArcSet.empty() if roi is None else roi
     seg_ranges = {}
     for seg in plan.segments:
         if seg.power not in seg_ranges:
@@ -180,7 +172,7 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
                                               angles, max_ranges, fan)
     setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids, *fan,
                             np.bincount(seg_idx, minlength=len(plan.segments)),
-                            roi.bounds, roi.contains_many(angles))
+                            roi.contains_many(angles))
     for array in setup:
         array.flags.writeable = False
     return setup
@@ -228,7 +220,7 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
                     cal: SensorCalibration, start_time: float,
                     dropout: bool = False, rng=None,
-                    setup: RevolutionSetup | None = None, swept=None) -> PointCloud:
+                    setup: RevolutionSetup | None = None) -> PointCloud:
     """Sweep one revolution over a frozen scene: a one-frame scan_frames.
 
     Each pulse is range-limited by the effective range of its segment's
@@ -237,24 +229,18 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     draw order does not depend on the hit pattern. `setup` must be
     revolution_setup(plan, fog, cal, static_scene) when given, with `scene`
     holding the boxes that static_scene does not; it is computed otherwise,
-    without a static layer. `swept`, when given, is this revolution's frame
-    of a scan_frames call under `setup`, as (ranges, hit_ids, hit) rows; the
-    returns are then collected from it and scene, fog, dropout and rng are
-    not read again. The cloud carries its returns' flags from setup.in_roi.
+    without a static layer.
     """
     if setup is None:
         setup = revolution_setup(plan, fog, cal)
-    if swept is None:
-        sigma = fog.sigma if dropout else 0.0
-        if sigma > 0.0 and rng is None:
-            raise ValueError("dropout requires an rng")
-        edges, edge_ids = edges_at(scene, (0.0,))
-        swept = [frames[0] for frames in scan_frames(edges, edge_ids, scene.ego_position,
-                                                     setup, sigma, rng)]
-    ranges, hit_ids, hit = swept
+    sigma = fog.sigma if dropout else 0.0
+    if sigma > 0.0 and rng is None:
+        raise ValueError("dropout requires an rng")
+    edges, edge_ids = edges_at(scene, (0.0,))
+    ranges, hit_ids, hit = (rows[0] for rows in scan_frames(edges, edge_ids, scene.ego_position,
+                                                            setup, sigma, rng))
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = ranges[hit]
     returns["hit_id"] = hit_ids[hit]
-    return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays,
-                      setup.roi_bounds, setup.in_roi[hit])
+    return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays)

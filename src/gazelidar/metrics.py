@@ -1,5 +1,7 @@
 """Detection decision and the two figures of merit: time-to-arrival at the
-conflict point and angular point density inside the region of interest."""
+conflict point and angular point density inside the region of interest. Each
+rule is written once, over the (K, n) hit ids and hit mask of K frames as
+lidar.scan_frames gives them; density and detect of one cloud are K = 1 calls."""
 from __future__ import annotations
 
 import math
@@ -27,11 +29,31 @@ class DensitySample:
     density: float
 
 
-def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:
-    """Whether the cloud carries at least min_points returns off the target."""
+def first_detection(hit_ids, hit, target_id: int, min_points: int = 1) -> int | None:
+    """First frame with at least min_points returns off the target, else None."""
     if min_points < 1:
         raise ValueError("min_points must be at least 1")
-    return int(np.count_nonzero(cloud.returns["hit_id"] == target_id)) >= min_points
+    detected = np.count_nonzero(hit & (hit_ids == target_id), axis=1) >= min_points
+    return int(detected.argmax()) if detected.any() else None
+
+
+def roi_densities(hit, in_roi, roi: ArcSet, first_frame: int = 0) -> list[DensitySample]:
+    """Each frame's returns inside roi per degree, numbered from first_frame.
+
+    in_roi flags each of the n pulses by whether it fires inside roi.
+    """
+    if roi.is_empty():
+        raise ValueError("roi must have positive width")
+    width_deg = math.degrees(roi.width)
+    counts = np.count_nonzero(hit & in_roi, axis=1).tolist()
+    return [DensitySample(first_frame + k, count, width_deg, count / width_deg)
+            for k, count in enumerate(counts)]
+
+
+def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:
+    """Whether the cloud carries at least min_points returns off the target."""
+    ids = cloud.returns["hit_id"][None]
+    return first_detection(ids, np.ones(ids.shape, bool), target_id, min_points) == 0
 
 
 def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
@@ -42,17 +64,6 @@ def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
 
 
 def density(cloud: PointCloud, roi: ArcSet, frame_index: int = 0) -> DensitySample:
-    """Returns per degree inside the region of interest for one frame.
-
-    A cloud whose RoI flags were built for this roi, which its bounds array
-    identifies, is counted through them; otherwise, an equal but distinct
-    ArcSet included, every return's angle is mapped into the roi.
-    """
-    if roi.is_empty():
-        raise ValueError("roi must have positive width")
-    if cloud.roi_bounds is roi.bounds:
-        count = int(np.count_nonzero(cloud.in_roi))
-    else:
-        count = int(np.count_nonzero(roi.contains_many(cloud.returns["angle"])))
-    width_deg = math.degrees(roi.width)
-    return DensitySample(frame_index, count, width_deg, count / width_deg)
+    """Returns per degree inside the region of interest for one frame."""
+    in_roi = roi.contains_many(cloud.returns["angle"])
+    return roi_densities(np.ones((1, len(in_roi)), bool), in_roi, roi, frame_index)[0]

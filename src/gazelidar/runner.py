@@ -20,8 +20,10 @@ import numpy as np
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
-from .lidar import revolution_setup, scan_frames, scan_revolution
-from .metrics import DensitySample, DetectionEvent, density, detect, tta_at_detection
+# scan_revolution, density and detect stay importable here for tracing; runs call none.
+from .lidar import revolution_setup, scan_frames, scan_revolution  # noqa: F401
+from .metrics import (DensitySample, DetectionEvent, density, detect,  # noqa: F401
+                      first_detection, roi_densities, tta_at_detection)
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan)
 from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
@@ -295,22 +297,28 @@ def _scan_plan(config: RunConfig, variant: VariantConfig, gaze_state):
                                 config.pulse_rate, config.p_max)
 
 
-def _samples_read(times, frame_rate: float, end: float) -> list[int]:
-    """Indices of the trace samples that frames read, as trace.at finds them.
+def _first_frames(times, frame_rate: float, end: float) -> np.ndarray:
+    """first[i], the first frame at or after times[i], then the frame count.
 
-    Frame k runs at k / frame_rate while that is below `end`. first[i] is the
-    first frame at or after times[i]: ceil(times[i] * frame_rate), corrected
-    by one step either way, since that product and k / frame_rate both
-    round. Sample 0 is read from frame 0 on, since trace.at clamps earlier
-    times to it. Sample i is read if first[i] comes before first[i + 1] and
-    before the first frame at `end`. Costs O(samples), not O(frames).
+    Frame k runs at k / frame_rate while that is below `end` and reads the
+    sample trace.at finds, the last i with first[i] <= k; first[0] is 0, as
+    trace.at clamps earlier times. Each entry is ceil(x * frame_rate),
+    corrected by one step either way, since that product and k / frame_rate
+    both round. Floats, inf where a frame number overflows.
     """
     x = np.array([*times, end], dtype=np.float64)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):     # frame numbers and times may overflow to inf
         first = np.maximum(np.ceil(x * frame_rate), 0.0)
-    first -= (first >= 1.0) & ((first - 1.0) / frame_rate >= x)
-    first += first / frame_rate < x
+        first -= (first >= 1.0) & ((first - 1.0) / frame_rate >= x)
+        first += first / frame_rate < x
     first[0] = 0.0
+    return first
+
+
+def _samples_read(times, frame_rate: float, end: float) -> list[int]:
+    """Indices of the trace samples that frames read: those whose first frame
+    comes before the next sample's and the frame count. O(samples), not O(frames)."""
+    first = _first_frames(times, frame_rate, end)
     stop = np.minimum(np.append(first[1:-1], np.inf), first[-1])
     return np.flatnonzero(first[:-1] < stop).tolist()
 
@@ -353,19 +361,24 @@ def validate_run_config(config: RunConfig) -> list[str]:
     trace = config.gaze_trace
     read = _samples_read(trace.times, config.frame_rate, config.max_sim_time)
     states = dict.fromkeys(trace.states[i] for i in read)
-    rays = []
+    pulses = []
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
         if j != i:
             problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
                             "output rows are keyed by name, so their runs would merge")
         try:
-            rays += [_scan_plan(config, variant, state)[1].rays_per_revolution for state in states]
+            plans = [_scan_plan(config, variant, state)[1] for state in states]
         except PolicyError as exc:
             problems.append(f"variants[{i}] ({variant.variant}): {exc}")
-    if min(rays, default=1) < 1:
-        problems.append(f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz "
-                        f"{config.frame_rate:g} fires no pulse per revolution")
+        else:   # what ScanPlan.rays_per_revolution floors
+            pulses += [plan.pulse_rate * plan.revolution_period for plan in plans]
+    rates = f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz {config.frame_rate:g}"
+    if min(pulses, default=1.0) < 1.0:
+        problems.append(f"{rates} fires no pulse per revolution")
+    elif not max(pulses, default=0.0) < 2.0 ** 63:   # numpy's int64 index limit
+        problems.append(f"{rates} fires {max(pulses):g} pulses per revolution, "
+                        "not a finite count below 2**63")
     return problems
 
 
@@ -408,18 +421,18 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     under (variant, fog_fraction, gaze_state). Spawn jitter moves only the
     movers, so every seed builds the same setups, and runs of one config
     that share a `setups` dict build each of them once. Frames are swept in
-    chunks of up to CHUNK_FRAMES that share a gaze state: one scan_frames
-    call advances and casts the moving boxes for the whole chunk and draws
-    its dropout. Then, frame by frame, scan_revolution collects the frame's
-    returns from the chunk, and density and detect read them. Frames of the
-    chunk after the detecting frame, and their dropout draws, are discarded;
-    frames_cast counts them.
+    chunks of up to CHUNK_FRAMES that read one trace sample (_first_frames,
+    as validate finds them): one scan_frames call advances and casts the
+    movers and draws the dropout, and metrics finds the first detecting
+    frame and each frame's RoI density up to it. Frames of the chunk after
+    the detecting frame, and their draws, are discarded; frames_cast counts them.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
     sigma = fog.sigma if config.dropout else 0.0
     trace = config.gaze_trace
+    first = _first_frames(trace.times, config.frame_rate, config.max_sim_time)
     setups = {} if setups is None else setups
     target_id = config.scenario.target_id
     frame = 0
@@ -435,35 +448,29 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
         samples: list[DensitySample] = []
         detection = None
         tta = None
-        while detection is None:
-            times = np.arange(frame, frame + CHUNK_FRAMES) / config.frame_rate
-            times = times[times < config.max_sim_time].tolist()
-            if not times:
-                break
-            gaze_state = trace.at(times[0])
-            k = 1
-            while k < len(times) and trace.at(times[k]) == gaze_state:
-                k += 1
-            times = times[:k]
+        while detection is None and frame < first[-1]:
+            sample = int(np.searchsorted(first[:-1], frame, side="right")) - 1
+            stop = int(min(frame + CHUNK_FRAMES, first[sample + 1], first[-1]))
+            times = np.arange(frame, stop) / config.frame_rate
+            gaze_state = trace.states[sample]
             key = (variant, fog_fraction, gaze_state)
             if key not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
-                setups[key] = (roi, plan, revolution_setup(plan, fog, config.calibration,
-                                                           static, roi))
-            roi, plan, setup = setups[key]
-            chunk = scan_frames(*edges_at(movers, times), scene0.ego_position, setup, sigma, rng)
-            frames_cast += k
-            for j, t in enumerate(times):
-                cloud = scan_revolution(movers, plan, fog, config.calibration, t, setup=setup,
-                                        swept=[rows[j] for rows in chunk])
-                samples.append(density(cloud, roi, frame_index=frame))
-                frame += 1
-                if detect(cloud, target_id, config.min_points):
-                    tgt = advance(movers, t).obstacle(target_id) if target.speed != 0.0 else target
-                    dist = tgt.center.distance_to(scene0.conflict_point)
-                    detection = DetectionEvent(frame - 1, t, target_id, dist)
-                    tta = tta_at_detection(detection, target.speed)
-                    break
+                setups[key] = roi, revolution_setup(plan, fog, config.calibration, static, roi)
+            roi, setup = setups[key]
+            _, hit_ids, hit = scan_frames(*edges_at(movers, times), scene0.ego_position, setup,
+                                          sigma, rng)
+            frames_cast += len(times)
+            at = first_detection(hit_ids, hit, target_id, config.min_points)
+            kept = len(times) if at is None else at + 1
+            samples += roi_densities(hit[:kept], setup.in_roi, roi, first_frame=frame)
+            frame += kept
+            if at is not None:
+                t = float(times[at])
+                tgt = advance(movers, t).obstacle(target_id) if target.speed != 0.0 else target
+                dist = tgt.center.distance_to(scene0.conflict_point)
+                detection = DetectionEvent(frame - 1, t, target_id, dist)
+                tta = tta_at_detection(detection, target.speed)
     except PolicyError as exc:
         return RunRecord(variant, fog_fraction, seed, None, None, (), 0, frames_cast,
                          True, str(exc), time.perf_counter() - t_start)

@@ -245,6 +245,26 @@ class TestRun:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"frame_rate_hz": 1e-300}, {"pulse_rate_hz": 1e300}, {"frame_rate_hz": 1e-320},
+    ], ids=["slow-head", "fast-pulses", "subnormal-head"])
+    def test_pulse_counts_numpy_cannot_index_exit_without_running(self, tmp_path, capsys,
+                                                                 monkeypatch, overrides):
+        config = _write_trimmed_config(tmp_path, **overrides)
+        problem = "pulses per revolution, not a finite count below 2**63"
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert problem in out and "pulse_rate_hz" in out and "frame_rate_hz" in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_semantically_invalid_config_exits_2(self, tmp_path, capsys):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")

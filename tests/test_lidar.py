@@ -421,9 +421,6 @@ class TestScanFrames:
                 assert np.array_equal(cloud.returns["angle"], setup.angles[hit[k]])
                 assert np.array_equal(cloud.returns["range_m"], ranges[k][hit[k]])
                 assert np.array_equal(cloud.returns["hit_id"], hit_ids[k][hit[k]])
-                # the frame collected from the chunk is the frame swept alone
-                assert cloud == scan_revolution(movers, self.PLAN, self.FOG, CAL, t, setup=setup,
-                                                swept=[rows[k] for rows in chunk])
 
     def test_setup_carries_the_per_ray_invariants(self):
         setup = revolution_setup(self.PLAN, self.FOG, CAL)

@@ -10,12 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gazelidar.atmosphere import FogCondition, SensorCalibration
-from gazelidar.gaze import AcuityFunction, ArcSet, GazeState, compute_rof, compute_roi
+from gazelidar.gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, compute_rof,
+                            compute_roi)
 from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, revolution_setup,
                              scan_frames, scan_revolution)
-from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
+from gazelidar.metrics import (DetectionEvent, density, detect, first_detection, roi_densities,
+                               tta_at_detection)
 from gazelidar.policy import VariantConfig, build_scan_plan
-from gazelidar.scene import edges_at
+from gazelidar.runner import run_single
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, edges_at
 from helpers import make_enclosing_scene
 
 TAU = math.tau
@@ -138,8 +141,8 @@ def _roi_on(draw, angles):
 
 
 class TestRoiFlags:
-    """density counts a cloud's per-return RoI flags in place of mapping its
-    angles only when the flags were built for the RoI it is asked about."""
+    """roi_densities counts a chunk's returns through the per-pulse RoI flags of
+    its setup; the count equals mapping the returns' angles into the RoI."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -152,40 +155,113 @@ class TestRoiFlags:
         scene = make_enclosing_scene()
         setup = revolution_setup(plan, FOG, CAL, roi=roi)
         times = (0.0, 0.05, 0.1)
-        chunk = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
-                            np.random.default_rng(seed))
-        clouds = [scan_revolution(scene, plan, FOG, CAL, t, setup=setup,
-                                  swept=[rows[k] for rows in chunk])
-                  for k, t in enumerate(times)]
-        clouds.append(scan_revolution(scene, plan, FOG, CAL, 0.0, dropout=True,
-                                      rng=np.random.default_rng(seed), setup=setup))
-        for cloud in clouds:
-            assert cloud.roi_bounds is roi.bounds
-            expected = int(np.count_nonzero(roi.contains_many(cloud.returns["angle"])))
-            sample = density(cloud, roi, frame_index=2)
-            assert sample.points_in_roi == expected
-            assert sample == density(dataclasses.replace(cloud, roi_bounds=None, in_roi=None),
-                                     roi, frame_index=2)
+        _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
+                                np.random.default_rng(seed))
+        samples = roi_densities(hit, setup.in_roi, roi, first_frame=2)
+        assert [s.frame_index for s in samples] == [2, 3, 4]
+        for k, sample in enumerate(samples):
+            expected = int(np.count_nonzero(roi.contains_many(setup.angles[hit[k]])))
+            assert type(sample.points_in_roi) is int and sample.points_in_roi == expected
+            assert sample.density == expected / math.degrees(roi.width)
+        # the one-frame density of the first frame's cloud maps its angles
+        cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, dropout=True,
+                                rng=np.random.default_rng(seed), setup=setup)
+        assert density(cloud, roi, frame_index=2) == samples[0]
 
-    def test_flags_built_for_another_roi_are_not_counted(self):
+    def test_flags_built_for_another_roi_are_not_counted(self, default_config):
         plan = PLANS[1]
         built_for = ArcSet.from_arc(0.0, math.pi)
+        scene = make_enclosing_scene()
         setup = revolution_setup(plan, FOG, CAL, roi=built_for)
-        cloud = scan_revolution(make_enclosing_scene(), plan, FOG, CAL, 0.0, setup=setup)
-        # every flag set: a count that read them would give every return
-        cloud = dataclasses.replace(cloud, in_roi=np.ones(len(cloud.returns), dtype=bool))
-        assert density(cloud, built_for).points_in_roi == len(cloud.returns)
+        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
+        assert roi_densities(hit, setup.in_roi, built_for)[0].points_in_roi == int(
+            np.count_nonzero(built_for.contains_many(setup.angles[hit[0]])))
+        cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, setup=setup)
         for other in (built_for.complement(), ArcSet.from_arc(1.5 * math.pi, 0.5 * math.pi),
                       ArcSet(built_for.arcs)):
             expected = int(np.count_nonzero(other.contains_many(cloud.returns["angle"])))
             assert expected < len(cloud.returns)
             assert density(cloud, other).points_in_roi == expected
+            own = revolution_setup(plan, FOG, CAL, roi=other).in_roi
+            assert roi_densities(hit, own, other)[0].points_in_roi == expected
+        # a run keeps each gaze state's RoI beside the flags built for it
+        left = default_config.gaze_trace.states[0]
+        config = dataclasses.replace(default_config, max_sim_time=0.2, gaze_trace=GazeTrace(
+            (0.0, 0.1), (left, GazeState(math.radians(45.0), left.eta))))
+        setups = {}
+        run_single(config, config.variants[3], 0.5, 1, setups)
+        assert len(setups) == 2
+        for roi, setup in setups.values():
+            assert np.array_equal(setup.in_roi, roi.contains_many(setup.angles))
 
     def test_a_setup_without_an_roi_flags_no_pulse(self):
         setup = revolution_setup(PLANS[0], FOG, CAL)
-        assert not setup.in_roi.any() and setup.roi_bounds.shape == (2, 0)
+        assert not setup.in_roi.any()
         assert not setup.in_roi.flags.writeable
-        cloud = scan_revolution(make_enclosing_scene(), PLANS[0], FOG, CAL, 0.0, setup=setup)
+        scene = make_enclosing_scene()
+        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
         roi = ArcSet.from_arc(0.0, 1.0)
+        assert hit.any() and roi_densities(hit, setup.in_roi, roi)[0].points_in_roi == 0
+        cloud = scan_revolution(scene, PLANS[0], FOG, CAL, 0.0, setup=setup)
         assert density(cloud, roi).points_in_roi == int(
             np.count_nonzero(roi.contains_many(cloud.returns["angle"]))) > 0
+
+
+# Ten times the shipped pulse rate, so that the target's return count grows
+# by several pulses per frame as it closes in, dropout or not.
+FINE_PLAN = ScanPlan((ScanSegment(0.0, TAU, 1.0, TAU * 20.0),), 0.05, 78125.0)
+THIN_FOG = FogCondition(0.1, 0.0005)
+TARGET = 1
+# The target drives at the sensor from 40 m, past a static box and a crossing car.
+APPROACH = Scene(Vec2(0.0, 0.0), (
+    ObstacleBox.spawn(TARGET, Vec2(0.0, 40.0), -0.5 * math.pi, 2.5, 2.0, 10.0),
+    ObstacleBox.spawn(2, Vec2(-30.0, 10.0), 0.3, 4.0, 1.5, 0.0),
+    ObstacleBox.spawn(3, Vec2(30.0, -20.0), math.pi, 2.5, 1.0, 8.0)), Vec2(0.0, 5.0))
+
+
+class TestChunkMetrics:
+    """first_detection and roi_densities over a chunk of frames equal detect and
+    density of each frame's scan_revolution cloud."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_chunk_results_equal_per_frame_density_and_detect(self, data):
+        angles = revolution_setup(FINE_PLAN, THIN_FOG, CAL).angles
+        roi = data.draw(_roi_on(angles))
+        assume(not roi.is_empty())
+        frames = data.draw(st.integers(1, 8))
+        dropout = data.draw(st.booleans())
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        first_frame = data.draw(st.integers(0, 500))
+        times = [0.5 * k for k in range(frames)]
+        setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, roi=roi)
+        _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
+                                      THIN_FOG.sigma if dropout else 0.0,
+                                      np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
+                                  dropout=dropout, rng=rng, setup=setup) for t in times]
+        assert roi_densities(hit, setup.in_roi, roi, first_frame) == [
+            density(cloud, roi, first_frame + k) for k, cloud in enumerate(clouds)]
+
+        target = data.draw(st.sampled_from([TARGET, 2, 3, 99]))
+        counts = [int(np.count_nonzero(c.returns["hit_id"] == target)) for c in clouds]
+        where = data.draw(st.sampled_from(["first", "middle", "last", "any"]))
+        at = {"first": 0, "middle": frames // 2, "last": frames - 1}.get(where)
+        if at is None:
+            min_points = data.draw(st.integers(-1, max(counts) + 2))
+        else:
+            min_points = max(1, counts[at])
+        if min_points < 1:
+            for call in (lambda: first_detection(hit_ids, hit, target, min_points),
+                         lambda: detect(clouds[0], target, min_points)):
+                with pytest.raises(ValueError, match="min_points"):
+                    call()
+            return
+        per_frame = next((k for k, cloud in enumerate(clouds)
+                          if detect(cloud, target, min_points)), None)
+        assert first_detection(hit_ids, hit, target, min_points) == per_frame
+        if at is not None and target == TARGET:
+            # the approaching target's count grows every frame, so the
+            # threshold set from frame `at` detects first at `at`
+            assert per_frame == at

@@ -525,9 +525,11 @@ class TestRunSingle:
     def test_programming_errors_propagate(self, default_config, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("bug in the frame path")
-        monkeypatch.setattr(runner, "scan_revolution", broken)
-        with pytest.raises(ValueError, match="bug in the frame path"):
-            run_single(default_config, default_config.variants[0], 0.0, 101)
+        for name in ("scan_frames", "first_detection", "roi_densities"):
+            with monkeypatch.context() as patch:
+                patch.setattr(runner, name, broken)
+                with pytest.raises(ValueError, match="bug in the frame path"):
+                    run_single(default_config, default_config.variants[0], 0.0, 101)
 
     def test_min_points_below_one_is_refused_like_the_per_frame_loop(self, default_config):
         # load_run_config refuses it; a RunConfig built in code reaches detect
@@ -606,9 +608,10 @@ class TestChunkKernel:
                                  else "inside")
         assert seen >= {"first", "last", "inside"}
 
-    def test_each_output_frame_is_collected_counted_and_tested_once(self, default_config,
-                                                                    monkeypatch):
-        calls = {"scan_revolution": 0, "density": 0, "detect": 0}
+    def test_each_output_frame_gets_one_sample_and_each_chunk_is_counted_once(
+            self, default_config, monkeypatch):
+        calls = dict.fromkeys(["first_detection", "roi_densities", "scan_revolution", "density",
+                               "detect"], 0)
         for name in calls:
             def counting(*args, _name=name, _f=getattr(runner, name), **kwargs):
                 calls[_name] += 1
@@ -619,7 +622,29 @@ class TestChunkKernel:
                                 max_sim_time=2.0)
         record = log.run(config, config.variants[0], 0.5, 7)
         assert record.frames > runner.CHUNK_FRAMES and len(log.sizes) > 1
-        assert calls == dict.fromkeys(calls, record.frames)
+        assert [s.frame_index for s in record.samples] == list(range(record.frames))
+        chunks = len(log.sizes)
+        assert calls == dict(first_detection=chunks, roi_densities=chunks, scan_revolution=0,
+                             density=0, detect=0)
+
+    def test_chunks_end_at_the_first_frame_of_each_sample(self, default_config, monkeypatch):
+        left = default_config.gaze_trace.states[0]
+        right = GazeState(math.radians(45.0), left.eta)
+        # samples at 0.17 s and 0.43 s are first read by frames 4 and 9 at 20 Hz;
+        # the second repeats the first state and still starts a chunk
+        config = _hidden_target(default_config, max_sim_time=0.6,
+                                gaze_trace=GazeTrace((0.0, 0.17, 0.43), (left, left, right)))
+
+        def no_lookup(self, t):
+            raise AssertionError("run_single looked up the gaze trace")
+        log = _ChunkLog(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(GazeTrace, "at", no_lookup)
+            record = log.run(config, config.variants[3], 0.5, 7)
+        assert record.detection is None and record.frames == 12
+        assert log.sizes == [4, 5, 3]
+        assert _strip_wall_time(record) == _strip_wall_time(
+            per_frame_run(config, config.variants[3], 0.5, 7))
 
     def test_first_frame_detection_casts_one_chunk(self, default_config, monkeypatch):
         log = _ChunkLog(monkeypatch)
