@@ -62,8 +62,12 @@ class ScanPlan:
             raise ValueError("segment sweep times do not add up to the revolution period")
 
     @property
+    def pulses_per_revolution(self) -> float:
+        return self.pulse_rate * self.revolution_period
+
+    @property
     def rays_per_revolution(self) -> int:
-        return int(math.floor(self.pulse_rate * self.revolution_period))
+        return int(math.floor(self.pulses_per_revolution))
 
 
 def pulse_directions(plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +154,11 @@ class RevolutionSetup(NamedTuple):
 def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
                      static_scene: Scene | None = None,
                      roi: ArcSet = ArcSet.empty()) -> RevolutionSetup:
-    """Pulse directions, each pulse's effective range and the static cast.
+    """Pulse directions, each pulse's effective range, the static cast and the RoI flags.
 
     effective_range runs once per distinct segment power. The boxes of
     static_scene are cast from its ego position once, here; scan_revolution
-    and scan_frames must then be given the other boxes. Each pulse is
-    flagged by whether it fires inside roi.
+    and scan_frames must then be given the other boxes.
     """
     angles, seg_idx = pulse_directions(plan)
     seg_ranges = {}

@@ -1,7 +1,6 @@
 """Detection decision and the two figures of merit: time-to-arrival at the
 conflict point and angular point density inside the region of interest. Each
-rule is written once, over the (K, n) hit ids and hit mask of K frames as
-lidar.scan_frames gives them; density and detect of one cloud are K = 1 calls."""
+rule reads the (K, n) hit ids and hit mask of K frames from lidar.scan_frames."""
 from __future__ import annotations
 
 import math
@@ -38,10 +37,7 @@ def first_detection(hit_ids, hit, target_id: int, min_points: int = 1) -> int | 
 
 
 def roi_densities(hit, in_roi, roi: ArcSet, first_frame: int = 0) -> list[DensitySample]:
-    """Each frame's returns inside roi per degree, numbered from first_frame.
-
-    in_roi flags each of the n pulses by whether it fires inside roi.
-    """
+    """Each frame's returns inside roi per degree, numbered from first_frame; in_roi flags the pulses."""
     if roi.is_empty():
         raise ValueError("roi must have positive width")
     width_deg = math.degrees(roi.width)
@@ -51,7 +47,7 @@ def roi_densities(hit, in_roi, roi: ArcSet, first_frame: int = 0) -> list[Densit
 
 
 def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:
-    """Whether the cloud carries at least min_points returns off the target."""
+    """Whether the cloud carries at least min_points returns off the target: a one-frame first_detection."""
     ids = cloud.returns["hit_id"][None]
     return first_detection(ids, np.ones(ids.shape, bool), target_id, min_points) == 0
 
@@ -64,6 +60,6 @@ def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
 
 
 def density(cloud: PointCloud, roi: ArcSet, frame_index: int = 0) -> DensitySample:
-    """Returns per degree inside the region of interest for one frame."""
+    """Returns per degree inside the region of interest for one frame: a one-frame roi_densities."""
     in_roi = roi.contains_many(cloud.returns["angle"])
     return roi_densities(np.ones((1, len(in_roi)), bool), in_roi, roi, frame_index)[0]

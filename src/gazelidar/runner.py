@@ -20,10 +20,9 @@ import numpy as np
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
-# scan_revolution, density and detect stay importable here for tracing; runs call none.
-from .lidar import revolution_setup, scan_frames, scan_revolution  # noqa: F401
-from .metrics import (DensitySample, DetectionEvent, density, detect,  # noqa: F401
-                      first_detection, roi_densities, tta_at_detection)
+from .lidar import revolution_setup, scan_frames, scan_revolution
+from .metrics import (DensitySample, DetectionEvent, density, detect, first_detection,
+                      roi_densities, tta_at_detection)
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan)
 from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
@@ -302,12 +301,11 @@ def _first_frames(times, frame_rate: float, end: float) -> np.ndarray:
 
     Frame k runs at k / frame_rate while that is below `end` and reads the
     sample trace.at finds, the last i with first[i] <= k; first[0] is 0, as
-    trace.at clamps earlier times. Each entry is ceil(x * frame_rate),
-    corrected by one step either way, since that product and k / frame_rate
-    both round. Floats, inf where a frame number overflows.
+    trace.at clamps earlier times. Each entry is ceil(x * frame_rate), moved
+    one step if rounding put it off; floats, inf where a frame number overflows.
     """
     x = np.array([*times, end], dtype=np.float64)
-    with np.errstate(over="ignore"):     # frame numbers and times may overflow to inf
+    with np.errstate(over="ignore"):
         first = np.maximum(np.ceil(x * frame_rate), 0.0)
         first -= (first >= 1.0) & ((first - 1.0) / frame_rate >= x)
         first += first / frame_rate < x
@@ -316,8 +314,7 @@ def _first_frames(times, frame_rate: float, end: float) -> np.ndarray:
 
 
 def _samples_read(times, frame_rate: float, end: float) -> list[int]:
-    """Indices of the trace samples that frames read: those whose first frame
-    comes before the next sample's and the frame count. O(samples), not O(frames)."""
+    """Indices of the trace samples some frame reads, found in O(samples), not O(frames)."""
     first = _first_frames(times, frame_rate, end)
     stop = np.minimum(np.append(first[1:-1], np.inf), first[-1])
     return np.flatnonzero(first[:-1] < stop).tolist()
@@ -368,17 +365,14 @@ def validate_run_config(config: RunConfig) -> list[str]:
             problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
                             "output rows are keyed by name, so their runs would merge")
         try:
-            plans = [_scan_plan(config, variant, state)[1] for state in states]
+            pulses += [_scan_plan(config, variant, s)[1].pulses_per_revolution for s in states]
         except PolicyError as exc:
             problems.append(f"variants[{i}] ({variant.variant}): {exc}")
-        else:   # what ScanPlan.rays_per_revolution floors
-            pulses += [plan.pulse_rate * plan.revolution_period for plan in plans]
     rates = f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz {config.frame_rate:g}"
     if min(pulses, default=1.0) < 1.0:
         problems.append(f"{rates} fires no pulse per revolution")
     elif not max(pulses, default=0.0) < 2.0 ** 63:   # numpy's int64 index limit
-        problems.append(f"{rates} fires {max(pulses):g} pulses per revolution, "
-                        "not a finite count below 2**63")
+        problems.append(f"{rates} fires {max(pulses):g} pulses per revolution, not a finite count below 2**63")
     return problems
 
 
@@ -421,10 +415,10 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     under (variant, fog_fraction, gaze_state). Spawn jitter moves only the
     movers, so every seed builds the same setups, and runs of one config
     that share a `setups` dict build each of them once. Frames are swept in
-    chunks of up to CHUNK_FRAMES that read one trace sample (_first_frames,
-    as validate finds them): one scan_frames call advances and casts the
-    movers and draws the dropout, and metrics finds the first detecting
-    frame and each frame's RoI density up to it. Frames of the chunk after
+    chunks of up to CHUNK_FRAMES that read trace samples of one state, found
+    by _first_frames as validate finds them: one scan_frames call advances
+    and casts the movers and draws the dropout, and metrics finds the first
+    detecting frame and each frame's RoI density up to it. Frames cast after
     the detecting frame, and their draws, are discarded; frames_cast counts them.
     """
     t_start = time.perf_counter()
@@ -449,10 +443,13 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
         detection = None
         tta = None
         while detection is None and frame < first[-1]:
-            sample = int(np.searchsorted(first[:-1], frame, side="right")) - 1
-            stop = int(min(frame + CHUNK_FRAMES, first[sample + 1], first[-1]))
+            end = int(np.searchsorted(first[:-1], frame, side="right"))   # the next sample
+            gaze_state = trace.states[end - 1]
+            while (end < len(trace.states) and first[end] < frame + CHUNK_FRAMES
+                   and trace.states[end] == gaze_state):
+                end += 1
+            stop = int(min(frame + CHUNK_FRAMES, first[end], first[-1]))
             times = np.arange(frame, stop) / config.frame_rate
-            gaze_state = trace.states[sample]
             key = (variant, fog_fraction, gaze_state)
             if key not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)

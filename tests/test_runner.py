@@ -627,13 +627,16 @@ class TestChunkKernel:
         assert calls == dict(first_detection=chunks, roi_densities=chunks, scan_revolution=0,
                              density=0, detect=0)
 
-    def test_chunks_end_at_the_first_frame_of_each_sample(self, default_config, monkeypatch):
+    @pytest.mark.parametrize("pattern, sizes", [("LRL", [4, 5, 3]), ("LLR", [9, 3]),
+                                                 ("RLL", [4, 8]), ("LLL", [12])])
+    def test_chunks_end_where_a_read_sample_changes_the_state(self, default_config, monkeypatch,
+                                                              pattern, sizes):
         left = default_config.gaze_trace.states[0]
-        right = GazeState(math.radians(45.0), left.eta)
+        states = {"L": left, "R": GazeState(math.radians(45.0), left.eta)}
         # samples at 0.17 s and 0.43 s are first read by frames 4 and 9 at 20 Hz;
-        # the second repeats the first state and still starts a chunk
-        config = _hidden_target(default_config, max_sim_time=0.6,
-                                gaze_trace=GazeTrace((0.0, 0.17, 0.43), (left, left, right)))
+        # a sample that repeats the state before it does not start a chunk
+        config = _hidden_target(default_config, max_sim_time=0.6, gaze_trace=GazeTrace(
+            (0.0, 0.17, 0.43), tuple(states[c] for c in pattern)))
 
         def no_lookup(self, t):
             raise AssertionError("run_single looked up the gaze trace")
@@ -642,7 +645,7 @@ class TestChunkKernel:
             patch.setattr(GazeTrace, "at", no_lookup)
             record = log.run(config, config.variants[3], 0.5, 7)
         assert record.detection is None and record.frames == 12
-        assert log.sizes == [4, 5, 3]
+        assert log.sizes == sizes
         assert _strip_wall_time(record) == _strip_wall_time(
             per_frame_run(config, config.variants[3], 0.5, 7))
 
