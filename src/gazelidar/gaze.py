@@ -92,8 +92,9 @@ class ArcSet:
 
     def contains_many(self, angles) -> np.ndarray:
         """contains() over an array of angles, as a boolean array."""
+        a = np.array(angles, dtype=np.float64)      # 0-d input stays an array the fold can assign
         with np.errstate(invalid="ignore"):     # inf gives nan, contained nowhere
-            a = np.mod(np.asarray(angles, dtype=np.float64), TAU)
+            np.mod(a, TAU, out=a)
         a[a >= TAU] -= TAU      # as in normalize_angle
         if not self.arcs:
             return np.zeros(a.shape, dtype=bool)

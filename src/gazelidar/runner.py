@@ -296,28 +296,31 @@ def _scan_plan(config: RunConfig, variant: VariantConfig, gaze_state):
                                 config.pulse_rate, config.p_max)
 
 
-def _first_frames(times, frame_rate: float, end: float) -> np.ndarray:
-    """first[i], the first frame at or after times[i], then the frame count.
+def _gaze_spans(trace: GazeTrace, frame_rate: float, end: float) -> list[tuple]:
+    """A run's frames as spans [(first, stop, state)]: frames first..stop-1 read `state`.
 
     Frame k runs at k / frame_rate while that is below `end` and reads the
-    sample trace.at finds, the last i with first[i] <= k; first[0] is 0, as
-    trace.at clamps earlier times. Each entry is ceil(x * frame_rate), moved
-    one step if rounding put it off; floats, inf where a frame number overflows.
+    state trace.at gives. Sample i is first read by frame ceil(times[i] *
+    frame_rate), moved one step if rounding put it off, and frames before the
+    first sample read sample 0, as trace.at clamps. Samples no frame reads
+    are skipped, and neighbouring spans differ in state. Found in O(samples),
+    not O(frames); frame numbers are floats, inf where they overflow.
     """
-    x = np.array([*times, end], dtype=np.float64)
+    x = np.array([*trace.times, end], dtype=np.float64)
     with np.errstate(over="ignore"):
         first = np.maximum(np.ceil(x * frame_rate), 0.0)
         first -= (first >= 1.0) & ((first - 1.0) / frame_rate >= x)
         first += first / frame_rate < x
     first[0] = 0.0
-    return first
-
-
-def _samples_read(times, frame_rate: float, end: float) -> list[int]:
-    """Indices of the trace samples some frame reads, found in O(samples), not O(frames)."""
-    first = _first_frames(times, frame_rate, end)
-    stop = np.minimum(np.append(first[1:-1], np.inf), first[-1])
-    return np.flatnonzero(first[:-1] < stop).tolist()
+    spans = []
+    for start, stop, state in zip(first[:-1].tolist(), np.minimum(first[1:], first[-1]).tolist(),
+                                  trace.states):
+        if start >= stop:
+            continue
+        if spans and spans[-1][2] == state:
+            start = spans.pop()[0]
+        spans.append((start, stop, state))
+    return spans
 
 
 def validate_run_config(config: RunConfig) -> list[str]:
@@ -355,9 +358,8 @@ def validate_run_config(config: RunConfig) -> list[str]:
                 problems.append(f"{axis}[{i}] repeats {axis}[{j}] ({value!r}); "
                                 "the same runs would be written twice")
 
-    trace = config.gaze_trace
-    read = _samples_read(trace.times, config.frame_rate, config.max_sim_time)
-    states = dict.fromkeys(trace.states[i] for i in read)
+    spans = _gaze_spans(config.gaze_trace, config.frame_rate, config.max_sim_time)
+    states = dict.fromkeys(state for _, _, state in spans)
     pulses = []
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
@@ -409,24 +411,20 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     """Simulate one run; stops at target detection or max_sim_time.
 
     The seed drives only spawn jitter and fog dropout, so with both off the
-    record is identical across seeds. The RoI, scan plan and per-pulse setup
-    (with the static boxes' cast and the RoI flags) are built once per
-    distinct gaze state in the trace, not per frame, and kept in `setups`
-    under (variant, fog_fraction, gaze_state). Spawn jitter moves only the
-    movers, so every seed builds the same setups, and runs of one config
-    that share a `setups` dict build each of them once. Frames are swept in
-    chunks of up to CHUNK_FRAMES that read trace samples of one state, found
-    by _first_frames as validate finds them: one scan_frames call advances
-    and casts the movers and draws the dropout, and metrics finds the first
-    detecting frame and each frame's RoI density up to it. Frames cast after
-    the detecting frame, and their draws, are discarded; frames_cast counts them.
+    record is identical across seeds. Each gaze state's RoI, scan plan and
+    per-pulse setup (with the RoI flags and the cast of the config scene's
+    static boxes, which jitter never moves) is built once and kept in
+    `setups` under (variant, fog_fraction, gaze_state), so runs that share
+    `setups` build each once. Each _gaze_spans span is swept in chunks of up
+    to CHUNK_FRAMES: one scan_frames call advances and casts the movers and
+    draws the dropout, and metrics finds the first detecting frame and each
+    frame's RoI density up to it. Frames cast after that frame, and their
+    draws, are discarded; frames_cast counts them.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
     sigma = fog.sigma if config.dropout else 0.0
-    trace = config.gaze_trace
-    first = _first_frames(trace.times, config.frame_rate, config.max_sim_time)
     setups = {} if setups is None else setups
     target_id = config.scenario.target_id
     frame = 0
@@ -435,39 +433,39 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     try:
         scene0 = _build_start_scene(config, rng)
         target = scene0.obstacle(target_id)
-        static = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed == 0.0),
-                       scene0.conflict_point)
         movers = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed != 0.0),
                        scene0.conflict_point)
         samples: list[DensitySample] = []
         detection = None
         tta = None
-        while detection is None and frame < first[-1]:
-            end = int(np.searchsorted(first[:-1], frame, side="right"))   # the next sample
-            gaze_state = trace.states[end - 1]
-            while (end < len(trace.states) and first[end] < frame + CHUNK_FRAMES
-                   and trace.states[end] == gaze_state):
-                end += 1
-            stop = int(min(frame + CHUNK_FRAMES, first[end], first[-1]))
-            times = np.arange(frame, stop) / config.frame_rate
+        for _, span_stop, gaze_state in _gaze_spans(config.gaze_trace, config.frame_rate,
+                                                     config.max_sim_time):
             key = (variant, fog_fraction, gaze_state)
             if key not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
+                scene = config.scenario.scene
+                static = dataclasses.replace(
+                    scene, obstacles=tuple(o for o in scene.obstacles if o.speed == 0.0))
                 setups[key] = roi, revolution_setup(plan, fog, config.calibration, static, roi)
             roi, setup = setups[key]
-            _, hit_ids, hit = scan_frames(*edges_at(movers, times), scene0.ego_position, setup,
-                                          sigma, rng)
-            frames_cast += len(times)
-            at = first_detection(hit_ids, hit, target_id, config.min_points)
-            kept = len(times) if at is None else at + 1
-            samples += roi_densities(hit[:kept], setup.in_roi, roi, first_frame=frame)
-            frame += kept
-            if at is not None:
-                t = float(times[at])
-                tgt = advance(movers, t).obstacle(target_id) if target.speed != 0.0 else target
-                dist = tgt.center.distance_to(scene0.conflict_point)
-                detection = DetectionEvent(frame - 1, t, target_id, dist)
-                tta = tta_at_detection(detection, target.speed)
+            while detection is None and frame < span_stop:
+                stop = int(min(frame + CHUNK_FRAMES, span_stop))
+                times = np.arange(frame, stop) / config.frame_rate
+                _, hit_ids, hit = scan_frames(*edges_at(movers, times), scene0.ego_position, setup,
+                                              sigma, rng)
+                frames_cast += len(times)
+                at = first_detection(hit_ids, hit, target_id, config.min_points)
+                kept = len(times) if at is None else at + 1
+                samples += roi_densities(hit[:kept], setup.in_roi, roi, first_frame=frame)
+                frame += kept
+                if at is not None:
+                    t = float(times[at])
+                    dist = advance(scene0, t).obstacle(target_id).center.distance_to(
+                        scene0.conflict_point)
+                    detection = DetectionEvent(frame - 1, t, target_id, dist)
+                    tta = tta_at_detection(detection, target.speed)
+            if detection is not None:
+                break
     except PolicyError as exc:
         return RunRecord(variant, fog_fraction, seed, None, None, (), 0, frames_cast,
                          True, str(exc), time.perf_counter() - t_start)
@@ -482,38 +480,34 @@ def _record_key(record: RunRecord):
 
 
 def _run_cell(args) -> list[RunRecord]:
-    """The runs of one (variant, fog) cell, one per seed, sharing one setup cache."""
-    config, variant, fog, seeds = args
+    """The runs of one (variant, fog) cell, one per seed, sharing one setup cache.
+
+    A cell whose runs draw no random numbers is simulated once, with the
+    first seed, and copied to the other seeds; copies carry reused_from and
+    a wall_time of 0.
+    """
+    config, variant, fog = args
     setups = {}
-    return [run_single(config, variant, fog, seed, setups) for seed in seeds]
+    if uses_rng(config, fog):
+        return [run_single(config, variant, fog, seed, setups) for seed in config.seeds]
+    record = run_single(config, variant, fog, config.seeds[0], setups)
+    return [record] + [dataclasses.replace(record, seed=seed, wall_time=0.0,
+                                           reused_from=record.seed) for seed in config.seeds[1:]]
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    Each (variant, fog) cell is one task: its runs share the revolution
-    setups of each gaze state. jobs > 1 executes the cells in worker
-    processes, at most one per cell, with identical results. A cell whose
-    runs draw no random numbers is simulated once, with the first seed, and
-    copied to the other seeds; copies carry reused_from and a wall_time of 0.
+    Each (variant, fog) cell is one _run_cell task. jobs > 1 executes the
+    cells in worker processes, at most one per cell, with identical results.
     """
-    grid = [(config, variant, fog, config.seeds if uses_rng(config, fog) else config.seeds[:1])
-            for variant in config.variants
-            for fog in config.fog_fractions]
+    grid = [(config, variant, fog) for variant in config.variants for fog in config.fog_fractions]
     if jobs > 1 and len(grid) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             cells = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
     else:
         cells = [_run_cell(cell) for cell in grid]
-    records = []
-    for record in [record for cell in cells for record in cell]:
-        records.append(record)
-        if not uses_rng(config, record.fog_fraction):
-            records += [dataclasses.replace(record, seed=seed, wall_time=0.0,
-                                            reused_from=record.seed)
-                        for seed in config.seeds[1:]]
-    records.sort(key=_record_key)
-    return records
+    return sorted((record for cell in cells for record in cell), key=_record_key)
 
 
 def _fmt(x: float) -> str:

@@ -164,15 +164,13 @@ def segment_at(plan, angle: float):
     raise ValueError(f"bearing {angle} outside the plan")
 
 
-def samples_read_per_frame(times, frame_rate: float, end: float) -> list[int]:
-    """Indices of the trace samples that frames read, one lookup per frame.
+def states_per_frame(trace, frame_rate: float, end: float) -> list:
+    """The gaze state each frame reads, by one trace.at lookup per frame.
 
-    Frame k runs at k / frame_rate while that is below `end` and reads the
-    last sample at or before its time, or sample 0 before the first.
+    Frame k runs at k / frame_rate while that is below `end`.
     """
     t = np.arange(math.ceil(end * frame_rate) + 1) / frame_rate
-    read = np.searchsorted(times, t[t < end], side="right") - 1
-    return sorted(set(read.clip(0).tolist()))
+    return [trace.at(float(x)) for x in t[t < end]]
 
 
 def stepped_advance(scene: Scene, total_t: float, steps: int) -> Scene:

@@ -105,6 +105,10 @@ class TestArcSet:
             many = s.contains_many(probes)
             assert many.dtype == bool
             assert many.tolist() == [s.contains(float(a)) for a in probes]
+            for a in (1.5, float(probes[0]), probes[5], np.array(2.0 * TAU)):   # 0-d probes
+                one = s.contains_many(a)
+                assert one.shape == () and one.dtype == bool
+                assert bool(one) == s.contains(float(a))
 
     @given(st.lists(st.floats(0.0, TAU), max_size=10),
            st.lists(st.floats(-3.0 * TAU, 3.0 * TAU), max_size=50))

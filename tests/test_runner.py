@@ -23,7 +23,7 @@ from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
                               write_summary_json, _build_start_scene)
 from gazelidar.scene import ObstacleBox, Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
-from oracles import per_frame_run, quartiles_inclusive, samples_read_per_frame
+from oracles import per_frame_run, quartiles_inclusive, states_per_frame
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
 # gaze angles in degrees; 0 gives a RoF wrapped across 0/tau
@@ -367,15 +367,19 @@ class TestValidateRunConfig:
         assert validate_run_config(config) == []
 
     @settings(max_examples=300, deadline=None)
-    @given(case=_frame_case())
+    @given(case=_frame_case(), labels=st.lists(st.integers(0, 2), min_size=8, max_size=8))
     # ceil(t * frame_rate) one frame late: 255 / 11.0 * 11.0 rounds above 255
-    @example(case=((0.0, 255 / 11.0), 11.0, 256 / 11.0))
+    @example(case=((0.0, 255 / 11.0), 11.0, 256 / 11.0), labels=[0, 1] * 4)
     # and one frame early: the frame at 35 / 0.7 s comes one ulp before the sample
-    @example(case=((0.0, math.nextafter(35 / 0.7, math.inf)), 0.7, 36 / 0.7))
-    def test_samples_read_match_the_per_frame_lookup(self, case):
+    @example(case=((0.0, math.nextafter(35 / 0.7, math.inf)), 0.7, 36 / 0.7), labels=[0, 1] * 4)
+    def test_gaze_spans_match_the_per_frame_lookup(self, case, labels):
         times, frame_rate, end = case
-        assert runner._samples_read(times, frame_rate, end) == samples_read_per_frame(
-            times, frame_rate, end)
+        trace = GazeTrace(times, tuple(GazeState(float(c), 0.5) for c in labels[:len(times)]))
+        spans = runner._gaze_spans(trace, frame_rate, end)
+        assert [state for first, stop, state in spans for _ in range(int(first), int(stop))] == (
+            states_per_frame(trace, frame_rate, end))
+        assert [first for first, _, _ in spans] == [0.0] + [stop for _, stop, _ in spans[:-1]]
+        assert all(a[2] != b[2] for a, b in zip(spans, spans[1:]))
 
     def test_skips_a_sample_that_no_frame_reads(self, default_config):
         # at 20 Hz the 0 deg sample is superseded before the frame at 0.05 s;
@@ -531,6 +535,15 @@ class TestRunSingle:
                 with pytest.raises(ValueError, match="bug in the frame path"):
                     run_single(default_config, default_config.variants[0], 0.0, 101)
 
+    def test_unknown_target_raises_before_any_frame_is_cast(self, default_config, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("run_single cast a frame")
+        monkeypatch.setattr(runner, "scan_frames", no_scan)
+        config = dataclasses.replace(
+            default_config, scenario=ScenarioConfig(default_config.scenario.scene, 99))
+        with pytest.raises(KeyError, match="no obstacle with id 99"):
+            run_single(config, config.variants[0], 0.0, 101)
+
     def test_min_points_below_one_is_refused_like_the_per_frame_loop(self, default_config):
         # load_run_config refuses it; a RunConfig built in code reaches detect
         config = dataclasses.replace(default_config, min_points=0)
@@ -627,16 +640,15 @@ class TestChunkKernel:
         assert calls == dict(first_detection=chunks, roi_densities=chunks, scan_revolution=0,
                              density=0, detect=0)
 
-    @pytest.mark.parametrize("pattern, sizes", [("LRL", [4, 5, 3]), ("LLR", [9, 3]),
-                                                 ("RLL", [4, 8]), ("LLL", [12])])
-    def test_chunks_end_where_a_read_sample_changes_the_state(self, default_config, monkeypatch,
-                                                              pattern, sizes):
+    @staticmethod
+    def _chunk_sizes(default_config, monkeypatch, pattern, times):
+        """Chunk sizes of a 0.6 s, 12-frame run at 20 Hz whose trace holds the
+        L and R gaze states of `pattern` at `times`; checks the record against
+        the per-frame loop and that the run never looks up the trace."""
         left = default_config.gaze_trace.states[0]
         states = {"L": left, "R": GazeState(math.radians(45.0), left.eta)}
-        # samples at 0.17 s and 0.43 s are first read by frames 4 and 9 at 20 Hz;
-        # a sample that repeats the state before it does not start a chunk
         config = _hidden_target(default_config, max_sim_time=0.6, gaze_trace=GazeTrace(
-            (0.0, 0.17, 0.43), tuple(states[c] for c in pattern)))
+            times, tuple(states[c] for c in pattern)))
 
         def no_lookup(self, t):
             raise AssertionError("run_single looked up the gaze trace")
@@ -645,9 +657,22 @@ class TestChunkKernel:
             patch.setattr(GazeTrace, "at", no_lookup)
             record = log.run(config, config.variants[3], 0.5, 7)
         assert record.detection is None and record.frames == 12
-        assert log.sizes == sizes
         assert _strip_wall_time(record) == _strip_wall_time(
             per_frame_run(config, config.variants[3], 0.5, 7))
+        return log.sizes
+
+    @pytest.mark.parametrize("pattern, sizes", [("LRL", [4, 5, 3]), ("LLR", [9, 3]),
+                                                 ("RLL", [4, 8]), ("LLL", [12])])
+    def test_chunks_end_where_a_read_sample_changes_the_state(self, default_config, monkeypatch,
+                                                              pattern, sizes):
+        # samples at 0.17 s and 0.43 s are first read by frames 4 and 9 at 20 Hz;
+        # a sample that repeats the state before it does not start a chunk
+        assert self._chunk_sizes(default_config, monkeypatch, pattern,
+                                 (0.0, 0.17, 0.43)) == sizes
+
+    def test_a_sample_no_frame_reads_does_not_end_a_chunk(self, default_config, monkeypatch):
+        # R at 0.17 s is superseded at 0.171 s, before frame 4 reads it
+        assert self._chunk_sizes(default_config, monkeypatch, "LRL", (0.0, 0.17, 0.171)) == [12]
 
     def test_first_frame_detection_casts_one_chunk(self, default_config, monkeypatch):
         log = _ChunkLog(monkeypatch)
