@@ -41,11 +41,9 @@ class SensorCalibration:
 
 
 def fog_from_fraction(fog_fraction: float, kappa: float) -> FogCondition:
-    """Map a fog fraction to an extinction coefficient sigma = kappa * fraction."""
+    """Map a fog fraction (FogCondition checks it) to sigma = kappa * fraction."""
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    if not 0.0 <= fog_fraction <= 1.0:
-        raise ValueError("fog_fraction must lie in [0, 1]")
     return FogCondition(fog_fraction, kappa * fog_fraction)
 
 

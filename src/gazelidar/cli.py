@@ -39,12 +39,20 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1,
         return 2
     if seed_override is not None:
         config = dataclasses.replace(config, seeds=(seed_override,))
-    records = run_sweep(config, jobs=jobs)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_results_csv(records, out / "results.csv")
-    write_density_samples_csv(records, out / "density_samples.csv")
-    write_summary_json(summarize(records), out / "summary.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    records = run_sweep(config, jobs=jobs)
+    try:
+        write_results_csv(records, out / "results.csv")
+        write_density_samples_csv(records, out / "density_samples.csv")
+        write_summary_json(summarize(records), out / "summary.json")
+    except OSError as exc:  # a failed write, such as a full disk, names no file
+        print(f"error: {exc.filename or out}: {exc.strerror}", file=sys.stderr)
+        return 2
     failures = sum(1 for r in records if r.failed)
     detected = sum(1 for r in records if r.detection is not None)
     print(f"{len(records)} runs, {detected} detections, {failures} failures -> {out}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .atmosphere import FogCondition, SensorCalibration, effective_range
 from .gaze import TAU, ArcSet
-from .scene import Scene, Vec2, cast_edges, cast_rays, edges_at, ray_fan
+from .scene import Scene, Vec2, cast_edges, cast_rays, ray_fan
 
 
 class ScanSegment(NamedTuple):
@@ -126,16 +126,15 @@ class RevolutionSetup(NamedTuple):
     """Everything about one revolution that does not depend on the moving boxes.
 
     Per pulse: firing angle, segment index, fog-limited max range, and the
-    cast of the scene's static layer (static_ranges and static_ids, all
-    misses, nan and -1, when there are none). cos, sin, key and order are
-    scene.ray_fan of the angles, which every cast of them reuses, and
-    segment_rays counts the pulses per plan segment. in_roi is
+    cast of the scene's static layer (static_ranges and static_ids, nan and
+    -1 where it misses). cos, sin, key and order are scene.ray_fan of the
+    angles, which every cast of them reuses. in_roi is
     roi.contains_many(angles) for the RoI given to revolution_setup, all
     false without one; metrics.roi_densities counts it. These depend only on
     the plan, the fog, the calibration, the static boxes and the RoI, so a
     sweep computes them once per gaze state of a (variant, fog) cell and
-    reuses them every frame of every seed. The arrays are read-only because
-    they are shared between frames.
+    reuses them, through scan_frames, every frame of every seed. The arrays
+    are read-only because they are shared between frames.
     """
 
     angles: np.ndarray
@@ -147,18 +146,16 @@ class RevolutionSetup(NamedTuple):
     sin: np.ndarray
     key: np.ndarray
     order: np.ndarray
-    segment_rays: np.ndarray
     in_roi: np.ndarray
 
 
 def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
-                     static_scene: Scene | None = None,
-                     roi: ArcSet = ArcSet.empty()) -> RevolutionSetup:
+                     static_scene: Scene, roi: ArcSet = ArcSet.empty()) -> RevolutionSetup:
     """Pulse directions, each pulse's effective range, the static cast and the RoI flags.
 
     effective_range runs once per distinct segment power. The boxes of
-    static_scene are cast from its ego position once, here; scan_revolution
-    and scan_frames must then be given the other boxes.
+    static_scene are cast from its ego position once, here; scan_frames
+    must then be given the other boxes.
     """
     angles, seg_idx = pulse_directions(plan)
     seg_ranges = {}
@@ -167,14 +164,9 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
             seg_ranges[seg.power] = effective_range(seg.power, fog, cal)
     max_ranges = np.array([seg_ranges[seg.power] for seg in plan.segments])[seg_idx]
     fan = ray_fan(angles)
-    if static_scene is None:
-        static_ranges = np.full(len(angles), np.nan)
-        static_ids = np.full(len(angles), -1, dtype=np.int64)
-    else:
-        static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
-                                              angles, max_ranges, fan)
+    static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
+                                          angles, max_ranges, fan)
     setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids, *fan,
-                            np.bincount(seg_idx, minlength=len(plan.segments)),
                             roi.contains_many(angles))
     for array in setup:
         array.flags.writeable = False
@@ -222,28 +214,25 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
                     cal: SensorCalibration, start_time: float,
-                    dropout: bool = False, rng=None,
-                    setup: RevolutionSetup | None = None) -> PointCloud:
+                    dropout: bool = False, rng=None) -> PointCloud:
     """Sweep one revolution over a frozen scene: a one-frame scan_frames.
 
-    Each pulse is range-limited by the effective range of its segment's
-    emitted power under the given fog. With dropout enabled, a hit survives
-    with probability exp(-sigma r); one uniform is drawn per pulse so the
-    draw order does not depend on the hit pattern. `setup` must be
-    revolution_setup(plan, fog, cal, static_scene) when given, with `scene`
-    holding the boxes that static_scene does not; it is computed otherwise,
-    without a static layer.
+    Every box stands still for the revolution, so the whole scene is the
+    setup's static layer and the frame itself has no edges. Each pulse is
+    range-limited by the effective range of its segment's emitted power
+    under the given fog. With dropout enabled, a hit survives with
+    probability exp(-sigma r); one uniform is drawn per pulse so the draw
+    order does not depend on the hit pattern.
     """
-    if setup is None:
-        setup = revolution_setup(plan, fog, cal)
     sigma = fog.sigma if dropout else 0.0
     if sigma > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
-    edges, edge_ids = edges_at(scene, (0.0,))
-    ranges, hit_ids, hit = (rows[0] for rows in scan_frames(edges, edge_ids, scene.ego_position,
-                                                            setup, sigma, rng))
+    setup = revolution_setup(plan, fog, cal, scene)
+    ranges, hit_ids, hit = (rows[0] for rows in scan_frames(
+        np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup, sigma, rng))
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = ranges[hit]
     returns["hit_id"] = hit_ids[hit]
-    return PointCloud(start_time, returns, len(setup.angles), plan.segments, setup.segment_rays)
+    return PointCloud(start_time, returns, len(setup.angles), plan.segments,
+                      np.bincount(setup.seg_idx, minlength=len(plan.segments)))

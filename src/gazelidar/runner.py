@@ -504,7 +504,7 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     grid = [(config, variant, fog) for variant in config.variants for fog in config.fog_fractions]
     if jobs > 1 and len(grid) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            cells = list(pool.map(_run_cell, grid, chunksize=max(1, len(grid) // (4 * jobs))))
+            cells = list(pool.map(_run_cell, grid))
     else:
         cells = [_run_cell(cell) for cell in grid]
     return sorted((record for cell in cells for record in cell), key=_record_key)

@@ -12,6 +12,8 @@ TAU = math.tau
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
 DEFAULT_CONFIG = CONFIG_DIR / "t_intersection.json"
+# A scene without boxes: a revolution_setup over it has an all-miss static layer.
+EMPTY_SCENE = Scene(Vec2(0.0, 0.0), (), Vec2(0.0, 50.0))
 
 
 def make_random_scene(rng: np.random.Generator, min_boxes: int = 5,

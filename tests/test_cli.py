@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -274,6 +275,36 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "target_id" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+        monkeypatch.setattr("gazelidar.cli.run_sweep", no_sweep)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code, _ = _run(tmp_path, "taken")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {taken}: ")
+        assert "Traceback" not in err
+        assert taken.read_text() == "not a directory"
+
+    def test_an_unwritable_result_file_exits_2(self, tmp_path, capsys):
+        blocked = tmp_path / "out" / "results.csv"
+        blocked.mkdir(parents=True)
+        code, _ = _run(tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {blocked}: ")
+
+    def test_a_write_error_without_a_file_name_names_the_directory(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr("gazelidar.cli.write_summary_json", full_disk)
+        code, out = _run(tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_seed_override_narrows_the_sweep(self, tmp_path):
         config = _write_trimmed_config(tmp_path)

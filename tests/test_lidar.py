@@ -13,7 +13,7 @@ from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
                              pulse_directions, revolution_setup, scan_frames, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
-from helpers import make_enclosing_scene, make_random_scene
+from helpers import EMPTY_SCENE, make_enclosing_scene, make_random_scene
 from oracles import dense_cast_rays, segment_at
 
 TAU = math.tau
@@ -200,17 +200,6 @@ class TestScanRevolution:
                                       omega_high_ratio=1.0)):
             assert scan_revolution(scene, _plan_for(variant), fog, CAL, 0.0) == reference
 
-    def test_precomputed_setup_is_reusable_across_scenes(self):
-        plan = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
-        fog = FogCondition(0.25, 0.0025)
-        setup = revolution_setup(plan, fog, CAL)
-        assert not any(a.flags.writeable for a in setup)
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            scene = make_random_scene(rng)
-            assert (scan_revolution(scene, plan, fog, CAL, 0.0, setup=setup)
-                    == scan_revolution(scene, plan, fog, CAL, 0.0))
-
 
 def _layers(scene):
     """The run's split of a scene: (static boxes, moving boxes)."""
@@ -220,34 +209,44 @@ def _layers(scene):
             layer(o for o in scene.obstacles if o.speed != 0.0))
 
 
-def _dense_cloud(scene, setup, start_time):
-    """The cloud of a dense every-ray-every-edge cast of the whole scene."""
-    ranges, ids = dense_cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
-    hit = ids >= 0
+def _returns(angles, ranges, ids, hit):
+    """The RETURN_DTYPE records of the rays that hit, in firing order."""
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
-    returns["angle"] = setup.angles[hit]
+    returns["angle"] = angles[hit]
     returns["range_m"] = ranges[hit]
     returns["hit_id"] = ids[hit]
     return returns
 
 
+def _dense_cloud(scene, setup):
+    """The returns of a dense every-ray-every-edge cast of the whole scene."""
+    ranges, ids = dense_cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
+    return _returns(setup.angles, ranges, ids, ids >= 0)
+
+
 class TestLayeredCast:
-    """A static layer cast once in revolution_setup, merged with a cast of the
-    movers each frame, equals one cast of the whole scene."""
+    """A static layer cast once in revolution_setup, merged by scan_frames with
+    a cast of the movers each frame, equals one cast of the whole scene."""
 
     PLAN = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
     FOG = FogCondition(0.25, 0.0025)
 
-    def _check(self, scene, t=0.0):
-        """Layered scan of advance(scene, t) equals the dense cast of it; returns the cloud."""
+    def _check(self, scene, times=(0.0,)):
+        """Each frame of the layered scan_frames of scene equals scan_revolution
+        and the dense cast of advance(scene, t); returns the returns per frame."""
         static, movers = _layers(scene)
         setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
         assert not any(a.flags.writeable for a in setup)
-        cloud = scan_revolution(advance(movers, t), self.PLAN, self.FOG, CAL, t, setup=setup)
-        whole = advance(scene, t)
-        assert np.array_equal(cloud.returns, _dense_cloud(whole, setup, t))
-        assert cloud == scan_revolution(whole, self.PLAN, self.FOG, CAL, t)
-        return cloud
+        chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup)
+        frames = []
+        for t, rows in zip(times, zip(*chunk)):
+            returns = _returns(setup.angles, *rows)
+            whole = advance(scene, t)
+            assert np.array_equal(returns, scan_revolution(whole, self.PLAN, self.FOG, CAL,
+                                                           t).returns)
+            assert np.array_equal(returns, _dense_cloud(whole, setup))
+            frames.append(returns)
+        return frames
 
     def test_random_static_mover_mixes(self):
         rng = np.random.default_rng(21)
@@ -256,7 +255,8 @@ class TestLayeredCast:
             moving = rng.random(len(scene.obstacles)) < rng.uniform(0.0, 1.0)
             boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(1.0, 20.0))) if m else o
                           for o, m in zip(scene.obstacles, moving))
-            self._check(dataclasses.replace(scene, obstacles=boxes), float(rng.uniform(0.0, 3.0)))
+            self._check(dataclasses.replace(scene, obstacles=boxes),
+                        (float(rng.uniform(0.0, 3.0)),))
 
     def test_dropout_draws_on_the_merged_hits(self):
         rng = np.random.default_rng(22)
@@ -267,11 +267,12 @@ class TestLayeredCast:
         static, movers = _layers(scene)
         setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
         for seed in range(5):
-            layered = scan_revolution(advance(movers, 0.5), self.PLAN, self.FOG, CAL, 0.5,
-                                      dropout=True, rng=np.random.default_rng(seed), setup=setup)
+            layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
+                                  self.FOG.sigma, np.random.default_rng(seed))
             whole = scan_revolution(advance(scene, 0.5), self.PLAN, self.FOG, CAL, 0.5,
                                     dropout=True, rng=np.random.default_rng(seed))
-            assert layered == whole
+            assert np.array_equal(_returns(setup.angles, *(rows[0] for rows in layered)),
+                                  whole.returns)
 
     @pytest.mark.parametrize("static_id, mover_id", [(3, 7), (7, 3)],
                              ids=["static-smaller", "mover-smaller"])
@@ -282,19 +283,17 @@ class TestLayeredCast:
         twin = dataclasses.replace(base, id=static_id)
         mover = dataclasses.replace(base, id=mover_id, speed=5.0)
         scene = Scene(Vec2(0, 0), (twin, mover), Vec2(0, 1))
-        cloud = self._check(scene)
-        assert len(cloud.returns) > 0
-        assert np.all(cloud.returns["hit_id"] == min(static_id, mover_id))
+        [returns] = self._check(scene)
+        assert len(returns) > 0
+        assert np.all(returns["hit_id"] == min(static_id, mover_id))
 
     def test_mover_passing_behind_a_static_box(self):
         # the car crosses bearings 233-307 deg, inside the boosted RoI
         wall = ObstacleBox.spawn(5, Vec2(0.0, -20.0), 0.0, 4.0, 0.5, 0.0)
         car = ObstacleBox.spawn(2, Vec2(-30.0, -40.0), 0.0, 2.0, 1.0, 10.0)
         scene = Scene(Vec2(0, 0), (wall, car), Vec2(0, 1))
-        seen = []
-        for t in np.arange(0.0, 6.05, 0.25):
-            cloud = self._check(scene, t)
-            seen.append(bool(np.any(cloud.returns["hit_id"] == 2)))
+        seen = [bool(np.any(returns["hit_id"] == 2))
+                for returns in self._check(scene, np.arange(0.0, 6.05, 0.25))]
         # the wall's shadow hides the whole car while it crosses x in [-6, 6]
         assert seen[0] and seen[-1] and not seen[12]
         assert seen.count(False) >= 3
@@ -305,7 +304,8 @@ class TestLayeredCast:
         scene = dataclasses.replace(scene, obstacles=movers)
         setup = revolution_setup(self.PLAN, self.FOG, CAL, _layers(scene)[0])
         assert np.all(setup.static_ids == -1) and np.all(np.isnan(setup.static_ranges))
-        assert len(self._check(scene, 1.5).returns) > 0
+        assert setup.static_ids.shape == setup.angles.shape
+        assert len(self._check(scene, (1.5,))[0]) > 0
 
     def test_no_movers(self):
         scene = make_random_scene(np.random.default_rng(25))
@@ -313,12 +313,7 @@ class TestLayeredCast:
         assert movers.obstacles == ()
         setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
         assert np.any(setup.static_ids >= 0)
-        assert len(self._check(scene, 1.5).returns) > 0
-
-    def test_without_a_static_scene_the_static_layer_misses(self):
-        setup = revolution_setup(self.PLAN, self.FOG, CAL)
-        assert np.all(setup.static_ids == -1) and np.all(np.isnan(setup.static_ranges))
-        assert setup.static_ids.shape == setup.angles.shape
+        assert len(self._check(scene, (1.5,))[0]) > 0
 
 
 class TestDropout:
@@ -374,7 +369,7 @@ class TestDropout:
                                       rng=np.random.default_rng(seed))
             # one draw per pulse, in firing order; pick out the pulses that hit
             draws = np.random.default_rng(seed).random(plan.rays_per_revolution)
-            angles = revolution_setup(plan, fog, CAL).angles
+            angles = revolution_setup(plan, fog, CAL, scene).angles
             hit_draws = draws[np.isin(angles, full.returns["angle"])]
             kept = [draw < math.exp(-fog.sigma * r)
                     for draw, r in zip(hit_draws, full.returns["range_m"])]
@@ -408,7 +403,8 @@ class TestScanFrames:
             scene = make_random_scene(rng, 6, 12)
             boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
                           if i % 2 else o for i, o in enumerate(scene.obstacles))
-            static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
+            scene = dataclasses.replace(scene, obstacles=boxes)
+            static, movers = _layers(scene)
             setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
             times = [0.0, 0.05, 0.1, 0.15, 1.0]
             chunk = scan_frames(*edges_at(movers, times), movers.ego_position,
@@ -416,20 +412,18 @@ class TestScanFrames:
             ranges, hit_ids, hit = chunk
             one_by_one = np.random.default_rng(seed)
             for k, t in enumerate(times):
-                cloud = scan_revolution(advance(movers, t), self.PLAN, self.FOG, CAL, t,
-                                        dropout=True, rng=one_by_one, setup=setup)
+                cloud = scan_revolution(advance(scene, t), self.PLAN, self.FOG, CAL, t,
+                                        dropout=True, rng=one_by_one)
                 assert np.array_equal(cloud.returns["angle"], setup.angles[hit[k]])
                 assert np.array_equal(cloud.returns["range_m"], ranges[k][hit[k]])
                 assert np.array_equal(cloud.returns["hit_id"], hit_ids[k][hit[k]])
 
     def test_setup_carries_the_per_ray_invariants(self):
-        setup = revolution_setup(self.PLAN, self.FOG, CAL)
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, EMPTY_SCENE)
         assert np.array_equal(setup.cos, np.cos(setup.angles))
         assert np.array_equal(setup.sin, np.sin(setup.angles))
         assert np.array_equal(setup.key, np.sort(np.mod(setup.angles, TAU)))
         assert np.array_equal(setup.key, np.mod(setup.angles, TAU)[setup.order])
-        assert setup.segment_rays.tolist() == np.bincount(
-            setup.seg_idx, minlength=len(self.PLAN.segments)).tolist()
 
 
 class TestPointCloud:
@@ -438,9 +432,9 @@ class TestPointCloud:
         scene = make_random_scene(rng)
         plan = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
         fog = FogCondition(0.25, 0.0025)
-        setup = revolution_setup(plan, fog, CAL)
+        setup = revolution_setup(plan, fog, CAL, scene)
         ranges, ids = cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
-        cloud = scan_revolution(scene, plan, fog, CAL, 0.0, setup=setup)
+        cloud = scan_revolution(scene, plan, fog, CAL, 0.0)
         hit = ids >= 0
         assert cloud.returns["angle"].tolist() == setup.angles[hit].tolist()
         assert cloud.returns["range_m"].tolist() == ranges[hit].tolist()

@@ -19,7 +19,7 @@ from gazelidar.metrics import (DetectionEvent, density, detect, first_detection,
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.runner import run_single
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, edges_at
-from helpers import make_enclosing_scene
+from helpers import EMPTY_SCENE, make_enclosing_scene
 
 TAU = math.tau
 
@@ -148,12 +148,12 @@ class TestRoiFlags:
     @given(st.data())
     def test_flag_count_equals_the_mapped_angle_count(self, data):
         plan = data.draw(st.sampled_from(PLANS))
-        angles = revolution_setup(plan, FOG, CAL).angles
+        angles = revolution_setup(plan, FOG, CAL, EMPTY_SCENE).angles
         roi = data.draw(_roi_on(angles))
         assume(not roi.is_empty())
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         scene = make_enclosing_scene()
-        setup = revolution_setup(plan, FOG, CAL, roi=roi)
+        setup = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, roi)
         times = (0.0, 0.05, 0.1)
         _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
                                 np.random.default_rng(seed))
@@ -165,24 +165,24 @@ class TestRoiFlags:
             assert sample.density == expected / math.degrees(roi.width)
         # the one-frame density of the first frame's cloud maps its angles
         cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, dropout=True,
-                                rng=np.random.default_rng(seed), setup=setup)
+                                rng=np.random.default_rng(seed))
         assert density(cloud, roi, frame_index=2) == samples[0]
 
     def test_flags_built_for_another_roi_are_not_counted(self, default_config):
         plan = PLANS[1]
         built_for = ArcSet.from_arc(0.0, math.pi)
         scene = make_enclosing_scene()
-        setup = revolution_setup(plan, FOG, CAL, roi=built_for)
+        setup = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, built_for)
         _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
         assert roi_densities(hit, setup.in_roi, built_for)[0].points_in_roi == int(
             np.count_nonzero(built_for.contains_many(setup.angles[hit[0]])))
-        cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, setup=setup)
+        cloud = scan_revolution(scene, plan, FOG, CAL, 0.0)
         for other in (built_for.complement(), ArcSet.from_arc(1.5 * math.pi, 0.5 * math.pi),
                       ArcSet(built_for.arcs)):
             expected = int(np.count_nonzero(other.contains_many(cloud.returns["angle"])))
             assert expected < len(cloud.returns)
             assert density(cloud, other).points_in_roi == expected
-            own = revolution_setup(plan, FOG, CAL, roi=other).in_roi
+            own = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, other).in_roi
             assert roi_densities(hit, own, other)[0].points_in_roi == expected
         # a run keeps each gaze state's RoI beside the flags built for it
         left = default_config.gaze_trace.states[0]
@@ -195,14 +195,14 @@ class TestRoiFlags:
             assert np.array_equal(setup.in_roi, roi.contains_many(setup.angles))
 
     def test_a_setup_without_an_roi_flags_no_pulse(self):
-        setup = revolution_setup(PLANS[0], FOG, CAL)
+        setup = revolution_setup(PLANS[0], FOG, CAL, EMPTY_SCENE)
         assert not setup.in_roi.any()
         assert not setup.in_roi.flags.writeable
         scene = make_enclosing_scene()
         _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
         roi = ArcSet.from_arc(0.0, 1.0)
         assert hit.any() and roi_densities(hit, setup.in_roi, roi)[0].points_in_roi == 0
-        cloud = scan_revolution(scene, PLANS[0], FOG, CAL, 0.0, setup=setup)
+        cloud = scan_revolution(scene, PLANS[0], FOG, CAL, 0.0)
         assert density(cloud, roi).points_in_roi == int(
             np.count_nonzero(roi.contains_many(cloud.returns["angle"]))) > 0
 
@@ -226,7 +226,7 @@ class TestChunkMetrics:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_chunk_results_equal_per_frame_density_and_detect(self, data):
-        angles = revolution_setup(FINE_PLAN, THIN_FOG, CAL).angles
+        angles = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE).angles
         roi = data.draw(_roi_on(angles))
         assume(not roi.is_empty())
         frames = data.draw(st.integers(1, 8))
@@ -234,13 +234,13 @@ class TestChunkMetrics:
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         first_frame = data.draw(st.integers(0, 500))
         times = [0.5 * k for k in range(frames)]
-        setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, roi=roi)
+        setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE, roi)
         _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
                                       THIN_FOG.sigma if dropout else 0.0,
                                       np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
-                                  dropout=dropout, rng=rng, setup=setup) for t in times]
+                                  dropout=dropout, rng=rng) for t in times]
         assert roi_densities(hit, setup.in_roi, roi, first_frame) == [
             density(cloud, roi, first_frame + k) for k, cloud in enumerate(clouds)]
 

@@ -1,0 +1,22 @@
+"""The code that README.md shows runs as written."""
+from __future__ import annotations
+
+import numpy as np
+
+from gazelidar.lidar import PointCloud
+from helpers import REPO_ROOT
+
+
+def _python_block(heading: str) -> str:
+    """The first ```python block of the README section under `## heading`."""
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_library_use_scans_box_1():
+    namespace = {}
+    exec(compile(_python_block("Library use"), "README.md", "exec"), namespace)
+    cloud = namespace["cloud"]
+    assert isinstance(cloud, PointCloud)
+    assert len(cloud.returns) > 0 and np.all(cloud.returns["hit_id"] == 1)
