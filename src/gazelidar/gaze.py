@@ -218,32 +218,35 @@ class GazeTrace:
 def load_gaze_trace(path, eta: float = 0.5) -> GazeTrace:
     """Load a gaze trace CSV with header ``t_s,theta_g_deg``.
 
-    Values must be finite, timestamps strictly increasing and the file
-    non-empty. The threshold eta is applied to every entry.
+    Read as UTF-8. Values must be finite, timestamps strictly increasing
+    and the file non-empty. The threshold eta is applied to every entry.
     """
     times: list[float] = []
     states: list[GazeState] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_s", "theta_g_deg"]:
-            raise GazeTraceError(f"{path}: expected header 't_s,theta_g_deg', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise GazeTraceError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                t = float(row[0])
-                theta_deg = float(row[1])
-            except ValueError as exc:
-                raise GazeTraceError(f"{path}: line {lineno}: {exc}") from exc
-            if not (math.isfinite(t) and math.isfinite(theta_deg)):
-                raise GazeTraceError(f"{path}: line {lineno}: t_s and theta_g_deg must be finite")
-            if times and t <= times[-1]:
-                raise GazeTraceError(f"{path}: line {lineno}: timestamps must be strictly increasing")
-            times.append(t)
-            states.append(GazeState(math.radians(theta_deg), eta))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise GazeTraceError(f"{path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["t_s", "theta_g_deg"]:
+        raise GazeTraceError(f"{path}: expected header 't_s,theta_g_deg', got {header}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise GazeTraceError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            t = float(row[0])
+            theta_deg = float(row[1])
+        except ValueError as exc:
+            raise GazeTraceError(f"{path}: line {lineno}: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(theta_deg)):
+            raise GazeTraceError(f"{path}: line {lineno}: t_s and theta_g_deg must be finite")
+        if times and t <= times[-1]:
+            raise GazeTraceError(f"{path}: line {lineno}: timestamps must be strictly increasing")
+        times.append(t)
+        states.append(GazeState(math.radians(theta_deg), eta))
     if not times:
         raise GazeTraceError(f"{path}: trace contains no entries")
     return GazeTrace(tuple(times), tuple(states))

@@ -200,6 +200,8 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     frame order, which is the stream K one-frame calls would draw. Returns
     (ranges, hit_ids, hit) as (K, n) arrays; hit marks the surviving hits.
     """
+    if sigma > 0.0 and rng is None:
+        raise ValueError("dropout requires an rng")
     fan = (setup.cos, setup.sin, setup.key, setup.order)
     ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan, setup.max_ranges)
     _merge_layers(ranges, hit_ids, setup)
@@ -225,8 +227,6 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     order does not depend on the hit pattern.
     """
     sigma = fog.sigma if dropout else 0.0
-    if sigma > 0.0 and rng is None:
-        raise ValueError("dropout requires an rng")
     setup = revolution_setup(plan, fog, cal, scene)
     ranges, hit_ids, hit = (rows[0] for rows in scan_frames(
         np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup, sigma, rng))

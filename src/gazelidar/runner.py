@@ -29,13 +29,6 @@ from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
 
 TAU = math.tau
 
-DEFAULT_FRAME_RATE = 20.0
-DEFAULT_PULSE_RATE = 7812.5
-DEFAULT_MAX_SIM_TIME = 15.0
-DEFAULT_KAPPA = 0.01
-DEFAULT_ETA = 0.5
-DEFAULT_P_LOW_RATIO = 0.2
-DEFAULT_OMEGA_HIGH_RATIO = 2.0
 # Most frames run_single casts in one scan_frames call.
 CHUNK_FRAMES = 24
 
@@ -88,12 +81,6 @@ class RunRecord:
     reused_from: int | None = None
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ConfigError(f"{context}: missing required key '{key}'")
-    return obj[key]
-
-
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -131,14 +118,59 @@ def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
     return value
 
 
-def _positive(value, field: str) -> float:
-    return _number(value, field, 0.0, low_open=True)
+def _read_json(path: Path):
+    """The JSON value in the file at `path`, read as UTF-8 whatever the locale."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _vec2(value, context: str) -> Vec2:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{context}: expected [x, y]")
-    return Vec2(_number(value[0], f"{context}[0]"), _number(value[1], f"{context}[1]"))
+class _Fields:
+    """One JSON object of a config or summary.json; each read names the field it reads.
+
+    `name` names the object, as in "<file>: scenario", and the field at
+    `key` is `prefix + key`, as in "<file>: scenario.ego"; `prefix` is
+    `name` and a dot unless given. A read without a default requires its key.
+    """
+
+    def __init__(self, obj, name: str, prefix: str | None = None):
+        self.obj = _typed(obj, dict, name)
+        self.name = name
+        self.prefix = f"{name}." if prefix is None else prefix
+
+    def get(self, key: str, default=None, kind: type | None = None):
+        if key not in self.obj and default is None:
+            raise ConfigError(f"{self.name}: missing required key '{key}'")
+        value = self.obj.get(key, default)
+        return value if kind is None else _typed(value, kind, self.prefix + key)
+
+    def number(self, key: str, *limits, default=None, **checks):
+        return _number(self.get(key, default), self.prefix + key, *limits, **checks)
+
+    def positive(self, key: str, default=None) -> float:
+        return self.number(key, 0.0, low_open=True, default=default)
+
+    def section(self, key: str, default=None) -> "_Fields":
+        return _Fields(self.get(key, default), self.prefix + key)
+
+    def items(self, key: str, default=None) -> list[tuple[str, object]]:
+        """(name, value) of each entry of the non-empty list at `key`."""
+        value = self.get(key, default)
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{self.prefix}{key} must be a non-empty list")
+        return [(f"{self.prefix}{key}[{i}]", v) for i, v in enumerate(value)]
+
+    def entries(self, key: str):
+        """A _Fields for each object of the list at `key`, which may be empty."""
+        values = self.get(key, kind=list)
+        return (_Fields(v, f"{self.prefix}{key}[{i}]") for i, v in enumerate(values))
+
+    def vec2(self, key: str) -> Vec2:
+        value, name = self.get(key), self.prefix + key
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(f"{name}: expected [x, y]")
+        return Vec2(_number(value[0], f"{name}[0]"), _number(value[1], f"{name}[1]"))
 
 
 def load_run_config(path) -> RunConfig:
@@ -149,115 +181,77 @@ def load_run_config(path) -> RunConfig:
     directory.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    raw = _Fields(raw, str(path), f"{path}: ")
 
-    frame_rate = _positive(raw.get("frame_rate_hz", DEFAULT_FRAME_RATE), f"{path}: frame_rate_hz")
-    pulse_rate = _positive(raw.get("pulse_rate_hz", DEFAULT_PULSE_RATE), f"{path}: pulse_rate_hz")
-    max_sim_time = _positive(raw.get("max_sim_time_s", DEFAULT_MAX_SIM_TIME),
-                             f"{path}: max_sim_time_s")
-    kappa = _positive(raw.get("kappa_per_m", DEFAULT_KAPPA), f"{path}: kappa_per_m")
+    frame_rate = raw.positive("frame_rate_hz", 20.0)
+    pulse_rate = raw.positive("pulse_rate_hz", 7812.5)
+    max_sim_time = raw.positive("max_sim_time_s", 15.0)
+    kappa = raw.positive("kappa_per_m", 0.01)
+    fog_fractions = [_number(f, name, 0.0, 1.0)
+                     for name, f in raw.items("fog_fractions", [0.0, 0.25, 0.5])]
+    seeds = [_number(s, name, 0, integer=True) for name, s in raw.items("seeds", [0])]
 
-    fog_fractions = raw.get("fog_fractions", [0.0, 0.25, 0.5])
-    if not isinstance(fog_fractions, list) or not fog_fractions:
-        raise ConfigError(f"{path}: fog_fractions must be a non-empty list")
-    fog_fractions = [_number(f, f"{path}: fog_fractions[{i}]", 0.0, 1.0)
-                     for i, f in enumerate(fog_fractions)]
+    sensor = raw.section("sensor", {})
+    calibration = SensorCalibration(sensor.positive("p_nominal_w", 1.0),
+                                    sensor.positive("r_nominal_m", 100.0))
+    p_max_ratio = sensor.positive("p_max_ratio", P_MAX_RATIO)
 
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{path}: seeds must be a non-empty list")
-    for i, s in enumerate(seeds):
-        _number(s, f"{path}: seeds[{i}]", 0, integer=True)
-
-    sensor = _typed(raw.get("sensor", {}), dict, f"{path}: sensor")
-    calibration = SensorCalibration(
-        _positive(sensor.get("p_nominal_w", 1.0), f"{path}: sensor.p_nominal_w"),
-        _positive(sensor.get("r_nominal_m", 100.0), f"{path}: sensor.r_nominal_m"))
-    p_max_ratio = _positive(sensor.get("p_max_ratio", P_MAX_RATIO), f"{path}: sensor.p_max_ratio")
-
-    acuity_raw = _typed(raw.get("acuity", {}), dict, f"{path}: acuity")
+    acuity_raw = raw.section("acuity", {})
     kind = acuity_raw.get("kind", "boxcar")
-    eta = _number(acuity_raw.get("eta", DEFAULT_ETA), f"{path}: acuity.eta", 0.0, 1.0,
-                  low_open=True)
+    eta = acuity_raw.number("eta", 0.0, 1.0, low_open=True, default=0.5)
+    if kind == "boxcar":
+        shape, width = AcuityFunction.boxcar, acuity_raw.number(
+            "half_width_deg", 0.0, 180.0, low_open=True, default=30.0)
+    elif kind == "gaussian":
+        shape, width = AcuityFunction.gaussian, acuity_raw.positive("sigma_deg")
+    else:
+        raise ConfigError(f"{acuity_raw.prefix}kind {kind!r} is not 'boxcar' or 'gaussian'")
     try:
-        if kind == "boxcar":
-            acuity = AcuityFunction.boxcar(math.radians(_number(
-                acuity_raw.get("half_width_deg", 30.0), f"{path}: acuity.half_width_deg",
-                0.0, 180.0, low_open=True)))
-        elif kind == "gaussian":
-            acuity = AcuityFunction.gaussian(math.radians(_positive(
-                _require(acuity_raw, "sigma_deg", f"{path}: acuity"), f"{path}: acuity.sigma_deg")))
-        else:
-            raise ConfigError(f"{path}: acuity.kind {kind!r} is not 'boxcar' or 'gaussian'")
+        acuity = shape(math.radians(width))
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: acuity: {exc}") from exc
+        raise ConfigError(f"{acuity_raw.name}: {exc}") from exc
 
-    trace_path = Path(_typed(_require(raw, "gaze_trace", str(path)), str, f"{path}: gaze_trace"))
-    if not trace_path.is_absolute():
-        trace_path = path.parent / trace_path
+    trace_path = path.parent / raw.get("gaze_trace", kind=str)
     try:
         gaze_trace = load_gaze_trace(trace_path, eta)
     except (OSError, GazeTraceError) as exc:
-        raise ConfigError(f"{path}: gaze_trace: {exc}") from exc
+        raise ConfigError(f"{raw.prefix}gaze_trace: {exc}") from exc
 
-    variants_raw = _require(raw, "variants", str(path))
-    if not isinstance(variants_raw, list) or not variants_raw:
-        raise ConfigError(f"{path}: variants must be a non-empty list")
     variants = []
-    for i, v in enumerate(variants_raw):
-        context = f"{path}: variants[{i}]"
-        _typed(v, dict, context)
-        name = _require(v, "name", context)
-        p_low_ratio = _number(v.get("p_low_ratio", DEFAULT_P_LOW_RATIO),
-                              f"{context}.p_low_ratio", 0.0, 1.0, low_open=True)
-        omega_high_ratio = _number(v.get("omega_high_ratio", DEFAULT_OMEGA_HIGH_RATIO),
-                                   f"{context}.omega_high_ratio", 1.0)
+    for name, entry in raw.items("variants"):
+        v = _Fields(entry, name)
+        args = (v.get("name"), v.number("p_low_ratio", 0.0, 1.0, low_open=True, default=0.2),
+                v.number("omega_high_ratio", 1.0, default=2.0))
         try:
-            variants.append(VariantConfig(name, p_low_ratio, omega_high_ratio))
+            variants.append(VariantConfig(*args))
         except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
+            raise ConfigError(f"{v.name}: {exc}") from exc
 
-    detection_raw = _typed(raw.get("detection", {}), dict, f"{path}: detection")
-    min_points = _number(detection_raw.get("min_points", 1), f"{path}: detection.min_points",
-                         1, integer=True)
-
+    min_points = raw.section("detection", {}).number("min_points", 1, integer=True, default=1)
     dropout = raw.get("fog_dropout", False)
     if not isinstance(dropout, bool):
-        raise ConfigError(f"{path}: fog_dropout: {dropout!r} is not true or false")
-    spawn_jitter = _number(raw.get("spawn_jitter_m", 0.0), f"{path}: spawn_jitter_m", 0.0)
+        raise ConfigError(f"{raw.prefix}fog_dropout: {dropout!r} is not true or false")
+    spawn_jitter = raw.number("spawn_jitter_m", 0.0, default=0.0)
 
-    context = f"{path}: scenario"
-    scenario_raw = _typed(_require(raw, "scenario", str(path)), dict, context)
-    ego = _vec2(_require(scenario_raw, "ego", context), f"{context}.ego")
-    conflict = _vec2(_require(scenario_raw, "conflict_point", context), f"{context}.conflict_point")
-    target_id = _number(_require(scenario_raw, "target_id", context), f"{context}.target_id",
-                        integer=True)
-    obstacles_raw = _require(scenario_raw, "obstacles", context)
-    if not isinstance(obstacles_raw, list) or not obstacles_raw:
-        raise ConfigError(f"{context}.obstacles must be a non-empty list")
+    scenario = raw.section("scenario")
+    ego = scenario.vec2("ego")
+    conflict = scenario.vec2("conflict_point")
+    target_id = scenario.number("target_id", integer=True)
     obstacles = []
-    for i, o in enumerate(obstacles_raw):
-        octx = f"{context}.obstacles[{i}]"
-        _typed(o, dict, octx)
+    for name, entry in scenario.items("obstacles"):
+        o = _Fields(entry, name)
         # edges_at stores obstacle ids as int64, and casts mark a miss -1
         obstacles.append(ObstacleBox.spawn(
-            _number(_require(o, "id", octx), f"{octx}.id", 0, 2 ** 63 - 1, integer=True),
-            _vec2(_require(o, "center", octx), f"{octx}.center"),
-            math.radians(_number(_require(o, "heading_deg", octx), f"{octx}.heading_deg")),
-            _positive(_require(o, "half_length", octx), f"{octx}.half_length"),
-            _positive(_require(o, "half_width", octx), f"{octx}.half_width"),
-            _number(_require(o, "speed_mps", octx), f"{octx}.speed_mps", 0.0)))
+            o.number("id", 0, 2 ** 63 - 1, integer=True), o.vec2("center"),
+            math.radians(o.number("heading_deg")), o.positive("half_length"),
+            o.positive("half_width"), o.number("speed_mps", 0.0)))
     try:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{scenario.name}: {exc}") from exc
 
     return RunConfig(
         scenario=ScenarioConfig(scene, target_id),
@@ -433,6 +427,8 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     try:
         scene0 = _build_start_scene(config, rng)
         target = scene0.obstacle(target_id)
+        if not target.speed > 0.0:
+            raise ValueError(f"target {target_id} must be moving (speed_mps > 0)")
         movers = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed != 0.0),
                        scene0.conflict_point)
         samples: list[DensitySample] = []
@@ -603,23 +599,15 @@ def read_summary_json(path) -> dict:
     Raises ConfigError naming the file and the bad cell or key.
     """
     path = Path(path)
-    try:
-        summary = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    _typed(summary, dict, str(path))
-    cells = _typed(_require(summary, "cells", str(path)), list, f"{path}: cells")
-    for i, cell in enumerate(cells):
-        context = f"{path}: cells[{i}]"
-        _typed(cell, dict, context)
-        _typed(_require(cell, "variant", context), str, f"{context}.variant")
-        _number(_require(cell, "fog", context), f"{context}.fog", 0.0, 1.0)
+    summary = _Fields(_read_json(path), str(path), f"{path}: ")
+    for cell in summary.entries("cells"):
+        cell.get("variant", kind=str)
+        cell.number("fog", 0.0, 1.0)
         for key in ("runs", "failures", "detected"):
-            _number(_require(cell, key, context), f"{context}.{key}", 0, integer=True)
+            cell.number(key, 0, integer=True)
         for key in ("tta_s", "density_pts_per_deg"):
-            stats = _require(cell, key, context)
-            if stats is not None:
-                _typed(stats, dict, f"{context}.{key}")
+            if cell.get(key) is not None:
+                stats = cell.section(key)
                 for q in ("q1", "median", "q3"):
-                    _number(_require(stats, q, f"{context}.{key}"), f"{context}.{key}.{q}")
-    return summary
+                    stats.number(q)
+    return summary.obj

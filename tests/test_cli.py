@@ -16,7 +16,7 @@ import pytest
 import gazelidar
 from gazelidar import __version__
 from gazelidar.cli import entry, main
-from gazelidar.runner import ConfigError, load_run_config
+from gazelidar.runner import ConfigError, load_run_config, read_summary_json
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
@@ -114,6 +114,27 @@ class TestValidate:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("broken", ["config", "gaze_trace"])
+    def test_undecodable_inputs_exit_with_one_line(self, tmp_path, capsys, monkeypatch, broken):
+        trace = tmp_path / "gaze.csv"
+        trace.write_bytes(b"t_s,theta_g_deg\n0.0,135.4308\n")
+        config = _write_trimmed_config(tmp_path, gaze_trace=str(trace))
+        bad = {"config": config, "gaze_trace": trace}[broken]
+        bad.write_bytes(bad.read_bytes().replace(b"0.0", b"0.\xff", 1))
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 and out.startswith(f"invalid: {config}: ")
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_accepts_a_max_sim_time_of_1e12(self, tmp_path, capsys):
         config = _write_trimmed_config(tmp_path, max_sim_time_s=1e12)
@@ -366,6 +387,15 @@ class TestShippedOutputs:
                 for name in pins} == pins
 
 
+def _edited(change):
+    """A summary.json corruption: parse the text, apply `change` to it, dump it again."""
+    def corrupt(text):
+        summary = json.loads(text)
+        change(summary)
+        return json.dumps(summary)
+    return corrupt
+
+
 class TestReport:
     def test_table_lists_every_cell(self, tmp_path, capsys):
         _, out = _run(tmp_path)
@@ -413,12 +443,31 @@ class TestReport:
     @pytest.mark.parametrize("corrupt, problem", [
         (lambda text: text[:-3], "Expecting"),
         (lambda text: text.replace('"runs"', '"rns"', 1), "cells[0]: missing required key 'runs'"),
-    ], ids=["bad_json", "cell_without_runs"])
+        (lambda text: f"[{text}]", "summary.json: expected an object"),
+        (_edited(lambda s: s.pop("cells")), "summary.json: missing required key 'cells'"),
+        (_edited(lambda s: s.update(cells={})), "summary.json: cells: expected a list"),
+        (_edited(lambda s: s["cells"].insert(0, 5)), "cells[0]: expected an object"),
+        (_edited(lambda s: s["cells"][0].update(variant=3)), "cells[0].variant: expected a string"),
+        (_edited(lambda s: s["cells"][0].update(fog=1.5)), "cells[0].fog: 1.5 outside [0, 1]"),
+        (_edited(lambda s: s["cells"][0].update(runs=-1)), "cells[0].runs: -1 outside [0, inf)"),
+        (_edited(lambda s: s["cells"][0].update(runs=1.0)), "cells[0].runs: 1.0 is not an integer"),
+        (_edited(lambda s: s["cells"][0].update(tta_s=[])), "cells[0].tta_s: expected an object"),
+        (_edited(lambda s: s["cells"][0]["tta_s"].update(q1="1")),
+         "cells[0].tta_s.q1: '1' is not a number"),
+        (_edited(lambda s: s["cells"][0]["tta_s"].pop("median")),
+         "cells[0].tta_s: missing required key 'median'"),
+        (_edited(lambda s: s["cells"][0].pop("density_pts_per_deg")),
+         "cells[0]: missing required key 'density_pts_per_deg'"),
+        (lambda text: text + "\xff", "can't decode byte 0xff"),
+    ], ids=["bad_json", "cell_without_runs", "top_level_list", "no_cells", "cells_object",
+            "cell_not_object", "variant_number", "fog_1.5", "runs_negative", "runs_float",
+            "tta_list", "quartile_string", "no_median", "no_density", "not_utf8"])
     def test_corrupt_summary_exits_2_naming_the_problem(self, tmp_path, capsys, corrupt,
                                                          problem, fmt):
         _, out = _run(tmp_path)
         summary = out / "summary.json"
-        summary.write_text(corrupt(summary.read_text()))
+        # the text is ASCII, so Latin-1 writes it unchanged and "\xff" as byte 0xff
+        summary.write_bytes(corrupt(summary.read_text()).encode("latin-1"))
         capsys.readouterr()
         assert main(["report", "--out", str(out), "--format", fmt]) == 2
         captured = capsys.readouterr()
@@ -426,3 +475,9 @@ class TestReport:
         err_lines = captured.err.splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith(f"error: {summary}: ") and problem in err_lines[0]
+
+    def test_an_empty_cell_list_reports_no_rows(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text('{"cells": []}')
+        assert read_summary_json(tmp_path / "summary.json") == {"cells": []}
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2

@@ -324,6 +324,14 @@ class TestDropout:
             scan_revolution(scene, plan, FogCondition(0.5, 0.005), CAL, 0.0,
                             dropout=True)
 
+    def test_scan_frames_requires_an_rng_in_fog(self):
+        scene = make_enclosing_scene()
+        setup = revolution_setup(_plan_for(VariantConfig("baseline")), FogCondition(0.5, 0.005),
+                                 CAL, scene)
+        with pytest.raises(ValueError, match="rng"):
+            scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position,
+                        setup, 0.005)
+
     def test_clear_air_needs_no_rng_and_drops_nothing(self):
         scene = make_enclosing_scene()
         plan = _plan_for(VariantConfig("baseline"))

@@ -117,6 +117,23 @@ class TestLoadRunConfig:
         assert len(c.scenario.scene.obstacles) == 12
         assert c.gaze_trace.times == (0.0,)
 
+    def test_defaults_of_the_optional_keys(self, tmp_path):
+        raw = {"gaze_trace": str(CONFIG_DIR / "gaze_left.csv"),
+               "variants": [{"name": "range_and_resolution"}],
+               "scenario": DEFAULT_JSON["scenario"]}
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(raw))
+        c = load_run_config(path)
+        assert (c.frame_rate, c.pulse_rate, c.max_sim_time, c.kappa) == (20.0, 7812.5, 15.0, 0.01)
+        assert c.fog_fractions == (0.0, 0.25, 0.5)
+        assert c.seeds == (0,)
+        assert (c.calibration.p_nominal, c.calibration.r_nominal) == (1.0, 100.0)
+        assert c.p_max == 4.0
+        assert c.acuity == AcuityFunction.boxcar(math.radians(30.0))
+        assert {s.eta for s in c.gaze_trace.states} == {0.5}
+        assert (c.min_points, c.dropout, c.spawn_jitter_m) == (1, False, 0.0)
+        assert c.variants == (VariantConfig("range_and_resolution", 0.2, 2.0),)
+
     def test_rejects_malformed_json(self, tmp_path):
         p = tmp_path / "config.json"
         p.write_text("{nope")
@@ -274,8 +291,15 @@ class TestLoadRunConfig:
             path.write_text(json.dumps(raw))
             try:
                 load_run_config(path)
-            except ConfigError:
-                pass
+            except ConfigError as exc:
+                # the message names the mutated leaf, or an enclosing field of it
+                name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in route)[1:]
+                cuts = [i for i, ch in enumerate(name) if ch in ".["] + [len(name)]
+                message = str(exc)
+                assert message.startswith(f"{path}: ")
+                rest = message[len(f"{path}: "):]
+                assert any(rest.startswith(name[:cut]) and rest[cut:cut + 1] in (":", " ", "[")
+                           for cut in cuts), message
 
 
 class TestValidateRunConfig:
@@ -542,6 +566,18 @@ class TestRunSingle:
         config = dataclasses.replace(
             default_config, scenario=ScenarioConfig(default_config.scenario.scene, 99))
         with pytest.raises(KeyError, match="no obstacle with id 99"):
+            run_single(config, config.variants[0], 0.0, 101)
+
+    def test_a_static_target_raises_before_any_frame_is_cast(self, default_config, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("run_single cast a frame")
+        monkeypatch.setattr(runner, "scan_frames", no_scan)
+        scene = default_config.scenario.scene
+        frozen = tuple(dataclasses.replace(o, speed=0.0) if o.id == 1 else o
+                       for o in scene.obstacles)
+        config = dataclasses.replace(default_config, scenario=ScenarioConfig(
+            dataclasses.replace(scene, obstacles=frozen), 1))
+        with pytest.raises(ValueError, match="target 1 must be moving"):
             run_single(config, config.variants[0], 0.0, 101)
 
     def test_min_points_below_one_is_refused_like_the_per_frame_loop(self, default_config):
