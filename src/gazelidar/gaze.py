@@ -226,7 +226,7 @@ def load_gaze_trace(path, eta: float = 0.5) -> GazeTrace:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise GazeTraceError(f"{path}: {exc}") from exc
     header = rows[0] if rows else None
     if header != ["t_s", "theta_g_deg"]:

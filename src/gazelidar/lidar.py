@@ -127,8 +127,9 @@ class RevolutionSetup(NamedTuple):
 
     Per pulse: firing angle, segment index, fog-limited max range, and the
     cast of the scene's static layer (static_ranges and static_ids, nan and
-    -1 where it misses). cos, sin, key and order are scene.ray_fan of the
-    angles, which every cast of them reuses. in_roi is
+    -1 where it misses), the layer each frame's cast_edges starts from.
+    cos, sin, key and order are scene.ray_fan of the angles, which every
+    cast of them reuses; key and order hold 2n entries. in_roi is
     roi.contains_many(angles) for the RoI given to revolution_setup, all
     false without one; metrics.roi_densities counts it. These depend only on
     the plan, the fog, the calibration, the static boxes and the RoI, so a
@@ -173,28 +174,12 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
     return setup
 
 
-def _merge_layers(ranges: np.ndarray, hit_ids: np.ndarray, setup: RevolutionSetup):
-    """Per ray, the nearer of the frame's cast and the static cast.
-
-    A ray takes the static cast's result when the frame's cast missed, is
-    farther, or is as far with a larger id: the smaller-id tie rule of
-    cast_rays. A static miss (nan, -1) never compares true, so it is taken
-    only over a miss. Frames may be stacked along a leading axis. Merges
-    into ranges and hit_ids in place.
-    """
-    static_r = setup.static_ranges
-    static_id = setup.static_ids
-    take = (hit_ids < 0) | (static_r < ranges) | ((static_r == ranges) & (static_id < hit_ids))
-    np.copyto(ranges, static_r, where=take)
-    np.copyto(hit_ids, static_id, where=take)
-
-
 def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
                 sigma: float = 0.0, rng=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K revolutions under one setup, each over its own frame of edges, in one pass.
 
     edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
-    the obstacle id of each of the E rows. Each frame's cast is merged with
+    the obstacle id of each of the E rows. Each frame's cast starts from
     the setup's static cast. With sigma > 0 a hit survives with probability
     exp(-sigma r): rng.random(K * n) is drawn once, one uniform per pulse in
     frame order, which is the stream K one-frame calls would draw. Returns
@@ -203,8 +188,8 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     if sigma > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
     fan = (setup.cos, setup.sin, setup.key, setup.order)
-    ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan, setup.max_ranges)
-    _merge_layers(ranges, hit_ids, setup)
+    ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan, setup.max_ranges,
+                                 (setup.static_ranges, setup.static_ids))
     hit = hit_ids >= 0
     if sigma > 0.0:
         survival = np.where(hit, ranges, 0.0)

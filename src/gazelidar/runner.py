@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
-from .gaze import AcuityFunction, GazeTrace, GazeTraceError, compute_rof, compute_roi, load_gaze_trace
+from .gaze import AcuityFunction, GazeTrace, compute_rof, compute_roi, load_gaze_trace
 from .lidar import revolution_setup, scan_frames, scan_revolution
 from .metrics import (DensitySample, DetectionEvent, density, detect, first_detection,
                       roi_densities, tta_at_detection)
@@ -122,7 +122,7 @@ def _read_json(path: Path):
     """The JSON value in the file at `path`, read as UTF-8 whatever the locale."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -217,7 +217,7 @@ def load_run_config(path) -> RunConfig:
     trace_path = path.parent / raw.get("gaze_trace", kind=str)
     try:
         gaze_trace = load_gaze_trace(trace_path, eta)
-    except (OSError, GazeTraceError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{raw.prefix}gaze_trace: {exc}") from exc
 
     variants = []

@@ -144,11 +144,13 @@ def edges_at(scene: Scene, times) -> tuple[np.ndarray, np.ndarray]:
 
 def ray_fan(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Invariants of a set of firing angles that every cast of them reuses:
-    (cos, sin, key, order), the cos and sin per ray, and the bearings mod
-    tau in ascending order with the ray index of each (a stable sort)."""
+    (cos, sin, key, order), the cos and sin per ray, and the n bearings mod
+    tau in ascending order, then the same again plus tau, with the ray index
+    of each (a stable sort, tiled twice)."""
     key = np.mod(angles, TAU)
     order = np.argsort(key, kind="stable")
-    return np.cos(angles), np.sin(angles), key[order], order
+    key = key[order]
+    return np.cos(angles), np.sin(angles), np.concatenate((key, key + TAU)), np.tile(order, 2)
 
 
 def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.ndarray,
@@ -156,12 +158,12 @@ def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.
     """(ray, edge) index pairs whose ray can intersect the edge.
 
     Seen from the origin, the edge from w to w + e covers the shorter arc
-    between its end bearings. Rays sorted by bearing (key, with the ray
-    index of each in order) give each padded arc as one or, across 0/tau,
-    two runs of rays. Edges on a line through or near the origin, or with
-    an end at it, are paired with every ray.
+    between its end bearings. key and order are ray_fan's doubled bearings
+    and ray indices, so each padded arc, which starts in [0, tau] and is
+    under pi wide, is one run of rays, also across 0/tau. Edges on a line
+    through or near the origin, or with an end at it, are paired with every
+    ray.
     """
-    n = key.shape[0]
     qx = wx + ex
     qy = wy + ey
     b1 = np.arctan2(wy, wx)
@@ -174,41 +176,34 @@ def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.
     whole = (width > math.pi - NEAR_PI) | (np.minimum(r1, r2) <= NEAR_END * (r1 + r2))
 
     lo = np.mod(start - BEARING_PAD, TAU)
-    hi = lo + width + 2.0 * BEARING_PAD
-    wrap = hi > TAU
     starts = np.searchsorted(key, lo, side="left")
-    stops = np.searchsorted(key, np.where(wrap, TAU, hi), side="right")
-    wrap_stops = np.where(wrap, np.searchsorted(key, hi - TAU, side="right"), 0)
+    stops = np.searchsorted(key, lo + width + 2.0 * BEARING_PAD, side="right")
     starts[whole] = 0
-    stops[whole] = n
-    wrap_stops[whole] = 0
-
-    m = wx.shape[0]
-    starts = np.concatenate((starts, np.zeros(m, dtype=starts.dtype)))
-    stops = np.concatenate((stops, wrap_stops))
+    stops[whole] = key.shape[0] // 2
     lengths = stops - starts
-    edge = np.repeat(np.tile(np.arange(m), 2), lengths)
+    edge = np.repeat(np.arange(wx.shape[0]), lengths)
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     return order[np.arange(edge.shape[0]) + offsets], edge
 
 
 def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple,
-               max_ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               max_ranges: np.ndarray, base: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Nearest hit of every ray of the fan in each of K frames of edges.
 
     edges is a (K, E, 4) array of px, py, qx, qy rows, in the same order in
     every frame, and edge_ids the (E,) obstacle id of each row, as
-    edges_at gives them. `fan` is ray_fan of the rays' angles. Returns
-    (ranges, hit_ids) as (K, n) arrays, nan and -1 on a miss. Only the
-    (ray, edge) pairs that _candidate_pairs keeps are solved, all K frames
-    in one pass; each (frame, ray) takes its nearest range and, on an exact
-    tie, the edge listed first.
+    edges_at gives them. `fan` is ray_fan of the rays' angles. Every frame
+    starts from the layer base = (ranges, ids), (n,) int64 ids and ranges
+    of a cast, nan and -1 where it misses. Returns (ranges, hit_ids) as
+    (K, n) arrays, nan and -1 on a miss. Only the (ray, edge) pairs that
+    _candidate_pairs keeps are solved, all K frames in one pass; each
+    (frame, ray) takes the nearest range over the base and its edges, then
+    the smallest obstacle id at that range.
     """
     cos, sin, key, order = fan
     frames, m = edges.shape[:2]
     n = cos.shape[0]
-    if m == 0 or n == 0:
-        return np.full((frames, n), np.nan), np.full((frames, n), -1, dtype=np.int64)
+    base_ranges, base_ids = base
     edges = edges.reshape(-1, 4)
     ex = edges[:, 2] - edges[:, 0]
     ey = edges[:, 3] - edges[:, 1]
@@ -225,19 +220,20 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
         u = (dy * wx[edge] - dx * wy[edge]) / denom
     valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= max_ranges[ray])
     ray, edge, t = ray[valid], edge[valid], t[valid]
-    # each (frame, ray)'s nearest range, then the first edge reaching it;
-    # edges run frame by frame, so the first is the first in its frame. The
-    # edge index is turned into its obstacle id in place.
-    slot = edge // m * n + ray
-    nearest = np.full(frames * n, np.inf)
+    # ids compare as uint64, where a miss's -1 is the largest value; the
+    # base's id stays only where no edge of its frame is strictly nearer
+    frame, edge = np.divmod(edge, m)
+    slot = frame * n + ray
+    base_near = np.where(np.isnan(base_ranges), np.inf, base_ranges)
+    nearest = np.tile(base_near, frames)
     np.minimum.at(nearest, slot, t)
-    at_nearest = t == nearest[slot]
-    hit_ids = np.full(frames * n, frames * m)
-    np.minimum.at(hit_ids, slot[at_nearest], edge[at_nearest])
-    miss = hit_ids == frames * m
-    hit_ids[~miss] = edge_ids[hit_ids[~miss] % m]
-    hit_ids[miss] = -1
-    nearest[miss] = np.nan
+    hit_ids = np.tile(base_ids, frames)
+    at_slot = nearest[slot]
+    hit_ids[slot[at_slot < base_near[ray]]] = -1
+    at_nearest = t == at_slot
+    np.minimum.at(hit_ids.view(np.uint64), slot[at_nearest],
+                  edge_ids[edge[at_nearest]].view(np.uint64))
+    nearest[hit_ids < 0] = np.nan
     return nearest.reshape(frames, n), hit_ids.reshape(frames, n)
 
 
@@ -247,14 +243,14 @@ def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.nda
 
     Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
     lies in (0, max_range]; exact range ties across obstacles resolve to the
-    smaller obstacle id, since the edges are listed in obstacle id order.
-    A one-frame cast_edges; `fan` must be ray_fan(angles) when given.
+    smaller obstacle id. A one-frame cast_edges from an all-miss layer;
+    `fan` must be ray_fan(angles) when given.
     """
     angles = np.asarray(angles, dtype=np.float64)
     max_ranges = np.asarray(max_ranges, dtype=np.float64)
     if np.any(max_ranges <= 0.0):
         raise ValueError("max_range must be positive")
-    edges, edge_ids = edges_at(scene, (0.0,))
-    ranges, hit_ids = cast_edges(edges, edge_ids, origin,
-                                 ray_fan(angles) if fan is None else fan, max_ranges)
+    miss = (np.full(angles.shape, np.nan), np.full(angles.shape, -1, dtype=np.int64))
+    ranges, hit_ids = cast_edges(*edges_at(scene, (0.0,)), origin,
+                                 ray_fan(angles) if fan is None else fan, max_ranges, miss)
     return ranges[0], hit_ids[0]

@@ -136,6 +136,47 @@ class TestValidate:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("trace_bytes, name, problem", [
+        (None, "gaze\0.csv", "embedded null byte"),
+        (b"t_s,theta_g_deg\n0.0," + b"1" * 200_000 + b"\n", "gaze.csv",
+         "field larger than field limit"),
+    ], ids=["nul_in_path", "field_over_csv_limit"])
+    def test_unreadable_gaze_traces_exit_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                       trace_bytes, name, problem):
+        if trace_bytes is not None:
+            (tmp_path / name).write_bytes(trace_bytes)
+        config = _write_trimmed_config(tmp_path, gaze_trace=name)
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 and out.startswith(f"invalid: {config}: gaze_trace: ")
+        assert problem in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and problem in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_json_nested_past_the_recursion_limit_exits_with_one_line(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 and out.startswith(f"invalid: {config}: ")
+        assert "recursion" in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {config}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_accepts_a_max_sim_time_of_1e12(self, tmp_path, capsys):
         config = _write_trimmed_config(tmp_path, max_sim_time_s=1e12)
         assert main(["validate", "--config", str(config)]) == 0
@@ -459,9 +500,11 @@ class TestReport:
         (_edited(lambda s: s["cells"][0].pop("density_pts_per_deg")),
          "cells[0]: missing required key 'density_pts_per_deg'"),
         (lambda text: text + "\xff", "can't decode byte 0xff"),
+        (lambda text: "[" * 100_000, "maximum recursion depth exceeded"),
     ], ids=["bad_json", "cell_without_runs", "top_level_list", "no_cells", "cells_object",
             "cell_not_object", "variant_number", "fog_1.5", "runs_negative", "runs_float",
-            "tta_list", "quartile_string", "no_median", "no_density", "not_utf8"])
+            "tta_list", "quartile_string", "no_median", "no_density", "not_utf8",
+            "nested_too_deep"])
     def test_corrupt_summary_exits_2_naming_the_problem(self, tmp_path, capsys, corrupt,
                                                          problem, fmt):
         _, out = _run(tmp_path)

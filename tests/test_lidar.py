@@ -274,8 +274,10 @@ class TestLayeredCast:
             assert np.array_equal(_returns(setup.angles, *(rows[0] for rows in layered)),
                                   whole.returns)
 
-    @pytest.mark.parametrize("static_id, mover_id", [(3, 7), (7, 3)],
-                             ids=["static-smaller", "mover-smaller"])
+    @pytest.mark.parametrize("static_id, mover_id",
+                             [(3, 7), (7, 3), (0, 2**63 - 1), (2**63 - 1, 0)],
+                             ids=["static-smaller", "mover-smaller", "mover-largest",
+                                  "static-largest"])
     def test_exact_ties_across_layers_go_to_the_smaller_id(self, static_id, mover_id):
         rng = np.random.default_rng(23)
         base = make_random_scene(rng, 1, 1).obstacles[0]
@@ -297,6 +299,16 @@ class TestLayeredCast:
         # the wall's shadow hides the whole car while it crosses x in [-6, 6]
         assert seen[0] and seen[-1] and not seen[12]
         assert seen.count(False) >= 3
+
+    def test_a_mover_with_the_largest_id_in_front_of_a_static_wall(self):
+        # an id of 2**63 - 1 beats a miss like any other; the wall shows on both sides
+        wall = ObstacleBox.spawn(5, Vec2(0.0, -20.0), 0.0, 15.0, 0.5, 0.0)
+        car = ObstacleBox.spawn(2**63 - 1, Vec2(0.0, -10.0), 0.0, 2.0, 1.0, 10.0)
+        [returns] = self._check(Scene(Vec2(0, 0), (wall, car), Vec2(0, 1)))
+        wall_angles = returns["angle"][returns["hit_id"] == 5]
+        car_angles = returns["angle"][returns["hit_id"] == 2**63 - 1]
+        assert len(car_angles) > 0
+        assert wall_angles.min() < car_angles.min() and wall_angles.max() > car_angles.max()
 
     def test_no_static_boxes(self):
         scene = make_random_scene(np.random.default_rng(24))
@@ -430,8 +442,13 @@ class TestScanFrames:
         setup = revolution_setup(self.PLAN, self.FOG, CAL, EMPTY_SCENE)
         assert np.array_equal(setup.cos, np.cos(setup.angles))
         assert np.array_equal(setup.sin, np.sin(setup.angles))
-        assert np.array_equal(setup.key, np.sort(np.mod(setup.angles, TAU)))
-        assert np.array_equal(setup.key, np.mod(setup.angles, TAU)[setup.order])
+        # the sorted bearings, then the same plus tau, with the ray order tiled
+        n = len(setup.angles)
+        assert setup.key.shape == setup.order.shape == (2 * n,)
+        assert np.array_equal(setup.key[:n], np.sort(np.mod(setup.angles, TAU)))
+        assert np.array_equal(setup.key[:n], np.mod(setup.angles, TAU)[setup.order[:n]])
+        assert np.array_equal(setup.key[n:], setup.key[:n] + TAU)
+        assert np.array_equal(setup.order, np.tile(setup.order[:n], 2))
 
 
 class TestPointCloud:

@@ -331,8 +331,11 @@ class TestCulledCasterMatchesDenseOracle:
         rng = np.random.default_rng(10)
         edge_cases = np.array([0.0, -0.0, -1e-20, 1e-20, TAU, -TAU, np.nextafter(TAU, 0.0),
                                math.pi, -math.pi, 3.0 * TAU + 0.25, -7.0 * TAU - 1.0])
+        # a box across bearing 0, so keys of exactly tau meet a wrapping arc
+        straddle = ObstacleBox.spawn(100, Vec2(8.0, 0.0), 0.0, 1.0, 2.0, 0.0)
         for _ in range(40):
             scene = make_random_scene(rng, 1, 25)
+            scene = Scene(scene.ego_position, scene.obstacles + (straddle,), scene.conflict_point)
             angles = np.concatenate((rng.uniform(-4.0 * TAU, 4.0 * TAU, size=400), edge_cases))
             rng.shuffle(angles)
             assert _same_casts(scene, scene.ego_position, angles,
@@ -373,6 +376,11 @@ _BOX = st.tuples(_COORD, _COORD,
 def _bits(a):
     """The raw float bits, so -0.0 and 0.0 differ."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _all_miss(n):
+    """The layer of a cast that hits nothing: nan ranges and -1 ids."""
+    return np.full(n, np.nan), np.full(n, -1, dtype=np.int64)
 
 
 def _scene_of(boxes):
@@ -418,7 +426,7 @@ class TestFrameBatches:
             angles = rng.uniform(0.0, TAU, size=500)
             max_ranges = rng.uniform(5.0, 120.0, size=500)
             ranges, hit_ids = cast_edges(*edges_at(scene, times), scene.ego_position,
-                                         ray_fan(angles), max_ranges)
+                                         ray_fan(angles), max_ranges, _all_miss(500))
             assert ranges.shape == hit_ids.shape == (len(times), 500)
             for k, t in enumerate(times):
                 ref_ranges, ref_ids = dense_cast_rays(advance(scene, t), scene.ego_position,
@@ -432,9 +440,9 @@ class TestFrameBatches:
     def test_no_edges_and_no_rays_miss(self):
         angles = np.arange(8) * (TAU / 8)
         ranges, ids = cast_edges(np.empty((3, 0, 4)), np.empty(0, dtype=np.int64), Vec2(0, 0),
-                                 ray_fan(angles), np.full(8, 50.0))
+                                 ray_fan(angles), np.full(8, 50.0), _all_miss(8))
         assert ranges.shape == (3, 8) and np.all(np.isnan(ranges)) and np.all(ids == -1)
         scene = make_random_scene(np.random.default_rng(32))
         ranges, hit_ids = cast_edges(*edges_at(scene, [0.0, 1.0]), scene.ego_position,
-                                     ray_fan(np.empty(0)), np.empty(0))
+                                     ray_fan(np.empty(0)), np.empty(0), _all_miss(0))
         assert ranges.shape == hit_ids.shape == (2, 0)
