@@ -20,8 +20,8 @@ class FogCondition:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fog_fraction <= 1.0:
             raise ValueError("fog_fraction must lie in [0, 1]")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,12 @@ class SensorCalibration:
     r_nominal: float
 
     def __post_init__(self) -> None:
-        if self.p_nominal <= 0.0 or self.r_nominal <= 0.0:
-            raise ValueError("calibration values must be positive")
+        if not (0.0 < self.p_nominal < math.inf and 0.0 < self.r_nominal < math.inf):
+            raise ValueError("calibration values must be positive and finite")
+        # 0 where r_nominal ** 2 overflows; effective_range's bracket, which
+        # ends at 10 r_nominal, could then reach inf and never narrow
+        if not self.detection_constant > 0.0:
+            raise ValueError("p_nominal / r_nominal ** 2 must be positive, not 0")
 
     @property
     def detection_constant(self) -> float:
@@ -42,8 +46,8 @@ class SensorCalibration:
 
 def fog_from_fraction(fog_fraction: float, kappa: float) -> FogCondition:
     """Map a fog fraction (FogCondition checks it) to sigma = kappa * fraction."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     return FogCondition(fog_fraction, kappa * fog_fraction)
 
 
@@ -54,8 +58,8 @@ def effective_range(p_emit: float, fog: FogCondition, cal: SensorCalibration) ->
     [1e-3, 10 * r_nominal], terminating when the bracket is under 1e-6 m.
     The left side is strictly decreasing in r, so the root is unique.
     """
-    if p_emit <= 0.0:
-        raise ValueError("p_emit must be positive")
+    if not 0.0 < p_emit < math.inf:
+        raise ValueError("p_emit must be positive and finite")
     c = cal.detection_constant
     two_sigma = 2.0 * fog.sigma
 

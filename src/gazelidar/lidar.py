@@ -39,26 +39,27 @@ class ScanPlan:
     pulse_rate: float
 
     def __post_init__(self) -> None:
+        # every check is written so that a NaN fails it
         if not self.segments:
             raise ValueError("plan needs at least one segment")
-        if self.pulse_rate <= 0.0:
-            raise ValueError("pulse_rate must be positive")
-        if self.revolution_period <= 0.0:
-            raise ValueError("revolution_period must be positive")
+        if not 0.0 < self.pulse_rate < math.inf:
+            raise ValueError("pulse_rate must be positive and finite")
+        if not 0.0 < self.revolution_period < math.inf:
+            raise ValueError("revolution_period must be positive and finite")
         cursor = 0.0
         duration = 0.0
         for seg in self.segments:
-            if abs(seg.start - cursor) > 1e-9:
+            if not abs(seg.start - cursor) <= 1e-9:
                 raise ValueError(f"segment starts at {seg.start}, expected {cursor}")
-            if seg.end <= seg.start:
+            if not seg.end > seg.start:
                 raise ValueError("segment must have positive width")
-            if seg.power <= 0.0 or seg.spin_rate <= 0.0:
-                raise ValueError("segment power and spin rate must be positive")
+            if not (0.0 < seg.power < math.inf and 0.0 < seg.spin_rate < math.inf):
+                raise ValueError("segment power and spin rate must be positive and finite")
             duration += (seg.end - seg.start) / seg.spin_rate
             cursor = seg.end
-        if abs(cursor - TAU) > 1e-9:
+        if not abs(cursor - TAU) <= 1e-9:
             raise ValueError("segments must cover the full circle")
-        if abs(duration - self.revolution_period) > 1e-9 * self.revolution_period:
+        if not abs(duration - self.revolution_period) <= 1e-9 * self.revolution_period:
             raise ValueError("segment sweep times do not add up to the revolution period")
 
     @property
@@ -181,9 +182,12 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
     the obstacle id of each of the E rows. Each frame's cast starts from
     the setup's static cast. With sigma > 0 a hit survives with probability
-    exp(-sigma r): rng.random(K * n) is drawn once, one uniform per pulse in
-    frame order, which is the stream K one-frame calls would draw. Returns
-    (ranges, hit_ids, hit) as (K, n) arrays; hit marks the surviving hits.
+    exp(-sigma r), against one uniform per pulse in frame order. rng is a
+    generator, which draws random(K * n) once, the stream K one-frame calls
+    would draw; or a sequence of S generators for S runs stacked in equal
+    blocks of frames, each drawing its own block's uniforms, in order.
+    Returns (ranges, hit_ids, hit) as (K, n) arrays; hit marks the
+    surviving hits.
     """
     if sigma > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
@@ -195,7 +199,11 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
         survival = np.where(hit, ranges, 0.0)
         survival *= -sigma
         np.exp(survival, out=survival)
-        hit &= rng.random(hit.size).reshape(hit.shape) < survival
+        rngs = rng if isinstance(rng, (list, tuple)) else (rng,)
+        draws = np.empty(hit.shape)
+        for gen, block in zip(rngs, draws.reshape(len(rngs), -1)):
+            gen.random(out=block)
+        hit &= draws < survival
     return ranges, hit_ids, hit
 
 

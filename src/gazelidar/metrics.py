@@ -1,6 +1,7 @@
 """Detection decision and the two figures of merit: time-to-arrival at the
 conflict point and angular point density inside the region of interest. Each
-rule reads the (K, n) hit ids and hit mask of K frames from lidar.scan_frames."""
+rule reads the (K, n) hit ids and hit mask of K frames from lidar.scan_frames,
+or an (S, K, n) stack of S runs' K frames each, and then answers per run."""
 from __future__ import annotations
 
 import math
@@ -28,22 +29,32 @@ class DensitySample:
     density: float
 
 
-def first_detection(hit_ids, hit, target_id: int, min_points: int = 1) -> int | None:
-    """First frame with at least min_points returns off the target, else None."""
+def first_detection(hit_ids, hit, target_id: int,
+                    min_points: int = 1) -> int | None | list[int | None]:
+    """First frame with at least min_points returns off the target, else None;
+    for a stack, a list of one such frame per run."""
     if min_points < 1:
         raise ValueError("min_points must be at least 1")
-    detected = np.count_nonzero(hit & (hit_ids == target_id), axis=1) >= min_points
-    return int(detected.argmax()) if detected.any() else None
+    detected = np.count_nonzero(hit & (hit_ids == target_id), axis=-1) >= min_points
+    first = np.where(detected.any(axis=-1), detected.argmax(axis=-1), -1)
+    found = [None if k < 0 else k for k in first.reshape(-1).tolist()]
+    return found if first.ndim else found[0]
 
 
-def roi_densities(hit, in_roi, roi: ArcSet, first_frame: int = 0) -> list[DensitySample]:
-    """Each frame's returns inside roi per degree, numbered from first_frame; in_roi flags the pulses."""
+def roi_densities(hit, in_roi, roi: ArcSet, first_frame: int = 0, frames=None) -> list:
+    """Each frame's returns inside roi per degree, numbered from first_frame; in_roi flags the
+    pulses. A list of DensitySample; for a stack, a list of one such list per run, of its
+    first frames[s] frames when frames is given."""
     if roi.is_empty():
         raise ValueError("roi must have positive width")
     width_deg = math.degrees(roi.width)
-    counts = np.count_nonzero(hit & in_roi, axis=1).tolist()
-    return [DensitySample(first_frame + k, count, width_deg, count / width_deg)
-            for k, count in enumerate(counts)]
+    counts = np.count_nonzero(hit & in_roi, axis=-1)
+    rows = counts.reshape(-1, counts.shape[-1]).tolist()
+    if frames is not None:
+        rows = [row[:kept] for row, kept in zip(rows, frames)]
+    runs = [[DensitySample(first_frame + k, count, width_deg, count / width_deg)
+             for k, count in enumerate(row)] for row in rows]
+    return runs if counts.ndim > 1 else runs[0]
 
 
 def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:

@@ -98,6 +98,8 @@ def solve_power_levels(p_nominal: float, delta_driver: float, p_low: float,
     if p_low == p_nominal:
         return RangePolicy(p_nominal, p_nominal)
     p_high = (TAU * p_nominal - delta_driver * p_low) / (TAU - delta_driver)
+    if p_high == math.inf:
+        raise PolicyError(f"p_high overflows to {p_high!r} W")
     cap = P_MAX_RATIO * p_nominal if p_max is None else p_max
     if p_high > cap:
         raise EyeSafetyError(f"p_high {p_high!r} W exceeds cap {cap!r} W")
@@ -113,6 +115,8 @@ def solve_spin_rates(omega: float, delta_driver: float, omega_high: float) -> Re
         raise ValueError("omega must be positive")
     if omega_high < omega:
         raise ValueError("omega_high must be >= omega")
+    if omega_high == math.inf:
+        raise PolicyError(f"omega_high overflows to {omega_high!r} rad/s")
     _check_partition(delta_driver)
     if omega_high == omega:
         return ResolutionPolicy(omega, omega)

@@ -29,7 +29,10 @@ from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
 
 TAU = math.tau
 
-# Most frames run_single casts in one scan_frames call.
+# A scan_frames call of L live runs casts k frames of each, the most frames
+# whose L * k * n rays stay within RAYS_PER_CALL, but at least 1 and at most
+# CHUNK_FRAMES.
+RAYS_PER_CALL = 2 ** 15
 CHUNK_FRAMES = 24
 
 
@@ -71,11 +74,13 @@ class RunRecord:
     tta: float | None
     samples: tuple[DensitySample, ...]
     frames: int
-    # Frames scan_frames cast, at least `frames`: a chunk's frames after the
-    # detecting frame are cast and discarded. Not written to any output file.
+    # Rows of scan_frames calls this run occupied, at least `frames`: a step's
+    # frames after the detecting frame are cast and discarded. Not written
+    # to any output file.
     frames_cast: int
     failed: bool
     failure_reason: str | None
+    # The time of the loop that simulated this run, split evenly over the runs it stepped.
     wall_time: float
     # Seed of the simulated record this one copies; None if simulated itself.
     reused_from: int | None = None
@@ -195,8 +200,11 @@ def load_run_config(path) -> RunConfig:
     seeds = [_number(s, name, 0, integer=True) for name, s in raw.items("seeds", [0])]
 
     sensor = raw.section("sensor", {})
-    calibration = SensorCalibration(sensor.positive("p_nominal_w", 1.0),
-                                    sensor.positive("r_nominal_m", 100.0))
+    nominal = sensor.positive("p_nominal_w", 1.0), sensor.positive("r_nominal_m", 100.0)
+    try:
+        calibration = SensorCalibration(*nominal)
+    except ValueError as exc:
+        raise ConfigError(f"{sensor.name}: {exc}") from exc
     p_max_ratio = sensor.positive("p_max_ratio", P_MAX_RATIO)
 
     acuity_raw = raw.section("acuity", {})
@@ -354,21 +362,27 @@ def validate_run_config(config: RunConfig) -> list[str]:
 
     spans = _gaze_spans(config.gaze_trace, config.frame_rate, config.max_sim_time)
     states = dict.fromkeys(state for _, _, state in spans)
-    pulses = []
+    # every plan has this revolution period, as build_scan_plan makes it, and
+    # so this pulse count
+    period = TAU / (TAU * config.frame_rate)
+    pulses = config.pulse_rate * period
+    if not 0.0 < period < math.inf:
+        states = {}   # ScanPlan refuses the period, so no plan can be checked
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
         if j != i:
             problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
                             "output rows are keyed by name, so their runs would merge")
         try:
-            pulses += [_scan_plan(config, variant, s)[1].pulses_per_revolution for s in states]
+            for state in states:
+                _scan_plan(config, variant, state)
         except PolicyError as exc:
             problems.append(f"variants[{i}] ({variant.variant}): {exc}")
     rates = f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz {config.frame_rate:g}"
-    if min(pulses, default=1.0) < 1.0:
+    if pulses < 1.0:
         problems.append(f"{rates} fires no pulse per revolution")
-    elif not max(pulses, default=0.0) < 2.0 ** 63:   # numpy's int64 index limit
-        problems.append(f"{rates} fires {max(pulses):g} pulses per revolution, not a finite count below 2**63")
+    elif not pulses < 2.0 ** 63:   # numpy's int64 index limit
+        problems.append(f"{rates} fires {pulses:g} pulses per revolution, not a finite count below 2**63")
     return problems
 
 
@@ -402,40 +416,52 @@ def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                seed: int, setups: dict | None = None) -> RunRecord:
-    """Simulate one run; stops at target detection or max_sim_time.
+    """Simulate one run; stops at target detection or max_sim_time. A one-seed _run_seeds."""
+    return _run_seeds(config, variant, fog_fraction, (seed,), setups)[0]
+
+
+def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
+               seeds, setups: dict | None = None) -> list[RunRecord]:
+    """Simulate one run per seed of a (variant, fog) cell, all in lockstep.
 
     The seed drives only spawn jitter and fog dropout, so with both off the
-    record is identical across seeds. Each gaze state's RoI, scan plan and
-    per-pulse setup (with the RoI flags and the cast of the config scene's
-    static boxes, which jitter never moves) is built once and kept in
-    `setups` under (variant, fog_fraction, gaze_state), so runs that share
-    `setups` build each once. Each _gaze_spans span is swept in chunks of up
-    to CHUNK_FRAMES: one scan_frames call advances and casts the movers and
-    draws the dropout, and metrics finds the first detecting frame and each
-    frame's RoI density up to it. Frames cast after that frame, and their
-    draws, are discarded; frames_cast counts them.
+    record is identical across seeds. Every run starts at frame 0 and stays
+    live until it detects the target or reaches max_sim_time, so the live
+    runs share each frame's time, gaze state and setup. Each gaze state's
+    RoI, scan plan and per-pulse setup (with the RoI flags and the cast of
+    the config scene's static boxes, which jitter never moves) is built once
+    and kept in `setups` under (variant, fog_fraction, gaze_state). A step
+    is one scan_frames call over the next k frames of every live run, k
+    sized by RAYS_PER_CALL and CHUNK_FRAMES, each run drawing its dropout
+    from its own generator; metrics then finds each run's first detecting
+    frame and its RoI density per frame up to it. Frames cast after that
+    frame, and their draws, are discarded; frames_cast counts them.
     """
     t_start = time.perf_counter()
-    rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
     sigma = fog.sigma if config.dropout else 0.0
     setups = {} if setups is None else setups
     target_id = config.scenario.target_id
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    scenes = [_build_start_scene(config, rng) for rng in rngs]
+    target = scenes[0].obstacle(target_id)
+    if not target.speed > 0.0:
+        raise ValueError(f"target {target_id} must be moving (speed_mps > 0)")
+    ego, conflict = config.scenario.scene.ego_position, config.scenario.scene.conflict_point
+    movers = Scene(ego, tuple(o for o in scenes[0].obstacles if o.speed != 0.0), conflict)
+    starts = np.array([[(o.center.x, o.center.y) for o in scene.obstacles if o.speed != 0.0]
+                       for scene in scenes])
+    samples: list[list[DensitySample]] = [[] for _ in seeds]
+    detections: list[DetectionEvent | None] = [None] * len(seeds)
+    frames_cast = [0] * len(seeds)
+    live = list(range(len(seeds)))
     frame = 0
-    frames_cast = 0
-
+    failure = None
     try:
-        scene0 = _build_start_scene(config, rng)
-        target = scene0.obstacle(target_id)
-        if not target.speed > 0.0:
-            raise ValueError(f"target {target_id} must be moving (speed_mps > 0)")
-        movers = Scene(scene0.ego_position, tuple(o for o in scene0.obstacles if o.speed != 0.0),
-                       scene0.conflict_point)
-        samples: list[DensitySample] = []
-        detection = None
-        tta = None
         for _, span_stop, gaze_state in _gaze_spans(config.gaze_trace, config.frame_rate,
                                                      config.max_sim_time):
+            if not live:
+                break
             key = (variant, fog_fraction, gaze_state)
             if key not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
@@ -444,30 +470,44 @@ def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                     scene, obstacles=tuple(o for o in scene.obstacles if o.speed == 0.0))
                 setups[key] = roi, revolution_setup(plan, fog, config.calibration, static, roi)
             roi, setup = setups[key]
-            while detection is None and frame < span_stop:
-                stop = int(min(frame + CHUNK_FRAMES, span_stop))
+            n = setup.angles.shape[0]
+            while live and frame < span_stop:
+                k = min(max(RAYS_PER_CALL // max(len(live) * n, 1), 1), CHUNK_FRAMES)
+                stop = int(min(frame + k, span_stop))
                 times = np.arange(frame, stop) / config.frame_rate
-                _, hit_ids, hit = scan_frames(*edges_at(movers, times), scene0.ego_position, setup,
-                                              sigma, rng)
-                frames_cast += len(times)
-                at = first_detection(hit_ids, hit, target_id, config.min_points)
-                kept = len(times) if at is None else at + 1
-                samples += roi_densities(hit[:kept], setup.in_roi, roi, first_frame=frame)
-                frame += kept
-                if at is not None:
-                    t = float(times[at])
-                    dist = advance(scene0, t).obstacle(target_id).center.distance_to(
-                        scene0.conflict_point)
-                    detection = DetectionEvent(frame - 1, t, target_id, dist)
-                    tta = tta_at_detection(detection, target.speed)
-            if detection is not None:
-                break
+                _, hit_ids, hit = scan_frames(*edges_at(movers, times, starts[live]), ego, setup,
+                                              sigma, [rngs[i] for i in live])
+                stack = (len(live), len(times), n)
+                hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
+                firsts = first_detection(hit_ids, hit, target_id, config.min_points)
+                kept = [len(times) if at is None else at + 1 for at in firsts]
+                densities = roi_densities(hit, setup.in_roi, roi, frame, kept)
+                for i, at, run_samples in zip(live, firsts, densities):
+                    frames_cast[i] += len(times)
+                    samples[i] += run_samples
+                    if at is not None:
+                        t = float(times[at])
+                        dist = advance(scenes[i], t).obstacle(target_id).center.distance_to(
+                            conflict)
+                        detections[i] = DetectionEvent(frame + at, t, target_id, dist)
+                live = [i for i, at in zip(live, firsts) if at is None]
+                frame = stop
     except PolicyError as exc:
-        return RunRecord(variant, fog_fraction, seed, None, None, (), 0, frames_cast,
-                         True, str(exc), time.perf_counter() - t_start)
+        failure = str(exc)
 
-    return RunRecord(variant, fog_fraction, seed, detection, tta, tuple(samples),
-                     frame, frames_cast, False, None, time.perf_counter() - t_start)
+    wall_time = (time.perf_counter() - t_start) / len(seeds)
+    records = []
+    for i, seed in enumerate(seeds):
+        if failure is not None and i in live:
+            records.append(RunRecord(variant, fog_fraction, seed, None, None, (), 0,
+                                     frames_cast[i], True, failure, wall_time))
+            continue
+        detection = detections[i]
+        tta = None if detection is None else tta_at_detection(detection, target.speed)
+        records.append(RunRecord(variant, fog_fraction, seed, detection, tta,
+                                 tuple(samples[i]), len(samples[i]), frames_cast[i], False,
+                                 None, wall_time))
+    return records
 
 
 def _record_key(record: RunRecord):
@@ -476,17 +516,17 @@ def _record_key(record: RunRecord):
 
 
 def _run_cell(args) -> list[RunRecord]:
-    """The runs of one (variant, fog) cell, one per seed, sharing one setup cache.
+    """The runs of one (variant, fog) cell, one per seed.
 
-    A cell whose runs draw no random numbers is simulated once, with the
+    A cell whose runs draw random numbers steps all its seeds through one
+    _run_seeds loop. A cell whose runs draw none is simulated once, with the
     first seed, and copied to the other seeds; copies carry reused_from and
     a wall_time of 0.
     """
     config, variant, fog = args
-    setups = {}
     if uses_rng(config, fog):
-        return [run_single(config, variant, fog, seed, setups) for seed in config.seeds]
-    record = run_single(config, variant, fog, config.seeds[0], setups)
+        return _run_seeds(config, variant, fog, config.seeds)
+    record = run_single(config, variant, fog, config.seeds[0])
     return [record] + [dataclasses.replace(record, seed=seed, wall_time=0.0,
                                            reused_from=record.seed) for seed in config.seeds[1:]]
 

@@ -108,7 +108,7 @@ def advance(scene: Scene, t: float) -> Scene:
     return dataclasses.replace(scene, obstacles=tuple(moved))
 
 
-def edges_at(scene: Scene, times) -> tuple[np.ndarray, np.ndarray]:
+def edges_at(scene: Scene, times, centers=None) -> tuple[np.ndarray, np.ndarray]:
     """Edge rows of every box of advance(scene, t) for every t in times.
 
     Returns (edges, ids): a (K, 4m, 4) array whose row 4i + j of frame k is
@@ -119,16 +119,22 @@ def edges_at(scene: Scene, times) -> tuple[np.ndarray, np.ndarray]:
     operations in the same order; a box that advance() leaves in place gets
     x + 0.0 here, which can change only the sign of a zero coordinate, and
     every vertex adds a nonzero offset to it.
+
+    centers, an (S, m, 2) array, stacks S runs of the same boxes from other
+    start centers: frame s * K + k of the (S * K, 4m, 4) result is run s at
+    times[k], as if obstacles[i] had started at centers[s, i].
     """
     boxes = scene.obstacles
     heading_cos = np.array([math.cos(o.heading) for o in boxes])
     heading_sin = np.array([math.sin(o.heading) for o in boxes])
     speed = np.array([o.speed for o in boxes])
-    x0 = np.array([o.center.x for o in boxes])
-    y0 = np.array([o.center.y for o in boxes])
+    if centers is None:
+        centers = np.array([(o.center.x, o.center.y) for o in boxes]).reshape(1, len(boxes), 2)
+    x0 = centers[:, None, :, 0]
+    y0 = centers[:, None, :, 1]
     t = np.asarray(times, dtype=np.float64)[:, None]
-    cx = (x0 + t * speed * heading_cos)[:, :, None]
-    cy = (y0 + t * speed * heading_sin)[:, :, None]
+    cx = (x0 + t * speed * heading_cos)[..., None]
+    cy = (y0 + t * speed * heading_sin)[..., None]
     # vertex offsets along and across the heading: (hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)
     sl = np.array([o.half_length for o in boxes])[:, None] * [1.0, -1.0, -1.0, 1.0]
     sw = np.array([o.half_width for o in boxes])[:, None] * [1.0, 1.0, -1.0, -1.0]
@@ -139,7 +145,7 @@ def edges_at(scene: Scene, times) -> tuple[np.ndarray, np.ndarray]:
     nxt = [1, 2, 3, 0]
     edges = np.stack((px, py, px[..., nxt], py[..., nxt]), axis=-1)
     ids = np.repeat(np.array([o.id for o in boxes], dtype=np.int64), 4)
-    return edges.reshape(t.shape[0], 4 * len(boxes), 4), ids
+    return edges.reshape(centers.shape[0] * t.shape[0], 4 * len(boxes), 4), ids
 
 
 def ray_fan(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gazelidar.atmosphere import (FogCondition, SensorCalibration,
                                   effective_range, fog_from_fraction)
@@ -27,6 +29,33 @@ class TestConditionTypes:
             SensorCalibration(0.0, 100.0)
         with pytest.raises(ValueError):
             SensorCalibration(1.0, -1.0)
+
+    def test_calibration_refuses_a_zero_detection_constant(self):
+        # r_nominal ** 2 overflows: effective_range's bracket [1e-3, 10 r_nominal]
+        # would end at inf, and its bisection would never narrow it
+        with pytest.raises(ValueError, match="must be positive, not 0"):
+            SensorCalibration(1.0, 1e308)
+        with pytest.raises(ValueError, match="must be positive, not 0"):
+            SensorCalibration(1.0, 2e154)
+        # fog bounds the range long before the bracket's 1e151 m end
+        cal = SensorCalibration(1.0, 1e150)
+        r = effective_range(1.0, FogCondition(0.5, 0.005), cal)
+        residual = math.exp(-0.01 * r) / (r * r) - cal.detection_constant
+        assert abs(residual) / cal.detection_constant < 1e-6
+
+    @given(st.sampled_from(["fog sigma", "p_nominal", "r_nominal", "kappa", "p_emit"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_a_non_finite_value_is_refused(self, field, value):
+        build = {
+            "fog sigma": lambda x: FogCondition(0.5, x),
+            "p_nominal": lambda x: SensorCalibration(x, 100.0),
+            "r_nominal": lambda x: SensorCalibration(1.0, x),
+            "kappa": lambda x: fog_from_fraction(0.5, x),
+            "p_emit": lambda x: effective_range(x, FogCondition(0.5, 0.005), CAL),
+        }[field]
+        build(1.0)
+        with pytest.raises(ValueError):
+            build(value)
 
     def test_detection_constant(self):
         assert CAL.detection_constant == 1.0 / 10000.0

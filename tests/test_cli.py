@@ -377,6 +377,31 @@ class TestRun:
             seeds = {row["seed"] for row in csv.DictReader(fh)}
         assert seeds == {"7"}
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stacked_seeds_do_not_affect_each_other(self, tmp_path, jobs):
+        # with jitter and dropout every seed is simulated, all of a cell's in one stack
+        config = _write_trimmed_config(tmp_path, fog_dropout=True, spawn_jitter_m=3.0,
+                                       seeds=[101, 102, 103])
+
+        def rows(out, seed):
+            """The header and the seed's rows of results.csv and density_samples.csv."""
+            found = {}
+            for name in ("results.csv", "density_samples.csv"):
+                with open(out / name, newline="") as fh:
+                    header, *body = csv.reader(fh)
+                    found[name] = [header] + [row for row in body if row[2] == str(seed)]
+            return found
+
+        sweep = tmp_path / "sweep"
+        assert main(["run", "--config", str(config), "--out", str(sweep), "--jobs", jobs]) == 0
+        for seed in (101, 102, 103):
+            alone = tmp_path / f"seed{seed}"
+            assert main(["run", "--config", str(config), "--out", str(alone), "--jobs", jobs,
+                         "--seed-override", str(seed)]) == 0
+            assert rows(alone, seed) == rows(sweep, seed)
+            with open(alone / "results.csv", newline="") as fh:
+                assert len(list(csv.reader(fh))) == 1 + 4 * 2
+
     def test_reruns_are_byte_identical(self, tmp_path):
         config = _write_trimmed_config(tmp_path)
         _, out_a = _run(tmp_path, "out_a", config)

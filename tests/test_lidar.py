@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
@@ -74,6 +76,20 @@ class TestScanPlanValidation:
             ScanPlan((), TAU / OMEGA, PULSE_RATE)
         with pytest.raises(ValueError):
             ScanPlan((ScanSegment(0.0, TAU, 1.0, OMEGA),), TAU / OMEGA, 0.0)
+
+    @given(st.sampled_from(["start", "end", "power", "spin_rate", "revolution_period",
+                            "pulse_rate"]),
+           st.integers(0, 1), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_a_non_finite_field_is_refused(self, field, which, value):
+        segments = [ScanSegment(0.0, math.pi, 1.0, OMEGA), ScanSegment(math.pi, TAU, 1.2, OMEGA)]
+        plan = dict(revolution_period=TAU / OMEGA, pulse_rate=PULSE_RATE)
+        ScanPlan(tuple(segments), **plan)
+        if field in plan:
+            plan[field] = value
+        else:
+            segments[which] = segments[which]._replace(**{field: value})
+        with pytest.raises(ValueError):
+            ScanPlan(tuple(segments), **plan)
 
     def test_lookup_at_segment_boundary_takes_the_next_segment(self):
         # at 1 rad/s and 4 pulses/s, pulse 4 fires exactly on the 1 rad boundary
@@ -437,6 +453,28 @@ class TestScanFrames:
                 assert np.array_equal(cloud.returns["angle"], setup.angles[hit[k]])
                 assert np.array_equal(cloud.returns["range_m"], ranges[k][hit[k]])
                 assert np.array_equal(cloud.returns["hit_id"], hit_ids[k][hit[k]])
+
+    def test_stacked_runs_draw_from_their_own_generators(self):
+        # S runs of K frames each in one call equal S one-run calls, draw for draw
+        rng = np.random.default_rng(43)
+        scene = make_random_scene(rng, 6, 12)
+        boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
+                      if i % 2 else o for i, o in enumerate(scene.obstacles))
+        static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
+        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        times = [0.0, 0.05, 0.1]
+        seeds = [5, 6, 7]
+        centers = np.array([[(o.center.x + shift, o.center.y) for o in movers.obstacles]
+                            for shift in (0.0, -2.5, 1.0)])
+        stacked = scan_frames(*edges_at(movers, times, centers), movers.ego_position, setup,
+                              self.FOG.sigma, [np.random.default_rng(s) for s in seeds])
+        for s, seed in enumerate(seeds):
+            own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
+                              setup, self.FOG.sigma, np.random.default_rng(seed))
+            rows = slice(s * len(times), (s + 1) * len(times))
+            for whole, part in zip(stacked, own):
+                assert np.array_equal(whole[rows], part, equal_nan=True)
+        assert 0 < np.count_nonzero(stacked[2]) < np.count_nonzero(stacked[1] >= 0)
 
     def test_setup_carries_the_per_ray_invariants(self):
         setup = revolution_setup(self.PLAN, self.FOG, CAL, EMPTY_SCENE)

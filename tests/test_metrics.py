@@ -265,3 +265,24 @@ class TestChunkMetrics:
             # the approaching target's count grows every frame, so the
             # threshold set from frame `at` detects first at `at`
             assert per_frame == at
+
+    @pytest.mark.parametrize("min_points", [1, 40, 10 ** 6])
+    def test_a_stack_of_runs_answers_per_run(self, min_points):
+        # three runs of the approach from other start points, in one (3, K, n) stack
+        roi = compute_roi(_ROF)
+        setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE, roi)
+        times = [0.1 * k for k in range(6)]
+        starts = np.array([[(o.center.x, o.center.y + dy) for o in APPROACH.obstacles]
+                           for dy in (0.0, 15.0, 60.0)])
+        _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times, starts), APPROACH.ego_position,
+                                      setup)
+        stack = (3, len(times), -1)
+        hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
+        firsts = first_detection(hit_ids, hit, TARGET, min_points)
+        assert firsts == [first_detection(hit_ids[s], hit[s], TARGET, min_points)
+                          for s in range(3)]
+        kept = [len(times) if at is None else at + 1 for at in firsts]
+        assert roi_densities(hit, setup.in_roi, roi, 7, kept) == [
+            roi_densities(hit[s], setup.in_roi, roi, 7)[:kept[s]] for s in range(3)]
+        if min_points == 40:
+            assert None in firsts and len(set(firsts)) > 1

@@ -11,7 +11,7 @@ from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, ArcSet, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import ScanSegment
 from gazelidar.policy import (MIN_COMPLEMENT, DegeneratePartitionError, EyeSafetyError,
-                              VariantConfig, build_scan_plan,
+                              PolicyError, VariantConfig, build_scan_plan,
                               solve_power_levels, solve_spin_rates)
 from oracles import segment_at
 
@@ -77,6 +77,12 @@ class TestPowerSolver:
         levels = solve_power_levels(1.0, math.radians(60.0), 0.5, p_max=1.2)
         assert levels.p_high == pytest.approx(1.1, rel=1e-12)
 
+    def test_an_overflowing_high_power_is_a_policy_error(self):
+        # ScanPlan refuses an infinite power, so the solver names it first
+        with pytest.raises(PolicyError, match="p_high overflows"):
+            solve_power_levels(1e308, math.radians(60.0), 2e307, p_max=math.inf)
+        solve_power_levels(1e307, math.radians(60.0), 2e306, p_max=math.inf)
+
 
 class TestSpinSolver:
     def test_half_circle_example(self):
@@ -125,6 +131,11 @@ class TestSpinSolver:
             solve_spin_rates(2.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             solve_spin_rates(0.0, 1.0, 1.0)
+
+    def test_an_overflowing_high_spin_rate_is_a_policy_error(self):
+        with pytest.raises(PolicyError, match="omega_high overflows"):
+            solve_spin_rates(OMEGA, math.radians(60.0), 1e308 * OMEGA)
+        solve_spin_rates(OMEGA, math.radians(60.0), 1e305 * OMEGA)
 
 
 class TestVariantConfig:

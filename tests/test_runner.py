@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelidar import __version__, runner
+from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
 from gazelidar.policy import DegeneratePartitionError, VariantConfig, solve_power_levels
 from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
@@ -195,6 +197,13 @@ class TestLoadRunConfig:
             raw["acuity"] = {"kind": "gaussian"}
         with pytest.raises(ConfigError, match="sigma_deg"):
             load_run_config(_write_config(tmp_path, mutate))
+
+    def test_rejects_a_calibration_whose_detection_constant_underflows(self, tmp_path):
+        # r_nominal_m ** 2 overflows; at the parent, run then hung in effective_range
+        p = _write_config(tmp_path, lambda raw: raw.update(
+            sensor={"p_nominal_w": 1.0, "r_nominal_m": 1e308}))
+        with pytest.raises(ConfigError, match=r"sensor: p_nominal / r_nominal \*\* 2 must be"):
+            load_run_config(p)
 
     def test_rejects_negative_jitter(self, tmp_path):
         p = _write_config(tmp_path, lambda raw: raw.update(spawn_jitter_m=-1.0))
@@ -470,6 +479,19 @@ class TestValidateRunConfig:
         assert any("range" in p and "exceeds" in p for p in problems)
         assert len(problems) == 2
 
+    def test_flags_power_and_spin_rates_that_overflow(self, default_config):
+        # each plan would hold an infinite power or spin rate, which ScanPlan refuses
+        huge_power = dataclasses.replace(
+            default_config, calibration=SensorCalibration(1e308, 100.0), p_max=math.inf)
+        assert validate_run_config(huge_power) == [
+            "variants[1] (range): p_high overflows to inf W",
+            "variants[3] (range_and_resolution): p_high overflows to inf W"]
+        fast = VariantConfig("resolution", omega_high_ratio=1e308)
+        fast_spin = dataclasses.replace(default_config, variants=(fast,))
+        assert validate_run_config(fast_spin) == [
+            "variants[0] (resolution): omega_high overflows to inf rad/s"]
+        assert run_single(fast_spin, fast, 0.0, 101).failed
+
 
 class TestRunSingle:
     def test_clear_air_detects_on_the_first_frame(self, default_config):
@@ -600,20 +622,27 @@ class TestRunSingle:
 
 
 class _ChunkLog:
-    """Wraps runner.scan_frames and records the frame count of each call."""
+    """Wraps runner.scan_frames and records the rows (frames) and the live
+    runs of each call."""
 
     def __init__(self, monkeypatch):
         self.sizes = []
+        self.live = []
         scan = runner.scan_frames
 
         def recording(edges, *args):
             self.sizes.append(len(edges))
+            self.live.append(len(args[-1]))
             return scan(edges, *args)
 
         monkeypatch.setattr(runner, "scan_frames", recording)
 
-    def run(self, config, variant, fog, seed):
+    def clear(self):
         self.sizes = []
+        self.live = []
+
+    def run(self, config, variant, fog, seed):
+        self.clear()
         return run_single(config, variant, fog, seed)
 
 
@@ -738,6 +767,107 @@ class TestChunkKernel:
             assert record.frames_cast >= record.frames
             assert _strip_wall_time(record) == _strip_wall_time(
                 per_frame_run(config, variant, fog, seed))
+
+
+class TestSeedStack:
+    """_run_seeds steps every live seed of a cell through one scan_frames call;
+    each record equals its seed's one-seed run and the per-frame reference."""
+
+    @staticmethod
+    def _check(records, config, variant, fog, seeds):
+        """Checks stacked records against one-seed runs and per_frame_run."""
+        assert [r.seed for r in records] == list(seeds)
+        for record, seed in zip(records, seeds):
+            assert _strip_wall_time(record) == _strip_wall_time(
+                run_single(config, variant, fog, seed))
+            assert _strip_wall_time(record) == _strip_wall_time(
+                per_frame_run(config, variant, fog, seed))
+            assert record.frames_cast >= record.frames and record.reused_from is None
+        # the loop's time is split evenly over the seeds it stepped
+        assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_stacked_seeds_equal_one_seed_runs_and_the_per_frame_reference(
+            self, default_config, data):
+        eta = default_config.gaze_trace.states[0].eta
+        samples = data.draw(st.integers(1, 4))
+        times = (0.0,) + tuple(sorted(data.draw(st.lists(
+            st.floats(0.01, 1.2), min_size=samples - 1, max_size=samples - 1))))
+        states = tuple(GazeState(math.radians(data.draw(st.sampled_from(
+            [0.0, 45.0, 135.4308, 250.0]))), eta) for _ in times)
+        changes = dict(dropout=True, spawn_jitter_m=3.0,
+                       min_points=data.draw(st.integers(1, 5)),
+                       max_sim_time=data.draw(st.floats(0.2, 1.5)),
+                       gaze_trace=GazeTrace(times, states))
+        config = (_hidden_target(default_config, **changes) if data.draw(st.booleans())
+                  else dataclasses.replace(default_config, **changes))
+        variant = data.draw(st.sampled_from(config.variants))
+        fog = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
+        seeds = tuple(data.draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4,
+                                         unique=True)))
+        # a few hundred rays per call: from one frame of each seed to several
+        with mock.patch.object(runner, "RAYS_PER_CALL", data.draw(st.integers(1, 8000))):
+            records = runner._run_seeds(config, variant, fog, seeds)
+            self._check(records, config, variant, fog, seeds)
+
+    def test_a_cell_that_draws_stacks_its_seeds_and_one_that_does_not_runs_once(
+            self, default_config, monkeypatch):
+        singles = []
+        single = runner.run_single
+
+        def counting(*args, **kwargs):
+            singles.append(args[3])
+            return single(*args, **kwargs)
+        monkeypatch.setattr(runner, "run_single", counting)
+        log = _ChunkLog(monkeypatch)
+        config = _sweep_config(default_config, "jitter_dropout")
+        records = runner._run_cell((config, config.variants[0], 0.5))
+        assert singles == [] and log.live[0] == len(config.seeds)
+        assert [r.reused_from for r in records] == [None] * len(config.seeds)
+        log.clear()
+        records = runner._run_cell((default_config, default_config.variants[0], 0.5))
+        assert singles == [default_config.seeds[0]] and set(log.live) == {1}
+        assert len(records) == len(default_config.seeds)
+
+    def test_seeds_leave_the_stack_when_they_detect_or_time_out(self, default_config,
+                                                               monkeypatch):
+        monkeypatch.setattr(runner, "RAYS_PER_CALL", 390 * 6)
+        seen = set()
+        log = _ChunkLog(monkeypatch)
+        cases = [(dataclasses.replace(default_config, dropout=True, spawn_jitter_m=3.0), 0.0),
+                 (_hidden_target(default_config, dropout=True, spawn_jitter_m=3.0,
+                                 max_sim_time=1.5), 0.5)]
+        for config, fog in cases:
+            for variant in config.variants:
+                seeds = (7, 8, 9, 10, 11)
+                log.clear()
+                records = runner._run_seeds(config, variant, fog, seeds)
+                calls = list(zip(log.sizes, log.live))
+                self._check(records, config, variant, fog, seeds)
+                # each call casts k = RAYS_PER_CALL // (live * n) frames of every live
+                # seed, at least 1; the one gaze span ends at frame 30, inside the last call
+                assert all(rows == live * max(6 // live, 1) for rows, live in calls[:-1])
+                rows, live = calls[-1]
+                assert rows % live == 0 and rows <= live * max(6 // live, 1)
+                steps = np.cumsum([0] + [rows // live for rows, live in calls]).tolist()
+                for j, (_, live) in enumerate(calls):
+                    assert live == sum(r.frames_cast > steps[j] for r in records)
+                detected_in = {}
+                for r in records:
+                    if r.detection is None:
+                        assert r.frames == r.frames_cast == 30
+                        seen.add("never")
+                        continue
+                    # a seed leaves the stack after the step it detects in
+                    j = steps.index(r.frames_cast) - 1
+                    assert steps[j] <= r.detection.frame_index < steps[j + 1]
+                    detected_in[r.seed] = j
+                    if r.detection.frame_index == 0:
+                        seen.add("frame 0")
+                if len(detected_in) > len(set(detected_in.values())):
+                    seen.add("same step")
+        assert seen >= {"frame 0", "never", "same step"}
 
 
 class TestUsesRng:

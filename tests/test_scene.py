@@ -409,6 +409,23 @@ class TestFrameBatches:
                         for (px, py), (qx, qy) in box_segments(o)]
             assert np.array_equal(_bits(edges[k]), _bits(np.array(expected).reshape(-1, 4)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_BOX, min_size=1, max_size=4), st.data())
+    def test_stacked_start_centers_equal_one_call_per_run(self, boxes, data):
+        scene = _scene_of(boxes)
+        times = data.draw(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5))
+        runs = data.draw(st.lists(st.lists(st.tuples(_COORD, _COORD), min_size=len(boxes),
+                                           max_size=len(boxes)), min_size=1, max_size=4))
+        edges, ids = edges_at(scene, times, np.array(runs).reshape(len(runs), len(boxes), 2))
+        assert edges.shape == (len(runs) * len(times), 4 * len(boxes), 4)
+        for s, centers in enumerate(runs):
+            moved = Scene(scene.ego_position, tuple(
+                ObstacleBox.spawn(o.id, Vec2(*c), o.heading, o.half_length, o.half_width, o.speed)
+                for o, c in zip(scene.obstacles, centers)), scene.conflict_point)
+            own, own_ids = edges_at(moved, times)
+            assert np.array_equal(own_ids, ids)
+            assert np.array_equal(_bits(edges[s * len(times):(s + 1) * len(times)]), _bits(own))
+
     def test_k_frame_cast_equals_k_dense_casts(self):
         rng = np.random.default_rng(31)
         ties = 0
