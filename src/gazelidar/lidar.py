@@ -176,20 +176,19 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
 
 
 def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
-                sigma: float = 0.0, rng=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                sigma: float = 0.0, rngs=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K revolutions under one setup, each over its own frame of edges, in one pass.
 
     edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
     the obstacle id of each of the E rows. Each frame's cast starts from
     the setup's static cast. With sigma > 0 a hit survives with probability
-    exp(-sigma r), against one uniform per pulse in frame order. rng is a
-    generator, which draws random(K * n) once, the stream K one-frame calls
-    would draw; or a sequence of S generators for S runs stacked in equal
-    blocks of frames, each drawing its own block's uniforms, in order.
-    Returns (ranges, hit_ids, hit) as (K, n) arrays; hit marks the
-    surviving hits.
+    exp(-sigma r), against one uniform per pulse in frame order. The K
+    frames are S runs' equal blocks of frames, one per generator of rngs;
+    each draws its block's uniforms at once, the stream its run's one-frame
+    calls would draw. Returns (ranges, hit_ids, hit) as (K, n) arrays; hit
+    marks the surviving hits.
     """
-    if sigma > 0.0 and rng is None:
+    if sigma > 0.0 and not rngs:
         raise ValueError("dropout requires an rng")
     fan = (setup.cos, setup.sin, setup.key, setup.order)
     ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan, setup.max_ranges,
@@ -199,7 +198,6 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
         survival = np.where(hit, ranges, 0.0)
         survival *= -sigma
         np.exp(survival, out=survival)
-        rngs = rng if isinstance(rng, (list, tuple)) else (rng,)
         draws = np.empty(hit.shape)
         for gen, block in zip(rngs, draws.reshape(len(rngs), -1)):
             gen.random(out=block)
@@ -222,7 +220,8 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     sigma = fog.sigma if dropout else 0.0
     setup = revolution_setup(plan, fog, cal, scene)
     ranges, hit_ids, hit = (rows[0] for rows in scan_frames(
-        np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup, sigma, rng))
+        np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup, sigma,
+        () if rng is None else (rng,)))
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = ranges[hit]

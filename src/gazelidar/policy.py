@@ -124,6 +124,11 @@ def solve_spin_rates(omega: float, delta_driver: float, omega_high: float) -> Re
     return ResolutionPolicy(omega_high, omega_low)
 
 
+def revolution_period(omega: float) -> float:
+    """Seconds per revolution at mean spin rate omega, the period every plan conserves."""
+    return TAU / omega
+
+
 def build_scan_plan(variant: VariantConfig, rof: ArcSet, roi: ArcSet,
                     cal: SensorCalibration, omega: float, pulse_rate: float,
                     p_max: float | None = None) -> ScanPlan:
@@ -135,7 +140,7 @@ def build_scan_plan(variant: VariantConfig, rof: ArcSet, roi: ArcSet,
     p = cal.p_nominal
     adapt_power = variant.adapts_power and variant.p_low_ratio != 1.0
     adapt_spin = variant.adapts_spin and variant.omega_high_ratio != 1.0
-    period = TAU / omega
+    period = revolution_period(omega)
     if not adapt_power and not adapt_spin:
         return ScanPlan((ScanSegment(0.0, TAU, p, omega),), period, pulse_rate)
 

@@ -24,15 +24,15 @@ from .lidar import revolution_setup, scan_frames, scan_revolution
 from .metrics import (DensitySample, DetectionEvent, density, detect, first_detection,
                       roi_densities, tta_at_detection)
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
-                     build_scan_plan)
+                     build_scan_plan, revolution_period)
 from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
 
 TAU = math.tau
 
-# A scan_frames call of L live runs casts k frames of each, the most frames
-# whose L * k * n rays stay within RAYS_PER_CALL, but at least 1 and at most
-# CHUNK_FRAMES.
-RAYS_PER_CALL = 2 ** 15
+# A scan_frames call casts k frames of each of L live runs, L * k * n rays of
+# n pulses a frame: the most runs, then the most frames, that stay within
+# RAYS_PER_CALL, but at least one run and one frame, and at most CHUNK_FRAMES.
+RAYS_PER_CALL = 2 ** 17
 CHUNK_FRAMES = 24
 
 
@@ -362,27 +362,26 @@ def validate_run_config(config: RunConfig) -> list[str]:
 
     spans = _gaze_spans(config.gaze_trace, config.frame_rate, config.max_sim_time)
     states = dict.fromkeys(state for _, _, state in spans)
-    # every plan has this revolution period, as build_scan_plan makes it, and
-    # so this pulse count
-    period = TAU / (TAU * config.frame_rate)
-    pulses = config.pulse_rate * period
+    pulses = []
+    period = revolution_period(TAU * config.frame_rate)
     if not 0.0 < period < math.inf:
-        states = {}   # ScanPlan refuses the period, so no plan can be checked
+        # ScanPlan refuses the period, so no plan is built; at the positive
+        # pulse rate, a period of 0 or inf fires 0 or inf pulses
+        states, pulses = {}, [period]
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
         if j != i:
             problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
                             "output rows are keyed by name, so their runs would merge")
         try:
-            for state in states:
-                _scan_plan(config, variant, state)
+            pulses += [_scan_plan(config, variant, s)[1].pulses_per_revolution for s in states]
         except PolicyError as exc:
             problems.append(f"variants[{i}] ({variant.variant}): {exc}")
     rates = f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz {config.frame_rate:g}"
-    if pulses < 1.0:
+    if min(pulses, default=1.0) < 1.0:
         problems.append(f"{rates} fires no pulse per revolution")
-    elif not pulses < 2.0 ** 63:   # numpy's int64 index limit
-        problems.append(f"{rates} fires {pulses:g} pulses per revolution, not a finite count below 2**63")
+    elif not max(pulses, default=0.0) < 2.0 ** 63:   # numpy's int64 index limit
+        problems.append(f"{rates} fires {max(pulses):g} pulses per revolution, not a finite count below 2**63")
     return problems
 
 
@@ -415,13 +414,13 @@ def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
 
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
-               seed: int, setups: dict | None = None) -> RunRecord:
+               seed: int) -> RunRecord:
     """Simulate one run; stops at target detection or max_sim_time. A one-seed _run_seeds."""
-    return _run_seeds(config, variant, fog_fraction, (seed,), setups)[0]
+    return _run_seeds(config, variant, fog_fraction, (seed,))[0]
 
 
 def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
-               seeds, setups: dict | None = None) -> list[RunRecord]:
+               seeds) -> list[RunRecord]:
     """Simulate one run per seed of a (variant, fog) cell, all in lockstep.
 
     The seed drives only spawn jitter and fog dropout, so with both off the
@@ -429,18 +428,18 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     live until it detects the target or reaches max_sim_time, so the live
     runs share each frame's time, gaze state and setup. Each gaze state's
     RoI, scan plan and per-pulse setup (with the RoI flags and the cast of
-    the config scene's static boxes, which jitter never moves) is built once
-    and kept in `setups` under (variant, fog_fraction, gaze_state). A step
-    is one scan_frames call over the next k frames of every live run, k
-    sized by RAYS_PER_CALL and CHUNK_FRAMES, each run drawing its dropout
-    from its own generator; metrics then finds each run's first detecting
-    frame and its RoI density per frame up to it. Frames cast after that
-    frame, and their draws, are discarded; frames_cast counts them.
+    the config scene's static boxes, which jitter never moves) is built once.
+    A step casts the next k frames of every live run in scan_frames calls of
+    as many runs as RAYS_PER_CALL allows, one call when it allows them all,
+    each run drawing its dropout from its own generator; metrics then finds
+    each run's first detecting frame and its RoI density per frame up to it.
+    Frames cast after that frame, and their draws, are discarded;
+    frames_cast counts them.
     """
     t_start = time.perf_counter()
     fog = fog_from_fraction(fog_fraction, config.kappa)
     sigma = fog.sigma if config.dropout else 0.0
-    setups = {} if setups is None else setups
+    setups = {}
     target_id = config.scenario.target_id
     rngs = [np.random.default_rng(seed) for seed in seeds]
     scenes = [_build_start_scene(config, rng) for rng in rngs]
@@ -462,35 +461,38 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                                                      config.max_sim_time):
             if not live:
                 break
-            key = (variant, fog_fraction, gaze_state)
-            if key not in setups:
+            if gaze_state not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
                 scene = config.scenario.scene
                 static = dataclasses.replace(
                     scene, obstacles=tuple(o for o in scene.obstacles if o.speed == 0.0))
-                setups[key] = roi, revolution_setup(plan, fog, config.calibration, static, roi)
-            roi, setup = setups[key]
+                setups[gaze_state] = roi, revolution_setup(plan, fog, config.calibration,
+                                                           static, roi)
+            roi, setup = setups[gaze_state]
             n = setup.angles.shape[0]
+            group = max(RAYS_PER_CALL // max(n, 1), 1)   # most runs one call holds
             while live and frame < span_stop:
-                k = min(max(RAYS_PER_CALL // max(len(live) * n, 1), 1), CHUNK_FRAMES)
+                k = min(max(RAYS_PER_CALL // max(min(len(live), group) * n, 1), 1), CHUNK_FRAMES)
                 stop = int(min(frame + k, span_stop))
                 times = np.arange(frame, stop) / config.frame_rate
-                _, hit_ids, hit = scan_frames(*edges_at(movers, times, starts[live]), ego, setup,
-                                              sigma, [rngs[i] for i in live])
-                stack = (len(live), len(times), n)
-                hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
-                firsts = first_detection(hit_ids, hit, target_id, config.min_points)
-                kept = [len(times) if at is None else at + 1 for at in firsts]
-                densities = roi_densities(hit, setup.in_roi, roi, frame, kept)
-                for i, at, run_samples in zip(live, firsts, densities):
-                    frames_cast[i] += len(times)
-                    samples[i] += run_samples
-                    if at is not None:
-                        t = float(times[at])
-                        dist = advance(scenes[i], t).obstacle(target_id).center.distance_to(
-                            conflict)
-                        detections[i] = DetectionEvent(frame + at, t, target_id, dist)
-                live = [i for i, at in zip(live, firsts) if at is None]
+                for first in range(0, len(live), group):
+                    runs = live[first:first + group]
+                    _, hit_ids, hit = scan_frames(*edges_at(movers, times, starts[runs]), ego,
+                                                  setup, sigma, [rngs[i] for i in runs])
+                    stack = (len(runs), len(times), n)
+                    hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
+                    firsts = first_detection(hit_ids, hit, target_id, config.min_points)
+                    kept = [len(times) if at is None else at + 1 for at in firsts]
+                    densities = roi_densities(hit, setup.in_roi, roi, frame, kept)
+                    for i, at, run_samples in zip(runs, firsts, densities):
+                        frames_cast[i] += len(times)
+                        samples[i] += run_samples
+                        if at is not None:
+                            t = float(times[at])
+                            dist = advance(scenes[i], t).obstacle(target_id).center.distance_to(
+                                conflict)
+                            detections[i] = DetectionEvent(frame + at, t, target_id, dist)
+                live = [i for i in live if detections[i] is None]
                 frame = stop
     except PolicyError as exc:
         failure = str(exc)

@@ -284,7 +284,7 @@ class TestLayeredCast:
         setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
         for seed in range(5):
             layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
-                                  self.FOG.sigma, np.random.default_rng(seed))
+                                  self.FOG.sigma, [np.random.default_rng(seed)])
             whole = scan_revolution(advance(scene, 0.5), self.PLAN, self.FOG, CAL, 0.5,
                                     dropout=True, rng=np.random.default_rng(seed))
             assert np.array_equal(_returns(setup.angles, *(rows[0] for rows in layered)),
@@ -444,7 +444,7 @@ class TestScanFrames:
             setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
             times = [0.0, 0.05, 0.1, 0.15, 1.0]
             chunk = scan_frames(*edges_at(movers, times), movers.ego_position,
-                                setup, self.FOG.sigma, np.random.default_rng(seed))
+                                setup, self.FOG.sigma, [np.random.default_rng(seed)])
             ranges, hit_ids, hit = chunk
             one_by_one = np.random.default_rng(seed)
             for k, t in enumerate(times):
@@ -470,7 +470,7 @@ class TestScanFrames:
                               self.FOG.sigma, [np.random.default_rng(s) for s in seeds])
         for s, seed in enumerate(seeds):
             own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
-                              setup, self.FOG.sigma, np.random.default_rng(seed))
+                              setup, self.FOG.sigma, [np.random.default_rng(seed)])
             rows = slice(s * len(times), (s + 1) * len(times))
             for whole, part in zip(stacked, own):
                 assert np.array_equal(whole[rows], part, equal_nan=True)

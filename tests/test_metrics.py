@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gazelidar import runner
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, compute_rof,
                             compute_roi)
@@ -156,8 +158,8 @@ class TestRoiFlags:
         setup = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, roi)
         times = (0.0, 0.05, 0.1)
         _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
-                                np.random.default_rng(seed))
-        samples = roi_densities(hit, setup.in_roi, roi, first_frame=2)
+                                [np.random.default_rng(seed)])
+        [samples] = roi_densities(hit[None], setup.in_roi, roi, first_frame=2)
         assert [s.frame_index for s in samples] == [2, 3, 4]
         for k, sample in enumerate(samples):
             expected = int(np.count_nonzero(roi.contains_many(setup.angles[hit[k]])))
@@ -174,7 +176,7 @@ class TestRoiFlags:
         scene = make_enclosing_scene()
         setup = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, built_for)
         _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
-        assert roi_densities(hit, setup.in_roi, built_for)[0].points_in_roi == int(
+        assert roi_densities(hit[None], setup.in_roi, built_for)[0][0].points_in_roi == int(
             np.count_nonzero(built_for.contains_many(setup.angles[hit[0]])))
         cloud = scan_revolution(scene, plan, FOG, CAL, 0.0)
         for other in (built_for.complement(), ArcSet.from_arc(1.5 * math.pi, 0.5 * math.pi),
@@ -183,16 +185,29 @@ class TestRoiFlags:
             assert expected < len(cloud.returns)
             assert density(cloud, other).points_in_roi == expected
             own = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, other).in_roi
-            assert roi_densities(hit, own, other)[0].points_in_roi == expected
+            assert roi_densities(hit[None], own, other)[0][0].points_in_roi == expected
         # a run keeps each gaze state's RoI beside the flags built for it
         left = default_config.gaze_trace.states[0]
         config = dataclasses.replace(default_config, max_sim_time=0.2, gaze_trace=GazeTrace(
             (0.0, 0.1), (left, GazeState(math.radians(45.0), left.eta))))
-        setups = {}
-        run_single(config, config.variants[3], 0.5, 1, setups)
-        assert len(setups) == 2
-        for roi, setup in setups.values():
+        built, counted = [], []
+
+        def building(plan, fog, cal, static, roi):
+            built.append((roi, revolution_setup(plan, fog, cal, static, roi)))
+            return built[-1][1]
+
+        def counting(hit, in_roi, roi, *args):
+            counted.append((in_roi, roi))
+            return roi_densities(hit, in_roi, roi, *args)
+        with mock.patch.object(runner, "revolution_setup", building), \
+                mock.patch.object(runner, "roi_densities", counting):
+            run_single(config, config.variants[3], 0.5, 1)
+        assert len(built) == 2 and len(counted) == 2
+        for roi, setup in built:
             assert np.array_equal(setup.in_roi, roi.contains_many(setup.angles))
+        # each state's densities count the flags built for its RoI
+        assert [(id(in_roi), roi) for in_roi, roi in counted] == [
+            (id(setup.in_roi), roi) for roi, setup in built]
 
     def test_a_setup_without_an_roi_flags_no_pulse(self):
         setup = revolution_setup(PLANS[0], FOG, CAL, EMPTY_SCENE)
@@ -201,7 +216,7 @@ class TestRoiFlags:
         scene = make_enclosing_scene()
         _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
         roi = ArcSet.from_arc(0.0, 1.0)
-        assert hit.any() and roi_densities(hit, setup.in_roi, roi)[0].points_in_roi == 0
+        assert hit.any() and roi_densities(hit[None], setup.in_roi, roi)[0][0].points_in_roi == 0
         cloud = scan_revolution(scene, PLANS[0], FOG, CAL, 0.0)
         assert density(cloud, roi).points_in_roi == int(
             np.count_nonzero(roi.contains_many(cloud.returns["angle"]))) > 0
@@ -237,12 +252,13 @@ class TestChunkMetrics:
         setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE, roi)
         _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
                                       THIN_FOG.sigma if dropout else 0.0,
-                                      np.random.default_rng(seed))
+                                      [np.random.default_rng(seed)])
+        hit_ids, hit = hit_ids[None], hit[None]
         rng = np.random.default_rng(seed)
         clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
                                   dropout=dropout, rng=rng) for t in times]
-        assert roi_densities(hit, setup.in_roi, roi, first_frame) == [
-            density(cloud, roi, first_frame + k) for k, cloud in enumerate(clouds)]
+        assert roi_densities(hit, setup.in_roi, roi, first_frame) == [[
+            density(cloud, roi, first_frame + k) for k, cloud in enumerate(clouds)]]
 
         target = data.draw(st.sampled_from([TARGET, 2, 3, 99]))
         counts = [int(np.count_nonzero(c.returns["hit_id"] == target)) for c in clouds]
@@ -260,7 +276,7 @@ class TestChunkMetrics:
             return
         per_frame = next((k for k, cloud in enumerate(clouds)
                           if detect(cloud, target, min_points)), None)
-        assert first_detection(hit_ids, hit, target, min_points) == per_frame
+        assert first_detection(hit_ids, hit, target, min_points) == [per_frame]
         if at is not None and target == TARGET:
             # the approaching target's count grows every frame, so the
             # threshold set from frame `at` detects first at `at`
@@ -279,10 +295,10 @@ class TestChunkMetrics:
         stack = (3, len(times), -1)
         hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
         firsts = first_detection(hit_ids, hit, TARGET, min_points)
-        assert firsts == [first_detection(hit_ids[s], hit[s], TARGET, min_points)
+        assert firsts == [first_detection(hit_ids[s:s + 1], hit[s:s + 1], TARGET, min_points)[0]
                           for s in range(3)]
         kept = [len(times) if at is None else at + 1 for at in firsts]
         assert roi_densities(hit, setup.in_roi, roi, 7, kept) == [
-            roi_densities(hit[s], setup.in_roi, roi, 7)[:kept[s]] for s in range(3)]
+            roi_densities(hit[s:s + 1], setup.in_roi, roi, 7)[0][:kept[s]] for s in range(3)]
         if min_points == 40:
             assert None in firsts and len(set(firsts)) > 1

@@ -869,6 +869,24 @@ class TestSeedStack:
                     seen.add("same step")
         assert seen >= {"frame 0", "never", "same step"}
 
+    @pytest.mark.parametrize("cap, group", [(390 * 2, 2), (390 * 3 - 1, 2), (100, 1)])
+    def test_live_seeds_past_the_ray_cap_split_into_calls_within_it(self, default_config,
+                                                                    monkeypatch, cap, group):
+        # a frame is n = 390 rays; a step casts `group` seeds per call, and the
+        # last call of the step the rest
+        monkeypatch.setattr(runner, "RAYS_PER_CALL", cap)
+        config = _hidden_target(default_config, dropout=True, spawn_jitter_m=3.0,
+                                max_sim_time=0.5)
+        variant = config.variants[1]
+        seeds = tuple(range(7))
+        log = _ChunkLog(monkeypatch)
+        records = runner._run_seeds(config, variant, 0.5, seeds)
+        self._check(records, config, variant, 0.5, seeds)
+        assert all(rows * 390 <= max(cap, 390) and live <= group
+                   for rows, live in zip(log.sizes, log.live))
+        first_step = log.live[:-(-7 // group)]
+        assert first_step == [group] * (7 // group) + [7 % group] * (7 % group > 0)
+
 
 class TestUsesRng:
     @pytest.mark.parametrize("jitter, dropout, fog, expected", [
