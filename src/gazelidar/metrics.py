@@ -21,12 +21,11 @@ class DetectionEvent:
     target_distance_to_conflict: float
 
 
-@dataclass(frozen=True)
-class DensitySample:
-    frame_index: int
-    points_in_roi: int
-    roi_width_deg: float
-    density: float
+# One frame's RoI returns: the count, the RoI width in degrees and the count per
+# degree. A run's samples are an array of these, row k for frame k. Rows are
+# np.record, so s.density reads a field, without a recarray's slow column reads.
+SAMPLE_DTYPE = np.dtype((np.record, [("points_in_roi", np.int64), ("roi_width_deg", np.float64),
+                                     ("density", np.float64)]))
 
 
 def first_detection(hit_ids, hit, target_id: int, min_points: int = 1) -> list[int | None]:
@@ -38,19 +37,19 @@ def first_detection(hit_ids, hit, target_id: int, min_points: int = 1) -> list[i
     return [None if k < 0 else k for k in first.tolist()]
 
 
-def roi_densities(hit, in_roi, roi: ArcSet, first_frame: int = 0,
-                  frames=None) -> list[list[DensitySample]]:
-    """Each run's returns inside roi per degree and frame, numbered from first_frame; in_roi
-    flags the pulses. Run s keeps its first frames[s] frames when frames is given."""
+def roi_densities(hit, in_roi, roi: ArcSet) -> np.ndarray:
+    """Each run's returns inside roi per degree and frame, an (S, K) array of
+    SAMPLE_DTYPE; in_roi flags the pulses."""
     if roi.is_empty():
         raise ValueError("roi must have positive width")
     width_deg = math.degrees(roi.width)
     counts = np.count_nonzero(hit & in_roi, axis=-1)
-    rows = counts.tolist()
-    if frames is not None:
-        rows = [row[:kept] for row, kept in zip(rows, frames)]
-    return [[DensitySample(first_frame + k, count, width_deg, count / width_deg)
-             for k, count in enumerate(row)] for row in rows]
+    samples = np.empty(counts.shape, SAMPLE_DTYPE)
+    samples["points_in_roi"] = counts
+    samples["roi_width_deg"] = width_deg
+    with np.errstate(over="ignore"):   # inf over a subnormal width, as a float division gives
+        samples["density"] = counts / width_deg
+    return samples
 
 
 def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:
@@ -66,7 +65,8 @@ def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
     return event.target_distance_to_conflict / target_speed
 
 
-def density(cloud: PointCloud, roi: ArcSet, frame_index: int = 0) -> DensitySample:
-    """Returns per degree inside the region of interest for one frame: a one-frame roi_densities."""
+def density(cloud: PointCloud, roi: ArcSet) -> np.record:
+    """Returns per degree inside the region of interest for one frame: a one-frame
+    roi_densities, one SAMPLE_DTYPE row."""
     in_roi = roi.contains_many(cloud.returns["angle"])
-    return roi_densities(np.ones((1, 1, len(in_roi)), bool), in_roi, roi, frame_index)[0][0]
+    return roi_densities(np.ones((1, 1, len(in_roi)), bool), in_roi, roi)[0, 0]

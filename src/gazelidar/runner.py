@@ -20,8 +20,10 @@ import numpy as np
 from . import __version__
 from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, compute_rof, compute_roi, load_gaze_trace
+# No run calls scan_revolution, density, detect or advance; they are imported because
+# bench/tracing.py wraps them here, and tests/test_bench_targets.py requires each name.
 from .lidar import revolution_setup, scan_frames, scan_revolution
-from .metrics import (DensitySample, DetectionEvent, density, detect, first_detection,
+from .metrics import (SAMPLE_DTYPE, DetectionEvent, density, detect, first_detection,
                       roi_densities, tta_at_detection)
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan, revolution_period)
@@ -65,14 +67,16 @@ class RunConfig:
     spawn_jitter_m: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # samples is an array: records compare by identity
 class RunRecord:
     variant: VariantConfig
     fog_fraction: float
     seed: int
     detection: DetectionEvent | None
     tta: float | None
-    samples: tuple[DensitySample, ...]
+    # The run's per-frame RoI samples, an array of metrics.SAMPLE_DTYPE whose
+    # row k is frame k; empty for a failed run.
+    samples: np.ndarray
     frames: int
     # Rows of scan_frames calls this run occupied, at least `frames`: a step's
     # frames after the detecting frame are cast and discarded. Not written
@@ -260,6 +264,12 @@ def load_run_config(path) -> RunConfig:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
         raise ConfigError(f"{scenario.name}: {exc}") from exc
+    # a run draws from U(-jitter, jitter) and moves each mover's start that far
+    ends = [c - d * u for o in scene.obstacles if o.speed > 0.0 for d in (-spawn_jitter, spawn_jitter)
+            for c, u in ((o.center.x, math.cos(o.heading)), (o.center.y, math.sin(o.heading)))]
+    if not all(map(math.isfinite, [2.0 * spawn_jitter, *ends])):
+        raise ConfigError(f"{raw.prefix}spawn_jitter_m: {spawn_jitter!r} makes the draw range "
+                          "or a jittered start not finite")
 
     return RunConfig(
         scenario=ScenarioConfig(scene, target_id),
@@ -385,28 +395,22 @@ def validate_run_config(config: RunConfig) -> list[str]:
     return problems
 
 
-def _build_start_scene(config: RunConfig, rng) -> Scene:
-    """Apply spawn jitter to the moving obstacles, if configured."""
-    scene = config.scenario.scene
-    if config.spawn_jitter_m <= 0.0:
-        return scene
-    jittered = []
-    for o in scene.obstacles:
-        if o.speed > 0.0:
-            shift = rng.uniform(-config.spawn_jitter_m, config.spawn_jitter_m)
-            c = Vec2(o.center.x - shift * math.cos(o.heading),
-                     o.center.y - shift * math.sin(o.heading))
-            jittered.append(ObstacleBox.spawn(o.id, c, o.heading, o.half_length,
-                                              o.half_width, o.speed))
-        else:
-            jittered.append(o)
-    return Scene(scene.ego_position, tuple(jittered), scene.conflict_point)
+def _spawn_starts(movers, rngs, jitter: float) -> np.ndarray:
+    """(S, m, 2) start centers of the m moving boxes, one row per generator: each draws
+    m shifts from U(-jitter, jitter), the doubles of m scalar draws in id order, and
+    box i starts shift i back along its heading. Nothing is drawn without jitter."""
+    centers = np.array([(o.center.x, o.center.y) for o in movers])
+    if jitter <= 0.0:
+        return np.tile(centers, (len(rngs), 1, 1))
+    headings = np.array([(math.cos(o.heading), math.sin(o.heading)) for o in movers])
+    shifts = np.array([rng.uniform(-jitter, jitter, len(movers)) for rng in rngs])
+    return centers - shifts[..., None] * headings
 
 
 def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
     """Whether a run at this fog level draws from its seed's generator.
 
-    Mirrors the two draw sites: spawn jitter in _build_start_scene and fog
+    Mirrors the two draw sites: spawn jitter in _spawn_starts and fog
     dropout in scan_frames. When false, the seed cannot change a record.
     """
     return config.spawn_jitter_m > 0.0 or (
@@ -434,23 +438,27 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     each run drawing its dropout from its own generator; metrics then finds
     each run's first detecting frame and its RoI density per frame up to it.
     Frames cast after that frame, and their draws, are discarded;
-    frames_cast counts them.
+    frames_cast counts them. The detection distance takes advance() and
+    Vec2.distance_to's float operations from the target's start center.
     """
     t_start = time.perf_counter()
     fog = fog_from_fraction(fog_fraction, config.kappa)
     sigma = fog.sigma if config.dropout else 0.0
     setups = {}
+    scene = config.scenario.scene
     target_id = config.scenario.target_id
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    scenes = [_build_start_scene(config, rng) for rng in rngs]
-    target = scenes[0].obstacle(target_id)
+    target = scene.obstacle(target_id)
     if not target.speed > 0.0:
         raise ValueError(f"target {target_id} must be moving (speed_mps > 0)")
-    ego, conflict = config.scenario.scene.ego_position, config.scenario.scene.conflict_point
-    movers = Scene(ego, tuple(o for o in scenes[0].obstacles if o.speed != 0.0), conflict)
-    starts = np.array([[(o.center.x, o.center.y) for o in scene.obstacles if o.speed != 0.0]
-                       for scene in scenes])
-    samples: list[list[DensitySample]] = [[] for _ in seeds]
+    ego, conflict = scene.ego_position, scene.conflict_point
+    static = dataclasses.replace(scene, obstacles=tuple(o for o in scene.obstacles if o.speed == 0.0))
+    movers = dataclasses.replace(scene, obstacles=tuple(o for o in scene.obstacles if o.speed != 0.0))
+    row = movers.obstacles.index(target)
+    heading = math.cos(target.heading), math.sin(target.heading)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
+    empty = np.empty(0, SAMPLE_DTYPE)
+    samples = [[] for _ in seeds]
     detections: list[DetectionEvent | None] = [None] * len(seeds)
     frames_cast = [0] * len(seeds)
     live = list(range(len(seeds)))
@@ -463,9 +471,6 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                 break
             if gaze_state not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
-                scene = config.scenario.scene
-                static = dataclasses.replace(
-                    scene, obstacles=tuple(o for o in scene.obstacles if o.speed == 0.0))
                 setups[gaze_state] = roi, revolution_setup(plan, fog, config.calibration,
                                                            static, roi)
             roi, setup = setups[gaze_state]
@@ -482,15 +487,15 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                     stack = (len(runs), len(times), n)
                     hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
                     firsts = first_detection(hit_ids, hit, target_id, config.min_points)
-                    kept = [len(times) if at is None else at + 1 for at in firsts]
-                    densities = roi_densities(hit, setup.in_roi, roi, frame, kept)
+                    densities = roi_densities(hit, setup.in_roi, roi)
                     for i, at, run_samples in zip(runs, firsts, densities):
                         frames_cast[i] += len(times)
-                        samples[i] += run_samples
+                        samples[i].append(run_samples[:len(times) if at is None else at + 1])
                         if at is not None:
                             t = float(times[at])
-                            dist = advance(scenes[i], t).obstacle(target_id).center.distance_to(
-                                conflict)
+                            x, y = starts[i, row].tolist()
+                            dist = math.hypot(x + t * target.speed * heading[0] - conflict.x,
+                                              y + t * target.speed * heading[1] - conflict.y)
                             detections[i] = DetectionEvent(frame + at, t, target_id, dist)
                 live = [i for i in live if detections[i] is None]
                 frame = stop
@@ -501,14 +506,14 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     records = []
     for i, seed in enumerate(seeds):
         if failure is not None and i in live:
-            records.append(RunRecord(variant, fog_fraction, seed, None, None, (), 0,
+            records.append(RunRecord(variant, fog_fraction, seed, None, None, empty, 0,
                                      frames_cast[i], True, failure, wall_time))
             continue
         detection = detections[i]
         tta = None if detection is None else tta_at_detection(detection, target.speed)
-        records.append(RunRecord(variant, fog_fraction, seed, detection, tta,
-                                 tuple(samples[i]), len(samples[i]), frames_cast[i], False,
-                                 None, wall_time))
+        kept = np.concatenate(samples[i]) if samples[i] else empty
+        records.append(RunRecord(variant, fog_fraction, seed, detection, tta, kept, len(kept),
+                                 frames_cast[i], False, None, wall_time))
     return records
 
 
@@ -560,8 +565,8 @@ def write_results_csv(records: list[RunRecord], path) -> None:
                          "mean_density_pts_per_deg"])
         for rec in records:
             mean_density = ""
-            if rec.samples:
-                mean_density = _fmt(sum(s.density for s in rec.samples) / len(rec.samples))
+            if len(rec.samples):
+                mean_density = _fmt(sum(rec.samples["density"].tolist()) / len(rec.samples))
             writer.writerow([
                 rec.variant.variant,
                 _fmt(rec.fog_fraction),
@@ -580,16 +585,9 @@ def write_density_samples_csv(records: list[RunRecord], path) -> None:
         writer.writerow(["variant", "fog", "seed", "frame", "points_in_roi",
                          "roi_width_deg", "density_pts_per_deg"])
         for rec in records:
-            for s in rec.samples:
-                writer.writerow([
-                    rec.variant.variant,
-                    _fmt(rec.fog_fraction),
-                    rec.seed,
-                    s.frame_index,
-                    s.points_in_roi,
-                    _fmt(s.roi_width_deg),
-                    _fmt(s.density),
-                ])
+            run = rec.variant.variant, _fmt(rec.fog_fraction), rec.seed
+            writer.writerows((*run, k, count, _fmt(width), _fmt(per_deg))
+                             for k, (count, width, per_deg) in enumerate(rec.samples.tolist()))
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -606,7 +604,7 @@ def summarize(records: list[RunRecord]) -> dict:
     out = []
     for (name, fog), recs in sorted(cells.items()):
         ttas = [r.tta for r in recs if r.tta is not None]
-        densities = [s.density for r in recs for s in r.samples]
+        densities = [d for r in recs for d in r.samples["density"].tolist()]
         cell = {
             "variant": name,
             "fog": fog,

@@ -24,10 +24,10 @@ import numpy as np
 from gazelidar.atmosphere import fog_from_fraction
 from gazelidar.gaze import compute_rof, compute_roi, normalize_angle
 from gazelidar.lidar import scan_revolution
-from gazelidar.metrics import DetectionEvent, density, detect, tta_at_detection
+from gazelidar.metrics import SAMPLE_DTYPE, DetectionEvent, density, detect, tta_at_detection
 from gazelidar.policy import build_scan_plan
-from gazelidar.runner import RunRecord, _build_start_scene
-from gazelidar.scene import Scene, Vec2, advance
+from gazelidar.runner import RunRecord
+from gazelidar.scene import ObstacleBox, Scene, Vec2, advance
 
 
 class RayHit(NamedTuple):
@@ -230,17 +230,36 @@ def quartiles_inclusive(values):
     return q[0], q[1], q[2]
 
 
+def jittered_scene(config, rng) -> Scene:
+    """The config scene with each moving box's start moved back along its
+    heading by its own scalar draw from U(-spawn_jitter_m, spawn_jitter_m),
+    in id order; static boxes stay. Nothing is drawn without jitter."""
+    scene = config.scenario.scene
+    if config.spawn_jitter_m <= 0.0:
+        return scene
+    jittered = []
+    for o in scene.obstacles:
+        if o.speed > 0.0:
+            shift = rng.uniform(-config.spawn_jitter_m, config.spawn_jitter_m)
+            c = Vec2(o.center.x - shift * math.cos(o.heading),
+                     o.center.y - shift * math.sin(o.heading))
+            o = ObstacleBox.spawn(o.id, c, o.heading, o.half_length, o.half_width, o.speed)
+        jittered.append(o)
+    return Scene(scene.ego_position, tuple(jittered), scene.conflict_point)
+
+
 def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
     """run_single's frame loop with nothing cached across frames.
 
     RoF, RoI, scan plan, pulse directions and effective ranges are all
-    rebuilt every frame, and every box, static or moving, is advanced and
-    cast in one layer. Failures propagate; wall_time is 0.
+    rebuilt every frame, every box, static or moving, is advanced and cast
+    in one layer, and the start scene draws its jitter one box at a time.
+    Failures propagate; wall_time is 0.
     """
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
     omega = math.tau * config.frame_rate
-    scene0 = _build_start_scene(config, rng)
+    scene0 = jittered_scene(config, rng)
     target = scene0.obstacle(config.scenario.target_id)
     samples = []
     detection = None
@@ -255,7 +274,7 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
                                config.pulse_rate, config.p_max)
         cloud = scan_revolution(scene_t, plan, fog, config.calibration, t,
                                 dropout=config.dropout, rng=rng)
-        samples.append(density(cloud, roi, frame_index=frame))
+        samples.append(density(cloud, roi))
         frame += 1
         if detect(cloud, config.scenario.target_id, config.min_points):
             tgt = scene_t.obstacle(config.scenario.target_id)
@@ -263,5 +282,5 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
             detection = DetectionEvent(frame - 1, t, config.scenario.target_id, dist)
             tta = tta_at_detection(detection, target.speed)
             break
-    return RunRecord(variant, fog_fraction, seed, detection, tta, tuple(samples),
-                     frame, frame, False, None, 0.0)
+    return RunRecord(variant, fog_fraction, seed, detection, tta,
+                     np.array(samples, dtype=SAMPLE_DTYPE), frame, frame, False, None, 0.0)

@@ -308,6 +308,36 @@ class TestRun:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("jitter, far_x", [(1e308, -67.0), (1e307, -1.75e308)],
+                             ids=["draw-range-overflows", "start-overflows"])
+    def test_a_jitter_that_overflows_exits_without_running(self, tmp_path, capsys,
+                                                           monkeypatch, jitter, far_x):
+        # a run draws from U(-jitter, jitter), whose width 2e308 overflows, and
+        # moves each mover's start by up to jitter, off the floats from -1.75e308
+        scenario = copy.deepcopy(DEFAULT_JSON["scenario"])
+        scenario["obstacles"][1]["center"][0] = far_x
+        config = _write_trimmed_config(tmp_path, scenario=scenario, spawn_jitter_m=jitter)
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert out.startswith("invalid: ") and "spawn_jitter_m" in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "spawn_jitter_m" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_jitter_moves_no_static_box(self, tmp_path):
+        # a static box 1.75e308 out is no start the jitter moves
+        scenario = copy.deepcopy(DEFAULT_JSON["scenario"])
+        scenario["obstacles"][2]["center"][0] = -1.75e308
+        config = _write_trimmed_config(tmp_path, scenario=scenario, spawn_jitter_m=1e307)
+        assert load_run_config(config).spawn_jitter_m == 1e307
+
     @pytest.mark.parametrize("overrides", [
         {"frame_rate_hz": 1e-300}, {"pulse_rate_hz": 1e300}, {"frame_rate_hz": 1e-320},
     ], ids=["slow-head", "fast-pulses", "subnormal-head"])

@@ -16,8 +16,8 @@ from gazelidar.gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, comput
                             compute_roi)
 from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, revolution_setup,
                              scan_frames, scan_revolution)
-from gazelidar.metrics import (DetectionEvent, density, detect, first_detection, roi_densities,
-                               tta_at_detection)
+from gazelidar.metrics import (SAMPLE_DTYPE, DetectionEvent, density, detect, first_detection,
+                               roi_densities, tta_at_detection)
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.runner import run_single
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, edges_at
@@ -71,8 +71,8 @@ class TestDensity:
         cloud = _cloud((0.5, 40.0, 1), (1.0, 45.0, 2),
                        (2.0, 50.0, 3), (4.0, 55.0, 4),
                        (5.0, 60.0, 5))
-        sample = density(cloud, roi, frame_index=7)
-        assert sample.frame_index == 7
+        sample = density(cloud, roi)
+        assert sample.dtype == SAMPLE_DTYPE
         assert sample.points_in_roi == 3
         assert sample.roi_width_deg == pytest.approx(180.0, rel=1e-12)
         assert sample.density == pytest.approx(3.0 / 180.0, rel=1e-12)
@@ -114,8 +114,8 @@ class TestVectorisedAgainstScalarLoops:
             roi = ArcSet.full()
         cloud = _cloud(*returns)
         count = sum(1 for angle, _, _ in returns if roi.contains(angle))
-        sample = density(cloud, roi, frame_index=3)
-        assert type(sample.points_in_roi) is int and sample.points_in_roi == count
+        sample = density(cloud, roi)
+        assert type(sample.tolist()[0]) is int and sample.points_in_roi == count
         assert sample.density == count / math.degrees(roi.width)
 
 
@@ -159,16 +159,16 @@ class TestRoiFlags:
         times = (0.0, 0.05, 0.1)
         _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
                                 [np.random.default_rng(seed)])
-        [samples] = roi_densities(hit[None], setup.in_roi, roi, first_frame=2)
-        assert [s.frame_index for s in samples] == [2, 3, 4]
+        [samples] = roi_densities(hit[None], setup.in_roi, roi)
+        assert samples.dtype == SAMPLE_DTYPE and samples.shape == (3,)
         for k, sample in enumerate(samples):
             expected = int(np.count_nonzero(roi.contains_many(setup.angles[hit[k]])))
-            assert type(sample.points_in_roi) is int and sample.points_in_roi == expected
+            assert sample.points_in_roi == expected
             assert sample.density == expected / math.degrees(roi.width)
         # the one-frame density of the first frame's cloud maps its angles
         cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, dropout=True,
                                 rng=np.random.default_rng(seed))
-        assert density(cloud, roi, frame_index=2) == samples[0]
+        assert density(cloud, roi) == samples[0]
 
     def test_flags_built_for_another_roi_are_not_counted(self, default_config):
         plan = PLANS[1]
@@ -247,7 +247,6 @@ class TestChunkMetrics:
         frames = data.draw(st.integers(1, 8))
         dropout = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        first_frame = data.draw(st.integers(0, 500))
         times = [0.5 * k for k in range(frames)]
         setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE, roi)
         _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
@@ -257,8 +256,8 @@ class TestChunkMetrics:
         rng = np.random.default_rng(seed)
         clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
                                   dropout=dropout, rng=rng) for t in times]
-        assert roi_densities(hit, setup.in_roi, roi, first_frame) == [[
-            density(cloud, roi, first_frame + k) for k, cloud in enumerate(clouds)]]
+        assert roi_densities(hit, setup.in_roi, roi).tolist() == [[
+            density(cloud, roi).tolist() for cloud in clouds]]
 
         target = data.draw(st.sampled_from([TARGET, 2, 3, 99]))
         counts = [int(np.count_nonzero(c.returns["hit_id"] == target)) for c in clouds]
@@ -297,8 +296,7 @@ class TestChunkMetrics:
         firsts = first_detection(hit_ids, hit, TARGET, min_points)
         assert firsts == [first_detection(hit_ids[s:s + 1], hit[s:s + 1], TARGET, min_points)[0]
                           for s in range(3)]
-        kept = [len(times) if at is None else at + 1 for at in firsts]
-        assert roi_densities(hit, setup.in_roi, roi, 7, kept) == [
-            roi_densities(hit[s:s + 1], setup.in_roi, roi, 7)[0][:kept[s]] for s in range(3)]
+        assert roi_densities(hit, setup.in_roi, roi).tolist() == [
+            roi_densities(hit[s:s + 1], setup.in_roi, roi)[0].tolist() for s in range(3)]
         if min_points == 40:
             assert None in firsts and len(set(firsts)) > 1

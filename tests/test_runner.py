@@ -22,10 +22,10 @@ from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
                               quartiles, run_single, run_sweep, summarize,
                               uses_rng, validate_run_config,
                               write_density_samples_csv, write_results_csv,
-                              write_summary_json, _build_start_scene)
+                              write_summary_json, _spawn_starts)
 from gazelidar.scene import ObstacleBox, Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
-from oracles import per_frame_run, quartiles_inclusive, states_per_frame
+from oracles import jittered_scene, per_frame_run, quartiles_inclusive, states_per_frame
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
 # gaze angles in degrees; 0 gives a RoF wrapped across 0/tau
@@ -44,8 +44,8 @@ def _write_config(tmp_path, mutate=None):
 
 def _strip_wall_time(record):
     return (record.variant, record.fog_fraction, record.seed, record.detection,
-            record.tta, record.samples, record.frames, record.failed,
-            record.failure_reason)
+            record.tta, record.samples.dtype, record.samples.tolist(), record.frames,
+            record.failed, record.failure_reason)
 
 
 def _hidden_target(config, **changes):
@@ -558,7 +558,7 @@ class TestRunSingle:
             record = run_single(config, variant, 0.0, 101)
             assert record.failed
             assert "degenerate partition" in record.failure_reason
-            assert record.samples == () and record.frames == 0
+            assert len(record.samples) == 0 and record.frames == 0
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_static_and_moving_layers_match_the_per_frame_reference(self, default_config, seed):
@@ -617,7 +617,7 @@ class TestRunSingle:
         assert record.failed
         assert "exceeds" in record.failure_reason
         assert record.detection is None
-        assert record.samples == ()
+        assert len(record.samples) == 0
         assert record.frames == 0
 
 
@@ -689,7 +689,7 @@ class TestChunkKernel:
     def test_each_output_frame_gets_one_sample_and_each_chunk_is_counted_once(
             self, default_config, monkeypatch):
         calls = dict.fromkeys(["first_detection", "roi_densities", "scan_revolution", "density",
-                               "detect"], 0)
+                               "detect", "advance"], 0)
         for name in calls:
             def counting(*args, _name=name, _f=getattr(runner, name), **kwargs):
                 calls[_name] += 1
@@ -700,10 +700,10 @@ class TestChunkKernel:
                                 max_sim_time=2.0)
         record = log.run(config, config.variants[0], 0.5, 7)
         assert record.frames > runner.CHUNK_FRAMES and len(log.sizes) > 1
-        assert [s.frame_index for s in record.samples] == list(range(record.frames))
+        assert len(record.samples) == record.frames
         chunks = len(log.sizes)
         assert calls == dict(first_detection=chunks, roi_densities=chunks, scan_revolution=0,
-                             density=0, detect=0)
+                             density=0, detect=0, advance=0)
 
     @staticmethod
     def _chunk_sizes(default_config, monkeypatch, pattern, times):
@@ -918,18 +918,61 @@ class TestUsesRng:
 
 
 class TestSpawnJitter:
-    def test_only_moving_obstacles_shift(self, default_config):
+    @staticmethod
+    def _layers(config, monkeypatch):
+        """run_single's static layer and the start array of its movers, as
+        revolution_setup and edges_at receive them."""
+        seen = {}
+
+        build_setup, build_edges = runner.revolution_setup, runner.edges_at
+
+        def setup(plan, fog, cal, static, roi):
+            seen["static"] = static
+            return build_setup(plan, fog, cal, static, roi)
+
+        def edges(movers, times, starts):
+            seen.setdefault("movers", movers)
+            seen.setdefault("starts", starts)
+            return build_edges(movers, times, starts)
+        monkeypatch.setattr(runner, "revolution_setup", setup)
+        monkeypatch.setattr(runner, "edges_at", edges)
+        run_single(config, config.variants[0], 0.0, 101)
+        return seen["static"], seen["movers"], seen["starts"]
+
+    def test_only_moving_obstacles_shift(self, default_config, monkeypatch):
         config = dataclasses.replace(default_config, spawn_jitter_m=3.0)
-        scene = _build_start_scene(config, np.random.default_rng(101))
+        static, movers, starts = self._layers(config, monkeypatch)
         base = default_config.scenario.scene
-        for jittered, original in zip(scene.obstacles, base.obstacles):
-            if original.speed == 0.0:
-                assert jittered is original
-            else:
-                assert jittered.center.y == original.center.y
-                assert abs(jittered.center.x - original.center.x) <= 3.0
-                assert jittered.center.x != original.center.x
-                assert jittered.spawn_center == jittered.center
+        assert static.obstacles == tuple(o for o in base.obstacles if o.speed == 0.0)
+        assert movers.obstacles == tuple(o for o in base.obstacles if o.speed > 0.0)
+        assert starts.shape == (1, len(movers.obstacles), 2)
+        for (x, y), original in zip(starts[0].tolist(), movers.obstacles):
+            assert y == original.center.y
+            assert abs(x - original.center.x) <= 3.0
+            assert x != original.center.x
+        # without jitter every run starts at the config's centers
+        _, _, still = self._layers(default_config, monkeypatch)
+        assert still.tolist() == [[[o.center.x, o.center.y] for o in movers.obstacles]]
+
+    def test_one_vector_draw_equals_the_scalar_draws_in_id_order(self, default_config):
+        # the shipped scene's movers are ids 1 and 2; a mover's start is what a
+        # scalar draw per mover, in id order, and its Vec2 arithmetic give
+        config = dataclasses.replace(default_config, spawn_jitter_m=3.0)
+        scene = config.scenario.scene
+        movers = tuple(o for o in scene.obstacles if o.speed > 0.0)
+        assert [o.id for o in movers] == [1, 2]
+        assert len(movers) < len(scene.obstacles)
+        for seed in (101, 7, 2 ** 31 - 1):
+            vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            starts = _spawn_starts(movers, [vector], 3.0)
+            jittered = {o.id: o for o in jittered_scene(config, scalar).obstacles}
+            assert starts.tolist() == [[[jittered[o.id].center.x, jittered[o.id].center.y]
+                                        for o in movers]]
+            for o in scene.obstacles:
+                if o.speed == 0.0:
+                    assert jittered[o.id] is o
+            # the next draw, such as a frame's dropout, is the same on both
+            assert vector.random() == scalar.random()
 
     def test_different_seeds_give_different_outcomes(self, default_config):
         config = dataclasses.replace(default_config, spawn_jitter_m=3.0)
