@@ -9,6 +9,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
+import io
 import json
 import math
 import time
@@ -264,12 +265,8 @@ def load_run_config(path) -> RunConfig:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
         raise ConfigError(f"{scenario.name}: {exc}") from exc
-    # a run draws from U(-jitter, jitter) and moves each mover's start that far
-    ends = [c - d * u for o in scene.obstacles if o.speed > 0.0 for d in (-spawn_jitter, spawn_jitter)
-            for c, u in ((o.center.x, math.cos(o.heading)), (o.center.y, math.sin(o.heading)))]
-    if not all(map(math.isfinite, [2.0 * spawn_jitter, *ends])):
-        raise ConfigError(f"{raw.prefix}spawn_jitter_m: {spawn_jitter!r} makes the draw range "
-                          "or a jittered start not finite")
+    if problem := _jitter_problem(scene, spawn_jitter):
+        raise ConfigError(f"{raw.prefix}spawn_jitter_m: {problem}")
 
     return RunConfig(
         scenario=ScenarioConfig(scene, target_id),
@@ -288,6 +285,16 @@ def load_run_config(path) -> RunConfig:
         dropout=dropout,
         spawn_jitter_m=spawn_jitter,
     )
+
+
+def _jitter_problem(scene: Scene, jitter: float) -> str | None:
+    """Why runs on `scene` cannot draw a spawn jitter of `jitter` m, or None: a run draws
+    from U(-jitter, jitter) and moves each mover's start that far along its heading."""
+    ends = [c - d * u for o in scene.obstacles if o.speed > 0.0 for d in (-jitter, jitter)
+            for c, u in ((o.center.x, math.cos(o.heading)), (o.center.y, math.sin(o.heading)))]
+    if not all(map(math.isfinite, [2.0 * jitter, *ends])):
+        return f"{jitter!r} makes the draw range or a jittered start not finite"
+    return None if jitter >= 0.0 else f"{jitter!r} is not at least 0"
 
 
 def _scan_plan(config: RunConfig, variant: VariantConfig, gaze_state):
@@ -361,6 +368,9 @@ def validate_run_config(config: RunConfig) -> list[str]:
                     f"conflict_point lies {off_line:.3g} m off the target trajectory line")
             elif rx * ux + ry * uy <= 0.0:
                 problems.append("target moves away from the conflict point")
+
+    if problem := _jitter_problem(scene, config.spawn_jitter_m):
+        problems.append(f"spawn_jitter_m: {problem}")
 
     for axis in ("seeds", "fog_fractions"):
         values = getattr(config, axis)
@@ -558,15 +568,18 @@ def _fmt(x: float) -> str:
 
 
 def write_results_csv(records: list[RunRecord], path) -> None:
-    """One row per run: variant,fog,seed,detected,tta_s,frames,mean_density_pts_per_deg."""
+    """One row per run: variant,fog,seed,detected,tta_s,frames,mean_density_pts_per_deg.
+    A copy holds the samples array of the record sorted before it and reuses its mean."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant", "fog", "seed", "detected", "tta_s", "frames",
                          "mean_density_pts_per_deg"])
+        samples = None
         for rec in records:
-            mean_density = ""
-            if len(rec.samples):
-                mean_density = _fmt(sum(rec.samples["density"].tolist()) / len(rec.samples))
+            if rec.samples is not samples:
+                samples = rec.samples
+                mean_density = (_fmt(sum(samples["density"].tolist()) / len(samples))
+                                if len(samples) else "")
             writer.writerow([
                 rec.variant.variant,
                 _fmt(rec.fog_fraction),
@@ -579,15 +592,27 @@ def write_results_csv(records: list[RunRecord], path) -> None:
 
 
 def write_density_samples_csv(records: list[RunRecord], path) -> None:
-    """One row per simulated frame, long format."""
+    """One row per simulated frame, long format, each record's rows in one write. Each
+    distinct sample is formatted once, keyed by its bytes so that -0.0 and 0.0 stay apart;
+    a copy holds the samples array of the record sorted before it and reuses its rows."""
+    tails: dict[bytes, str] = {}
+    samples = None
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "fog", "seed", "frame", "points_in_roi",
-                         "roi_width_deg", "density_pts_per_deg"])
+        fh.write("variant,fog,seed,frame,points_in_roi,roi_width_deg,density_pts_per_deg\n")
         for rec in records:
-            run = rec.variant.variant, _fmt(rec.fog_fraction), rec.seed
-            writer.writerows((*run, k, count, _fmt(width), _fmt(per_deg))
-                             for k, (count, width, per_deg) in enumerate(rec.samples.tolist()))
+            if rec.samples is not samples:
+                samples = rec.samples
+                keys = np.ascontiguousarray(samples).view(f"V{samples.itemsize}").tolist()
+                for key, (count, width, per_deg) in zip(keys, samples.tolist()):
+                    if key not in tails:
+                        tails[key] = f"{count},{_fmt(width)},{_fmt(per_deg)}"
+                rows = [f"{k},{tails[key]}" for k, key in enumerate(keys)]
+            if rows:   # csv.writer quotes the run's fields where needed
+                line = io.StringIO()
+                csv.writer(line, lineterminator="\n").writerow(
+                    [rec.variant.variant, _fmt(rec.fog_fraction), rec.seed])
+                run = line.getvalue()[:-1] + ","
+                fh.write(run + ("\n" + run).join(rows) + "\n")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -604,7 +629,7 @@ def summarize(records: list[RunRecord]) -> dict:
     out = []
     for (name, fog), recs in sorted(cells.items()):
         ttas = [r.tta for r in recs if r.tta is not None]
-        densities = [d for r in recs for d in r.samples["density"].tolist()]
+        densities = np.concatenate([r.samples["density"] for r in recs])
         cell = {
             "variant": name,
             "fog": fog,
@@ -617,7 +642,7 @@ def summarize(records: list[RunRecord]) -> dict:
         if ttas:
             q1, med, q3 = quartiles(ttas)
             cell["tta_s"] = {"q1": q1, "median": med, "q3": q3}
-        if densities:
+        if densities.size:
             q1, med, q3 = quartiles(densities)
             cell["density_pts_per_deg"] = {"q1": q1, "median": med, "q3": q3}
         out.append(cell)

@@ -11,10 +11,14 @@ search for the plan segment under a bearing, a trace lookup per frame
 instead of one frame bound per trace sample, and a run loop that rebuilds
 the scan plan every frame instead of once per gaze state, casts the whole
 scene every frame instead of its static boxes once per gaze state, and scans
-and counts one frame at a time instead of a chunk of frames per call.
+and counts one frame at a time instead of a chunk of frames per call, and
+output writers that put every row through csv.writer and format every float
+of every row, and a summary that gathers densities in a Python list, instead
+of formatting each distinct row once and reusing a copied run's rows.
 """
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 from typing import NamedTuple
@@ -26,7 +30,8 @@ from gazelidar.gaze import compute_rof, compute_roi, normalize_angle
 from gazelidar.lidar import scan_revolution
 from gazelidar.metrics import SAMPLE_DTYPE, DetectionEvent, density, detect, tta_at_detection
 from gazelidar.policy import build_scan_plan
-from gazelidar.runner import RunRecord
+from gazelidar import __version__
+from gazelidar.runner import RunRecord, quartiles
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance
 
 
@@ -284,3 +289,68 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
             break
     return RunRecord(variant, fog_fraction, seed, detection, tta,
                      np.array(samples, dtype=SAMPLE_DTYPE), frame, frame, False, None, 0.0)
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".12g")
+
+
+def per_row_results_csv(records, path) -> None:
+    """results.csv with every row through csv.writer and every mean summed anew."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["variant", "fog", "seed", "detected", "tta_s", "frames",
+                         "mean_density_pts_per_deg"])
+        for rec in records:
+            mean_density = ""
+            if len(rec.samples):
+                mean_density = _fmt(sum(rec.samples["density"].tolist()) / len(rec.samples))
+            writer.writerow([
+                rec.variant.variant,
+                _fmt(rec.fog_fraction),
+                rec.seed,
+                "true" if rec.detection is not None else "false",
+                _fmt(rec.tta) if rec.tta is not None else "",
+                rec.frames,
+                mean_density,
+            ])
+
+
+def per_row_density_samples_csv(records, path) -> None:
+    """density_samples.csv with every row through csv.writer and every float formatted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["variant", "fog", "seed", "frame", "points_in_roi",
+                         "roi_width_deg", "density_pts_per_deg"])
+        for rec in records:
+            run = rec.variant.variant, _fmt(rec.fog_fraction), rec.seed
+            writer.writerows((*run, k, count, _fmt(width), _fmt(per_deg))
+                             for k, (count, width, per_deg) in enumerate(rec.samples.tolist()))
+
+
+def listed_summary(records) -> dict:
+    """summarize with each cell's densities gathered in a Python list."""
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec.variant.variant, rec.fog_fraction), []).append(rec)
+    out = []
+    for (name, fog), recs in sorted(cells.items()):
+        ttas = [r.tta for r in recs if r.tta is not None]
+        densities = [d for r in recs for d in r.samples["density"].tolist()]
+        cell = {
+            "variant": name,
+            "fog": fog,
+            "runs": len(recs),
+            "failures": sum(1 for r in recs if r.failed),
+            "detected": len(ttas),
+            "tta_s": None,
+            "density_pts_per_deg": None,
+        }
+        if ttas:
+            q1, med, q3 = quartiles(ttas)
+            cell["tta_s"] = {"q1": q1, "median": med, "q3": q3}
+        if densities:
+            q1, med, q3 = quartiles(densities)
+            cell["density_pts_per_deg"] = {"q1": q1, "median": med, "q3": q3}
+        out.append(cell)
+    return {"version": __version__, "cells": out}

@@ -16,7 +16,7 @@ import pytest
 import gazelidar
 from gazelidar import __version__
 from gazelidar.cli import entry, main
-from gazelidar.runner import ConfigError, load_run_config, read_summary_json
+from gazelidar.runner import ConfigError, load_run_config, read_summary_json, run_sweep
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
@@ -431,6 +431,30 @@ class TestRun:
             assert rows(alone, seed) == rows(sweep, seed)
             with open(alone / "results.csv", newline="") as fh:
                 assert len(list(csv.reader(fh))) == 1 + 4 * 2
+
+    @pytest.mark.parametrize("jitter", [3.0, 0.0], ids=["every-seed-simulated", "fog-0-seeds-copied"])
+    def test_two_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch, jitter):
+        # without jitter a fog-0 cell draws nothing, so its later seeds are copies; from a
+        # worker they come back through pickle, each still holding its original's samples array
+        config = _write_trimmed_config(tmp_path, fog_dropout=True, spawn_jitter_m=jitter,
+                                       seeds=[101, 102, 103])
+        sweeps = []
+
+        def recorded(*args, **kwargs):
+            sweeps.append(run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(gazelidar.cli, "run_sweep", recorded)
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+        for name in ("results.csv", "density_samples.csv", "summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        for records in sweeps:
+            shared = [r.samples is before.samples for before, r in zip(records, records[1:])
+                      if r.reused_from is not None]
+            # without jitter: 4 variants at fog 0, each with 2 copied seeds
+            assert shared == [True] * (0 if jitter else 4 * 2)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         config = _write_trimmed_config(tmp_path)

@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,15 +18,17 @@ from hypothesis import strategies as st
 from gazelidar import __version__, runner
 from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
+from gazelidar.metrics import SAMPLE_DTYPE, DetectionEvent
 from gazelidar.policy import DegeneratePartitionError, VariantConfig, solve_power_levels
 from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
-                              quartiles, run_single, run_sweep, summarize,
+                              quartiles, run_single, run_sweep, summarize, summary_text,
                               uses_rng, validate_run_config,
                               write_density_samples_csv, write_results_csv,
                               write_summary_json, _spawn_starts)
 from gazelidar.scene import ObstacleBox, Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG
-from oracles import jittered_scene, per_frame_run, quartiles_inclusive, states_per_frame
+from oracles import (jittered_scene, listed_summary, per_frame_run, per_row_density_samples_csv,
+                     per_row_results_csv, quartiles_inclusive, states_per_frame)
 
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
 # gaze angles in degrees; 0 gives a RoF wrapped across 0/tau
@@ -93,6 +96,63 @@ def _frame_case(draw):
     times = sorted(set(draw(st.lists(near_frame(-3), min_size=1, max_size=8))))
     end = draw(near_frame(1).filter(lambda t: t > 0.0))
     return tuple(times), frame_rate, end
+
+
+# floats the writers must format apart: signed zeros, NaN, infinities, subnormals, extremes
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True))
+# VariantConfig refuses names outside its four; the writers read only `variant.variant`
+_OUTPUT_NAMES = st.sampled_from(["baseline", "a,b", 'say "hi"', "two\nlines", "cr\rx", ""])
+
+
+def _output_record(name, fog, seed, samples, tta=None, failed=False, copy_of=None):
+    """A hand-built RunRecord as the writers see it."""
+    detection = None if tta is None else DetectionEvent(len(samples), tta, 1, 0.0)
+    return runner.RunRecord(SimpleNamespace(variant=name), fog, seed, detection, tta, samples,
+                            len(samples), len(samples), failed, "why" if failed else None,
+                            0.0, copy_of)
+
+
+@st.composite
+def _output_records(draw):
+    """RunRecords in runs: a new samples array, a failed run's empty one, or an
+    earlier run's array again; each run's copies follow it, sharing its array."""
+    arrays, records = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "failed", "shared"] if arrays else ["new", "failed"]))
+        if kind == "failed":
+            samples = np.empty(0, SAMPLE_DTYPE)
+        elif kind == "shared":
+            samples = draw(st.sampled_from(arrays))
+        else:
+            counts = st.one_of(st.sampled_from([0, 1, 2 ** 63 - 1]), st.integers(-2 ** 63, 2 ** 63 - 1))
+            rows = draw(st.lists(st.tuples(counts, _EDGE_FLOATS, _EDGE_FLOATS), max_size=6))
+            samples = np.array(rows, SAMPLE_DTYPE)
+            arrays.append(samples)
+        name = draw(_OUTPUT_NAMES)
+        fog = draw(st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(0.0, 1.0)))
+        tta = None if kind == "failed" else draw(st.one_of(st.none(), _EDGE_FLOATS))
+        seed = draw(st.integers(0, 2 ** 63))
+        records.append(_output_record(name, fog, seed, samples, tta, kind == "failed"))
+        records += [_output_record(name, fog, seed + 1 + i, samples, tta, kind == "failed", seed)
+                    for i in range(draw(st.integers(0, 3)))]
+    return records
+
+
+def _edge_output_records():
+    """Every case the writers' memo and reuse must keep apart, in one sweep."""
+    signed = np.array([(0, 0.0, 0.0), (0, -0.0, -0.0), (0, 0.0, 0.0), (3, 5e-324, math.inf),
+                       (2 ** 63 - 1, 1e-310, math.nan), (-1, -math.inf, -0.0)], SAMPLE_DTYPE)
+    zeros = np.array([(0, 0.0, 0.0), (0, 0.0, -0.0)], SAMPLE_DTYPE)
+    empty = np.empty(0, SAMPLE_DTYPE)
+    return [_output_record("a,b", 0.0, 1, signed, 0.5),
+            _output_record("a,b", 0.0, 2, signed, 0.5, copy_of=1),
+            _output_record('say "hi"', -0.0, 1, zeros, math.nan),
+            _output_record("two\nlines", 0.5, 1, empty, failed=True),
+            _output_record("two\nlines", 0.5, 2, empty, failed=True, copy_of=1),
+            _output_record("baseline", 1.0, 7, signed, -math.inf),
+            _output_record("", 1.0, 8, zeros, 1e-310)]
 
 
 class TestLoadRunConfig:
@@ -491,6 +551,14 @@ class TestValidateRunConfig:
         assert validate_run_config(fast_spin) == [
             "variants[0] (resolution): omega_high overflows to inf rad/s"]
         assert run_single(fast_spin, fast, 0.0, 101).failed
+
+    @pytest.mark.parametrize("jitter", [1e308, math.nan, math.inf, -1.0])
+    def test_flags_a_jitter_runs_cannot_draw(self, default_config, jitter):
+        # 1e308, nan and inf overflowed Generator.uniform; -1.0 ran as if it were 0
+        config = dataclasses.replace(default_config, spawn_jitter_m=jitter)
+        (problem,) = validate_run_config(config)
+        assert problem.startswith(f"spawn_jitter_m: {jitter!r} ")
+        assert validate_run_config(dataclasses.replace(config, spawn_jitter_m=3.0)) == []
 
 
 class TestRunSingle:
@@ -1145,6 +1213,20 @@ class TestOutputFiles:
         first = lines[1].split(",")
         assert first[3] == "0"
         assert float(first[5]) == pytest.approx(300.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=_output_records())
+    @example(records=_edge_output_records())
+    def test_writers_and_summary_match_the_per_row_oracle(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            for write, oracle in ((write_results_csv, per_row_results_csv),
+                                  (write_density_samples_csv, per_row_density_samples_csv)):
+                write(records, Path(tmp) / "fast.csv")
+                oracle(records, Path(tmp) / "oracle.csv")
+                assert (Path(tmp) / "fast.csv").read_bytes() == (Path(tmp) / "oracle.csv").read_bytes()
+        # interpolating between infinite or huge values gives nan or inf on both paths
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert summary_text(summarize(records)) == summary_text(listed_summary(records))
 
     def test_summary_json_is_canonical(self, default_config, tmp_path):
         records = self._records(default_config)
