@@ -592,21 +592,16 @@ def write_results_csv(records: list[RunRecord], path) -> None:
 
 
 def write_density_samples_csv(records: list[RunRecord], path) -> None:
-    """One row per simulated frame, long format, each record's rows in one write. Each
-    distinct sample is formatted once, keyed by its bytes so that -0.0 and 0.0 stay apart;
-    a copy holds the samples array of the record sorted before it and reuses its rows."""
-    tails: dict[bytes, str] = {}
+    """One row per simulated frame, long format, each record's rows in one write.
+    A copy holds the samples array of the record sorted before it and reuses its rows."""
     samples = None
     with open(path, "w", newline="") as fh:
         fh.write("variant,fog,seed,frame,points_in_roi,roi_width_deg,density_pts_per_deg\n")
         for rec in records:
             if rec.samples is not samples:
                 samples = rec.samples
-                keys = np.ascontiguousarray(samples).view(f"V{samples.itemsize}").tolist()
-                for key, (count, width, per_deg) in zip(keys, samples.tolist()):
-                    if key not in tails:
-                        tails[key] = f"{count},{_fmt(width)},{_fmt(per_deg)}"
-                rows = [f"{k},{tails[key]}" for k, key in enumerate(keys)]
+                rows = [f"{k},{count},{_fmt(width)},{_fmt(per_deg)}"
+                        for k, (count, width, per_deg) in enumerate(samples.tolist())]
             if rows:   # csv.writer quotes the run's fields where needed
                 line = io.StringIO()
                 csv.writer(line, lineterminator="\n").writerow(

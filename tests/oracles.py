@@ -12,9 +12,9 @@ instead of one frame bound per trace sample, and a run loop that rebuilds
 the scan plan every frame instead of once per gaze state, casts the whole
 scene every frame instead of its static boxes once per gaze state, and scans
 and counts one frame at a time instead of a chunk of frames per call, and
-output writers that put every row through csv.writer and format every float
-of every row, and a summary that gathers densities in a Python list, instead
-of formatting each distinct row once and reusing a copied run's rows.
+output writers that put every row of every run through csv.writer, and a
+summary that gathers densities in a Python list, instead of quoting each
+run's fields once and reusing a copied run's formatted rows.
 """
 from __future__ import annotations
 

@@ -141,7 +141,7 @@ def _output_records(draw):
 
 
 def _edge_output_records():
-    """Every case the writers' memo and reuse must keep apart, in one sweep."""
+    """Every case the writers' quoting, formatting and reuse must keep exact, in one sweep."""
     signed = np.array([(0, 0.0, 0.0), (0, -0.0, -0.0), (0, 0.0, 0.0), (3, 5e-324, math.inf),
                        (2 ** 63 - 1, 1e-310, math.nan), (-1, -math.inf, -0.0)], SAMPLE_DTYPE)
     zeros = np.array([(0, 0.0, 0.0), (0, 0.0, -0.0)], SAMPLE_DTYPE)
