@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .runner import (ConfigError, load_run_config, read_summary_json, run_sweep, summarize,
-                     summary_text, validate_run_config, write_density_samples_csv,
-                     write_results_csv, write_summary_json)
+from .runner import (ConfigError, _keep_freed_pages, load_run_config, read_summary_json,
+                     run_sweep, summarize, summary_text, validate_run_config,
+                     write_density_samples_csv, write_results_csv, write_summary_json)
 
 
 def _checked_config(config_path: str, prefix: str, stream):
@@ -45,6 +45,7 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1,
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    _keep_freed_pages()   # run owns its process, so its allocator keeps the kernel's freed pages
     records = run_sweep(config, jobs=jobs)
     try:
         write_results_csv(records, out / "results.csv")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -37,6 +38,11 @@ TAU = math.tau
 # RAYS_PER_CALL, but at least one run and one frame, and at most CHUNK_FRAMES.
 RAYS_PER_CALL = 2 ** 17
 CHUNK_FRAMES = 24
+
+# mallopt(3) parameters from glibc's malloc.h, and the largest mmap threshold
+# that glibc's own dynamic rule reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -521,7 +527,9 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
             continue
         detection = detections[i]
         tta = None if detection is None else tta_at_detection(detection, target.speed)
-        kept = np.concatenate(samples[i]) if samples[i] else empty
+        # with the dtype given, numpy fills one new SAMPLE_DTYPE array; without it,
+        # promoting the parts' record dtypes costs more than copying their rows
+        kept = np.concatenate(samples[i], dtype=SAMPLE_DTYPE) if samples[i] else empty
         records.append(RunRecord(variant, fog_fraction, seed, detection, tta, kept, len(kept),
                                  frames_cast[i], False, None, wall_time))
     return records
@@ -548,15 +556,40 @@ def _run_cell(args) -> list[RunRecord]:
                                            reused_from=record.seed) for seed in config.seeds[1:]]
 
 
+def _keep_freed_pages() -> None:
+    """Keep freed blocks of up to MMAP_THRESHOLD bytes in this process's heap.
+
+    glibc serves a block above its mmap threshold (128 KiB at first) from
+    mmap and unmaps it when freed, and trims the heap's free top above its
+    trim threshold, so every scan_frames call faults its temporaries of up
+    to about 1 MiB in again. This pins both thresholds where glibc's dynamic
+    rule would stop: the mmap threshold at its 64-bit maximum and the trim
+    threshold at twice that. Setting either turns the rule off, so the trim
+    threshold is set only once the mmap threshold took. Without glibc's
+    mallopt, nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):   # TypeError: Windows cannot load None
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1:
+        mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+
+
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
     Each (variant, fog) cell is one _run_cell task. jobs > 1 executes the
-    cells in worker processes, at most one per cell, with identical results.
+    cells in worker processes, at most one per cell, with identical results;
+    each worker keeps its freed pages (_keep_freed_pages), whether forked or not.
+    A serial sweep leaves the caller's allocator as it is.
     """
     grid = [(config, variant, fog) for variant in config.variants for fog in config.fog_fractions]
     if jobs > 1 and len(grid) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid)),
+                                                    initializer=_keep_freed_pages) as pool:
             cells = list(pool.map(_run_cell, grid))
     else:
         cells = [_run_cell(cell) for cell in grid]

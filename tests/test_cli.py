@@ -201,6 +201,19 @@ class TestRun:
         assert (out / "summary.json").is_file()
         assert "16 runs, 16 detections, 0 failures" in capsys.readouterr().out
 
+    def test_pins_the_heap_thresholds_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        sweep = gazelidar.cli.run_sweep
+        monkeypatch.setattr(gazelidar.cli, "_keep_freed_pages", lambda: calls.append("pin"))
+        monkeypatch.setattr(gazelidar.cli, "run_sweep",
+                            lambda *args, **kwargs: calls.append("sweep") or sweep(*args, **kwargs))
+        assert _run(tmp_path)[0] == 0
+        assert calls == ["pin", "sweep"]
+        # validate and report leave the allocator alone
+        assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 0
+        assert main(["report", "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["pin", "sweep"]
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = _write_trimmed_config(tmp_path, seeds=[])
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])

@@ -5,6 +5,10 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -1079,7 +1083,9 @@ class TestRunSweep:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                # workers pin the heap thresholds whether they are forked or spawned
+                assert initializer is runner._keep_freed_pages
                 started.append(max_workers)
 
             def __enter__(self):
@@ -1144,6 +1150,57 @@ class TestRunSweep:
         # one setup per (variant, fog, gaze state), however many seeds a cell has
         assert len(built) == len(set(built)) == len(config.variants) * len(config.fog_fractions) * 2
         assert set(built) == per_run
+
+
+# Runs one seeded cell twice in a fresh process, which keeps pytest's allocator
+# out of it, and prints the minor page faults of the second run.
+_SECOND_CELL_FAULTS = """
+import dataclasses, resource, sys
+from gazelidar import runner
+runner._keep_freed_pages()
+config = dataclasses.replace(runner.load_run_config(sys.argv[1]), dropout=True,
+                             spawn_jitter_m=3.0, seeds=tuple(range(1, 21)))
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    runner._run_seeds(config, config.variants[0], 0.5, config.seeds)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestKeepFreedPages:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+    def test_a_second_cell_reuses_the_first_cells_pages(self):
+        src = str(Path(runner.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _SECOND_CELL_FAULTS, str(DEFAULT_CONFIG)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # about 2,800 faults when glibc unmaps and trims the kernel's temporaries
+        assert int(done.stdout) < 100
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_returns_quietly_when_libc_cannot_be_loaded(self, error):
+        with mock.patch.object(runner.ctypes, "CDLL", side_effect=error("no libc")) as cdll:
+            assert runner._keep_freed_pages() is None
+        cdll.assert_called_once_with(None)
+
+    def test_returns_quietly_without_mallopt(self):
+        with mock.patch.object(runner.ctypes, "CDLL", return_value=SimpleNamespace()) as cdll:
+            assert runner._keep_freed_pages() is None
+        cdll.assert_called_once_with(None)
+
+    @pytest.mark.parametrize("took", [1, 0])
+    def test_the_trim_threshold_is_set_only_after_the_mmap_threshold(self, took):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return took
+        with mock.patch.object(runner.ctypes, "CDLL", return_value=SimpleNamespace(mallopt=mallopt)):
+            runner._keep_freed_pages()
+        pinned = [(runner.M_MMAP_THRESHOLD, 32 * 2 ** 20), (runner.M_TRIM_THRESHOLD, 64 * 2 ** 20)]
+        assert calls == pinned[:1 + took]
 
 
 class TestAggregation:
