@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .atmosphere import FogCondition, SensorCalibration, effective_range, fog_from_fraction
 from .gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, GazeTraceError,
                    compute_rof, compute_roi, load_gaze_trace, normalize_angle)
-from .lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, pulse_directions,
-                    revolution_setup, scan_frames, scan_revolution)
+from .lidar import (RETURN_DTYPE, FrameRun, PointCloud, ScanPlan, ScanSegment,
+                    pulse_directions, revolution_setup, scan_frames, scan_revolution)
 from .metrics import SAMPLE_DTYPE, DetectionEvent, density, detect, tta_at_detection
 from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
                      RangePolicy, ResolutionPolicy, VariantConfig, build_scan_plan,
@@ -29,7 +29,7 @@ __all__ = [
     "PolicyError", "DegeneratePartitionError", "EyeSafetyError",
     "RangePolicy", "ResolutionPolicy", "VariantConfig",
     "solve_power_levels", "solve_spin_rates", "build_scan_plan",
-    "ScanPlan", "ScanSegment", "PointCloud", "RETURN_DTYPE",
+    "ScanPlan", "ScanSegment", "PointCloud", "RETURN_DTYPE", "FrameRun",
     "pulse_directions", "revolution_setup", "scan_frames", "scan_revolution",
     "DetectionEvent", "SAMPLE_DTYPE", "detect", "tta_at_detection", "density",
     "ConfigError", "RunConfig", "RunRecord", "ScenarioConfig",

@@ -7,6 +7,7 @@ frozen for the duration of a revolution and the start angle resets to 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,17 +127,19 @@ class PointCloud:
 class RevolutionSetup(NamedTuple):
     """Everything about one revolution that does not depend on the moving boxes.
 
-    Per pulse: firing angle, segment index, fog-limited max range, and the
-    cast of the scene's static layer (static_ranges and static_ids, nan and
-    -1 where it misses), the layer each frame's cast_edges starts from.
-    cos, sin, key and order are scene.ray_fan of the angles, which every
-    cast of them reuses; key and order hold 2n entries. in_roi is
-    roi.contains_many(angles) for the RoI given to revolution_setup, all
-    false without one; metrics.roi_densities counts it. These depend only on
-    the plan, the fog, the calibration, the static boxes and the RoI, so a
-    sweep computes them once per gaze state of a (variant, fog) cell and
-    reuses them, through scan_frames, every frame of every seed. The arrays
-    are read-only because they are shared between frames.
+    Per pulse: firing angle, segment index, the fog-limited max range under
+    each fog given to revolution_setup (max_ranges is (F, n), row f for fog
+    f), and the cast of the scene's static layer at any range
+    (static_ranges and static_ids, nan and -1 where it misses), the layer
+    each frame's cast_edges starts from. cos, sin, key and order are
+    scene.ray_fan of the angles, which every cast of them reuses; key and
+    order hold 2n entries. in_roi is roi.contains_many(angles) for the RoI
+    given to revolution_setup, all false without one; metrics.roi_densities
+    counts it. Only max_ranges depends on the fog; the rest depends on the
+    plan, the static boxes and the RoI, so a sweep computes a setup once per
+    gaze state of a variant, for all of its fogs, and reuses it, through
+    scan_frames, every frame of every run. The arrays are read-only because
+    they are shared between frames.
     """
 
     angles: np.ndarray
@@ -151,23 +154,23 @@ class RevolutionSetup(NamedTuple):
     in_roi: np.ndarray
 
 
-def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
+def revolution_setup(plan: ScanPlan, fogs: Sequence[FogCondition], cal: SensorCalibration,
                      static_scene: Scene, roi: ArcSet = ArcSet.empty()) -> RevolutionSetup:
-    """Pulse directions, each pulse's effective range, the static cast and the RoI flags.
+    """Pulse directions, each pulse's effective range per fog, the static cast and the RoI flags.
 
-    effective_range runs once per distinct segment power. The boxes of
-    static_scene are cast from its ego position once, here; scan_frames
-    must then be given the other boxes.
+    max_ranges gets one row per fog of `fogs`, and effective_range runs once
+    per fog and distinct segment power. The boxes of static_scene are cast
+    from its ego position once, here, at any range; scan_frames must then be
+    given the other boxes.
     """
     angles, seg_idx = pulse_directions(plan)
-    seg_ranges = {}
-    for seg in plan.segments:
-        if seg.power not in seg_ranges:
-            seg_ranges[seg.power] = effective_range(seg.power, fog, cal)
-    max_ranges = np.array([seg_ranges[seg.power] for seg in plan.segments])[seg_idx]
+    powers = list(dict.fromkeys(seg.power for seg in plan.segments))
+    seg_power = np.array([powers.index(seg.power) for seg in plan.segments])[seg_idx]
+    max_ranges = np.array([[effective_range(power, fog, cal) for power in powers]
+                           for fog in fogs])[:, seg_power]
     fan = ray_fan(angles)
     static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
-                                          angles, max_ranges, fan)
+                                          angles, math.inf, fan)
     setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids, *fan,
                             roi.contains_many(angles))
     for array in setup:
@@ -175,34 +178,51 @@ def revolution_setup(plan: ScanPlan, fog: FogCondition, cal: SensorCalibration,
     return setup
 
 
+class FrameRun(NamedTuple):
+    """One run's block of a scan_frames call: the row of setup.max_ranges that
+    limits its pulses, its dropout coefficient and its generator. A run with
+    sigma 0 draws nothing, and its rng may be None."""
+
+    row: int
+    sigma: float = 0.0
+    rng: np.random.Generator | None = None
+
+
 def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
-                sigma: float = 0.0, rngs=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                runs: list[FrameRun]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K revolutions under one setup, each over its own frame of edges, in one pass.
 
     edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
     the obstacle id of each of the E rows. Each frame's cast starts from
-    the setup's static cast. With sigma > 0 a hit survives with probability
-    exp(-sigma r), against one uniform per pulse in frame order. The K
-    frames are S runs' equal blocks of frames, one per generator of rngs;
-    each draws its block's uniforms at once, the stream its run's one-frame
-    calls would draw. Returns (ranges, hit_ids, hit) as (K, n) arrays; hit
-    marks the surviving hits.
+    the setup's static cast. The K frames are S runs' equal blocks of
+    frames, one FrameRun of the list `runs` each: a hit counts where its range is at most the
+    max range of its pulse in the run's row, and with sigma > 0 it survives
+    with probability exp(-sigma r), against one uniform per pulse in frame
+    order. A run draws its block's uniforms at once, the stream its
+    one-frame calls would draw. Returns (ranges, hit_ids, hit) as (K, n)
+    arrays: ranges and hit_ids of the cast at any range, nan and -1 on a
+    miss, and hit marking the hits within range that survive.
     """
-    if sigma > 0.0 and not rngs:
+    drawing = [s for s, run in enumerate(runs) if run.sigma > 0.0]
+    if any(runs[s].rng is None for s in drawing):
         raise ValueError("dropout requires an rng")
     fan = (setup.cos, setup.sin, setup.key, setup.order)
-    ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan, setup.max_ranges,
+    ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan,
                                  (setup.static_ranges, setup.static_ids))
-    hit = hit_ids >= 0
-    if sigma > 0.0:
-        survival = np.where(hit, ranges, 0.0)
-        survival *= -sigma
+    blocks = ranges.reshape(len(runs), -1, ranges.shape[1])
+    # a miss's nan range compares false
+    hit = blocks <= setup.max_ranges[[run.row for run in runs]][:, None]
+    if drawing:
+        # a view when every run draws, else a copy of the drawing runs' blocks
+        part = slice(None) if len(drawing) == len(runs) else drawing
+        survival = np.where(hit[part], blocks[part], 0.0)
+        survival *= np.array([-runs[s].sigma for s in drawing])[:, None, None]
         np.exp(survival, out=survival)
-        draws = np.empty(hit.shape)
-        for gen, block in zip(rngs, draws.reshape(len(rngs), -1)):
-            gen.random(out=block)
-        hit &= draws < survival
-    return ranges, hit_ids, hit
+        draws = np.empty(survival.shape)
+        for s, block in zip(drawing, draws):
+            runs[s].rng.random(out=block)
+        hit[part] &= draws < survival
+    return ranges, hit_ids, hit.reshape(ranges.shape)
 
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
@@ -217,11 +237,10 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     probability exp(-sigma r); one uniform is drawn per pulse so the draw
     order does not depend on the hit pattern.
     """
-    sigma = fog.sigma if dropout else 0.0
-    setup = revolution_setup(plan, fog, cal, scene)
+    setup = revolution_setup(plan, (fog,), cal, scene)
     ranges, hit_ids, hit = (rows[0] for rows in scan_frames(
-        np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup, sigma,
-        () if rng is None else (rng,)))
+        np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup,
+        [FrameRun(0, fog.sigma if dropout else 0.0, rng)]))
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = ranges[hit]

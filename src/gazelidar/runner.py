@@ -24,7 +24,8 @@ from .atmosphere import SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, compute_rof, compute_roi, load_gaze_trace
 # No run calls scan_revolution, density, detect or advance; they are imported because
 # bench/tracing.py wraps them here, and tests/test_bench_targets.py requires each name.
-from .lidar import revolution_setup, scan_frames, scan_revolution
+# No sweep calls run_single either, so its traced span counts only direct calls.
+from .lidar import FrameRun, revolution_setup, scan_frames, scan_revolution
 from .metrics import (SAMPLE_DTYPE, DetectionEvent, density, detect, first_detection,
                       roi_densities, tta_at_detection)
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
@@ -435,31 +436,32 @@ def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                seed: int) -> RunRecord:
-    """Simulate one run; stops at target detection or max_sim_time. A one-seed _run_seeds."""
-    return _run_seeds(config, variant, fog_fraction, (seed,))[0]
+    """Simulate one run; stops at target detection or max_sim_time. A one-run _run_seeds."""
+    return _run_seeds(config, variant, ((fog_fraction, seed),))[0]
 
 
-def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
-               seeds) -> list[RunRecord]:
-    """Simulate one run per seed of a (variant, fog) cell, all in lockstep.
+def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecord]:
+    """Simulate one run per (fog fraction, seed) pair of `runs`, all of one variant, in lockstep.
 
     The seed drives only spawn jitter and fog dropout, so with both off the
     record is identical across seeds. Every run starts at frame 0 and stays
     live until it detects the target or reaches max_sim_time, so the live
     runs share each frame's time, gaze state and setup. Each gaze state's
-    RoI, scan plan and per-pulse setup (with the RoI flags and the cast of
-    the config scene's static boxes, which jitter never moves) is built once.
-    A step casts the next k frames of every live run in scan_frames calls of
-    as many runs as RAYS_PER_CALL allows, one call when it allows them all,
-    each run drawing its dropout from its own generator; metrics then finds
-    each run's first detecting frame and its RoI density per frame up to it.
-    Frames cast after that frame, and their draws, are discarded;
-    frames_cast counts them. The detection distance takes advance() and
-    Vec2.distance_to's float operations from the target's start center.
+    RoI, scan plan and per-pulse setup (with the RoI flags, the cast of the
+    config scene's static boxes, which jitter never moves, and one max-range
+    row per distinct fog) is built once for every fog. A step casts the next
+    k frames of every live run in scan_frames calls of as many runs as
+    RAYS_PER_CALL allows, one call when it allows them all; each run has its
+    own generator, its fog's max-range row and dropout coefficient. metrics
+    then finds each run's first detecting frame and its RoI density per
+    frame up to it. Frames cast after that frame, and their draws, are
+    discarded; frames_cast counts them. The detection distance takes
+    advance() and Vec2.distance_to's float operations from the target's
+    start center.
     """
     t_start = time.perf_counter()
-    fog = fog_from_fraction(fog_fraction, config.kappa)
-    sigma = fog.sigma if config.dropout else 0.0
+    fractions = list(dict.fromkeys(fraction for fraction, _ in runs))
+    fogs = [fog_from_fraction(fraction, config.kappa) for fraction in fractions]
     setups = {}
     scene = config.scenario.scene
     target_id = config.scenario.target_id
@@ -471,13 +473,16 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     movers = dataclasses.replace(scene, obstacles=tuple(o for o in scene.obstacles if o.speed != 0.0))
     row = movers.obstacles.index(target)
     heading = math.cos(target.heading), math.sin(target.heading)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for _, seed in runs]
+    rows = [fractions.index(fraction) for fraction, _ in runs]
+    frame_runs = [FrameRun(row, fogs[row].sigma if config.dropout else 0.0, rng)
+                  for row, rng in zip(rows, rngs)]
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
     empty = np.empty(0, SAMPLE_DTYPE)
-    samples = [[] for _ in seeds]
-    detections: list[DetectionEvent | None] = [None] * len(seeds)
-    frames_cast = [0] * len(seeds)
-    live = list(range(len(seeds)))
+    samples = [[] for _ in runs]
+    detections: list[DetectionEvent | None] = [None] * len(runs)
+    frames_cast = [0] * len(runs)
+    live = list(range(len(runs)))
     frame = 0
     failure = None
     try:
@@ -487,7 +492,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                 break
             if gaze_state not in setups:
                 roi, plan = _scan_plan(config, variant, gaze_state)
-                setups[gaze_state] = roi, revolution_setup(plan, fog, config.calibration,
+                setups[gaze_state] = roi, revolution_setup(plan, fogs, config.calibration,
                                                            static, roi)
             roi, setup = setups[gaze_state]
             n = setup.angles.shape[0]
@@ -497,14 +502,14 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
                 stop = int(min(frame + k, span_stop))
                 times = np.arange(frame, stop) / config.frame_rate
                 for first in range(0, len(live), group):
-                    runs = live[first:first + group]
-                    _, hit_ids, hit = scan_frames(*edges_at(movers, times, starts[runs]), ego,
-                                                  setup, sigma, [rngs[i] for i in runs])
-                    stack = (len(runs), len(times), n)
+                    members = live[first:first + group]
+                    _, hit_ids, hit = scan_frames(*edges_at(movers, times, starts[members]), ego,
+                                                  setup, [frame_runs[i] for i in members])
+                    stack = (len(members), len(times), n)
                     hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
                     firsts = first_detection(hit_ids, hit, target_id, config.min_points)
                     densities = roi_densities(hit, setup.in_roi, roi)
-                    for i, at, run_samples in zip(runs, firsts, densities):
+                    for i, at, run_samples in zip(members, firsts, densities):
                         frames_cast[i] += len(times)
                         samples[i].append(run_samples[:len(times) if at is None else at + 1])
                         if at is not None:
@@ -518,11 +523,11 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
     except PolicyError as exc:
         failure = str(exc)
 
-    wall_time = (time.perf_counter() - t_start) / len(seeds)
+    wall_time = (time.perf_counter() - t_start) / len(runs)
     records = []
-    for i, seed in enumerate(seeds):
+    for i, (fraction, seed) in enumerate(runs):
         if failure is not None and i in live:
-            records.append(RunRecord(variant, fog_fraction, seed, None, None, empty, 0,
+            records.append(RunRecord(variant, fraction, seed, None, None, empty, 0,
                                      frames_cast[i], True, failure, wall_time))
             continue
         detection = detections[i]
@@ -530,7 +535,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, fog_fraction: float,
         # with the dtype given, numpy fills one new SAMPLE_DTYPE array; without it,
         # promoting the parts' record dtypes costs more than copying their rows
         kept = np.concatenate(samples[i], dtype=SAMPLE_DTYPE) if samples[i] else empty
-        records.append(RunRecord(variant, fog_fraction, seed, detection, tta, kept, len(kept),
+        records.append(RunRecord(variant, fraction, seed, detection, tta, kept, len(kept),
                                  frames_cast[i], False, None, wall_time))
     return records
 
@@ -540,20 +545,37 @@ def _record_key(record: RunRecord):
     return (v.variant, v.p_low_ratio, v.omega_high_ratio, record.fog_fraction, record.seed)
 
 
-def _run_cell(args) -> list[RunRecord]:
-    """The runs of one (variant, fog) cell, one per seed.
+def _run_cells(args) -> list[RunRecord]:
+    """The runs of one variant's (variant, fog) cells at the given fogs, one per seed.
 
-    A cell whose runs draw random numbers steps all its seeds through one
-    _run_seeds loop. A cell whose runs draw none is simulated once, with the
-    first seed, and copied to the other seeds; copies carry reused_from and
-    a wall_time of 0.
+    Every run that is simulated steps through one _run_seeds loop. A cell
+    whose runs draw random numbers simulates all its seeds. A cell whose runs
+    draw none simulates only its first seed, and the record is copied to the
+    other seeds; copies carry reused_from and a wall_time of 0.
     """
-    config, variant, fog = args
-    if uses_rng(config, fog):
-        return _run_seeds(config, variant, fog, config.seeds)
-    record = run_single(config, variant, fog, config.seeds[0])
-    return [record] + [dataclasses.replace(record, seed=seed, wall_time=0.0,
-                                           reused_from=record.seed) for seed in config.seeds[1:]]
+    config, variant, fogs = args
+    runs = [(fog, seed) for fog in fogs
+            for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
+    records = []
+    for record in _run_seeds(config, variant, runs):
+        records.append(record)
+        if not uses_rng(config, record.fog_fraction):
+            records += [dataclasses.replace(record, seed=seed, wall_time=0.0,
+                                            reused_from=record.seed) for seed in config.seeds[1:]]
+    return records
+
+
+def _sweep_tasks(config: RunConfig, jobs: int) -> list[tuple]:
+    """The _run_cells tasks of a sweep on `jobs` workers: each variant with its fogs,
+    split into min(F, ceil(jobs / V)) contiguous groups of F fogs for V variants,
+    at least one, as even as can be. That is one task per variant serially or when
+    jobs <= V, and at least min(jobs, V * F) tasks in all; an empty grid has none."""
+    fogs = config.fog_fractions
+    groups = max(min(len(fogs), -(-jobs // max(len(config.variants), 1))), 1)
+    size, extra = divmod(len(fogs), groups)
+    bounds = [g * size + min(g, extra) for g in range(groups + 1)]
+    return [(config, variant, fogs[lo:hi]) for variant in config.variants
+            for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _keep_freed_pages() -> None:
@@ -581,19 +603,19 @@ def _keep_freed_pages() -> None:
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    Each (variant, fog) cell is one _run_cell task. jobs > 1 executes the
-    cells in worker processes, at most one per cell, with identical results;
-    each worker keeps its freed pages (_keep_freed_pages), whether forked or not.
-    A serial sweep leaves the caller's allocator as it is.
+    The grid goes out as the _run_cells tasks of _sweep_tasks. jobs > 1
+    executes them in worker processes, at most min(jobs, cells), with
+    identical results; each worker keeps its freed pages (_keep_freed_pages),
+    whether forked or not. A serial sweep leaves the caller's allocator as it is.
     """
-    grid = [(config, variant, fog) for variant in config.variants for fog in config.fog_fractions]
-    if jobs > 1 and len(grid) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(grid)),
+    tasks = _sweep_tasks(config, jobs)
+    if jobs > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                                     initializer=_keep_freed_pages) as pool:
-            cells = list(pool.map(_run_cell, grid))
+            done = list(pool.map(_run_cells, tasks))
     else:
-        cells = [_run_cell(cell) for cell in grid]
-    return sorted((record for cell in cells for record in cell), key=_record_key)
+        done = [_run_cells(task) for task in tasks]
+    return sorted((record for task in done for record in task), key=_record_key)
 
 
 def _fmt(x: float) -> str:

@@ -193,8 +193,8 @@ def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.
 
 
 def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple,
-               max_ranges: np.ndarray, base: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest hit of every ray of the fan in each of K frames of edges.
+               base: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest hit of every ray of the fan in each of K frames of edges, at any range.
 
     edges is a (K, E, 4) array of px, py, qx, qy rows, in the same order in
     every frame, and edge_ids the (E,) obstacle id of each row, as
@@ -204,7 +204,10 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
     (K, n) arrays, nan and -1 on a miss. Only the (ray, edge) pairs that
     _candidate_pairs keeps are solved, all K frames in one pass; each
     (frame, ray) takes the nearest range over the base and its edges, then
-    the smallest obstacle id at that range.
+    the smallest obstacle id at that range. There is no range limit: a
+    caller keeps a hit where its range is at most the ray's max range, which
+    is what limiting every layer and edge gives, since the nearest hit within
+    a limit is the unlimited nearest if that lies within it, else none.
     """
     cos, sin, key, order = fan
     frames, m = edges.shape[:2]
@@ -224,7 +227,7 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (wx * ey - wy * ex)[edge] / denom
         u = (dy * wx[edge] - dx * wy[edge]) / denom
-    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= max_ranges[ray])
+    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0)
     ray, edge, t = ray[valid], edge[valid], t[valid]
     # ids compare as uint64, where a miss's -1 is the largest value; the
     # base's id stays only where no edge of its frame is strictly nearer
@@ -248,9 +251,10 @@ def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.nda
     """Nearest intersection of each ray with any obstacle edge.
 
     Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
-    lies in (0, max_range]; exact range ties across obstacles resolve to the
-    smaller obstacle id. A one-frame cast_edges from an all-miss layer;
-    `fan` must be ray_fan(angles) when given.
+    lies in (0, max_range], and a nan max_range misses; exact range ties
+    across obstacles resolve to the smaller obstacle id. A one-frame
+    cast_edges from an all-miss layer, clipped to max_ranges; `fan` must be
+    ray_fan(angles) when given.
     """
     angles = np.asarray(angles, dtype=np.float64)
     max_ranges = np.asarray(max_ranges, dtype=np.float64)
@@ -258,5 +262,8 @@ def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.nda
         raise ValueError("max_range must be positive")
     miss = (np.full(angles.shape, np.nan), np.full(angles.shape, -1, dtype=np.int64))
     ranges, hit_ids = cast_edges(*edges_at(scene, (0.0,)), origin,
-                                 ray_fan(angles) if fan is None else fan, max_ranges, miss)
+                                 ray_fan(angles) if fan is None else fan, miss)
+    beyond = ~(ranges[0] <= max_ranges)   # a miss's nan compares false too
+    ranges[0, beyond] = np.nan
+    hit_ids[0, beyond] = -1
     return ranges[0], hit_ids[0]

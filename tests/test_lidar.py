@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
-from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment,
+from gazelidar.lidar import (RETURN_DTYPE, FrameRun, PointCloud, ScanPlan, ScanSegment,
                              pulse_directions, revolution_setup, scan_frames, scan_revolution)
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
@@ -236,7 +236,8 @@ def _returns(angles, ranges, ids, hit):
 
 def _dense_cloud(scene, setup):
     """The returns of a dense every-ray-every-edge cast of the whole scene."""
-    ranges, ids = dense_cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
+    ranges, ids = dense_cast_rays(scene, scene.ego_position, setup.angles,
+                                  setup.max_ranges[0])
     return _returns(setup.angles, ranges, ids, ids >= 0)
 
 
@@ -251,9 +252,9 @@ class TestLayeredCast:
         """Each frame of the layered scan_frames of scene equals scan_revolution
         and the dense cast of advance(scene, t); returns the returns per frame."""
         static, movers = _layers(scene)
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
         assert not any(a.flags.writeable for a in setup)
-        chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup)
+        chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup, [FrameRun(0)])
         frames = []
         for t, rows in zip(times, zip(*chunk)):
             returns = _returns(setup.angles, *rows)
@@ -281,10 +282,10 @@ class TestLayeredCast:
                       for i, o in enumerate(scene.obstacles))
         scene = dataclasses.replace(scene, obstacles=boxes)
         static, movers = _layers(scene)
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
         for seed in range(5):
             layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
-                                  self.FOG.sigma, [np.random.default_rng(seed)])
+                                  [FrameRun(0, self.FOG.sigma, np.random.default_rng(seed))])
             whole = scan_revolution(advance(scene, 0.5), self.PLAN, self.FOG, CAL, 0.5,
                                     dropout=True, rng=np.random.default_rng(seed))
             assert np.array_equal(_returns(setup.angles, *(rows[0] for rows in layered)),
@@ -330,7 +331,7 @@ class TestLayeredCast:
         scene = make_random_scene(np.random.default_rng(24))
         movers = tuple(dataclasses.replace(o, speed=3.0) for o in scene.obstacles)
         scene = dataclasses.replace(scene, obstacles=movers)
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, _layers(scene)[0])
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, _layers(scene)[0])
         assert np.all(setup.static_ids == -1) and np.all(np.isnan(setup.static_ranges))
         assert setup.static_ids.shape == setup.angles.shape
         assert len(self._check(scene, (1.5,))[0]) > 0
@@ -339,7 +340,7 @@ class TestLayeredCast:
         scene = make_random_scene(np.random.default_rng(25))
         static, movers = _layers(scene)
         assert movers.obstacles == ()
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
         assert np.any(setup.static_ids >= 0)
         assert len(self._check(scene, (1.5,))[0]) > 0
 
@@ -354,11 +355,11 @@ class TestDropout:
 
     def test_scan_frames_requires_an_rng_in_fog(self):
         scene = make_enclosing_scene()
-        setup = revolution_setup(_plan_for(VariantConfig("baseline")), FogCondition(0.5, 0.005),
-                                 CAL, scene)
+        setup = revolution_setup(_plan_for(VariantConfig("baseline")),
+                                 (FogCondition(0.5, 0.005),), CAL, scene)
         with pytest.raises(ValueError, match="rng"):
             scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position,
-                        setup, 0.005)
+                        setup, [FrameRun(0, 0.005)])
 
     def test_clear_air_needs_no_rng_and_drops_nothing(self):
         scene = make_enclosing_scene()
@@ -405,7 +406,7 @@ class TestDropout:
                                       rng=np.random.default_rng(seed))
             # one draw per pulse, in firing order; pick out the pulses that hit
             draws = np.random.default_rng(seed).random(plan.rays_per_revolution)
-            angles = revolution_setup(plan, fog, CAL, scene).angles
+            angles = revolution_setup(plan, (fog,), CAL, scene).angles
             hit_draws = draws[np.isin(angles, full.returns["angle"])]
             kept = [draw < math.exp(-fog.sigma * r)
                     for draw, r in zip(hit_draws, full.returns["range_m"])]
@@ -441,10 +442,10 @@ class TestScanFrames:
                           if i % 2 else o for i, o in enumerate(scene.obstacles))
             scene = dataclasses.replace(scene, obstacles=boxes)
             static, movers = _layers(scene)
-            setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+            setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
             times = [0.0, 0.05, 0.1, 0.15, 1.0]
             chunk = scan_frames(*edges_at(movers, times), movers.ego_position,
-                                setup, self.FOG.sigma, [np.random.default_rng(seed)])
+                                setup, [FrameRun(0, self.FOG.sigma, np.random.default_rng(seed))])
             ranges, hit_ids, hit = chunk
             one_by_one = np.random.default_rng(seed)
             for k, t in enumerate(times):
@@ -461,23 +462,84 @@ class TestScanFrames:
         boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
                       if i % 2 else o for i, o in enumerate(scene.obstacles))
         static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
         times = [0.0, 0.05, 0.1]
         seeds = [5, 6, 7]
         centers = np.array([[(o.center.x + shift, o.center.y) for o in movers.obstacles]
                             for shift in (0.0, -2.5, 1.0)])
         stacked = scan_frames(*edges_at(movers, times, centers), movers.ego_position, setup,
-                              self.FOG.sigma, [np.random.default_rng(s) for s in seeds])
+                              [FrameRun(0, self.FOG.sigma, np.random.default_rng(s))
+                               for s in seeds])
         for s, seed in enumerate(seeds):
             own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
-                              setup, self.FOG.sigma, [np.random.default_rng(seed)])
+                              setup, [FrameRun(0, self.FOG.sigma, np.random.default_rng(seed))])
             rows = slice(s * len(times), (s + 1) * len(times))
             for whole, part in zip(stacked, own):
                 assert np.array_equal(whole[rows], part, equal_nan=True)
         assert 0 < np.count_nonzero(stacked[2]) < np.count_nonzero(stacked[1] >= 0)
 
+    def test_one_setup_serves_every_fog(self):
+        rng = np.random.default_rng(45)
+        scene = make_random_scene(rng, 8, 14)
+        boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
+                      if i % 2 else o for i, o in enumerate(scene.obstacles))
+        static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
+        fogs = (CLEAR, FogCondition(0.25, 0.0025), self.FOG)
+        setup = revolution_setup(self.PLAN, fogs, CAL, static)
+        assert setup.max_ranges.shape == (3, len(setup.angles))
+        singles = [revolution_setup(self.PLAN, (fog,), CAL, static) for fog in fogs]
+        for row, single in zip(setup.max_ranges, singles):
+            # row f is fog f's ranges; nothing else depends on the fog
+            assert np.array_equal(row, single.max_ranges[0])
+            for name, array in setup._asdict().items():
+                if name != "max_ranges":
+                    assert np.array_equal(array, getattr(single, name), equal_nan=True)
+        # runs at mixed fogs, drawing or not, in one call equal one-run calls
+        # on one-fog setups, each from a fresh generator of its seed
+        times = [0.0, 0.05, 0.1]
+        runs = [(2, self.FOG.sigma, 5), (0, 0.0, 6), (1, fogs[1].sigma, 5), (2, 0.0, 6)]
+        centers = np.array([[(o.center.x + shift, o.center.y) for o in movers.obstacles]
+                            for shift in (0.0, -2.5, 1.0, -2.5)])
+        stacked = scan_frames(*edges_at(movers, times, centers), movers.ego_position, setup,
+                              [FrameRun(row, sigma, np.random.default_rng(seed))
+                               for row, sigma, seed in runs])
+        for s, (row, sigma, seed) in enumerate(runs):
+            own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
+                              singles[row], [FrameRun(0, sigma, np.random.default_rng(seed))])
+            rows = slice(s * len(times), (s + 1) * len(times))
+            for whole, part in zip(stacked, own):
+                assert np.array_equal(whole[rows], part, equal_nan=True)
+        # runs 1 and 3 see the same frames; the thicker fog keeps a strict subset
+        clear, foggy = stacked[2][3:6], stacked[2][9:12]
+        assert np.array_equal(stacked[1][3:6], stacked[1][9:12])
+        assert not np.any(foggy & ~clear) and np.count_nonzero(foggy) < np.count_nonzero(clear)
+
+    def test_a_hit_at_its_max_range_counts_and_a_nan_range_misses(self):
+        rng = np.random.default_rng(47)
+        scene = make_random_scene(rng, 8, 14)
+        boxes = tuple(dataclasses.replace(o, speed=5.0) if i % 2 else o
+                      for i, o in enumerate(scene.obstacles))
+        static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
+        n = len(setup.angles)
+        centers = np.array([[(o.center.x, o.center.y) for o in movers.obstacles]] * 3)
+        ranges, ids, _ = scan_frames(*edges_at(movers, (0.5,), centers[:1]), movers.ego_position,
+                                     setup._replace(max_ranges=np.full((1, n), np.inf)),
+                                     [FrameRun(0)])
+        hits = ids[0] >= 0
+        assert hits.any() and not hits.all()
+        # three runs of that frame: each pulse limited to its own hit range,
+        # to one ulp below it, and to nan
+        at_hit = np.where(hits, ranges[0], 1.0)
+        limits = np.stack((at_hit, np.nextafter(at_hit, 0.0), np.full(n, np.nan)))
+        _, _, hit = scan_frames(*edges_at(movers, (0.5,), centers), movers.ego_position,
+                                setup._replace(max_ranges=limits),
+                                [FrameRun(0), FrameRun(1), FrameRun(2)])
+        assert np.array_equal(hit[0], hits)
+        assert not hit[1].any() and not hit[2].any()
+
     def test_setup_carries_the_per_ray_invariants(self):
-        setup = revolution_setup(self.PLAN, self.FOG, CAL, EMPTY_SCENE)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, EMPTY_SCENE)
         assert np.array_equal(setup.cos, np.cos(setup.angles))
         assert np.array_equal(setup.sin, np.sin(setup.angles))
         # the sorted bearings, then the same plus tau, with the ray order tiled
@@ -495,8 +557,8 @@ class TestPointCloud:
         scene = make_random_scene(rng)
         plan = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
         fog = FogCondition(0.25, 0.0025)
-        setup = revolution_setup(plan, fog, CAL, scene)
-        ranges, ids = cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges)
+        setup = revolution_setup(plan, (fog,), CAL, scene)
+        ranges, ids = cast_rays(scene, scene.ego_position, setup.angles, setup.max_ranges[0])
         cloud = scan_revolution(scene, plan, fog, CAL, 0.0)
         hit = ids >= 0
         assert cloud.returns["angle"].tolist() == setup.angles[hit].tolist()

@@ -14,8 +14,8 @@ from gazelidar import runner
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, compute_rof,
                             compute_roi)
-from gazelidar.lidar import (RETURN_DTYPE, PointCloud, ScanPlan, ScanSegment, revolution_setup,
-                             scan_frames, scan_revolution)
+from gazelidar.lidar import (RETURN_DTYPE, FrameRun, PointCloud, ScanPlan, ScanSegment,
+                             revolution_setup, scan_frames, scan_revolution)
 from gazelidar.metrics import (SAMPLE_DTYPE, DetectionEvent, density, detect, first_detection,
                                roi_densities, tta_at_detection)
 from gazelidar.policy import VariantConfig, build_scan_plan
@@ -150,15 +150,15 @@ class TestRoiFlags:
     @given(st.data())
     def test_flag_count_equals_the_mapped_angle_count(self, data):
         plan = data.draw(st.sampled_from(PLANS))
-        angles = revolution_setup(plan, FOG, CAL, EMPTY_SCENE).angles
+        angles = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE).angles
         roi = data.draw(_roi_on(angles))
         assume(not roi.is_empty())
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         scene = make_enclosing_scene()
-        setup = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, roi)
+        setup = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, roi)
         times = (0.0, 0.05, 0.1)
-        _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup, FOG.sigma,
-                                [np.random.default_rng(seed)])
+        _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup,
+                                [FrameRun(0, FOG.sigma, np.random.default_rng(seed))])
         [samples] = roi_densities(hit[None], setup.in_roi, roi)
         assert samples.dtype == SAMPLE_DTYPE and samples.shape == (3,)
         for k, sample in enumerate(samples):
@@ -174,8 +174,8 @@ class TestRoiFlags:
         plan = PLANS[1]
         built_for = ArcSet.from_arc(0.0, math.pi)
         scene = make_enclosing_scene()
-        setup = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, built_for)
-        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
+        setup = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, built_for)
+        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup, [FrameRun(0)])
         assert roi_densities(hit[None], setup.in_roi, built_for)[0][0].points_in_roi == int(
             np.count_nonzero(built_for.contains_many(setup.angles[hit[0]])))
         cloud = scan_revolution(scene, plan, FOG, CAL, 0.0)
@@ -184,7 +184,7 @@ class TestRoiFlags:
             expected = int(np.count_nonzero(other.contains_many(cloud.returns["angle"])))
             assert expected < len(cloud.returns)
             assert density(cloud, other).points_in_roi == expected
-            own = revolution_setup(plan, FOG, CAL, EMPTY_SCENE, other).in_roi
+            own = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, other).in_roi
             assert roi_densities(hit[None], own, other)[0][0].points_in_roi == expected
         # a run keeps each gaze state's RoI beside the flags built for it
         left = default_config.gaze_trace.states[0]
@@ -192,8 +192,8 @@ class TestRoiFlags:
             (0.0, 0.1), (left, GazeState(math.radians(45.0), left.eta))))
         built, counted = [], []
 
-        def building(plan, fog, cal, static, roi):
-            built.append((roi, revolution_setup(plan, fog, cal, static, roi)))
+        def building(plan, fogs, cal, static, roi):
+            built.append((roi, revolution_setup(plan, fogs, cal, static, roi)))
             return built[-1][1]
 
         def counting(hit, in_roi, roi, *args):
@@ -210,11 +210,11 @@ class TestRoiFlags:
             (id(setup.in_roi), roi) for roi, setup in built]
 
     def test_a_setup_without_an_roi_flags_no_pulse(self):
-        setup = revolution_setup(PLANS[0], FOG, CAL, EMPTY_SCENE)
+        setup = revolution_setup(PLANS[0], (FOG,), CAL, EMPTY_SCENE)
         assert not setup.in_roi.any()
         assert not setup.in_roi.flags.writeable
         scene = make_enclosing_scene()
-        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup)
+        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup, [FrameRun(0)])
         roi = ArcSet.from_arc(0.0, 1.0)
         assert hit.any() and roi_densities(hit[None], setup.in_roi, roi)[0][0].points_in_roi == 0
         cloud = scan_revolution(scene, PLANS[0], FOG, CAL, 0.0)
@@ -241,17 +241,17 @@ class TestChunkMetrics:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_chunk_results_equal_per_frame_density_and_detect(self, data):
-        angles = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE).angles
+        angles = revolution_setup(FINE_PLAN, (THIN_FOG,), CAL, EMPTY_SCENE).angles
         roi = data.draw(_roi_on(angles))
         assume(not roi.is_empty())
         frames = data.draw(st.integers(1, 8))
         dropout = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         times = [0.5 * k for k in range(frames)]
-        setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE, roi)
+        setup = revolution_setup(FINE_PLAN, (THIN_FOG,), CAL, EMPTY_SCENE, roi)
         _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
-                                      THIN_FOG.sigma if dropout else 0.0,
-                                      [np.random.default_rng(seed)])
+                                      [FrameRun(0, THIN_FOG.sigma if dropout else 0.0,
+                                                np.random.default_rng(seed))])
         hit_ids, hit = hit_ids[None], hit[None]
         rng = np.random.default_rng(seed)
         clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
@@ -285,12 +285,12 @@ class TestChunkMetrics:
     def test_a_stack_of_runs_answers_per_run(self, min_points):
         # three runs of the approach from other start points, in one (3, K, n) stack
         roi = compute_roi(_ROF)
-        setup = revolution_setup(FINE_PLAN, THIN_FOG, CAL, EMPTY_SCENE, roi)
+        setup = revolution_setup(FINE_PLAN, (THIN_FOG,), CAL, EMPTY_SCENE, roi)
         times = [0.1 * k for k in range(6)]
         starts = np.array([[(o.center.x, o.center.y + dy) for o in APPROACH.obstacles]
                            for dy in (0.0, 15.0, 60.0)])
         _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times, starts), APPROACH.ego_position,
-                                      setup)
+                                      setup, [FrameRun(0)] * 3)
         stack = (3, len(times), -1)
         hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
         firsts = first_detection(hit_ids, hit, TARGET, min_points)

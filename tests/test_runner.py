@@ -842,20 +842,21 @@ class TestChunkKernel:
 
 
 class TestSeedStack:
-    """_run_seeds steps every live seed of a cell through one scan_frames call;
-    each record equals its seed's one-seed run and the per-frame reference."""
+    """_run_seeds steps every live run of a variant, at any of its fogs, through
+    one scan_frames call; each record equals its one-run call and the per-frame
+    reference."""
 
     @staticmethod
-    def _check(records, config, variant, fog, seeds):
-        """Checks stacked records against one-seed runs and per_frame_run."""
-        assert [r.seed for r in records] == list(seeds)
-        for record, seed in zip(records, seeds):
+    def _check(records, config, variant, runs):
+        """Checks stacked records against one-run calls and per_frame_run."""
+        assert [(r.fog_fraction, r.seed) for r in records] == list(runs)
+        for record, (fog, seed) in zip(records, runs):
             assert _strip_wall_time(record) == _strip_wall_time(
                 run_single(config, variant, fog, seed))
             assert _strip_wall_time(record) == _strip_wall_time(
                 per_frame_run(config, variant, fog, seed))
             assert record.frames_cast >= record.frames and record.reused_from is None
-        # the loop's time is split evenly over the seeds it stepped
+        # the loop's time is split evenly over the runs it stepped
         assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -868,39 +869,85 @@ class TestSeedStack:
             st.floats(0.01, 1.2), min_size=samples - 1, max_size=samples - 1))))
         states = tuple(GazeState(math.radians(data.draw(st.sampled_from(
             [0.0, 45.0, 135.4308, 250.0]))), eta) for _ in times)
-        changes = dict(dropout=True, spawn_jitter_m=3.0,
+        changes = dict(dropout=data.draw(st.booleans()),
+                       spawn_jitter_m=data.draw(st.sampled_from([0.0, 3.0])),
                        min_points=data.draw(st.integers(1, 5)),
                        max_sim_time=data.draw(st.floats(0.2, 1.5)),
                        gaze_trace=GazeTrace(times, states))
         config = (_hidden_target(default_config, **changes) if data.draw(st.booleans())
                   else dataclasses.replace(default_config, **changes))
         variant = data.draw(st.sampled_from(config.variants))
-        fog = data.draw(st.sampled_from([0.0, 0.25, 0.5]))
-        seeds = tuple(data.draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4,
-                                         unique=True)))
-        # a few hundred rays per call: from one frame of each seed to several
+        # (fog, seed) runs; a small seed pool puts one seed at several fogs
+        runs = tuple(data.draw(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5]),
+                                                  st.integers(0, 3)),
+                                        min_size=1, max_size=5, unique=True)))
+        # a few hundred rays per call: from one frame of each run to several
         with mock.patch.object(runner, "RAYS_PER_CALL", data.draw(st.integers(1, 8000))):
-            records = runner._run_seeds(config, variant, fog, seeds)
-            self._check(records, config, variant, fog, seeds)
+            records = runner._run_seeds(config, variant, runs)
+            self._check(records, config, variant, runs)
+
+    @pytest.mark.parametrize("jitter", [0.0, 3.0])
+    def test_a_mixed_stack_equals_one_run_calls_and_the_per_frame_reference(
+            self, default_config, jitter):
+        # fog 0 draws no dropout; fogs 0.25 and 0.5 do, each seed at every fog
+        # from its own generator; from 1 s the gaze state's RoF is empty, so the
+        # plan fails for the runs still live then, the fog 0.5 ones
+        left = default_config.gaze_trace.states[0]
+        config = dataclasses.replace(
+            default_config, dropout=True, spawn_jitter_m=jitter, max_sim_time=3.0,
+            gaze_trace=GazeTrace((0.0, 1.0), (left, dataclasses.replace(left, eta=1.0))))
+        variant = config.variants[3]
+        runs = [(fog, seed) for seed in (7, 8) for fog in (0.5, 0.0, 0.25)]
+        records = runner._run_seeds(config, variant, runs)
+        assert [(r.fog_fraction, r.seed) for r in records] == runs
+        for record, (fog, seed) in zip(records, runs):
+            assert _strip_wall_time(record) == _strip_wall_time(
+                run_single(config, variant, fog, seed))
+            if record.failed:
+                assert "degenerate partition" in record.failure_reason
+                assert record.frames == 0 and record.detection is None
+                with pytest.raises(DegeneratePartitionError):
+                    per_frame_run(config, variant, fog, seed)
+            else:
+                assert _strip_wall_time(record) == _strip_wall_time(
+                    per_frame_run(config, variant, fog, seed))
+        outcomes = {(r.fog_fraction, r.failed) for r in records}
+        assert outcomes == {(0.0, False), (0.25, False), (0.5, True)}
+        if jitter:
+            # the seeds' jitter tells their fog 0.25 detections apart
+            assert records[2].detection != records[5].detection
 
     def test_a_cell_that_draws_stacks_its_seeds_and_one_that_does_not_runs_once(
             self, default_config, monkeypatch):
-        singles = []
-        single = runner.run_single
+        stacks = []
+        run_seeds = runner._run_seeds
 
-        def counting(*args, **kwargs):
-            singles.append(args[3])
-            return single(*args, **kwargs)
-        monkeypatch.setattr(runner, "run_single", counting)
+        def recording(config, variant, runs):
+            stacks.append(list(runs))
+            return run_seeds(config, variant, runs)
+
+        def no_single(*args):
+            raise AssertionError("a sweep task called run_single")
+        monkeypatch.setattr(runner, "_run_seeds", recording)
+        monkeypatch.setattr(runner, "run_single", no_single)
         log = _ChunkLog(monkeypatch)
-        config = _sweep_config(default_config, "jitter_dropout")
-        records = runner._run_cell((config, config.variants[0], 0.5))
-        assert singles == [] and log.live[0] == len(config.seeds)
-        assert [r.reused_from for r in records] == [None] * len(config.seeds)
-        log.clear()
-        records = runner._run_cell((default_config, default_config.variants[0], 0.5))
-        assert singles == [default_config.seeds[0]] and set(log.live) == {1}
-        assert len(records) == len(default_config.seeds)
+        fogs = (0.0, 0.5)
+        for kind, simulated in [("jitter_dropout", [(0.0, 101), (0.0, 102), (0.0, 103),
+                                                    (0.5, 101), (0.5, 102), (0.5, 103)]),
+                                ("dropout", [(0.0, 101), (0.5, 101), (0.5, 102), (0.5, 103)]),
+                                ("default", [(0.0, 101), (0.5, 101)])]:
+            stacks.clear()
+            log.clear()
+            config = dataclasses.replace(_sweep_config(default_config, kind), fog_fractions=fogs)
+            records = runner._run_cells((config, config.variants[0], fogs))
+            # one stack holds every simulated run of the variant's fogs
+            assert stacks == [simulated] and log.live[0] == len(simulated)
+            assert [(r.fog_fraction, r.seed) for r in records] == [
+                (fog, seed) for fog in fogs for seed in config.seeds]
+            for r in records:
+                copied = not uses_rng(config, r.fog_fraction) and r.seed != config.seeds[0]
+                assert r.reused_from == (config.seeds[0] if copied else None)
+                assert (r.wall_time == 0.0) is copied
 
     def test_seeds_leave_the_stack_when_they_detect_or_time_out(self, default_config,
                                                                monkeypatch):
@@ -912,11 +959,11 @@ class TestSeedStack:
                                  max_sim_time=1.5), 0.5)]
         for config, fog in cases:
             for variant in config.variants:
-                seeds = (7, 8, 9, 10, 11)
+                runs = [(fog, seed) for seed in (7, 8, 9, 10, 11)]
                 log.clear()
-                records = runner._run_seeds(config, variant, fog, seeds)
+                records = runner._run_seeds(config, variant, runs)
                 calls = list(zip(log.sizes, log.live))
-                self._check(records, config, variant, fog, seeds)
+                self._check(records, config, variant, runs)
                 # each call casts k = RAYS_PER_CALL // (live * n) frames of every live
                 # seed, at least 1; the one gaze span ends at frame 30, inside the last call
                 assert all(rows == live * max(6 // live, 1) for rows, live in calls[:-1])
@@ -950,10 +997,10 @@ class TestSeedStack:
         config = _hidden_target(default_config, dropout=True, spawn_jitter_m=3.0,
                                 max_sim_time=0.5)
         variant = config.variants[1]
-        seeds = tuple(range(7))
+        runs = [(0.5, seed) for seed in range(7)]
         log = _ChunkLog(monkeypatch)
-        records = runner._run_seeds(config, variant, 0.5, seeds)
-        self._check(records, config, variant, 0.5, seeds)
+        records = runner._run_seeds(config, variant, runs)
+        self._check(records, config, variant, runs)
         assert all(rows * 390 <= max(cap, 390) and live <= group
                    for rows, live in zip(log.sizes, log.live))
         first_step = log.live[:-(-7 // group)]
@@ -1081,6 +1128,7 @@ class TestRunSweep:
     def test_pool_starts_no_more_workers_than_simulated_runs(self, default_config,
                                                              monkeypatch):
         started = []
+        tasks = []
 
         class RecordingPool:
             def __init__(self, max_workers, initializer):
@@ -1095,16 +1143,68 @@ class TestRunSweep:
                 return None
 
             def map(self, fn, items, chunksize=1):
+                items = list(items)
+                tasks.append([(variant.variant, fogs) for _, variant, fogs in items])
                 return map(fn, items)
 
         monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = dataclasses.replace(default_config, variants=default_config.variants[:2],
                                      fog_fractions=(0.0,), seeds=(101, 102, 103))
         assert len(run_sweep(config, jobs=64)) == 6
-        assert started == [2]
+        assert started == [2] and tasks == [[("baseline", (0.0,)), ("range", (0.0,))]]
         one_run = dataclasses.replace(config, variants=config.variants[:1])
         assert len(run_sweep(one_run, jobs=64)) == 3
         assert started == [2]
+        # one variant at four fogs: min(jobs, cells) workers, and as many tasks
+        # as ceil(jobs / variants) fog groups give, at most one per fog
+        four = dataclasses.replace(one_run, fog_fractions=(0.0, 0.1, 0.25, 0.5))
+        for jobs, groups in [(2, [(0.0, 0.1), (0.25, 0.5)]),
+                             (3, [(0.0, 0.1), (0.25,), (0.5,)]),
+                             (64, [(0.0,), (0.1,), (0.25,), (0.5,)])]:
+            started.clear()
+            tasks.clear()
+            assert len(run_sweep(four, jobs=jobs)) == 12
+            assert started == [min(jobs, 4)]
+            assert tasks == [[("baseline", fogs) for fogs in groups]]
+
+    @pytest.mark.parametrize("variants", [1, 2, 4])
+    @pytest.mark.parametrize("fogs", [1, 3, 4])
+    def test_each_variant_splits_its_fogs_into_contiguous_groups(self, default_config,
+                                                                 variants, fogs):
+        config = dataclasses.replace(default_config, variants=default_config.variants[:variants],
+                                     fog_fractions=tuple(0.1 * f for f in range(fogs)))
+        # a library caller's jobs below 1 runs serially, as jobs = 1 does
+        for jobs in range(-1, 10):
+            tasks = runner._sweep_tasks(config, jobs)
+            groups = min(fogs, max(-(-jobs // variants), 1))
+            assert len(tasks) == variants * groups >= min(jobs, variants * fogs)
+            for v, variant in enumerate(config.variants):
+                mine = tasks[v * groups:(v + 1) * groups]
+                assert all(task[0] is config and task[1] is variant for task in mine)
+                assert sum((task[2] for task in mine), ()) == config.fog_fractions
+                assert max(len(t[2]) for t in mine) - min(len(t[2]) for t in mine) <= 1
+            if jobs <= variants:
+                assert [task[2] for task in tasks] == [config.fog_fractions] * variants
+        for empty in (dict(variants=()), dict(fog_fractions=())):
+            assert runner._sweep_tasks(dataclasses.replace(config, **empty), 2) == []
+            assert run_sweep(dataclasses.replace(config, **empty), 0) == []
+
+    def test_split_fogs_write_the_same_bytes_on_any_number_of_workers(self, default_config,
+                                                                      tmp_path):
+        # one seeded variant at four fogs: --jobs 1, 2 and 3 run 1, 2 and 3 tasks
+        config = dataclasses.replace(_sweep_config(default_config, "jitter_dropout"),
+                                     variants=default_config.variants[3:],
+                                     fog_fractions=(0.0, 0.1, 0.25, 0.5), max_sim_time=1.0)
+        written = []
+        for jobs in (1, 2, 3):
+            records = run_sweep(config, jobs=jobs)
+            out = tmp_path / str(jobs)
+            out.mkdir()
+            write_results_csv(records, out / "results.csv")
+            write_density_samples_csv(records, out / "density_samples.csv")
+            write_summary_json(summarize(records), out / "summary.json")
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(written[0]) == 3 and written[1] == written[0] and written[2] == written[0]
 
     @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
     def test_sweep_equals_the_per_seed_grid(self, default_config, kind):
@@ -1126,30 +1226,41 @@ class TestRunSweep:
                     assert r.wall_time == 0.0
                     assert r.frames_cast == first[(r.variant, r.fog_fraction)].frames_cast
 
-    def test_each_cell_builds_each_gaze_state_setup_once(self, default_config, monkeypatch):
+    @pytest.mark.parametrize("kind", ["jitter_dropout", "default"])
+    def test_each_variant_builds_each_gaze_state_setup_once(self, default_config, monkeypatch,
+                                                            kind):
         left = default_config.gaze_trace.states[0]
         right = GazeState(math.radians(45.0), left.eta)
-        config = _hidden_target(_sweep_config(default_config, "jitter_dropout"),
+        config = _hidden_target(_sweep_config(default_config, kind),
                                 max_sim_time=1.0, gaze_trace=GazeTrace((0.0, 0.17), (left, right)))
         built = []
         setup_fn = runner.revolution_setup
 
-        def counting(plan, fog, cal, static_scene, roi):
-            built.append((plan, fog, roi))
-            return setup_fn(plan, fog, cal, static_scene, roi)
+        def counting(plan, fogs, cal, static_scene, roi):
+            setup = setup_fn(plan, fogs, cal, static_scene, roi)
+            built.append((plan, tuple(fogs), roi, setup.max_ranges))
+            return setup
         monkeypatch.setattr(runner, "revolution_setup", counting)
         standalone = [_strip_wall_time(run_single(config, variant, fog, seed))
                       for variant in sorted(config.variants, key=lambda v: v.variant)
                       for fog in sorted(config.fog_fractions)
                       for seed in sorted(config.seeds)]
         assert len(built) > len(standalone)
-        per_run = set(built)
+        # each one-run setup's single max-range row, by plan, RoI and fog
+        per_run = {(plan, roi, fog): ranges[0] for plan, (fog,), roi, ranges in built}
         built.clear()
         records = run_sweep(config)
         assert [_strip_wall_time(r) for r in records] == standalone
-        # one setup per (variant, fog, gaze state), however many seeds a cell has
-        assert len(built) == len(set(built)) == len(config.variants) * len(config.fog_fractions) * 2
-        assert set(built) == per_run
+        # one setup per (variant, gaze state), however many seeds and fogs a variant has
+        assert len(built) == len({(plan, roi) for plan, _, roi, _ in built}) == (
+            len(config.variants) * 2)
+        assert {(plan, roi) for plan, _, roi, _ in built} == {
+            (plan, roi) for plan, roi, _ in per_run}
+        for plan, fogs, roi, max_ranges in built:
+            # a row per fog of the variant, each the one-run setup's row
+            assert [fog.fog_fraction for fog in fogs] == list(config.fog_fractions)
+            for fog, row in zip(fogs, max_ranges):
+                assert np.array_equal(row, per_run[plan, roi, fog])
 
 
 # Runs one seeded cell twice in a fresh process, which keeps pytest's allocator
@@ -1162,7 +1273,7 @@ config = dataclasses.replace(runner.load_run_config(sys.argv[1]), dropout=True,
                              spawn_jitter_m=3.0, seeds=tuple(range(1, 21)))
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    runner._run_seeds(config, config.variants[0], 0.5, config.seeds)
+    runner._run_seeds(config, config.variants[0], [(0.5, seed) for seed in config.seeds])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

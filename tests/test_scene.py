@@ -250,6 +250,69 @@ class TestCastRaysBatch:
 
 
 
+class TestRangeClip:
+    """cast_rays casts at any range, then keeps a hit where its range is at most
+    the ray's max range; brute_force_cast limits every edge it tries instead."""
+
+    @staticmethod
+    def _check(scene, angles, limits):
+        """cast_rays with per-ray `limits` equals brute_force_cast ray by ray."""
+        origin = scene.ego_position
+        ranges, ids = cast_rays(scene, origin, np.array(angles), np.array(limits))
+        for k, (angle, limit) in enumerate(zip(angles, limits)):
+            hit = brute_force_cast(scene, origin, angle, limit)
+            if hit is None:
+                assert ids[k] == -1 and math.isnan(ranges[k]), (k, limit)
+            else:
+                assert ids[k] == hit.hit_id, (k, limit)
+                assert abs(ranges[k] - hit.range_m) <= 1e-9
+        return ids
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
+    def test_random_limits_match_the_brute_force_oracle(self, seed, twin, data):
+        rng = np.random.default_rng(seed)
+        scene = make_random_scene(rng, 1, 8)
+        if twin:
+            # a copy of the first box under a larger id: every hit on it ties
+            o = scene.obstacles[0]
+            scene = Scene(scene.ego_position, scene.obstacles + (ObstacleBox.spawn(
+                100, o.center, o.heading, o.half_length, o.half_width, 0.0),),
+                scene.conflict_point)
+        bearings = [math.atan2(o.center.y, o.center.x) for o in scene.obstacles]
+        angles = data.draw(st.lists(st.one_of(st.floats(0.0, TAU), st.sampled_from(bearings)),
+                                    min_size=1, max_size=30))
+        full, _ = cast_rays(scene, scene.ego_position, np.array(angles), np.inf)
+        limits = []
+        for angle, r in zip(angles, full.tolist()):
+            kind = data.draw(st.sampled_from(["at hit", "below hit", "nan", "inf", "any"]))
+            hit = brute_force_cast(scene, scene.ego_position, angle, math.inf)
+            if kind in ("nan", "inf"):
+                limits.append(float(kind))
+            elif kind == "any" or hit is None:
+                limits.append(data.draw(st.floats(1e-3, 200.0)))
+            elif kind == "at hit":
+                # the hit range itself where both solves agree to the bit,
+                # else the larger of the two, which both keep
+                limits.append(max(r, hit.range_m))
+            else:
+                limits.append(math.nextafter(min(r, hit.range_m), 0.0))
+        self._check(scene, angles, limits)
+
+    def test_an_exact_limit_a_nan_limit_and_a_tie_at_the_limit(self):
+        # rays along the x axis hit the face at x = 48 (ids 3 and its twin 7)
+        # and at x = -30 (id 5), in exact arithmetic in both solves
+        near = ObstacleBox.spawn(7, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        twin = ObstacleBox.spawn(3, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        back = ObstacleBox.spawn(5, Vec2(-32.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        scene = Scene(Vec2(0.0, 0.0), (near, twin, back), Vec2(0.0, 1.0))
+        angles = [0.0, 0.0, 0.0, 0.0, math.pi, math.pi]
+        limits = [48.0, math.nextafter(48.0, 0.0), math.nan, math.inf, 30.0, math.nan]
+        assert brute_force_cast(scene, scene.ego_position, 0.0, 48.0) == (48.0, 3)
+        ids = self._check(scene, angles, limits)
+        assert ids.tolist() == [3, -1, -1, 3, 5, -1]
+
+
 def _same_casts(scene, origin, angles, max_ranges):
     """The culled caster equals the dense oracle bit for bit, NaN-aware."""
     ranges, ids = cast_rays(scene, origin, angles, max_ranges)
@@ -428,7 +491,7 @@ class TestFrameBatches:
 
     def test_k_frame_cast_equals_k_dense_casts(self):
         rng = np.random.default_rng(31)
-        ties = 0
+        ties = clipped = 0
         for _ in range(15):
             base = make_random_scene(rng, 1, 8)
             boxes = tuple(ObstacleBox.spawn(o.id, o.center, o.heading, o.half_length,
@@ -443,23 +506,32 @@ class TestFrameBatches:
             angles = rng.uniform(0.0, TAU, size=500)
             max_ranges = rng.uniform(5.0, 120.0, size=500)
             ranges, hit_ids = cast_edges(*edges_at(scene, times), scene.ego_position,
-                                         ray_fan(angles), max_ranges, _all_miss(500))
+                                         ray_fan(angles), _all_miss(500))
             assert ranges.shape == hit_ids.shape == (len(times), 500)
             for k, t in enumerate(times):
-                ref_ranges, ref_ids = dense_cast_rays(advance(scene, t), scene.ego_position,
-                                                      angles, max_ranges)
+                moved = advance(scene, t)
+                # at any range, and clipped to each ray's max range
+                ref_ranges, ref_ids = dense_cast_rays(moved, scene.ego_position, angles,
+                                                      np.full(500, np.inf))
                 assert np.array_equal(hit_ids[k], ref_ids)
                 assert np.array_equal(ranges[k], ref_ranges, equal_nan=True)
+                ref_ranges, ref_ids = dense_cast_rays(moved, scene.ego_position, angles,
+                                                      max_ranges)
+                kept = ranges[k] <= max_ranges
+                assert np.array_equal(np.where(kept, hit_ids[k], -1), ref_ids)
+                assert np.array_equal(np.where(kept, ranges[k], np.nan), ref_ranges,
+                                      equal_nan=True)
+                clipped += int(np.count_nonzero((hit_ids[k] >= 0) & ~kept))
             assert not np.any(hit_ids[0] == twin.id + 100)
             ties += bool(np.any(hit_ids[0] == twin.id))
-        assert ties > 0
+        assert ties > 0 and clipped > 0
 
     def test_no_edges_and_no_rays_miss(self):
         angles = np.arange(8) * (TAU / 8)
         ranges, ids = cast_edges(np.empty((3, 0, 4)), np.empty(0, dtype=np.int64), Vec2(0, 0),
-                                 ray_fan(angles), np.full(8, 50.0), _all_miss(8))
+                                 ray_fan(angles), _all_miss(8))
         assert ranges.shape == (3, 8) and np.all(np.isnan(ranges)) and np.all(ids == -1)
         scene = make_random_scene(np.random.default_rng(32))
         ranges, hit_ids = cast_edges(*edges_at(scene, [0.0, 1.0]), scene.ego_position,
-                                     ray_fan(np.empty(0)), np.empty(0), _all_miss(0))
+                                     ray_fan(np.empty(0)), _all_miss(0))
         assert ranges.shape == hit_ids.shape == (2, 0)
