@@ -16,9 +16,8 @@ from .metrics import SAMPLE_DTYPE, DetectionEvent, density, detect, tta_at_detec
 from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
                      RangePolicy, ResolutionPolicy, VariantConfig, build_scan_plan,
                      solve_power_levels, solve_spin_rates)
-from .runner import (ConfigError, RunConfig, RunRecord, ScenarioConfig,
-                     load_run_config, run_single, run_sweep, summarize,
-                     uses_rng, validate_run_config)
+from .runner import (ConfigError, RunConfig, RunRecord, load_run_config, run_single,
+                     run_sweep, summarize, uses_rng, validate_run_config)
 from .scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
     "ScanPlan", "ScanSegment", "PointCloud", "RETURN_DTYPE", "FrameRun",
     "pulse_directions", "revolution_setup", "scan_frames", "scan_revolution",
     "DetectionEvent", "SAMPLE_DTYPE", "detect", "tta_at_detection", "density",
-    "ConfigError", "RunConfig", "RunRecord", "ScenarioConfig",
+    "ConfigError", "RunConfig", "RunRecord",
     "load_run_config", "validate_run_config", "run_single", "run_sweep", "summarize",
     "uses_rng",
     "Vec2", "ObstacleBox", "Scene", "advance", "cast_rays", "edges_at",

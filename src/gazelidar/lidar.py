@@ -98,21 +98,15 @@ class PointCloud:
     """Returns from one revolution, plus per-arc ray accounting.
 
     returns is a structured array of RETURN_DTYPE in firing order;
-    segment_rays[i] is the number of pulses fired in segments[i]. Two
-    clouds are equal when every field, returns included, is equal.
+    rays_per_arc maps each plan arc, keyed by (start, end), to the pulses
+    fired in it. Two clouds are equal when every field, returns included,
+    is equal.
     """
 
     frame_time: float
     returns: np.ndarray
     rays_fired: int
-    segments: tuple[ScanSegment, ...]
-    segment_rays: np.ndarray | tuple[int, ...]
-
-    @property
-    def rays_per_arc(self) -> dict[tuple[float, float], int]:
-        """Pulses fired per plan arc, keyed by (start, end)."""
-        return {(seg.start, seg.end): int(count)
-                for seg, count in zip(self.segments, self.segment_rays)}
+    rays_per_arc: dict[tuple[float, float], int]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
@@ -245,5 +239,6 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = ranges[hit]
     returns["hit_id"] = hit_ids[hit]
-    return PointCloud(start_time, returns, len(setup.angles), plan.segments,
-                      np.bincount(setup.seg_idx, minlength=len(plan.segments)))
+    counts = np.bincount(setup.seg_idx, minlength=len(plan.segments)).tolist()
+    return PointCloud(start_time, returns, len(setup.angles),
+                      {(seg.start, seg.end): count for seg, count in zip(plan.segments, counts)})

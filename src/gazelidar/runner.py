@@ -51,14 +51,9 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class RunConfig:
     scene: Scene
     target_id: int
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: ScenarioConfig
     variants: tuple[VariantConfig, ...]
     fog_fractions: tuple[float, ...]
     seeds: tuple[int, ...]
@@ -85,17 +80,24 @@ class RunRecord:
     # The run's per-frame RoI samples, an array of metrics.SAMPLE_DTYPE whose
     # row k is frame k; empty for a failed run.
     samples: np.ndarray
-    frames: int
     # Rows of scan_frames calls this run occupied, at least `frames`: a step's
     # frames after the detecting frame are cast and discarded. Not written
     # to any output file.
     frames_cast: int
-    failed: bool
     failure_reason: str | None
     # The time of the loop that simulated this run, split evenly over the runs it stepped.
     wall_time: float
     # Seed of the simulated record this one copies; None if simulated itself.
     reused_from: int | None = None
+
+    @property
+    def frames(self) -> int:
+        """Frames the run output, one per row of samples; 0 for a failed run."""
+        return len(self.samples)
+
+    @property
+    def failed(self) -> bool:
+        return self.failure_reason is not None
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
@@ -264,7 +266,7 @@ def load_run_config(path) -> RunConfig:
     for name, entry in scenario.items("obstacles"):
         o = _Fields(entry, name)
         # edges_at stores obstacle ids as int64, and casts mark a miss -1
-        obstacles.append(ObstacleBox.spawn(
+        obstacles.append(ObstacleBox(
             o.number("id", 0, 2 ** 63 - 1, integer=True), o.vec2("center"),
             math.radians(o.number("heading_deg")), o.positive("half_length"),
             o.positive("half_width"), o.number("speed_mps", 0.0)))
@@ -276,7 +278,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{raw.prefix}spawn_jitter_m: {problem}")
 
     return RunConfig(
-        scenario=ScenarioConfig(scene, target_id),
+        scene=scene,
+        target_id=target_id,
         variants=tuple(variants),
         fog_fractions=tuple(fog_fractions),
         seeds=tuple(seeds),
@@ -356,19 +359,19 @@ def validate_run_config(config: RunConfig) -> list[str]:
     frame of a run reads. Returns human-readable problems; empty means runnable.
     """
     problems: list[str] = []
-    scene = config.scenario.scene
+    scene = config.scene
     try:
-        target = scene.obstacle(config.scenario.target_id)
+        target = scene.obstacle(config.target_id)
     except KeyError:
-        problems.append(f"scenario.target_id {config.scenario.target_id} matches no obstacle")
+        problems.append(f"scenario.target_id {config.target_id} matches no obstacle")
     else:
         if target.speed <= 0.0:
             problems.append("target obstacle must be moving (speed_mps > 0)")
         else:
             ux = math.cos(target.heading)
             uy = math.sin(target.heading)
-            rx = scene.conflict_point.x - target.spawn_center.x
-            ry = scene.conflict_point.y - target.spawn_center.y
+            rx = scene.conflict_point.x - target.center.x
+            ry = scene.conflict_point.y - target.center.y
             off_line = abs(rx * uy - ry * ux)
             if off_line > 1e-6:
                 problems.append(
@@ -389,26 +392,26 @@ def validate_run_config(config: RunConfig) -> list[str]:
 
     spans = _gaze_spans(config.gaze_trace, config.frame_rate, config.max_sim_time)
     states = dict.fromkeys(state for _, _, state in spans)
-    pulses = []
+    # every plan conserves this period, so every plan fires this many pulses
     period = revolution_period(TAU * config.frame_rate)
+    pulses = config.pulse_rate * period
     if not 0.0 < period < math.inf:
-        # ScanPlan refuses the period, so no plan is built; at the positive
-        # pulse rate, a period of 0 or inf fires 0 or inf pulses
-        states, pulses = {}, [period]
+        states = {}   # ScanPlan refuses the period, so no plan is built
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
         if j != i:
             problems.append(f"variants[{i}] repeats the name {variant.variant!r} of variants[{j}]; "
                             "output rows are keyed by name, so their runs would merge")
         try:
-            pulses += [_scan_plan(config, variant, s)[1].pulses_per_revolution for s in states]
+            for state in states:
+                _scan_plan(config, variant, state)
         except PolicyError as exc:
             problems.append(f"variants[{i}] ({variant.variant}): {exc}")
     rates = f"pulse_rate_hz {config.pulse_rate:g} at frame_rate_hz {config.frame_rate:g}"
-    if min(pulses, default=1.0) < 1.0:
+    if pulses < 1.0:
         problems.append(f"{rates} fires no pulse per revolution")
-    elif not max(pulses, default=0.0) < 2.0 ** 63:   # numpy's int64 index limit
-        problems.append(f"{rates} fires {max(pulses):g} pulses per revolution, not a finite count below 2**63")
+    elif not pulses < 2.0 ** 63:   # numpy's int64 index limit
+        problems.append(f"{rates} fires {pulses:g} pulses per revolution, not a finite count below 2**63")
     return problems
 
 
@@ -424,14 +427,19 @@ def _spawn_starts(movers, rngs, jitter: float) -> np.ndarray:
     return centers - shifts[..., None] * headings
 
 
+def _dropout_sigma(config: RunConfig, fog_fraction: float) -> float:
+    """The dropout coefficient that scan_frames gives a run at this fog level:
+    its fog's sigma with fog_dropout on, else 0. Only a positive one draws."""
+    return fog_from_fraction(fog_fraction, config.kappa).sigma if config.dropout else 0.0
+
+
 def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
     """Whether a run at this fog level draws from its seed's generator.
 
-    Mirrors the two draw sites: spawn jitter in _spawn_starts and fog
-    dropout in scan_frames. When false, the seed cannot change a record.
+    Reads the rules of the two draw sites: spawn jitter in _spawn_starts and
+    fog dropout at _dropout_sigma. When false, the seed cannot change a record.
     """
-    return config.spawn_jitter_m > 0.0 or (
-        config.dropout and fog_from_fraction(fog_fraction, config.kappa).sigma > 0.0)
+    return config.spawn_jitter_m > 0.0 or _dropout_sigma(config, fog_fraction) > 0.0
 
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
@@ -463,8 +471,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     fractions = list(dict.fromkeys(fraction for fraction, _ in runs))
     fogs = [fog_from_fraction(fraction, config.kappa) for fraction in fractions]
     setups = {}
-    scene = config.scenario.scene
-    target_id = config.scenario.target_id
+    scene, target_id = config.scene, config.target_id
     target = scene.obstacle(target_id)
     if not target.speed > 0.0:
         raise ValueError(f"target {target_id} must be moving (speed_mps > 0)")
@@ -475,8 +482,8 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     heading = math.cos(target.heading), math.sin(target.heading)
     rngs = [np.random.default_rng(seed) for _, seed in runs]
     rows = [fractions.index(fraction) for fraction, _ in runs]
-    frame_runs = [FrameRun(row, fogs[row].sigma if config.dropout else 0.0, rng)
-                  for row, rng in zip(rows, rngs)]
+    frame_runs = [FrameRun(row, _dropout_sigma(config, fraction), rng)
+                  for row, (fraction, _), rng in zip(rows, runs, rngs)]
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
     empty = np.empty(0, SAMPLE_DTYPE)
     samples = [[] for _ in runs]
@@ -527,16 +534,16 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     records = []
     for i, (fraction, seed) in enumerate(runs):
         if failure is not None and i in live:
-            records.append(RunRecord(variant, fraction, seed, None, None, empty, 0,
-                                     frames_cast[i], True, failure, wall_time))
+            records.append(RunRecord(variant, fraction, seed, None, None, empty,
+                                     frames_cast[i], failure, wall_time))
             continue
         detection = detections[i]
         tta = None if detection is None else tta_at_detection(detection, target.speed)
         # with the dtype given, numpy fills one new SAMPLE_DTYPE array; without it,
         # promoting the parts' record dtypes costs more than copying their rows
         kept = np.concatenate(samples[i], dtype=SAMPLE_DTYPE) if samples[i] else empty
-        records.append(RunRecord(variant, fraction, seed, detection, tta, kept, len(kept),
-                                 frames_cast[i], False, None, wall_time))
+        records.append(RunRecord(variant, fraction, seed, detection, tta, kept,
+                                 frames_cast[i], None, wall_time))
     return records
 
 

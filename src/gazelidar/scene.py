@@ -43,7 +43,6 @@ class ObstacleBox:
     """Oriented rectangle translating along its heading at constant speed.
 
     half_length spans the heading axis, half_width the perpendicular one.
-    spawn_center records where the box was first placed.
     """
 
     id: int
@@ -52,7 +51,6 @@ class ObstacleBox:
     half_length: float
     half_width: float
     speed: float
-    spawn_center: Vec2
 
     def __post_init__(self) -> None:
         if self.id < 0:
@@ -61,11 +59,6 @@ class ObstacleBox:
             raise ValueError(f"obstacle {self.id}: box half-extents must be positive")
         if self.speed < 0.0:
             raise ValueError(f"obstacle {self.id}: speed must be non-negative")
-
-    @classmethod
-    def spawn(cls, id: int, center: Vec2, heading: float, half_length: float,
-              half_width: float, speed: float) -> "ObstacleBox":
-        return cls(id, center, heading, half_length, half_width, speed, center)
 
 
 @dataclass(frozen=True)

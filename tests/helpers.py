@@ -29,7 +29,7 @@ def make_random_scene(rng: np.random.Generator, min_boxes: int = 5,
         bearing = rng.uniform(0.0, TAU)
         dist = rng.uniform(10.0, 80.0)
         center = Vec2(dist * math.cos(bearing), dist * math.sin(bearing))
-        obstacles.append(ObstacleBox.spawn(
+        obstacles.append(ObstacleBox(
             int(oid), center, rng.uniform(0.0, TAU),
             rng.uniform(0.5, 6.0), rng.uniform(0.5, 2.5), 0.0))
     return Scene(Vec2(0.0, 0.0), tuple(obstacles), Vec2(0.0, 50.0))
@@ -48,7 +48,7 @@ def make_enclosing_scene(distance: float = 40.0) -> Scene:
         (0.0, -distance, 0.0),
     ]
     walls = tuple(
-        ObstacleBox.spawn(i, Vec2(cx, cy), math.radians(heading),
-                          distance + 5.0, 1.0, 0.0)
+        ObstacleBox(i, Vec2(cx, cy), math.radians(heading),
+                    distance + 5.0, 1.0, 0.0)
         for i, (cx, cy, heading) in enumerate(layout, start=1))
     return Scene(Vec2(0.0, 0.0), walls, Vec2(0.0, distance))

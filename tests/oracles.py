@@ -239,7 +239,7 @@ def jittered_scene(config, rng) -> Scene:
     """The config scene with each moving box's start moved back along its
     heading by its own scalar draw from U(-spawn_jitter_m, spawn_jitter_m),
     in id order; static boxes stay. Nothing is drawn without jitter."""
-    scene = config.scenario.scene
+    scene = config.scene
     if config.spawn_jitter_m <= 0.0:
         return scene
     jittered = []
@@ -248,7 +248,7 @@ def jittered_scene(config, rng) -> Scene:
             shift = rng.uniform(-config.spawn_jitter_m, config.spawn_jitter_m)
             c = Vec2(o.center.x - shift * math.cos(o.heading),
                      o.center.y - shift * math.sin(o.heading))
-            o = ObstacleBox.spawn(o.id, c, o.heading, o.half_length, o.half_width, o.speed)
+            o = ObstacleBox(o.id, c, o.heading, o.half_length, o.half_width, o.speed)
         jittered.append(o)
     return Scene(scene.ego_position, tuple(jittered), scene.conflict_point)
 
@@ -265,7 +265,7 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
     fog = fog_from_fraction(fog_fraction, config.kappa)
     omega = math.tau * config.frame_rate
     scene0 = jittered_scene(config, rng)
-    target = scene0.obstacle(config.scenario.target_id)
+    target = scene0.obstacle(config.target_id)
     samples = []
     detection = None
     tta = None
@@ -281,14 +281,14 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
                                 dropout=config.dropout, rng=rng)
         samples.append(density(cloud, roi))
         frame += 1
-        if detect(cloud, config.scenario.target_id, config.min_points):
-            tgt = scene_t.obstacle(config.scenario.target_id)
+        if detect(cloud, config.target_id, config.min_points):
+            tgt = scene_t.obstacle(config.target_id)
             dist = tgt.center.distance_to(scene_t.conflict_point)
-            detection = DetectionEvent(frame - 1, t, config.scenario.target_id, dist)
+            detection = DetectionEvent(frame - 1, t, config.target_id, dist)
             tta = tta_at_detection(detection, target.speed)
             break
     return RunRecord(variant, fog_fraction, seed, detection, tta,
-                     np.array(samples, dtype=SAMPLE_DTYPE), frame, frame, False, None, 0.0)
+                     np.array(samples, dtype=SAMPLE_DTYPE), frame, None, 0.0)
 
 
 def _fmt(x: float) -> str:

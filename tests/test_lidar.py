@@ -163,8 +163,8 @@ class TestPulseDirections:
 
 class TestScanRevolution:
     def test_returns_match_the_geometry(self):
-        scene = Scene(Vec2(0, 0), (ObstacleBox.spawn(5, Vec2(50.0, 0.0), 0.0,
-                                                     2.0, 3.0, 0.0),),
+        scene = Scene(Vec2(0, 0), (ObstacleBox(5, Vec2(50.0, 0.0), 0.0,
+                                               2.0, 3.0, 0.0),),
                       Vec2(0, 1))
         plan = _plan_for(VariantConfig("baseline"))
         cloud = scan_revolution(scene, plan, CLEAR, CAL, 0.25)
@@ -183,7 +183,7 @@ class TestScanRevolution:
     def test_power_reallocation_extends_roi_reach(self):
         # near face at 104.5 m: past the nominal 100 m but inside the
         # high-power 104.88 m reach of a 0.5 ratio range plan
-        box = ObstacleBox.spawn(2, Vec2(0.0, 105.5), math.pi / 2, 1.0, 2.0, 0.0)
+        box = ObstacleBox(2, Vec2(0.0, 105.5), math.pi / 2, 1.0, 2.0, 0.0)
         scene = Scene(Vec2(0, 0), (box,), Vec2(0, 1))
         rof = compute_rof(GazeState(math.radians(270.0), 0.5),
                           AcuityFunction.boxcar(math.radians(30.0)))
@@ -197,7 +197,7 @@ class TestScanRevolution:
         assert len(hits) > 0 and np.all(hits["hit_id"] == 2)
 
     def test_fog_shortens_reach(self):
-        box = ObstacleBox.spawn(1, Vec2(80.0, 0.0), 0.0, 1.0, 3.0, 0.0)
+        box = ObstacleBox(1, Vec2(80.0, 0.0), 0.0, 1.0, 3.0, 0.0)
         scene = Scene(Vec2(0, 0), (box,), Vec2(0, 1))
         plan = _plan_for(VariantConfig("baseline"))
         assert len(scan_revolution(scene, plan, CLEAR, CAL, 0.0).returns) > 0
@@ -308,8 +308,8 @@ class TestLayeredCast:
 
     def test_mover_passing_behind_a_static_box(self):
         # the car crosses bearings 233-307 deg, inside the boosted RoI
-        wall = ObstacleBox.spawn(5, Vec2(0.0, -20.0), 0.0, 4.0, 0.5, 0.0)
-        car = ObstacleBox.spawn(2, Vec2(-30.0, -40.0), 0.0, 2.0, 1.0, 10.0)
+        wall = ObstacleBox(5, Vec2(0.0, -20.0), 0.0, 4.0, 0.5, 0.0)
+        car = ObstacleBox(2, Vec2(-30.0, -40.0), 0.0, 2.0, 1.0, 10.0)
         scene = Scene(Vec2(0, 0), (wall, car), Vec2(0, 1))
         seen = [bool(np.any(returns["hit_id"] == 2))
                 for returns in self._check(scene, np.arange(0.0, 6.05, 0.25))]
@@ -319,8 +319,8 @@ class TestLayeredCast:
 
     def test_a_mover_with_the_largest_id_in_front_of_a_static_wall(self):
         # an id of 2**63 - 1 beats a miss like any other; the wall shows on both sides
-        wall = ObstacleBox.spawn(5, Vec2(0.0, -20.0), 0.0, 15.0, 0.5, 0.0)
-        car = ObstacleBox.spawn(2**63 - 1, Vec2(0.0, -10.0), 0.0, 2.0, 1.0, 10.0)
+        wall = ObstacleBox(5, Vec2(0.0, -20.0), 0.0, 15.0, 0.5, 0.0)
+        car = ObstacleBox(2**63 - 1, Vec2(0.0, -10.0), 0.0, 2.0, 1.0, 10.0)
         [returns] = self._check(Scene(Vec2(0, 0), (wall, car), Vec2(0, 1)))
         wall_angles = returns["angle"][returns["hit_id"] == 5]
         car_angles = returns["angle"][returns["hit_id"] == 2**63 - 1]
@@ -568,15 +568,16 @@ class TestPointCloud:
     def test_equality_compares_the_returns(self):
         one = np.array([(0.1, 50.0, 3)], dtype=RETURN_DTYPE)
         other = np.array([(0.1, 50.0, 4)], dtype=RETURN_DTYPE)
-        whole = (ScanSegment(0.0, TAU, 1.0, OMEGA),)
-        halves = (ScanSegment(0.0, math.pi, 1.0, OMEGA), ScanSegment(math.pi, TAU, 1.0, OMEGA))
 
-        def cloud(t, returns, segments=whole, counts=(390,)):
-            return PointCloud(t, returns, 390, segments, counts)
+        def cloud(t, returns, rays_per_arc=None):
+            return PointCloud(t, returns, 390, rays_per_arc or {(0.0, TAU): 390})
+
+        def halves(left, right):
+            return {(0.0, math.pi): left, (math.pi, TAU): right}
 
         assert cloud(0.0, one) == cloud(0.0, one.copy())
         assert cloud(0.0, one) != cloud(0.0, other)
         assert cloud(0.0, one) != cloud(0.0, one[:0])
         assert cloud(0.0, one) != cloud(0.05, one)
-        assert cloud(0.0, one, halves, (195, 195)) != cloud(0.0, one, halves, (194, 196))
-        assert cloud(0.0, one, halves, (195, 195)) == cloud(0.0, one, halves, np.array([195, 195]))
+        assert cloud(0.0, one, halves(195, 195)) != cloud(0.0, one, halves(194, 196))
+        assert cloud(0.0, one, halves(195, 195)) == cloud(0.0, one, halves(195, 195))

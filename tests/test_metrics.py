@@ -28,8 +28,7 @@ TAU = math.tau
 
 def _cloud(*returns):
     """A cloud of (angle, range_m, hit_id) returns."""
-    return PointCloud(0.0, np.array(list(returns), dtype=RETURN_DTYPE), 390,
-                      (ScanSegment(0.0, TAU, 1.0, 1.0),), (390,))
+    return PointCloud(0.0, np.array(list(returns), dtype=RETURN_DTYPE), 390, {(0.0, TAU): 390})
 
 
 class TestDetect:
@@ -229,9 +228,9 @@ THIN_FOG = FogCondition(0.1, 0.0005)
 TARGET = 1
 # The target drives at the sensor from 40 m, past a static box and a crossing car.
 APPROACH = Scene(Vec2(0.0, 0.0), (
-    ObstacleBox.spawn(TARGET, Vec2(0.0, 40.0), -0.5 * math.pi, 2.5, 2.0, 10.0),
-    ObstacleBox.spawn(2, Vec2(-30.0, 10.0), 0.3, 4.0, 1.5, 0.0),
-    ObstacleBox.spawn(3, Vec2(30.0, -20.0), math.pi, 2.5, 1.0, 8.0)), Vec2(0.0, 5.0))
+    ObstacleBox(TARGET, Vec2(0.0, 40.0), -0.5 * math.pi, 2.5, 2.0, 10.0),
+    ObstacleBox(2, Vec2(-30.0, 10.0), 0.3, 4.0, 1.5, 0.0),
+    ObstacleBox(3, Vec2(30.0, -20.0), math.pi, 2.5, 1.0, 8.0)), Vec2(0.0, 5.0))
 
 
 class TestChunkMetrics:

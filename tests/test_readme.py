@@ -1,8 +1,9 @@
-"""The code that README.md shows runs as written."""
+"""The code that README.md shows runs as written, on the names the package exports."""
 from __future__ import annotations
 
 import numpy as np
 
+import gazelidar
 from gazelidar.lidar import PointCloud
 from helpers import REPO_ROOT
 
@@ -20,3 +21,9 @@ def test_library_use_scans_box_1():
     cloud = namespace["cloud"]
     assert isinstance(cloud, PointCloud)
     assert len(cloud.returns) > 0 and np.all(cloud.returns["hit_id"] == 1)
+
+
+def test_every_exported_name_resolves():
+    exported = gazelidar.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(gazelidar, name)] == []

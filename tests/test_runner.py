@@ -24,7 +24,7 @@ from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
 from gazelidar.metrics import SAMPLE_DTYPE, DetectionEvent
 from gazelidar.policy import DegeneratePartitionError, VariantConfig, solve_power_levels
-from gazelidar.runner import (ConfigError, ScenarioConfig, load_run_config,
+from gazelidar.runner import (ConfigError, load_run_config,
                               quartiles, run_single, run_sweep, summarize, summary_text,
                               uses_rng, validate_run_config,
                               write_density_samples_csv, write_results_csv,
@@ -57,11 +57,9 @@ def _strip_wall_time(record):
 
 def _hidden_target(config, **changes):
     """config with a wall that hides the target for a while, plus `changes`."""
-    wall = ObstacleBox.spawn(30, Vec2(21.2132, 21.2132), math.radians(135.0), 6.0, 0.5, 0.0)
-    scene = config.scenario.scene
-    scenario = ScenarioConfig(dataclasses.replace(scene, obstacles=scene.obstacles + (wall,)),
-                              config.scenario.target_id)
-    return dataclasses.replace(config, scenario=scenario, **changes)
+    wall = ObstacleBox(30, Vec2(21.2132, 21.2132), math.radians(135.0), 6.0, 0.5, 0.0)
+    scene = dataclasses.replace(config.scene, obstacles=config.scene.obstacles + (wall,))
+    return dataclasses.replace(config, scene=scene, **changes)
 
 
 class _NoDraws:
@@ -114,8 +112,7 @@ def _output_record(name, fog, seed, samples, tta=None, failed=False, copy_of=Non
     """A hand-built RunRecord as the writers see it."""
     detection = None if tta is None else DetectionEvent(len(samples), tta, 1, 0.0)
     return runner.RunRecord(SimpleNamespace(variant=name), fog, seed, detection, tta, samples,
-                            len(samples), len(samples), failed, "why" if failed else None,
-                            0.0, copy_of)
+                            len(samples), "why" if failed else None, 0.0, copy_of)
 
 
 @st.composite
@@ -179,8 +176,8 @@ class TestLoadRunConfig:
         assert c.min_points == 1
         assert c.dropout is False
         assert c.spawn_jitter_m == 0.0
-        assert c.scenario.target_id == 1
-        assert len(c.scenario.scene.obstacles) == 12
+        assert c.target_id == 1
+        assert len(c.scene.obstacles) == 12
         assert c.gaze_trace.times == (0.0,)
 
     def test_defaults_of_the_optional_keys(self, tmp_path):
@@ -406,31 +403,26 @@ class TestValidateRunConfig:
         assert problems[0].startswith(problem)
 
     def test_flags_unknown_target(self, default_config):
-        scenario = ScenarioConfig(default_config.scenario.scene, 99)
-        config = dataclasses.replace(default_config, scenario=scenario)
+        config = dataclasses.replace(default_config, target_id=99)
         assert any("target_id" in p for p in validate_run_config(config))
 
     def test_flags_static_target(self, default_config):
-        scene = default_config.scenario.scene
+        scene = default_config.scene
         frozen = tuple(dataclasses.replace(o, speed=0.0) if o.id == 1 else o
                        for o in scene.obstacles)
-        scenario = ScenarioConfig(dataclasses.replace(scene, obstacles=frozen), 1)
-        config = dataclasses.replace(default_config, scenario=scenario)
+        config = dataclasses.replace(default_config,
+                                     scene=dataclasses.replace(scene, obstacles=frozen))
         assert any("moving" in p for p in validate_run_config(config))
 
     def test_flags_conflict_point_off_the_trajectory(self, default_config):
-        scene = dataclasses.replace(default_config.scenario.scene,
-                                    conflict_point=Vec2(5.0, 60.0))
-        config = dataclasses.replace(default_config,
-                                     scenario=ScenarioConfig(scene, 1))
+        scene = dataclasses.replace(default_config.scene, conflict_point=Vec2(5.0, 60.0))
+        config = dataclasses.replace(default_config, scene=scene)
         assert any("off the target trajectory" in p
                    for p in validate_run_config(config))
 
     def test_flags_target_moving_away(self, default_config):
-        scene = dataclasses.replace(default_config.scenario.scene,
-                                    conflict_point=Vec2(80.0, 66.0))
-        config = dataclasses.replace(default_config,
-                                     scenario=ScenarioConfig(scene, 1))
+        scene = dataclasses.replace(default_config.scene, conflict_point=Vec2(80.0, 66.0))
+        config = dataclasses.replace(default_config, scene=scene)
         assert any("away" in p for p in validate_run_config(config))
 
     def test_flags_degenerate_focus_region(self, default_config):
@@ -438,6 +430,17 @@ class TestValidateRunConfig:
         states = tuple(dataclasses.replace(s, eta=1.0) for s in trace.states)
         config = dataclasses.replace(default_config, gaze_trace=GazeTrace(trace.times, states))
         assert any("degenerate" in p for p in validate_run_config(config))
+
+    def test_counts_pulses_when_every_variant_fails(self, default_config):
+        # every plan fires pulse_rate / frame_rate pulses, so the count needs no plan
+        trace = default_config.gaze_trace
+        states = tuple(dataclasses.replace(s, eta=1.0) for s in trace.states)
+        config = dataclasses.replace(default_config, gaze_trace=GazeTrace(trace.times, states),
+                                     pulse_rate=10.0)
+        problems = validate_run_config(config)
+        assert [p.split(" ", 1)[0] for p in problems[:-1]] == [
+            f"variants[{i}]" for i in range(len(config.variants))]
+        assert problems[-1] == "pulse_rate_hz 10 at frame_rate_hz 20 fires no pulse per revolution"
 
     @pytest.mark.parametrize("times, bad, max_sim_time, reported", [
         ((0.0, 1.0), 1, 15.0, True),
@@ -657,8 +660,7 @@ class TestRunSingle:
         def no_scan(*args):
             raise AssertionError("run_single cast a frame")
         monkeypatch.setattr(runner, "scan_frames", no_scan)
-        config = dataclasses.replace(
-            default_config, scenario=ScenarioConfig(default_config.scenario.scene, 99))
+        config = dataclasses.replace(default_config, target_id=99)
         with pytest.raises(KeyError, match="no obstacle with id 99"):
             run_single(config, config.variants[0], 0.0, 101)
 
@@ -666,11 +668,11 @@ class TestRunSingle:
         def no_scan(*args):
             raise AssertionError("run_single cast a frame")
         monkeypatch.setattr(runner, "scan_frames", no_scan)
-        scene = default_config.scenario.scene
+        scene = default_config.scene
         frozen = tuple(dataclasses.replace(o, speed=0.0) if o.id == 1 else o
                        for o in scene.obstacles)
-        config = dataclasses.replace(default_config, scenario=ScenarioConfig(
-            dataclasses.replace(scene, obstacles=frozen), 1))
+        config = dataclasses.replace(default_config,
+                                     scene=dataclasses.replace(scene, obstacles=frozen))
         with pytest.raises(ValueError, match="target 1 must be moving"):
             run_single(config, config.variants[0], 0.0, 101)
 
@@ -1061,7 +1063,7 @@ class TestSpawnJitter:
     def test_only_moving_obstacles_shift(self, default_config, monkeypatch):
         config = dataclasses.replace(default_config, spawn_jitter_m=3.0)
         static, movers, starts = self._layers(config, monkeypatch)
-        base = default_config.scenario.scene
+        base = default_config.scene
         assert static.obstacles == tuple(o for o in base.obstacles if o.speed == 0.0)
         assert movers.obstacles == tuple(o for o in base.obstacles if o.speed > 0.0)
         assert starts.shape == (1, len(movers.obstacles), 2)
@@ -1077,7 +1079,7 @@ class TestSpawnJitter:
         # the shipped scene's movers are ids 1 and 2; a mover's start is what a
         # scalar draw per mover, in id order, and its Vec2 arithmetic give
         config = dataclasses.replace(default_config, spawn_jitter_m=3.0)
-        scene = config.scenario.scene
+        scene = config.scene
         movers = tuple(o for o in scene.obstacles if o.speed > 0.0)
         assert [o.id for o in movers] == [1, 2]
         assert len(movers) < len(scene.obstacles)

@@ -18,7 +18,7 @@ TAU = math.tau
 
 def _single_box_scene(center=(50.0, 0.0), heading=0.0, hl=2.0, hw=3.0, oid=1,
                       speed=0.0):
-    box = ObstacleBox.spawn(oid, Vec2(*center), heading, hl, hw, speed)
+    box = ObstacleBox(oid, Vec2(*center), heading, hl, hw, speed)
     return Scene(Vec2(0.0, 0.0), (box,), Vec2(0.0, 10.0))
 
 
@@ -55,24 +55,24 @@ class TestVec2:
 class TestObstacleBox:
     def test_rejects_bad_extents_and_speed(self):
         with pytest.raises(ValueError):
-            ObstacleBox.spawn(1, Vec2(0, 0), 0.0, 0.0, 1.0, 0.0)
+            ObstacleBox(1, Vec2(0, 0), 0.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            ObstacleBox.spawn(1, Vec2(0, 0), 0.0, 1.0, -1.0, 0.0)
+            ObstacleBox(1, Vec2(0, 0), 0.0, 1.0, -1.0, 0.0)
         with pytest.raises(ValueError):
-            ObstacleBox.spawn(1, Vec2(0, 0), 0.0, 1.0, 1.0, -2.0)
+            ObstacleBox(1, Vec2(0, 0), 0.0, 1.0, 1.0, -2.0)
 
     def test_rejects_a_negative_id(self):
         # a cast marks a miss with id -1, so a box with a negative id would be unseen
         with pytest.raises(ValueError, match="non-negative"):
-            ObstacleBox.spawn(-1, Vec2(10.0, 0.0), 0.0, 1.0, 1.0, 0.0)
-        assert ObstacleBox.spawn(0, Vec2(10.0, 0.0), 0.0, 1.0, 1.0, 0.0).id == 0
+            ObstacleBox(-1, Vec2(10.0, 0.0), 0.0, 1.0, 1.0, 0.0)
+        assert ObstacleBox(0, Vec2(10.0, 0.0), 0.0, 1.0, 1.0, 0.0).id == 0
 
     def test_corners_axis_aligned(self):
-        box = ObstacleBox.spawn(1, Vec2(0.0, 0.0), 0.0, 2.0, 1.0, 0.0)
+        box = ObstacleBox(1, Vec2(0.0, 0.0), 0.0, 2.0, 1.0, 0.0)
         assert _vertices(box) == [(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)]
 
     def test_corners_are_counterclockwise_with_the_right_area(self):
-        box = ObstacleBox.spawn(1, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
+        box = ObstacleBox(1, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
         c = _vertices(box)
         shoelace = sum(c[i][0] * c[(i + 1) % 4][1] - c[(i + 1) % 4][0] * c[i][1]
                        for i in range(4))
@@ -80,26 +80,22 @@ class TestObstacleBox:
         assert shoelace > 0.0
 
     def test_heading_rotates_the_long_axis(self):
-        box = ObstacleBox.spawn(1, Vec2(0.0, 0.0), math.pi / 2, 4.0, 1.0, 0.0)
+        box = ObstacleBox(1, Vec2(0.0, 0.0), math.pi / 2, 4.0, 1.0, 0.0)
         xs = [x for x, _ in _vertices(box)]
         ys = [y for _, y in _vertices(box)]
         assert max(xs) == pytest.approx(1.0, abs=1e-12)
         assert max(ys) == pytest.approx(4.0, abs=1e-12)
 
     def test_segments_close_the_loop(self):
-        box = ObstacleBox.spawn(1, Vec2(1.0, 2.0), 0.3, 2.0, 1.0, 0.0)
+        box = ObstacleBox(1, Vec2(1.0, 2.0), 0.3, 2.0, 1.0, 0.0)
         rows = _edges_of(box)
         assert rows.shape == (4, 4)
         for row, following in zip(rows, np.roll(rows, -1, axis=0)):
             assert row[2:].tolist() == following[:2].tolist()
 
-    def test_spawn_records_the_initial_center(self):
-        box = ObstacleBox.spawn(1, Vec2(5.0, 6.0), 0.0, 1.0, 1.0, 2.0)
-        assert box.spawn_center == Vec2(5.0, 6.0)
-
     def test_edges_at_rows_are_the_segments_with_their_ids(self):
-        a = ObstacleBox.spawn(4, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
-        b = ObstacleBox.spawn(2, Vec2(-1.0, 9.0), 2.1, 1.5, 0.5, 3.0)
+        a = ObstacleBox(4, Vec2(3.0, -7.0), 0.7, 2.5, 1.25, 0.0)
+        b = ObstacleBox(2, Vec2(-1.0, 9.0), 2.1, 1.5, 0.5, 3.0)
         edges, ids = edges_at(Scene(Vec2(0, 0), (a, b), Vec2(0, 1)), (0.0,))
         expected = [[px, py, qx, qy] for o in (b, a) for (px, py), (qx, qy) in box_segments(o)]
         assert edges.shape == (1, 8, 4)
@@ -109,14 +105,14 @@ class TestObstacleBox:
 
 class TestScene:
     def test_obstacles_sorted_by_id(self):
-        a = ObstacleBox.spawn(7, Vec2(10, 0), 0.0, 1.0, 1.0, 0.0)
-        b = ObstacleBox.spawn(3, Vec2(20, 0), 0.0, 1.0, 1.0, 0.0)
+        a = ObstacleBox(7, Vec2(10, 0), 0.0, 1.0, 1.0, 0.0)
+        b = ObstacleBox(3, Vec2(20, 0), 0.0, 1.0, 1.0, 0.0)
         scene = Scene(Vec2(0, 0), (a, b), Vec2(0, 1))
         assert [o.id for o in scene.obstacles] == [3, 7]
 
     def test_rejects_duplicate_ids(self):
-        a = ObstacleBox.spawn(3, Vec2(10, 0), 0.0, 1.0, 1.0, 0.0)
-        b = ObstacleBox.spawn(3, Vec2(20, 0), 0.0, 1.0, 1.0, 0.0)
+        a = ObstacleBox(3, Vec2(10, 0), 0.0, 1.0, 1.0, 0.0)
+        b = ObstacleBox(3, Vec2(20, 0), 0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="unique"):
             Scene(Vec2(0, 0), (a, b), Vec2(0, 1))
 
@@ -143,11 +139,6 @@ class TestAdvance:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             advance(_single_box_scene(), -0.1)
-
-    def test_spawn_center_survives_motion(self):
-        scene = _single_box_scene(center=(10.0, 0.0), speed=4.0)
-        moved = advance(scene, 2.0)
-        assert moved.obstacles[0].spawn_center == Vec2(10.0, 0.0)
 
     def test_matches_many_small_steps(self):
         scene = _single_box_scene(center=(-30.0, 12.0), heading=0.37, speed=8.2)
@@ -187,8 +178,8 @@ class TestCastRay:
             _cast_one(_single_box_scene(), Vec2(0, 0), 0.0, 0.0)
 
     def test_exact_tie_goes_to_the_smaller_id(self):
-        box_hi = ObstacleBox.spawn(7, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
-        box_lo = ObstacleBox.spawn(3, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        box_hi = ObstacleBox(7, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        box_lo = ObstacleBox(3, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
         scene = Scene(Vec2(0, 0), (box_hi, box_lo), Vec2(0, 1))
         assert scalar_cast(scene, Vec2(0, 0), 0.0, 120.0) == (48.0, 3)
         assert _cast_one(scene, Vec2(0, 0), 0.0, 120.0) == (48.0, 3)
@@ -276,7 +267,7 @@ class TestRangeClip:
         if twin:
             # a copy of the first box under a larger id: every hit on it ties
             o = scene.obstacles[0]
-            scene = Scene(scene.ego_position, scene.obstacles + (ObstacleBox.spawn(
+            scene = Scene(scene.ego_position, scene.obstacles + (ObstacleBox(
                 100, o.center, o.heading, o.half_length, o.half_width, 0.0),),
                 scene.conflict_point)
         bearings = [math.atan2(o.center.y, o.center.x) for o in scene.obstacles]
@@ -302,9 +293,9 @@ class TestRangeClip:
     def test_an_exact_limit_a_nan_limit_and_a_tie_at_the_limit(self):
         # rays along the x axis hit the face at x = 48 (ids 3 and its twin 7)
         # and at x = -30 (id 5), in exact arithmetic in both solves
-        near = ObstacleBox.spawn(7, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
-        twin = ObstacleBox.spawn(3, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
-        back = ObstacleBox.spawn(5, Vec2(-32.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        near = ObstacleBox(7, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        twin = ObstacleBox(3, Vec2(50.0, 0.0), 0.0, 2.0, 3.0, 0.0)
+        back = ObstacleBox(5, Vec2(-32.0, 0.0), 0.0, 2.0, 3.0, 0.0)
         scene = Scene(Vec2(0.0, 0.0), (near, twin, back), Vec2(0.0, 1.0))
         angles = [0.0, 0.0, 0.0, 0.0, math.pi, math.pi]
         limits = [48.0, math.nextafter(48.0, 0.0), math.nan, math.inf, 30.0, math.nan]
@@ -322,9 +313,9 @@ def _same_casts(scene, origin, angles, max_ranges):
 
 
 def _random_boxes(rng, n, spread):
-    return tuple(ObstacleBox.spawn(i + 1, Vec2(*rng.uniform(-spread, spread, 2)),
-                                   rng.uniform(0.0, TAU), rng.uniform(0.2, 5.0),
-                                   rng.uniform(0.2, 3.0), 0.0)
+    return tuple(ObstacleBox(i + 1, Vec2(*rng.uniform(-spread, spread, 2)),
+                             rng.uniform(0.0, TAU), rng.uniform(0.2, 5.0),
+                             rng.uniform(0.2, 3.0), 0.0)
                  for i in range(n))
 
 
@@ -379,8 +370,8 @@ class TestCulledCasterMatchesDenseOracle:
         # an end bearing taken from a vector a few ulps long is mostly rounding
         rng = np.random.default_rng(11)
         for _ in range(100):
-            box = ObstacleBox.spawn(1, Vec2(*rng.uniform(-50.0, 50.0, 2)), rng.uniform(0.0, TAU),
-                                    rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), 0.0)
+            box = ObstacleBox(1, Vec2(*rng.uniform(-50.0, 50.0, 2)), rng.uniform(0.0, TAU),
+                              rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0), 0.0)
             scene = Scene(Vec2(0, 0), (box,), Vec2(0, 1))
             (cx, cy), _ = box_segments(box)[int(rng.integers(0, 4))]
             offset = 10.0 ** rng.uniform(-14.0, -6.0)
@@ -395,7 +386,7 @@ class TestCulledCasterMatchesDenseOracle:
         edge_cases = np.array([0.0, -0.0, -1e-20, 1e-20, TAU, -TAU, np.nextafter(TAU, 0.0),
                                math.pi, -math.pi, 3.0 * TAU + 0.25, -7.0 * TAU - 1.0])
         # a box across bearing 0, so keys of exactly tau meet a wrapping arc
-        straddle = ObstacleBox.spawn(100, Vec2(8.0, 0.0), 0.0, 1.0, 2.0, 0.0)
+        straddle = ObstacleBox(100, Vec2(8.0, 0.0), 0.0, 1.0, 2.0, 0.0)
         for _ in range(40):
             scene = make_random_scene(rng, 1, 25)
             scene = Scene(scene.ego_position, scene.obstacles + (straddle,), scene.conflict_point)
@@ -419,8 +410,8 @@ class TestCulledCasterMatchesDenseOracle:
         rng = np.random.default_rng(13)
         for _ in range(20):
             base = make_random_scene(rng)
-            twins = tuple(ObstacleBox.spawn(o.id + 100, o.center, o.heading, o.half_length,
-                                            o.half_width, 0.0) for o in base.obstacles)
+            twins = tuple(ObstacleBox(o.id + 100, o.center, o.heading, o.half_length,
+                                      o.half_width, 0.0) for o in base.obstacles)
             scene = Scene(base.ego_position, base.obstacles + twins, base.conflict_point)
             angles = rng.uniform(0.0, TAU, size=500)
             ranges, ids = cast_rays(scene, scene.ego_position, angles, np.full(500, 120.0))
@@ -447,7 +438,7 @@ def _all_miss(n):
 
 
 def _scene_of(boxes):
-    return Scene(Vec2(0.0, 0.0), tuple(ObstacleBox.spawn(i + 1, Vec2(x, y), h, hl, hw, v)
+    return Scene(Vec2(0.0, 0.0), tuple(ObstacleBox(i + 1, Vec2(x, y), h, hl, hw, v)
                                        for i, (x, y, h, hl, hw, v) in enumerate(boxes)),
                  Vec2(0.0, 1.0))
 
@@ -483,7 +474,7 @@ class TestFrameBatches:
         assert edges.shape == (len(runs) * len(times), 4 * len(boxes), 4)
         for s, centers in enumerate(runs):
             moved = Scene(scene.ego_position, tuple(
-                ObstacleBox.spawn(o.id, Vec2(*c), o.heading, o.half_length, o.half_width, o.speed)
+                ObstacleBox(o.id, Vec2(*c), o.heading, o.half_length, o.half_width, o.speed)
                 for o, c in zip(scene.obstacles, centers)), scene.conflict_point)
             own, own_ids = edges_at(moved, times)
             assert np.array_equal(own_ids, ids)
@@ -494,13 +485,13 @@ class TestFrameBatches:
         ties = clipped = 0
         for _ in range(15):
             base = make_random_scene(rng, 1, 8)
-            boxes = tuple(ObstacleBox.spawn(o.id, o.center, o.heading, o.half_length,
-                                            o.half_width, float(rng.uniform(0.0, 15.0)))
+            boxes = tuple(ObstacleBox(o.id, o.center, o.heading, o.half_length,
+                                      o.half_width, float(rng.uniform(0.0, 15.0)))
                           for o in base.obstacles)
             # a static twin of the first box ties with it at t = 0
             twin = boxes[0]
-            boxes += (ObstacleBox.spawn(twin.id + 100, twin.center, twin.heading,
-                                        twin.half_length, twin.half_width, 0.0),)
+            boxes += (ObstacleBox(twin.id + 100, twin.center, twin.heading,
+                                  twin.half_length, twin.half_width, 0.0),)
             scene = Scene(Vec2(*rng.uniform(-5.0, 5.0, 2)), boxes, base.conflict_point)
             times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 4.0, 6))))
             angles = rng.uniform(0.0, TAU, size=500)
