@@ -614,9 +614,15 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     executes them in worker processes, at most min(jobs, cells), with
     identical results; each worker keeps its freed pages (_keep_freed_pages),
     whether forked or not. A serial sweep leaves the caller's allocator as it is.
+
+    numpy loads numpy.random lazily, on a run's first default_rng. The pool's
+    parent imports it before the workers start, so forked workers inherit it
+    instead of each importing it again on its first task of every sweep. A
+    serial sweep imports it on its first draw; validate and report never do.
     """
     tasks = _sweep_tasks(config, jobs)
     if jobs > 1 and len(tasks) > 1:
+        import numpy.random  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                                     initializer=_keep_freed_pages) as pool:
             done = list(pool.map(_run_cells, tasks))

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from gazelidar import runner
 from gazelidar.scene import ObstacleBox, Scene, Vec2
 
 TAU = math.tau
@@ -14,6 +18,22 @@ CONFIG_DIR = REPO_ROOT / "configs"
 DEFAULT_CONFIG = CONFIG_DIR / "t_intersection.json"
 # A scene without boxes: a revolution_setup over it has an all-miss static layer.
 EMPTY_SCENE = Scene(Vec2(0.0, 0.0), (), Vec2(0.0, 50.0))
+
+
+def run_python(program: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `program` in a fresh interpreter that imports this gazelidar and these helpers."""
+    paths = [str(Path(runner.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", program, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def run_cells_importing(task) -> tuple[list, list[str]]:
+    """runner._run_cells(task), with the module names that sys.modules gained while it ran."""
+    before = set(sys.modules)
+    records = runner._run_cells(task)
+    return records, sorted(set(sys.modules) - before)
 
 
 def make_random_scene(rng: np.random.Generator, min_boxes: int = 5,

@@ -5,10 +5,8 @@ import copy
 import dataclasses
 import json
 import math
-import os
+import multiprocessing
 import platform
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,7 +28,7 @@ from gazelidar.runner import (ConfigError, load_run_config,
                               write_density_samples_csv, write_results_csv,
                               write_summary_json, _spawn_starts)
 from gazelidar.scene import ObstacleBox, Vec2
-from helpers import CONFIG_DIR, DEFAULT_CONFIG
+from helpers import CONFIG_DIR, DEFAULT_CONFIG, run_python
 from oracles import (jittered_scene, listed_summary, per_frame_run, per_row_density_samples_csv,
                      per_row_results_csv, quartiles_inclusive, states_per_frame)
 
@@ -1265,6 +1263,60 @@ class TestRunSweep:
                 assert np.array_equal(row, per_run[plan, roi, fog])
 
 
+# Runs a small seeded sweep on two forked workers in a fresh process, whose
+# parent has not drawn a random number, and prints the module names that each
+# task's worker imported while the task ran.
+_WORKER_IMPORTS = """
+import concurrent.futures, dataclasses, json, multiprocessing, sys
+import helpers
+from gazelidar import runner
+multiprocessing.set_start_method("fork")
+config = dataclasses.replace(runner.load_run_config(sys.argv[1]), dropout=True,
+                             spawn_jitter_m=3.0, fog_fractions=(0.0, 0.5), seeds=(101, 102),
+                             max_sim_time=1.0)
+pool_map = concurrent.futures.ProcessPoolExecutor.map
+gained = []
+
+
+def mapping(pool, fn, tasks):
+    assert fn is runner._run_cells
+    done = list(pool_map(pool, helpers.run_cells_importing, tasks))
+    gained.extend(names for _, names in done)
+    return [records for records, _ in done]
+
+
+concurrent.futures.ProcessPoolExecutor.map = mapping
+assert "numpy.random" not in sys.modules
+assert len(runner.run_sweep(config, jobs=2)) == 16
+print(json.dumps(gained))
+"""
+
+# What `validate` does before it prints: import the CLI, load and check a config.
+_VALIDATE_IMPORTS = """
+import sys
+import gazelidar.cli
+config = gazelidar.cli.load_run_config(sys.argv[1])
+assert gazelidar.cli.validate_run_config(config) == []
+print("numpy.random" in sys.modules)
+"""
+
+
+class TestImports:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers inherit the parent's modules only when forked")
+    def test_forked_workers_import_nothing_while_they_run_tasks(self):
+        done = run_python(_WORKER_IMPORTS, str(DEFAULT_CONFIG))
+        assert done.returncode == 0, done.stderr
+        # one list per variant task; a lazy import would show in each worker's first task
+        assert json.loads(done.stdout) == [[]] * 4
+
+    def test_loading_and_validating_leave_numpy_random_unimported(self):
+        # the pool's parent imports it; validate, report and a serial run's setup do not pay it
+        done = run_python(_VALIDATE_IMPORTS, str(DEFAULT_CONFIG))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+
 # Runs one seeded cell twice in a fresh process, which keeps pytest's allocator
 # out of it, and prints the minor page faults of the second run.
 _SECOND_CELL_FAULTS = """
@@ -1283,11 +1335,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 class TestKeepFreedPages:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
     def test_a_second_cell_reuses_the_first_cells_pages(self):
-        src = str(Path(runner.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", _SECOND_CELL_FAULTS, str(DEFAULT_CONFIG)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = run_python(_SECOND_CELL_FAULTS, str(DEFAULT_CONFIG))
         assert done.returncode == 0, done.stderr
         # about 2,800 faults when glibc unmaps and trims the kernel's temporaries
         assert int(done.stdout) < 100
