@@ -34,10 +34,11 @@ class SensorCalibration:
     def __post_init__(self) -> None:
         if not (0.0 < self.p_nominal < math.inf and 0.0 < self.r_nominal < math.inf):
             raise ValueError("calibration values must be positive and finite")
-        # 0 where r_nominal ** 2 overflows; effective_range's bracket, which
-        # ends at 10 r_nominal, could then reach inf and never narrow
-        if not self.detection_constant > 0.0:
-            raise ValueError("p_nominal / r_nominal ** 2 must be positive, not 0")
+        # r_nominal ** 2 overflows to a constant of 0, so effective_range's bracket,
+        # which ends at 10 r_nominal, could reach inf and never narrow; it underflows
+        # to 0 or to a subnormal whose constant is inf, so every range would be 1 mm
+        if not (self.r_nominal * self.r_nominal > 0.0 and 0.0 < self.detection_constant < math.inf):
+            raise ValueError("p_nominal / r_nominal ** 2 must be positive and finite")
 
     @property
     def detection_constant(self) -> float:

@@ -553,36 +553,24 @@ def _record_key(record: RunRecord):
 
 
 def _run_cells(args) -> list[RunRecord]:
-    """The runs of one variant's (variant, fog) cells at the given fogs, one per seed.
+    """The runs of one variant's (variant, fog) cells, at every fog, one per seed.
 
     Every run that is simulated steps through one _run_seeds loop. A cell
     whose runs draw random numbers simulates all its seeds. A cell whose runs
     draw none simulates only its first seed, and the record is copied to the
     other seeds; copies carry reused_from and a wall_time of 0.
     """
-    config, variant, fogs = args
-    runs = [(fog, seed) for fog in fogs
-            for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
+    config, variant = args
+    draws = {fog: uses_rng(config, fog) for fog in config.fog_fractions}
+    runs = [(fog, seed) for fog in config.fog_fractions
+            for seed in (config.seeds if draws[fog] else config.seeds[:1])]
     records = []
     for record in _run_seeds(config, variant, runs):
         records.append(record)
-        if not uses_rng(config, record.fog_fraction):
+        if not draws[record.fog_fraction]:
             records += [dataclasses.replace(record, seed=seed, wall_time=0.0,
                                             reused_from=record.seed) for seed in config.seeds[1:]]
     return records
-
-
-def _sweep_tasks(config: RunConfig, jobs: int) -> list[tuple]:
-    """The _run_cells tasks of a sweep on `jobs` workers: each variant with its fogs,
-    split into min(F, ceil(jobs / V)) contiguous groups of F fogs for V variants,
-    at least one, as even as can be. That is one task per variant serially or when
-    jobs <= V, and at least min(jobs, V * F) tasks in all; an empty grid has none."""
-    fogs = config.fog_fractions
-    groups = max(min(len(fogs), -(-jobs // max(len(config.variants), 1))), 1)
-    size, extra = divmod(len(fogs), groups)
-    bounds = [g * size + min(g, extra) for g in range(groups + 1)]
-    return [(config, variant, fogs[lo:hi]) for variant in config.variants
-            for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _keep_freed_pages() -> None:
@@ -610,17 +598,17 @@ def _keep_freed_pages() -> None:
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    The grid goes out as the _run_cells tasks of _sweep_tasks. jobs > 1
-    executes them in worker processes, at most min(jobs, cells), with
-    identical results; each worker keeps its freed pages (_keep_freed_pages),
-    whether forked or not. A serial sweep leaves the caller's allocator as it is.
+    Each variant, at every fog, is one _run_cells task. jobs > 1 executes the
+    tasks in worker processes, at most one per variant, with identical results;
+    each worker keeps its freed pages (_keep_freed_pages), whether forked or
+    not. A serial sweep leaves the caller's allocator as it is.
 
     numpy loads numpy.random lazily, on a run's first default_rng. The pool's
     parent imports it before the workers start, so forked workers inherit it
     instead of each importing it again on its first task of every sweep. A
     serial sweep imports it on its first draw; validate and report never do.
     """
-    tasks = _sweep_tasks(config, jobs)
+    tasks = [(config, variant) for variant in config.variants] if config.fog_fractions else []
     if jobs > 1 and len(tasks) > 1:
         import numpy.random  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),

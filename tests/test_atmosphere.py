@@ -32,11 +32,12 @@ class TestConditionTypes:
 
     def test_calibration_refuses_a_zero_detection_constant(self):
         # r_nominal ** 2 overflows: effective_range's bracket [1e-3, 10 r_nominal]
-        # would end at inf, and its bisection would never narrow it
-        with pytest.raises(ValueError, match="must be positive, not 0"):
-            SensorCalibration(1.0, 1e308)
-        with pytest.raises(ValueError, match="must be positive, not 0"):
-            SensorCalibration(1.0, 2e154)
+        # would end at inf, and its bisection would never narrow it. It underflows
+        # to 0 at 1e-300, so the constant divides by 0; at 1e-160 it is subnormal
+        # and the constant inf, so every pulse would reach only the bracket's 1 mm start
+        for r_nominal in (1e308, 2e154, 1e-300, 1e-160):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                SensorCalibration(1.0, r_nominal)
         # fog bounds the range long before the bracket's 1e151 m end
         cal = SensorCalibration(1.0, 1e150)
         r = effective_range(1.0, FogCondition(0.5, 0.005), cal)

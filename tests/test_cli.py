@@ -344,6 +344,27 @@ class TestRun:
         assert err.startswith("error: ") and "spawn_jitter_m" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("r_nominal", [1e-300, 1e-160], ids=["square-underflows",
+                                                                 "constant-overflows"])
+    def test_a_tiny_nominal_range_exits_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                      r_nominal):
+        # r_nominal_m ** 2 is 0 or subnormal: the detection constant divides by 0 or is inf
+        config = _write_trimmed_config(tmp_path, sensor={"p_nominal_w": 1.0,
+                                                         "r_nominal_m": r_nominal})
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert out.startswith("invalid: ") and "sensor: p_nominal / r_nominal" in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "sensor: p_nominal / r_nominal" in err
+        assert not (tmp_path / "o").exists()
+
     def test_a_jitter_moves_no_static_box(self, tmp_path):
         # a static box 1.75e308 out is no start the jitter moves
         scenario = copy.deepcopy(DEFAULT_JSON["scenario"])

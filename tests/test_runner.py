@@ -939,7 +939,7 @@ class TestSeedStack:
             stacks.clear()
             log.clear()
             config = dataclasses.replace(_sweep_config(default_config, kind), fog_fractions=fogs)
-            records = runner._run_cells((config, config.variants[0], fogs))
+            records = runner._run_cells((config, config.variants[0]))
             # one stack holds every simulated run of the variant's fogs
             assert stacks == [simulated] and log.live[0] == len(simulated)
             assert [(r.fog_fraction, r.seed) for r in records] == [
@@ -1125,8 +1125,7 @@ class TestRunSweep:
         parallel = [_strip_wall_time(r) for r in run_sweep(config, jobs=2)]
         assert serial == parallel
 
-    def test_pool_starts_no_more_workers_than_simulated_runs(self, default_config,
-                                                             monkeypatch):
+    def test_pool_starts_at_most_one_worker_per_variant(self, default_config, monkeypatch):
         started = []
         tasks = []
 
@@ -1144,57 +1143,50 @@ class TestRunSweep:
 
             def map(self, fn, items, chunksize=1):
                 items = list(items)
-                tasks.append([(variant.variant, fogs) for _, variant, fogs in items])
+                tasks.append(items)
                 return map(fn, items)
 
         monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = dataclasses.replace(default_config, variants=default_config.variants[:2],
                                      fog_fractions=(0.0,), seeds=(101, 102, 103))
         assert len(run_sweep(config, jobs=64)) == 6
-        assert started == [2] and tasks == [[("baseline", (0.0,)), ("range", (0.0,))]]
+        assert started == [2] and tasks == [[(config, v) for v in config.variants]]
         one_run = dataclasses.replace(config, variants=config.variants[:1])
         assert len(run_sweep(one_run, jobs=64)) == 3
         assert started == [2]
-        # one variant at four fogs: min(jobs, cells) workers, and as many tasks
-        # as ceil(jobs / variants) fog groups give, at most one per fog
-        four = dataclasses.replace(one_run, fog_fractions=(0.0, 0.1, 0.25, 0.5))
-        for jobs, groups in [(2, [(0.0, 0.1), (0.25, 0.5)]),
-                             (3, [(0.0, 0.1), (0.25,), (0.5,)]),
-                             (64, [(0.0,), (0.1,), (0.25,), (0.5,)])]:
+        # four variants at three fogs: min(jobs, variants) workers and one task per
+        # variant, in config order, each with every fog; a library caller's jobs
+        # below 1 runs serially, as jobs = 1 does
+        four = dataclasses.replace(config, variants=default_config.variants,
+                                   fog_fractions=(0.0, 0.25, 0.5))
+        serial = [_strip_wall_time(r) for r in run_sweep(four, jobs=1)]
+        assert len(serial) == 36
+        for jobs, workers in [(-1, None), (0, None), (1, None), (2, 2), (3, 3), (64, 4)]:
             started.clear()
             tasks.clear()
-            assert len(run_sweep(four, jobs=jobs)) == 12
-            assert started == [min(jobs, 4)]
-            assert tasks == [[("baseline", fogs) for fogs in groups]]
-
-    @pytest.mark.parametrize("variants", [1, 2, 4])
-    @pytest.mark.parametrize("fogs", [1, 3, 4])
-    def test_each_variant_splits_its_fogs_into_contiguous_groups(self, default_config,
-                                                                 variants, fogs):
-        config = dataclasses.replace(default_config, variants=default_config.variants[:variants],
-                                     fog_fractions=tuple(0.1 * f for f in range(fogs)))
-        # a library caller's jobs below 1 runs serially, as jobs = 1 does
-        for jobs in range(-1, 10):
-            tasks = runner._sweep_tasks(config, jobs)
-            groups = min(fogs, max(-(-jobs // variants), 1))
-            assert len(tasks) == variants * groups >= min(jobs, variants * fogs)
-            for v, variant in enumerate(config.variants):
-                mine = tasks[v * groups:(v + 1) * groups]
-                assert all(task[0] is config and task[1] is variant for task in mine)
-                assert sum((task[2] for task in mine), ()) == config.fog_fractions
-                assert max(len(t[2]) for t in mine) - min(len(t[2]) for t in mine) <= 1
-            if jobs <= variants:
-                assert [task[2] for task in tasks] == [config.fog_fractions] * variants
+            assert [_strip_wall_time(r) for r in run_sweep(four, jobs=jobs)] == serial
+            assert started == ([] if workers is None else [workers])
+            assert tasks == ([] if workers is None else [[(four, v) for v in four.variants]])
+        # an empty grid has no run
         for empty in (dict(variants=()), dict(fog_fractions=())):
-            assert runner._sweep_tasks(dataclasses.replace(config, **empty), 2) == []
-            assert run_sweep(dataclasses.replace(config, **empty), 0) == []
+            for jobs in (0, 2):
+                assert run_sweep(dataclasses.replace(four, **empty), jobs) == []
 
-    def test_split_fogs_write_the_same_bytes_on_any_number_of_workers(self, default_config,
-                                                                      tmp_path):
-        # one seeded variant at four fogs: --jobs 1, 2 and 3 run 1, 2 and 3 tasks
+    def test_variant_tasks_write_the_same_bytes_on_any_number_of_workers(self, default_config,
+                                                                         tmp_path, monkeypatch):
+        # three seeded variants at four fogs: --jobs 1 runs them in this process,
+        # --jobs 2 and 3 on a real pool of 2 and 3 workers
         config = dataclasses.replace(_sweep_config(default_config, "jitter_dropout"),
-                                     variants=default_config.variants[3:],
+                                     variants=default_config.variants[1:],
                                      fog_fractions=(0.0, 0.1, 0.25, 0.5), max_sim_time=1.0)
+        started = []
+
+        class CountingPool(runner.concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", CountingPool)
         written = []
         for jobs in (1, 2, 3):
             records = run_sweep(config, jobs=jobs)
@@ -1204,6 +1196,7 @@ class TestRunSweep:
             write_density_samples_csv(records, out / "density_samples.csv")
             write_summary_json(summarize(records), out / "summary.json")
             written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert started == [2, 3]
         assert len(written[0]) == 3 and written[1] == written[0] and written[2] == written[0]
 
     @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
