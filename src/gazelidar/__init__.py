@@ -12,7 +12,7 @@ from .gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, GazeTraceError,
                    compute_rof, compute_roi, load_gaze_trace, normalize_angle)
 from .lidar import (RETURN_DTYPE, FrameRun, PointCloud, ScanPlan, ScanSegment,
                     pulse_directions, revolution_setup, scan_frames, scan_revolution)
-from .metrics import SAMPLE_DTYPE, DetectionEvent, density, detect, tta_at_detection
+from .metrics import SAMPLE_DTYPE, density, detect
 from .policy import (DegeneratePartitionError, EyeSafetyError, PolicyError,
                      RangePolicy, ResolutionPolicy, VariantConfig, build_scan_plan,
                      solve_power_levels, solve_spin_rates)
@@ -30,7 +30,7 @@ __all__ = [
     "solve_power_levels", "solve_spin_rates", "build_scan_plan",
     "ScanPlan", "ScanSegment", "PointCloud", "RETURN_DTYPE", "FrameRun",
     "pulse_directions", "revolution_setup", "scan_frames", "scan_revolution",
-    "DetectionEvent", "SAMPLE_DTYPE", "detect", "tta_at_detection", "density",
+    "SAMPLE_DTYPE", "detect", "density",
     "ConfigError", "RunConfig", "RunRecord",
     "load_run_config", "validate_run_config", "run_single", "run_sweep", "summarize",
     "uses_rng",

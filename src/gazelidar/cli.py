@@ -47,16 +47,17 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1,
         return 2
     _keep_freed_pages()   # run owns its process, so its allocator keeps the kernel's freed pages
     records = run_sweep(config, jobs=jobs)
+    summary = summarize(records)
     try:
         write_results_csv(records, out / "results.csv")
         write_density_samples_csv(records, out / "density_samples.csv")
-        write_summary_json(summarize(records), out / "summary.json")
+        write_summary_json(summary, out / "summary.json")
     except OSError as exc:  # a failed write, such as a full disk, names no file
         print(f"error: {exc.filename or out}: {exc.strerror}", file=sys.stderr)
         return 2
-    failures = sum(1 for r in records if r.failed)
-    detected = sum(1 for r in records if r.detection is not None)
-    print(f"{len(records)} runs, {detected} detections, {failures} failures -> {out}")
+    runs, detected, failures = (sum(c[key] for c in summary["cells"])
+                                for key in ("runs", "detected", "failures"))
+    print(f"{runs} runs, {detected} detections, {failures} failures -> {out}")
     return 1 if failures else 0
 
 

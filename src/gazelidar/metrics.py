@@ -1,24 +1,16 @@
-"""Detection decision and the two figures of merit: time-to-arrival at the
-conflict point and angular point density inside the region of interest. Each
+"""Detection decision and angular point density inside the region of interest.
+The detecting frame gives a run's other figure of merit, its time-to-arrival
+at the conflict point, which runner works out from the target's path. Each
 rule reads an (S, K, n) stack of hit ids and hit mask from lidar.scan_frames,
 K frames of each of S runs, and answers per run."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gaze import ArcSet
 from .lidar import PointCloud
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    frame_index: int
-    time: float
-    target_id: int
-    target_distance_to_conflict: float
 
 
 # One frame's RoI returns: the count, the RoI width in degrees and the count per
@@ -56,13 +48,6 @@ def detect(cloud: PointCloud, target_id: int, min_points: int = 1) -> bool:
     """Whether the cloud carries at least min_points returns off the target: a one-frame first_detection."""
     ids = cloud.returns["hit_id"][None, None]
     return first_detection(ids, np.ones(ids.shape, bool), target_id, min_points) == [0]
-
-
-def tta_at_detection(event: DetectionEvent, target_speed: float) -> float:
-    """Seconds until the target reaches the conflict point at its speed."""
-    if target_speed <= 0.0:
-        raise ValueError("target_speed must be positive")
-    return event.target_distance_to_conflict / target_speed
 
 
 def density(cloud: PointCloud, roi: ArcSet) -> np.record:

@@ -26,8 +26,7 @@ from .gaze import AcuityFunction, GazeTrace, compute_rof, compute_roi, load_gaze
 # bench/tracing.py wraps them here, and tests/test_bench_targets.py requires each name.
 # No sweep calls run_single either, so its traced span counts only direct calls.
 from .lidar import FrameRun, revolution_setup, scan_frames, scan_revolution
-from .metrics import (SAMPLE_DTYPE, DetectionEvent, density, detect, first_detection,
-                      roi_densities, tta_at_detection)
+from .metrics import SAMPLE_DTYPE, density, detect, first_detection, roi_densities
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan, revolution_period)
 from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
@@ -75,7 +74,8 @@ class RunRecord:
     variant: VariantConfig
     fog_fraction: float
     seed: int
-    detection: DetectionEvent | None
+    # Seconds the target still needed to reach the conflict point at the frame
+    # that detected it, the last row of samples; None if no frame detected it.
     tta: float | None
     # The run's per-frame RoI samples, an array of metrics.SAMPLE_DTYPE whose
     # row k is frame k; empty for a failed run.
@@ -463,9 +463,10 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     own generator, its fog's max-range row and dropout coefficient. metrics
     then finds each run's first detecting frame and its RoI density per
     frame up to it. Frames cast after that frame, and their draws, are
-    discarded; frames_cast counts them. The detection distance takes
-    advance() and Vec2.distance_to's float operations from the target's
-    start center.
+    discarded; frames_cast counts them. A run's TTA is the target's distance
+    to the conflict point at its detecting frame over its speed, the distance
+    taken with advance() and Vec2.distance_to's float operations from the
+    target's start center.
     """
     t_start = time.perf_counter()
     fractions = list(dict.fromkeys(fraction for fraction, _ in runs))
@@ -487,7 +488,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
     empty = np.empty(0, SAMPLE_DTYPE)
     samples = [[] for _ in runs]
-    detections: list[DetectionEvent | None] = [None] * len(runs)
+    ttas: list[float | None] = [None] * len(runs)
     frames_cast = [0] * len(runs)
     live = list(range(len(runs)))
     frame = 0
@@ -524,8 +525,8 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
                             x, y = starts[i, row].tolist()
                             dist = math.hypot(x + t * target.speed * heading[0] - conflict.x,
                                               y + t * target.speed * heading[1] - conflict.y)
-                            detections[i] = DetectionEvent(frame + at, t, target_id, dist)
-                live = [i for i in live if detections[i] is None]
+                            ttas[i] = dist / target.speed
+                live = [i for i in live if ttas[i] is None]
                 frame = stop
     except PolicyError as exc:
         failure = str(exc)
@@ -534,15 +535,13 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     records = []
     for i, (fraction, seed) in enumerate(runs):
         if failure is not None and i in live:
-            records.append(RunRecord(variant, fraction, seed, None, None, empty,
+            records.append(RunRecord(variant, fraction, seed, None, empty,
                                      frames_cast[i], failure, wall_time))
             continue
-        detection = detections[i]
-        tta = None if detection is None else tta_at_detection(detection, target.speed)
         # with the dtype given, numpy fills one new SAMPLE_DTYPE array; without it,
         # promoting the parts' record dtypes costs more than copying their rows
         kept = np.concatenate(samples[i], dtype=SAMPLE_DTYPE) if samples[i] else empty
-        records.append(RunRecord(variant, fraction, seed, detection, tta, kept,
+        records.append(RunRecord(variant, fraction, seed, ttas[i], kept,
                                  frames_cast[i], None, wall_time))
     return records
 
@@ -608,7 +607,8 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     instead of each importing it again on its first task of every sweep. A
     serial sweep imports it on its first draw; validate and report never do.
     """
-    tasks = [(config, variant) for variant in config.variants] if config.fog_fractions else []
+    tasks = ([(config, variant) for variant in config.variants]
+             if config.fog_fractions and config.seeds else [])
     if jobs > 1 and len(tasks) > 1:
         import numpy.random  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
@@ -640,7 +640,7 @@ def write_results_csv(records: list[RunRecord], path) -> None:
                 rec.variant.variant,
                 _fmt(rec.fog_fraction),
                 rec.seed,
-                "true" if rec.detection is not None else "false",
+                "true" if rec.tta is not None else "false",
                 _fmt(rec.tta) if rec.tta is not None else "",
                 rec.frames,
                 mean_density,

@@ -28,7 +28,7 @@ import numpy as np
 from gazelidar.atmosphere import fog_from_fraction
 from gazelidar.gaze import compute_rof, compute_roi, normalize_angle
 from gazelidar.lidar import scan_revolution
-from gazelidar.metrics import SAMPLE_DTYPE, DetectionEvent, density, detect, tta_at_detection
+from gazelidar.metrics import SAMPLE_DTYPE, density, detect
 from gazelidar.policy import build_scan_plan
 from gazelidar import __version__
 from gazelidar.runner import RunRecord, quartiles
@@ -267,7 +267,6 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
     scene0 = jittered_scene(config, rng)
     target = scene0.obstacle(config.target_id)
     samples = []
-    detection = None
     tta = None
     frame = 0
     while frame / config.frame_rate < config.max_sim_time:
@@ -284,10 +283,9 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
         if detect(cloud, config.target_id, config.min_points):
             tgt = scene_t.obstacle(config.target_id)
             dist = tgt.center.distance_to(scene_t.conflict_point)
-            detection = DetectionEvent(frame - 1, t, config.target_id, dist)
-            tta = tta_at_detection(detection, target.speed)
+            tta = dist / target.speed
             break
-    return RunRecord(variant, fog_fraction, seed, detection, tta,
+    return RunRecord(variant, fog_fraction, seed, tta,
                      np.array(samples, dtype=SAMPLE_DTYPE), frame, None, 0.0)
 
 
@@ -309,7 +307,7 @@ def per_row_results_csv(records, path) -> None:
                 rec.variant.variant,
                 _fmt(rec.fog_fraction),
                 rec.seed,
-                "true" if rec.detection is not None else "false",
+                "true" if rec.tta is not None else "false",
                 _fmt(rec.tta) if rec.tta is not None else "",
                 rec.frames,
                 mean_density,

@@ -201,6 +201,18 @@ class TestRun:
         assert (out / "summary.json").is_file()
         assert "16 runs, 16 detections, 0 failures" in capsys.readouterr().out
 
+    def test_the_closing_line_counts_the_detections_that_both_files_hold(self, tmp_path, capsys):
+        # at 2 s the fog 0.5 runs are still undetected, so 8 of the 24 runs miss
+        config = _write_trimmed_config(tmp_path, max_sim_time_s=2.0, seeds=[1, 2],
+                                       fog_fractions=[0.0, 0.25, 0.5])
+        code, out = _run(tmp_path, config=config)
+        assert code == 0
+        with open(out / "results.csv", newline="") as fh:
+            detected = sum(row["detected"] == "true" for row in csv.DictReader(fh))
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        assert sum(c["detected"] for c in cells) == detected == 16
+        assert capsys.readouterr().out == f"24 runs, 16 detections, 0 failures -> {out}\n"
+
     def test_pins_the_heap_thresholds_before_the_sweep(self, tmp_path, monkeypatch, capsys):
         calls = []
         sweep = gazelidar.cli.run_sweep

@@ -16,8 +16,7 @@ from gazelidar.gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace, comput
                             compute_roi)
 from gazelidar.lidar import (RETURN_DTYPE, FrameRun, PointCloud, ScanPlan, ScanSegment,
                              revolution_setup, scan_frames, scan_revolution)
-from gazelidar.metrics import (SAMPLE_DTYPE, DetectionEvent, density, detect, first_detection,
-                               roi_densities, tta_at_detection)
+from gazelidar.metrics import SAMPLE_DTYPE, density, detect, first_detection, roi_densities
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.runner import run_single
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, edges_at
@@ -51,17 +50,6 @@ class TestDetect:
 
     def test_empty_cloud_never_detects(self):
         assert not detect(_cloud(), 3)
-
-
-class TestTta:
-    def test_distance_over_speed(self):
-        event = DetectionEvent(0, 0.0, 1, 67.0)
-        assert tta_at_detection(event, 13.88888888888889) == pytest.approx(
-            4.824, rel=1e-12)
-
-    def test_rejects_non_positive_speed(self):
-        with pytest.raises(ValueError):
-            tta_at_detection(DetectionEvent(0, 0.0, 1, 67.0), 0.0)
 
 
 class TestDensity:

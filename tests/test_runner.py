@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from gazelidar import __version__, runner
 from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
-from gazelidar.metrics import SAMPLE_DTYPE, DetectionEvent
+from gazelidar.metrics import SAMPLE_DTYPE
 from gazelidar.policy import DegeneratePartitionError, VariantConfig, solve_power_levels
 from gazelidar.runner import (ConfigError, load_run_config,
                               quartiles, run_single, run_sweep, summarize, summary_text,
@@ -48,8 +48,8 @@ def _write_config(tmp_path, mutate=None):
 
 
 def _strip_wall_time(record):
-    return (record.variant, record.fog_fraction, record.seed, record.detection,
-            record.tta, record.samples.dtype, record.samples.tolist(), record.frames,
+    return (record.variant, record.fog_fraction, record.seed, record.tta,
+            record.samples.dtype, record.samples.tolist(), record.frames,
             record.failed, record.failure_reason)
 
 
@@ -108,8 +108,7 @@ _OUTPUT_NAMES = st.sampled_from(["baseline", "a,b", 'say "hi"', "two\nlines", "c
 
 def _output_record(name, fog, seed, samples, tta=None, failed=False, copy_of=None):
     """A hand-built RunRecord as the writers see it."""
-    detection = None if tta is None else DetectionEvent(len(samples), tta, 1, 0.0)
-    return runner.RunRecord(SimpleNamespace(variant=name), fog, seed, detection, tta, samples,
+    return runner.RunRecord(SimpleNamespace(variant=name), fog, seed, tta, samples,
                             len(samples), "why" if failed else None, 0.0, copy_of)
 
 
@@ -570,11 +569,7 @@ class TestRunSingle:
     def test_clear_air_detects_on_the_first_frame(self, default_config):
         record = run_single(default_config, default_config.variants[0], 0.0, 101)
         assert not record.failed
-        assert record.detection is not None
-        assert record.detection.frame_index == 0
-        assert record.detection.target_id == 1
-        assert record.detection.target_distance_to_conflict == pytest.approx(
-            67.0, rel=1e-12)
+        # 67 m from the conflict point at 13.89 m/s
         assert record.tta == pytest.approx(4.824, rel=1e-12)
         assert record.frames == 1
         assert len(record.samples) == 1
@@ -592,7 +587,7 @@ class TestRunSingle:
     def test_fog_delays_detection(self, default_config):
         clear = run_single(default_config, default_config.variants[0], 0.0, 101)
         foggy = run_single(default_config, default_config.variants[0], 0.5, 101)
-        assert foggy.detection.frame_index > clear.detection.frame_index
+        assert foggy.frames > clear.frames
         assert foggy.tta < clear.tta
 
     @pytest.mark.parametrize("random_draws", [False, True])
@@ -688,7 +683,7 @@ class TestRunSingle:
         record = run_single(config, VariantConfig("range", 0.2, 2.0), 0.0, 101)
         assert record.failed
         assert "exceeds" in record.failure_reason
-        assert record.detection is None
+        assert record.tta is None
         assert len(record.samples) == 0
         assert record.frames == 0
 
@@ -748,12 +743,12 @@ class TestChunkKernel:
                         # every chunk ends where the gaze state changes
                         ends = np.cumsum(log.sizes).tolist()
                         assert {4, 9} & set(range(record.frames_cast)) <= set(ends)
-                        if record.detection is None:
+                        if record.tta is None:
                             assert record.frames_cast == record.frames == 39
                             seen.add("undetected")
                             continue
                         start = record.frames_cast - log.sizes[-1]
-                        at = record.detection.frame_index - start
+                        at = record.frames - 1 - start
                         seen.add("first" if at == 0 else "last" if at == log.sizes[-1] - 1
                                  else "inside")
         assert seen >= {"first", "last", "inside"}
@@ -793,7 +788,7 @@ class TestChunkKernel:
         with monkeypatch.context() as patch:
             patch.setattr(GazeTrace, "at", no_lookup)
             record = log.run(config, config.variants[3], 0.5, 7)
-        assert record.detection is None and record.frames == 12
+        assert record.tta is None and record.frames == 12
         assert _strip_wall_time(record) == _strip_wall_time(
             per_frame_run(config, config.variants[3], 0.5, 7))
         return log.sizes
@@ -814,7 +809,7 @@ class TestChunkKernel:
     def test_first_frame_detection_casts_one_chunk(self, default_config, monkeypatch):
         log = _ChunkLog(monkeypatch)
         record = log.run(default_config, default_config.variants[0], 0.0, 101)
-        assert record.detection.frame_index == 0 and record.frames == 1
+        assert record.tta is not None and record.frames == 1
         assert log.sizes == [runner.CHUNK_FRAMES] and record.frames_cast == runner.CHUNK_FRAMES
         assert _strip_wall_time(record) == _strip_wall_time(
             per_frame_run(default_config, default_config.variants[0], 0.0, 101))
@@ -905,7 +900,7 @@ class TestSeedStack:
                 run_single(config, variant, fog, seed))
             if record.failed:
                 assert "degenerate partition" in record.failure_reason
-                assert record.frames == 0 and record.detection is None
+                assert record.frames == 0 and record.tta is None
                 with pytest.raises(DegeneratePartitionError):
                     per_frame_run(config, variant, fog, seed)
             else:
@@ -915,7 +910,7 @@ class TestSeedStack:
         assert outcomes == {(0.0, False), (0.25, False), (0.5, True)}
         if jitter:
             # the seeds' jitter tells their fog 0.25 detections apart
-            assert records[2].detection != records[5].detection
+            assert records[2].tta != records[5].tta
 
     def test_a_cell_that_draws_stacks_its_seeds_and_one_that_does_not_runs_once(
             self, default_config, monkeypatch):
@@ -974,15 +969,15 @@ class TestSeedStack:
                     assert live == sum(r.frames_cast > steps[j] for r in records)
                 detected_in = {}
                 for r in records:
-                    if r.detection is None:
+                    if r.tta is None:
                         assert r.frames == r.frames_cast == 30
                         seen.add("never")
                         continue
                     # a seed leaves the stack after the step it detects in
                     j = steps.index(r.frames_cast) - 1
-                    assert steps[j] <= r.detection.frame_index < steps[j + 1]
+                    assert steps[j] <= r.frames - 1 < steps[j + 1]
                     detected_in[r.seed] = j
-                    if r.detection.frame_index == 0:
+                    if r.frames == 1:
                         seen.add("frame 0")
                 if len(detected_in) > len(set(detected_in.values())):
                     seen.add("same step")
@@ -1168,7 +1163,7 @@ class TestRunSweep:
             assert started == ([] if workers is None else [workers])
             assert tasks == ([] if workers is None else [[(four, v) for v in four.variants]])
         # an empty grid has no run
-        for empty in (dict(variants=()), dict(fog_fractions=())):
+        for empty in (dict(variants=()), dict(fog_fractions=()), dict(seeds=())):
             for jobs in (0, 2):
                 assert run_sweep(dataclasses.replace(four, **empty), jobs) == []
 
