@@ -121,24 +121,29 @@ class PointCloud:
 class RevolutionSetup(NamedTuple):
     """Everything about one revolution that does not depend on the moving boxes.
 
-    Per pulse: firing angle, segment index, the fog-limited max range under
-    each fog given to revolution_setup (max_ranges is (F, n), row f for fog
-    f), and the cast of the scene's static layer at any range
-    (static_ranges and static_ids, nan and -1 where it misses), the layer
-    each frame's cast_edges starts from. cos, sin, key and order are
-    scene.ray_fan of the angles, which every cast of them reuses; key and
-    order hold 2n entries. in_roi is roi.contains_many(angles) for the RoI
-    given to revolution_setup, all false without one; metrics.roi_densities
-    counts it. Only max_ranges depends on the fog; the rest depends on the
-    plan, the static boxes and the RoI, so a sweep computes a setup once per
-    gaze state of a variant, for all of its fogs, and reuses it, through
-    scan_frames, every frame of every run. The arrays are read-only because
-    they are shared between frames.
+    Per pulse: firing angle, segment index, and the cast of the scene's
+    static layer at any range (static_ranges and static_ids, nan and -1
+    where it misses), the layer each frame's cast_edges starts from. cos,
+    sin, key and order are scene.ray_fan of the angles, which every cast of
+    them reuses; key and order hold 2n entries. in_roi is
+    roi.contains_many(angles) for the RoI given to revolution_setup, all
+    false without one.
+
+    The rest holds one row per fog given to revolution_setup, row f for fog
+    f, and is derived by with_limits: max_ranges (F, n), each pulse's
+    fog-limited max range; sigmas (F,), each fog's dropout coefficient;
+    static_hit (F, n), whether the static layer's hit lies within the max
+    range; survival (F, n), the chance exp(range * -sigma) that such a hit
+    survives dropout, 0 where there is none; and roi_hits (F,), the static
+    hits inside the RoI. A frame's counts are these static counts, corrected
+    only where a mover reaches a pulse. None of it depends on a frame, so a
+    sweep computes a setup once per gaze state of a variant, for all of its
+    fogs, and reuses it, through scan_frames, every frame of every run. The
+    arrays are read-only because they are shared between frames.
     """
 
     angles: np.ndarray
     seg_idx: np.ndarray
-    max_ranges: np.ndarray
     static_ranges: np.ndarray
     static_ids: np.ndarray
     cos: np.ndarray
@@ -146,11 +151,35 @@ class RevolutionSetup(NamedTuple):
     key: np.ndarray
     order: np.ndarray
     in_roi: np.ndarray
+    max_ranges: np.ndarray | None = None
+    sigmas: np.ndarray | None = None
+    static_hit: np.ndarray | None = None
+    survival: np.ndarray | None = None
+    roi_hits: np.ndarray | None = None
+
+
+def with_limits(setup: RevolutionSetup, max_ranges: np.ndarray,
+                sigmas: np.ndarray) -> RevolutionSetup:
+    """setup with its fog rows set from max_ranges (F, n) and sigmas (F,), all read-only.
+
+    A static hit counts where its range is at most the max range of its
+    pulse, so a nan limit misses, and survives dropout with probability
+    exp(range * -sigma): a uniform draw below it keeps the hit.
+    """
+    static_hit = setup.static_ranges <= max_ranges   # a miss's nan compares false
+    survival = np.exp(np.where(static_hit, setup.static_ranges, 0.0) * -sigmas[:, None])
+    survival[~static_hit] = 0.0   # a draw in [0, 1) is never below 0
+    limited = setup._replace(max_ranges=max_ranges, sigmas=sigmas, static_hit=static_hit,
+                             survival=survival,
+                             roi_hits=np.count_nonzero(static_hit & setup.in_roi, axis=1))
+    for array in limited:
+        array.flags.writeable = False
+    return limited
 
 
 def revolution_setup(plan: ScanPlan, fogs: Sequence[FogCondition], cal: SensorCalibration,
                      static_scene: Scene, roi: ArcSet = ArcSet.empty()) -> RevolutionSetup:
-    """Pulse directions, each pulse's effective range per fog, the static cast and the RoI flags.
+    """Pulse directions, the static cast, the RoI flags and each fog's rows of them.
 
     max_ranges gets one row per fog of `fogs`, and effective_range runs once
     per fog and distinct segment power. The boxes of static_scene are cast
@@ -165,80 +194,115 @@ def revolution_setup(plan: ScanPlan, fogs: Sequence[FogCondition], cal: SensorCa
     fan = ray_fan(angles)
     static_ranges, static_ids = cast_rays(static_scene, static_scene.ego_position,
                                           angles, math.inf, fan)
-    setup = RevolutionSetup(angles, seg_idx, max_ranges, static_ranges, static_ids, *fan,
+    setup = RevolutionSetup(angles, seg_idx, static_ranges, static_ids, *fan,
                             roi.contains_many(angles))
-    for array in setup:
-        array.flags.writeable = False
-    return setup
+    return with_limits(setup, max_ranges, np.array([fog.sigma for fog in fogs]))
 
 
 class FrameRun(NamedTuple):
-    """One run's block of a scan_frames call: the row of setup.max_ranges that
-    limits its pulses, its dropout coefficient and its generator. A run with
-    sigma 0 draws nothing, and its rng may be None."""
+    """One run's block of a scan_frames call: the fog row of the setup that
+    limits its pulses, whether fog dropout is on, and its generator. A run
+    draws only with dropout on and a positive sigma in its row; then it
+    needs an rng, else it may be None."""
 
     row: int
-    sigma: float = 0.0
+    dropout: bool = False
     rng: np.random.Generator | None = None
 
 
-def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
-                runs: list[FrameRun]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K revolutions under one setup, each over its own frame of edges, in one pass.
-
-    edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
-    the obstacle id of each of the E rows. Each frame's cast starts from
-    the setup's static cast. The K frames are S runs' equal blocks of
-    frames, one FrameRun of the list `runs` each: a hit counts where its range is at most the
-    max range of its pulse in the run's row, and with sigma > 0 it survives
-    with probability exp(-sigma r), against one uniform per pulse in frame
-    order. A run draws its block's uniforms at once, the stream its
-    one-frame calls would draw. Returns (ranges, hit_ids, hit) as (K, n)
-    arrays: ranges and hit_ids of the cast at any range, nan and -1 on a
-    miss, and hit marking the hits within range that survive.
-    """
-    drawing = [s for s, run in enumerate(runs) if run.sigma > 0.0]
+def _drawing(setup: RevolutionSetup, runs: list[FrameRun]) -> list[int]:
+    """Indices of the runs that draw dropout uniforms; ValueError if one lacks an rng."""
+    drawing = [s for s, run in enumerate(runs) if run.dropout and setup.sigmas[run.row] > 0.0]
     if any(runs[s].rng is None for s in drawing):
         raise ValueError("dropout requires an rng")
+    return drawing
+
+
+def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
+                target_id: int, runs: list[FrameRun]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame return counts of K revolutions under one setup, each over its own frame of edges.
+
+    edges and edge_ids are as cast_edges takes them: a (K, E, 4) array and
+    the obstacle id of each of the E rows. The K frames are S runs' equal
+    blocks of k frames, one FrameRun of the list `runs` each. A pulse
+    returns where the nearest hit over the setup's static layer and the
+    frame's edges lies within the max range of its pulse in the run's row,
+    and, for a run that draws, survives dropout: with probability
+    exp(-sigma r), against one uniform per pulse in frame order. A drawing
+    run draws its block's k * n uniforms at once, in run order, the stream
+    its one-frame calls would draw. Returns (targets, rois), (S, k) arrays:
+    each frame's returns off obstacle target_id and inside the setup's RoI.
+
+    Each frame starts from the setup's static counts of the run's row, or,
+    for a drawing run, from its uniforms compared with the row's survival.
+    cast_edges gives the few slots where a mover reaches a pulse at or
+    nearer than the static layer; only there is a static return taken away
+    and the mover's put in its place.
+    """
+    drawing = _drawing(setup, runs)
+    n = setup.angles.shape[0]
+    k = edges.shape[0] // len(runs)
+    rows = np.array([run.row for run in runs], dtype=np.intp)
+    on_target = setup.static_ids == target_id
+    targets = np.repeat(np.count_nonzero(setup.static_hit & on_target, axis=1)[rows], k)
+    rois = np.repeat(setup.roi_hits[rows], k)
+    targets, rois = targets.reshape(len(runs), k), rois.reshape(len(runs), k)
+
     fan = (setup.cos, setup.sin, setup.key, setup.order)
-    ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan,
-                                 (setup.static_ranges, setup.static_ids))
-    blocks = ranges.reshape(len(runs), -1, ranges.shape[1])
-    # a miss's nan range compares false
-    hit = blocks <= setup.max_ranges[[run.row for run in runs]][:, None]
+    slots, ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan,
+                                        (setup.static_ranges, setup.static_ids))
+    frame, ray = np.divmod(slots, n)
+    run = frame // k
+    row = rows[run]
+    was = setup.static_hit[row, ray]
+    now = ranges <= setup.max_ranges[row, ray]
     if drawing:
-        # a view when every run draws, else a copy of the drawing runs' blocks
-        part = slice(None) if len(drawing) == len(runs) else drawing
-        survival = np.where(hit[part], blocks[part], 0.0)
-        survival *= np.array([-runs[s].sigma for s in drawing])[:, None, None]
-        np.exp(survival, out=survival)
-        draws = np.empty(survival.shape)
+        draws = np.empty((len(drawing), k, n))
         for s, block in zip(drawing, draws):
             runs[s].rng.random(out=block)
-        hit[part] &= draws < survival
-    return ranges, hit_ids, hit.reshape(ranges.shape)
+        survival = setup.survival[rows[drawing]][:, None]
+        rois[drawing] = np.count_nonzero(draws < survival * setup.in_roi, axis=-1)
+        if on_target.any():
+            targets[drawing] = np.count_nonzero(draws < survival * on_target, axis=-1)
+        # each slot's uniform, at its frame and ray of its run's block of draws
+        block = np.full(len(runs), -1)
+        block[drawing] = np.arange(len(drawing))
+        drawn = block[run] >= 0
+        draw = draws.reshape(-1)[slots[drawn] + (block[run[drawn]] - run[drawn]) * (k * n)]
+        drawn_row, drawn_ray = row[drawn], ray[drawn]
+        was[drawn] = draw < setup.survival[drawn_row, drawn_ray]
+        now[drawn] &= draw < np.exp(ranges[drawn] * -setup.sigmas[drawn_row])
+    # take each slot's static return away and put the mover's in its place
+    in_roi = setup.in_roi[ray]
+    frames = len(runs) * k
+    for counts, gained, lost in ((targets, now & (hit_ids == target_id), was & on_target[ray]),
+                                 (rois, now & in_roi, was & in_roi)):
+        counts += (np.bincount(frame[gained], minlength=frames)
+                   - np.bincount(frame[lost], minlength=frames)).reshape(counts.shape)
+    return targets, rois
 
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
                     cal: SensorCalibration, start_time: float,
                     dropout: bool = False, rng=None) -> PointCloud:
-    """Sweep one revolution over a frozen scene: a one-frame scan_frames.
+    """Sweep one revolution over a frozen scene: the static layer of its setup.
 
     Every box stands still for the revolution, so the whole scene is the
-    setup's static layer and the frame itself has no edges. Each pulse is
-    range-limited by the effective range of its segment's emitted power
-    under the given fog. With dropout enabled, a hit survives with
+    setup's static layer and no pulse needs a frame of moving edges. Each
+    pulse is range-limited by the effective range of its segment's emitted
+    power under the given fog. With dropout enabled, a hit survives with
     probability exp(-sigma r); one uniform is drawn per pulse so the draw
-    order does not depend on the hit pattern.
+    order does not depend on the hit pattern, the draws a one-frame
+    scan_frames makes.
     """
     setup = revolution_setup(plan, (fog,), cal, scene)
-    ranges, hit_ids, hit = (rows[0] for rows in scan_frames(
-        np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position, setup,
-        [FrameRun(0, fog.sigma if dropout else 0.0, rng)]))
+    hit = setup.static_hit[0]
+    if _drawing(setup, [FrameRun(0, dropout, rng)]):
+        hit = rng.random(hit.shape[0]) < setup.survival[0]
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
-    returns["range_m"] = ranges[hit]
-    returns["hit_id"] = hit_ids[hit]
+    returns["range_m"] = setup.static_ranges[hit]
+    returns["hit_id"] = setup.static_ids[hit]
     counts = np.bincount(setup.seg_idx, minlength=len(plan.segments)).tolist()
     return PointCloud(start_time, returns, len(setup.angles),
                       {(seg.start, seg.end): count for seg, count in zip(plan.segments, counts)})

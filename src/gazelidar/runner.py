@@ -29,7 +29,7 @@ from .lidar import FrameRun, revolution_setup, scan_frames, scan_revolution
 from .metrics import SAMPLE_DTYPE, density, detect, first_detection, roi_densities
 from .policy import (P_MAX_RATIO, DegeneratePartitionError, PolicyError, VariantConfig,
                      build_scan_plan, revolution_period)
-from .scene import ObstacleBox, Scene, Vec2, advance, edges_at
+from .scene import MAX_OFFSET, ObstacleBox, Scene, Vec2, advance, edges_at
 
 TAU = math.tau
 
@@ -85,7 +85,8 @@ class RunRecord:
     # to any output file.
     frames_cast: int
     failure_reason: str | None
-    # The time of the loop that simulated this run, split evenly over the runs it stepped.
+    # The time of the loop that simulated this run, split over the runs it stepped
+    # in proportion to their frames_cast, evenly if none cast a frame.
     wall_time: float
     # Seed of the simulated record this one copies; None if simulated itself.
     reused_from: int | None = None
@@ -274,8 +275,9 @@ def load_run_config(path) -> RunConfig:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
         raise ConfigError(f"{scenario.name}: {exc}") from exc
-    if problem := _jitter_problem(scene, spawn_jitter):
-        raise ConfigError(f"{raw.prefix}spawn_jitter_m: {problem}")
+    if problem := _reach_problem(obstacles, ego, spawn_jitter, max_sim_time,
+                                 "scenario.obstacles"):
+        raise ConfigError(f"{raw.prefix}{problem}")
 
     return RunConfig(
         scene=scene,
@@ -297,14 +299,44 @@ def load_run_config(path) -> RunConfig:
     )
 
 
-def _jitter_problem(scene: Scene, jitter: float) -> str | None:
-    """Why runs on `scene` cannot draw a spawn jitter of `jitter` m, or None: a run draws
-    from U(-jitter, jitter) and moves each mover's start that far along its heading."""
-    ends = [c - d * u for o in scene.obstacles if o.speed > 0.0 for d in (-jitter, jitter)
-            for c, u in ((o.center.x, math.cos(o.heading)), (o.center.y, math.sin(o.heading)))]
-    if not all(map(math.isfinite, [2.0 * jitter, *ends])):
-        return f"{jitter!r} makes the draw range or a jittered start not finite"
-    return None if jitter >= 0.0 else f"{jitter!r} is not at least 0"
+def _reach_problem(boxes, ego: Vec2, jitter: float, end: float, field: str) -> str | None:
+    """Why runs cannot cast `boxes` with this spawn jitter up to time `end`, or None.
+
+    Every vertex must stay within MAX_OFFSET of the ego on both axes, at any
+    time of a run and for any jitter a run draws from U(-jitter, jitter),
+    which moves a mover's start that far back along its heading. Vertices
+    move linearly, so the rule is checked at t = 0 and t = end, with a
+    mover's start shifted by -jitter and +jitter. The first box that breaks
+    it is named `field`[i]; the problem is put on spawn_jitter_m when only
+    the jitter takes the box out.
+    """
+    if not jitter >= 0.0:
+        return f"spawn_jitter_m: {jitter!r} is not at least 0"
+    beyond = f"more than {MAX_OFFSET:g} m from the ego on an axis"
+    for i, box in enumerate(boxes):
+        ux, uy = math.cos(box.heading), math.sin(box.heading)
+        # a vertex lies at most this far from the center on each axis
+        reach_x = box.half_length * abs(ux) + box.half_width * abs(uy)
+        reach_y = box.half_length * abs(uy) + box.half_width * abs(ux)
+        x, y = box.center.x - ego.x, box.center.y - ego.y
+        # each test is written so that a nan offset fails it
+        if box.speed == 0.0:
+            if not (abs(x) + reach_x <= MAX_OFFSET and abs(y) + reach_y <= MAX_OFFSET):
+                return f"{field}[{i}]: a vertex lies {beyond}"
+            continue
+
+        def inside(shifts) -> bool:
+            return all(abs(x + d * ux) + reach_x <= MAX_OFFSET
+                       and abs(y + d * uy) + reach_y <= MAX_OFFSET for d in shifts)
+        travel = (0.0, end * box.speed)
+        moved = f"at t = 0 or at max_sim_time_s {end:g}"
+        if not inside(travel):
+            if jitter > 0.0:
+                moved += f", before spawn_jitter_m {jitter!r} moves its start"
+            return f"{field}[{i}]: a vertex lies {beyond} {moved}"
+        if not inside([d + shift for d in travel for shift in (-jitter, jitter)]):
+            return f"spawn_jitter_m: {jitter!r} moves a vertex of {field}[{i}] {beyond} {moved}"
+    return None
 
 
 def _scan_plan(config: RunConfig, variant: VariantConfig, gaze_state):
@@ -379,8 +411,9 @@ def validate_run_config(config: RunConfig) -> list[str]:
             elif rx * ux + ry * uy <= 0.0:
                 problems.append("target moves away from the conflict point")
 
-    if problem := _jitter_problem(scene, config.spawn_jitter_m):
-        problems.append(f"spawn_jitter_m: {problem}")
+    if problem := _reach_problem(scene.obstacles, scene.ego_position, config.spawn_jitter_m,
+                                 config.max_sim_time, "scenario.obstacles"):
+        problems.append(problem)
 
     for axis in ("seeds", "fog_fractions"):
         values = getattr(config, axis)
@@ -427,19 +460,15 @@ def _spawn_starts(movers, rngs, jitter: float) -> np.ndarray:
     return centers - shifts[..., None] * headings
 
 
-def _dropout_sigma(config: RunConfig, fog_fraction: float) -> float:
-    """The dropout coefficient that scan_frames gives a run at this fog level:
-    its fog's sigma with fog_dropout on, else 0. Only a positive one draws."""
-    return fog_from_fraction(fog_fraction, config.kappa).sigma if config.dropout else 0.0
-
-
 def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
     """Whether a run at this fog level draws from its seed's generator.
 
-    Reads the rules of the two draw sites: spawn jitter in _spawn_starts and
-    fog dropout at _dropout_sigma. When false, the seed cannot change a record.
+    Reads the rules of the two draw sites: spawn jitter in _spawn_starts, and
+    fog dropout in lidar.scan_frames, which draws with fog_dropout on and a
+    positive sigma in the run's fog. When false, the seed cannot change a record.
     """
-    return config.spawn_jitter_m > 0.0 or _dropout_sigma(config, fog_fraction) > 0.0
+    return config.spawn_jitter_m > 0.0 or (
+        config.dropout and fog_from_fraction(fog_fraction, config.kappa).sigma > 0.0)
 
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
@@ -483,8 +512,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     heading = math.cos(target.heading), math.sin(target.heading)
     rngs = [np.random.default_rng(seed) for _, seed in runs]
     rows = [fractions.index(fraction) for fraction, _ in runs]
-    frame_runs = [FrameRun(row, _dropout_sigma(config, fraction), rng)
-                  for row, (fraction, _), rng in zip(rows, runs, rngs)]
+    frame_runs = [FrameRun(row, config.dropout, rng) for row, rng in zip(rows, rngs)]
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
     empty = np.empty(0, SAMPLE_DTYPE)
     samples = [[] for _ in runs]
@@ -511,12 +539,10 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
                 times = np.arange(frame, stop) / config.frame_rate
                 for first in range(0, len(live), group):
                     members = live[first:first + group]
-                    _, hit_ids, hit = scan_frames(*edges_at(movers, times, starts[members]), ego,
-                                                  setup, [frame_runs[i] for i in members])
-                    stack = (len(members), len(times), n)
-                    hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
-                    firsts = first_detection(hit_ids, hit, target_id, config.min_points)
-                    densities = roi_densities(hit, setup.in_roi, roi)
+                    targets, rois = scan_frames(*edges_at(movers, times, starts[members]), ego,
+                                                setup, target_id, [frame_runs[i] for i in members])
+                    firsts = first_detection(targets, config.min_points)
+                    densities = roi_densities(rois, roi)
                     for i, at, run_samples in zip(members, firsts, densities):
                         frames_cast[i] += len(times)
                         samples[i].append(run_samples[:len(times) if at is None else at + 1])
@@ -531,9 +557,11 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     except PolicyError as exc:
         failure = str(exc)
 
-    wall_time = (time.perf_counter() - t_start) / len(runs)
+    elapsed = time.perf_counter() - t_start
+    cast = sum(frames_cast)
     records = []
     for i, (fraction, seed) in enumerate(runs):
+        wall_time = elapsed * frames_cast[i] / cast if cast else elapsed / len(runs)
         if failure is not None and i in live:
             records.append(RunRecord(variant, fraction, seed, None, empty,
                                      frames_cast[i], failure, wall_time))

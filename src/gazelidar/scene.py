@@ -23,6 +23,11 @@ NEAR_PI = 1e-3
 # Likewise when the sensor sits this close to an edge end, relative to the
 # end distances, and that end's bearing is mostly rounding.
 NEAR_END = 1e-8
+# The farthest a box vertex may lie from the sensor on either axis, in m. An
+# edge then spans at most twice that, so the products of coordinate
+# differences that the caster forms, and their differences, stay below
+# 4 * MAX_OFFSET**2, far inside the doubles.
+MAX_OFFSET = 1e150
 
 
 @dataclass(frozen=True)
@@ -186,21 +191,24 @@ def _candidate_pairs(key: np.ndarray, order: np.ndarray, wx: np.ndarray, wy: np.
 
 
 def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple,
-               base: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest hit of every ray of the fan in each of K frames of edges, at any range.
+               base: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where K frames of edges change a base layer: the (frame, ray) slots an edge reaches.
 
     edges is a (K, E, 4) array of px, py, qx, qy rows, in the same order in
-    every frame, and edge_ids the (E,) obstacle id of each row, as
-    edges_at gives them. `fan` is ray_fan of the rays' angles. Every frame
-    starts from the layer base = (ranges, ids), (n,) int64 ids and ranges
-    of a cast, nan and -1 where it misses. Returns (ranges, hit_ids) as
-    (K, n) arrays, nan and -1 on a miss. Only the (ray, edge) pairs that
-    _candidate_pairs keeps are solved, all K frames in one pass; each
-    (frame, ray) takes the nearest range over the base and its edges, then
-    the smallest obstacle id at that range. There is no range limit: a
-    caller keeps a hit where its range is at most the ray's max range, which
-    is what limiting every layer and edge gives, since the nearest hit within
-    a limit is the unlimited nearest if that lies within it, else none.
+    every frame, and edge_ids the (E,) obstacle id of each row, as edges_at
+    gives them. `fan` is ray_fan of the n rays' angles. Every frame starts
+    from the layer base = (ranges, ids), (n,) ranges and int64 ids of a
+    cast, nan and -1 where it misses. Only the (ray, edge) pairs that
+    _candidate_pairs keeps are solved, all K frames in one pass. Returns
+    (slots, ranges, hit_ids) for the slots, frame * n + ray in ascending
+    order, where some edge hits at or nearer than the base: the nearest
+    range there, and the smallest obstacle id at that range, ids compared
+    as uint64 and the base's included on a tie; edge ids are at least 0.
+    Every other slot keeps the base's range and id. There is no range
+    limit: a caller keeps a hit where its range is at most the ray's max
+    range, which is what limiting every layer and edge gives, since the
+    nearest hit within a limit is the unlimited nearest if that lies within
+    it, else none.
     """
     cos, sin, key, order = fan
     frames, m = edges.shape[:2]
@@ -213,30 +221,39 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
     wy = edges[:, 1] - origin.y
     ray, edge = _candidate_pairs(key, order, wx, wy, ex, ey)
 
-    # ray-parameter solve of ray o + t d against edge p + u e
+    # ray-parameter solve of ray o + t d against edge p + u e; a hit beyond the
+    # base's range cannot change its slot
     dx = cos[ray]
     dy = sin[ray]
     denom = dx * ey[edge] - dy * ex[edge]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (wx * ey - wy * ex)[edge] / denom
         u = (dy * wx[edge] - dx * wy[edge]) / denom
-    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0)
-    ray, edge, t = ray[valid], edge[valid], t[valid]
-    # ids compare as uint64, where a miss's -1 is the largest value; the
-    # base's id stays only where no edge of its frame is strictly nearer
-    frame, edge = np.divmod(edge, m)
-    slot = frame * n + ray
     base_near = np.where(np.isnan(base_ranges), np.inf, base_ranges)
-    nearest = np.tile(base_near, frames)
-    np.minimum.at(nearest, slot, t)
-    hit_ids = np.tile(base_ids, frames)
-    at_slot = nearest[slot]
-    hit_ids[slot[at_slot < base_near[ray]]] = -1
-    at_nearest = t == at_slot
-    np.minimum.at(hit_ids.view(np.uint64), slot[at_nearest],
-                  edge_ids[edge[at_nearest]].view(np.uint64))
-    nearest[hit_ids < 0] = np.nan
-    return nearest.reshape(frames, n), hit_ids.reshape(frames, n)
+    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= base_near[ray])
+    frame, edge = np.divmod(edge[valid], m)
+    pair_slots = frame * n + ray[valid]
+    t = t[valid]
+    # each slot's nearest range, then the smallest id at it; a scratch entry is
+    # written and read only at the slots of these pairs
+    size = frames * n
+    nearest = np.empty(size)
+    nearest[pair_slots] = np.inf
+    np.minimum.at(nearest, pair_slots, t)
+    at = t == nearest[pair_slots]
+    lowest = np.empty(size, dtype=np.int64)
+    lowest[pair_slots] = np.iinfo(np.int64).max
+    np.minimum.at(lowest, pair_slots[at], edge_ids[edge[at]])
+    touched = np.zeros(size, dtype=bool)
+    touched[pair_slots] = True
+    slots = np.flatnonzero(touched)
+    t, ids = nearest[slots], lowest[slots]
+    ray = slots % n
+    # a miss's -1, the largest id as uint64, never wins a tie
+    base_id = base_ids[ray]
+    tie = (t == base_near[ray]) & (base_id >= 0) & (base_id < ids)
+    ids[tie] = base_id[tie]
+    return slots, t, ids
 
 
 def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.ndarray,
@@ -246,17 +263,21 @@ def cast_rays(scene: Scene, origin: Vec2, angles: np.ndarray, max_ranges: np.nda
     Returns (ranges, hit_ids); misses carry range nan and id -1. A hit range
     lies in (0, max_range], and a nan max_range misses; exact range ties
     across obstacles resolve to the smaller obstacle id. A one-frame
-    cast_edges from an all-miss layer, clipped to max_ranges; `fan` must be
-    ray_fan(angles) when given.
+    cast_edges from an all-miss layer, its slots written into one dense
+    frame and clipped to max_ranges; `fan` must be ray_fan(angles) when given.
     """
     angles = np.asarray(angles, dtype=np.float64)
     max_ranges = np.asarray(max_ranges, dtype=np.float64)
     if np.any(max_ranges <= 0.0):
         raise ValueError("max_range must be positive")
-    miss = (np.full(angles.shape, np.nan), np.full(angles.shape, -1, dtype=np.int64))
-    ranges, hit_ids = cast_edges(*edges_at(scene, (0.0,)), origin,
-                                 ray_fan(angles) if fan is None else fan, miss)
-    beyond = ~(ranges[0] <= max_ranges)   # a miss's nan compares false too
-    ranges[0, beyond] = np.nan
-    hit_ids[0, beyond] = -1
-    return ranges[0], hit_ids[0]
+    ranges = np.full(angles.shape, np.nan)
+    hit_ids = np.full(angles.shape, -1, dtype=np.int64)
+    slots, slot_ranges, slot_ids = cast_edges(*edges_at(scene, (0.0,)), origin,
+                                              ray_fan(angles) if fan is None else fan,
+                                              (ranges, hit_ids))
+    ranges[slots] = slot_ranges
+    hit_ids[slots] = slot_ids
+    beyond = ~(ranges <= max_ranges)   # a miss's nan compares false too
+    ranges[beyond] = np.nan
+    hit_ids[beyond] = -1
+    return ranges, hit_ids

@@ -5,7 +5,9 @@ box edges from scalar vertex math instead of edges_at's arrays,
 line-line intersection via homogeneous determinants instead of the ray
 parameter solve, a scalar and a dense rays x edges ray-parameter solve
 instead of the bearing-culled one, fixed-point iteration instead of
-bisection, per-frame stepping instead of closed-form motion, stdlib
+bisection, a dense (K, n) cast and scan of every pulse of every frame
+instead of the slots the movers reach, per-frame stepping instead of
+closed-form motion, stdlib
 statistics instead of numpy percentiles, a linear scan instead of a
 search for the plan segment under a bearing, a trace lookup per frame
 instead of one frame bound per trace sample, and a run loop that rebuilds
@@ -32,7 +34,7 @@ from gazelidar.metrics import SAMPLE_DTYPE, density, detect
 from gazelidar.policy import build_scan_plan
 from gazelidar import __version__
 from gazelidar.runner import RunRecord, quartiles
-from gazelidar.scene import ObstacleBox, Scene, Vec2, advance
+from gazelidar.scene import ObstacleBox, Scene, Vec2, _candidate_pairs, advance
 
 
 class RayHit(NamedTuple):
@@ -159,6 +161,79 @@ def dense_cast_rays(scene: Scene, origin: Vec2, angles, max_ranges):
     out_r[hit] = best[hit]
     out_id[hit] = seg_ids[j[hit]]
     return out_r, out_id
+
+
+def dense_cast_edges(edges, edge_ids, origin: Vec2, fan, base):
+    """cast_edges as dense (K, n) frames: (ranges, hit_ids), nan and -1 on a miss.
+
+    The base layer is tiled over the K frames, every solved hit lowers its
+    slot's range with np.minimum.at, and the ids at each slot's nearest
+    range, the base's included, are reduced as uint64.
+    """
+    cos, sin, key, order = fan
+    frames, m = edges.shape[:2]
+    n = cos.shape[0]
+    base_ranges, base_ids = base
+    edges = edges.reshape(-1, 4)
+    ex = edges[:, 2] - edges[:, 0]
+    ey = edges[:, 3] - edges[:, 1]
+    wx = edges[:, 0] - origin.x
+    wy = edges[:, 1] - origin.y
+    ray, edge = _candidate_pairs(key, order, wx, wy, ex, ey)
+    dx = cos[ray]
+    dy = sin[ray]
+    denom = dx * ey[edge] - dy * ex[edge]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (wx * ey - wy * ex)[edge] / denom
+        u = (dy * wx[edge] - dx * wy[edge]) / denom
+    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0)
+    ray, edge, t = ray[valid], edge[valid], t[valid]
+    frame, edge = np.divmod(edge, m)
+    slot = frame * n + ray
+    base_near = np.where(np.isnan(base_ranges), np.inf, base_ranges)
+    nearest = np.tile(base_near, frames)
+    np.minimum.at(nearest, slot, t)
+    hit_ids = np.tile(base_ids, frames)
+    at_slot = nearest[slot]
+    hit_ids[slot[at_slot < base_near[ray]]] = -1
+    at_nearest = t == at_slot
+    np.minimum.at(hit_ids.view(np.uint64), slot[at_nearest],
+                  edge_ids[edge[at_nearest]].view(np.uint64))
+    nearest[hit_ids < 0] = np.nan
+    return nearest.reshape(frames, n), hit_ids.reshape(frames, n)
+
+
+def dense_scan_frames(edges, edge_ids, origin: Vec2, setup, runs):
+    """scan_frames per pulse: (ranges, hit_ids, hit), (K, n) arrays of every frame.
+
+    Each frame is dense_cast_edges over the setup's static layer; a hit
+    counts within the max range of its pulse in the run's row and, for a
+    run with dropout on and a positive sigma in that row, survives where its
+    uniform lies below exp(-sigma r), the sigma multiplied over every pulse
+    of the run's block, hit or not.
+    """
+    sigmas = [setup.sigmas[run.row] if run.dropout else 0.0 for run in runs]
+    drawing = [s for s, sigma in enumerate(sigmas) if sigma > 0.0]
+    if any(runs[s].rng is None for s in drawing):
+        raise ValueError("dropout requires an rng")
+    fan = (setup.cos, setup.sin, setup.key, setup.order)
+    ranges, hit_ids = dense_cast_edges(edges, edge_ids, origin, fan,
+                                       (setup.static_ranges, setup.static_ids))
+    blocks = ranges.reshape(len(runs), -1, ranges.shape[1])
+    hit = blocks <= setup.max_ranges[[run.row for run in runs]][:, None]
+    for s in drawing:
+        survival = np.exp(np.where(hit[s], blocks[s], 0.0) * -sigmas[s])
+        hit[s] &= runs[s].rng.random(survival.shape) < survival
+    return ranges, hit_ids, hit.reshape(ranges.shape)
+
+
+def dense_counts(edges, edge_ids, origin: Vec2, setup, target_id: int, runs):
+    """scan_frames's (targets, rois), each (S, k), counted over dense_scan_frames's pulses."""
+    _, hit_ids, hit = dense_scan_frames(edges, edge_ids, origin, setup, runs)
+    stack = (len(runs), -1, hit.shape[1])
+    hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
+    return (np.count_nonzero(hit & (hit_ids == target_id), axis=-1),
+            np.count_nonzero(hit & setup.in_roi, axis=-1))
 
 
 def segment_at(plan, angle: float):

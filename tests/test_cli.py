@@ -356,6 +356,32 @@ class TestRun:
         assert err.startswith("error: ") and "spawn_jitter_m" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("index, key, value", [
+        (2, "center", [1e308, 0.0]), (2, "half_length", 1e308), (1, "speed_mps", 1e308),
+        (0, "half_length", 1e300)], ids=["far-box", "long-box", "fast-mover", "long-target"])
+    def test_geometry_past_the_caster_bound_exits_without_running(self, tmp_path, capsys,
+                                                                  monkeypatch, index, key, value):
+        # each was accepted once, and the run overflowed numpy into nonsense results:
+        # obstacle 10's far center or length, obstacle 2's speed, the target's length
+        scenario = copy.deepcopy(DEFAULT_JSON["scenario"])
+        scenario["obstacles"][index][key] = value
+        config = _write_trimmed_config(tmp_path, scenario=scenario)
+        field = f"scenario.obstacles[{index}]: a vertex"
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        assert out.startswith("invalid: ") and field in out and "1e+150 m" in out
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("r_nominal", [1e-300, 1e-160], ids=["square-underflows",
                                                                  "constant-overflows"])
     def test_a_tiny_nominal_range_exits_with_one_line(self, tmp_path, capsys, monkeypatch,
@@ -378,11 +404,12 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_a_jitter_moves_no_static_box(self, tmp_path):
-        # a static box 1.75e308 out is no start the jitter moves
+        # a static box 9e149 m out is no start the jitter moves: shifted by it, the
+        # box would lie beyond the 1e150 m bound, while the movers stay inside it
         scenario = copy.deepcopy(DEFAULT_JSON["scenario"])
-        scenario["obstacles"][2]["center"][0] = -1.75e308
-        config = _write_trimmed_config(tmp_path, scenario=scenario, spawn_jitter_m=1e307)
-        assert load_run_config(config).spawn_jitter_m == 1e307
+        scenario["obstacles"][2]["center"][0] = -9e149
+        config = _write_trimmed_config(tmp_path, scenario=scenario, spawn_jitter_m=5e149)
+        assert load_run_config(config).spawn_jitter_m == 5e149
 
     @pytest.mark.parametrize("overrides", [
         {"frame_rate_hz": 1e-300}, {"pulse_rate_hz": 1e300}, {"frame_rate_hz": 1e-320},

@@ -6,17 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazelidar.atmosphere import FogCondition, SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, compute_rof, compute_roi
 from gazelidar.lidar import (RETURN_DTYPE, FrameRun, PointCloud, ScanPlan, ScanSegment,
-                             pulse_directions, revolution_setup, scan_frames, scan_revolution)
+                             pulse_directions, revolution_setup, scan_frames, scan_revolution,
+                             with_limits)
 from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, cast_rays, edges_at
 from helpers import EMPTY_SCENE, make_enclosing_scene, make_random_scene
-from oracles import dense_cast_rays, segment_at
+from oracles import dense_cast_rays, dense_counts, dense_scan_frames, segment_at
 
 TAU = math.tau
 CAL = SensorCalibration(1.0, 100.0)
@@ -241,29 +242,53 @@ def _dense_cloud(scene, setup):
     return _returns(setup.angles, ranges, ids, ids >= 0)
 
 
+def _counts(clouds, target_id, roi):
+    """One run's (targets, rois) rows of scan_frames, counted from each frame's cloud:
+    the returns off the target and those inside roi."""
+    return ([[int(np.count_nonzero(c.returns["hit_id"] == target_id)) for c in clouds]],
+            [[int(np.count_nonzero(roi.contains_many(c.returns["angle"]))) for c in clouds]])
+
+
+def _targets(scene):
+    """Every obstacle id of scene and the smallest id that none has."""
+    ids = [o.id for o in scene.obstacles]
+    return ids + [min(set(range(len(ids) + 1)) - set(ids))]
+
+
+def _listed(counts):
+    return [c.tolist() for c in counts]
+
+
+ROI = compute_roi(compute_rof(GazeState(THETA, 0.5), AcuityFunction.boxcar(math.radians(30.0))))
+
+
 class TestLayeredCast:
-    """A static layer cast once in revolution_setup, merged by scan_frames with
-    a cast of the movers each frame, equals one cast of the whole scene."""
+    """A static layer cast once in revolution_setup, corrected by scan_frames
+    where the movers reach a pulse, counts what one cast of the whole scene returns."""
 
     PLAN = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
     FOG = FogCondition(0.25, 0.0025)
 
     def _check(self, scene, times=(0.0,)):
-        """Each frame of the layered scan_frames of scene equals scan_revolution
-        and the dense cast of advance(scene, t); returns the returns per frame."""
+        """Each frame's counts from scan_frames, for every obstacle id and one that
+        none has, equal those of scan_revolution of advance(scene, t), whose
+        returns equal the dense oracles'; returns the returns per frame."""
         static, movers = _layers(scene)
-        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static, ROI)
         assert not any(a.flags.writeable for a in setup)
-        chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup, [FrameRun(0)])
-        frames = []
-        for t, rows in zip(times, zip(*chunk)):
-            returns = _returns(setup.angles, *rows)
+        edges = edges_at(movers, times)
+        dense = dense_scan_frames(*edges, movers.ego_position, setup, [FrameRun(0)])
+        clouds = []
+        for t, rows in zip(times, zip(*dense)):
             whole = advance(scene, t)
-            assert np.array_equal(returns, scan_revolution(whole, self.PLAN, self.FOG, CAL,
-                                                           t).returns)
-            assert np.array_equal(returns, _dense_cloud(whole, setup))
-            frames.append(returns)
-        return frames
+            cloud = scan_revolution(whole, self.PLAN, self.FOG, CAL, t)
+            assert np.array_equal(_returns(setup.angles, *rows), cloud.returns)
+            assert np.array_equal(cloud.returns, _dense_cloud(whole, setup))
+            clouds.append(cloud)
+        for target in _targets(scene):
+            counts = scan_frames(*edges, movers.ego_position, setup, target, [FrameRun(0)])
+            assert _listed(counts) == list(_counts(clouds, target, ROI))
+        return [cloud.returns for cloud in clouds]
 
     def test_random_static_mover_mixes(self):
         rng = np.random.default_rng(21)
@@ -282,14 +307,17 @@ class TestLayeredCast:
                       for i, o in enumerate(scene.obstacles))
         scene = dataclasses.replace(scene, obstacles=boxes)
         static, movers = _layers(scene)
-        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static, ROI)
         for seed in range(5):
-            layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
-                                  [FrameRun(0, self.FOG.sigma, np.random.default_rng(seed))])
+            whole_rng = np.random.default_rng(seed)
             whole = scan_revolution(advance(scene, 0.5), self.PLAN, self.FOG, CAL, 0.5,
-                                    dropout=True, rng=np.random.default_rng(seed))
-            assert np.array_equal(_returns(setup.angles, *(rows[0] for rows in layered)),
-                                  whole.returns)
+                                    dropout=True, rng=whole_rng)
+            for target in _targets(scene):
+                layered_rng = np.random.default_rng(seed)
+                layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
+                                      target, [FrameRun(0, True, layered_rng)])
+                assert _listed(layered) == list(_counts([whole], target, ROI))
+                assert layered_rng.bit_generator.state == whole_rng.bit_generator.state
 
     @pytest.mark.parametrize("static_id, mover_id",
                              [(3, 7), (7, 3), (0, 2**63 - 1), (2**63 - 1, 0)],
@@ -334,6 +362,7 @@ class TestLayeredCast:
         setup = revolution_setup(self.PLAN, (self.FOG,), CAL, _layers(scene)[0])
         assert np.all(setup.static_ids == -1) and np.all(np.isnan(setup.static_ranges))
         assert setup.static_ids.shape == setup.angles.shape
+        assert not setup.static_hit.any() and not setup.survival.any()
         assert len(self._check(scene, (1.5,))[0]) > 0
 
     def test_no_movers(self):
@@ -359,7 +388,12 @@ class TestDropout:
                                  (FogCondition(0.5, 0.005),), CAL, scene)
         with pytest.raises(ValueError, match="rng"):
             scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position,
-                        setup, [FrameRun(0, 0.005)])
+                        setup, 1, [FrameRun(0, True)])
+        # without dropout the run draws nothing and needs no rng
+        targets, rois = scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64),
+                                    scene.ego_position, setup, 1, [FrameRun(0)])
+        assert targets.tolist() == [[int(np.count_nonzero(setup.static_hit[0]
+                                                          & (setup.static_ids == 1)))]] != [[0]]
 
     def test_clear_air_needs_no_rng_and_drops_nothing(self):
         scene = make_enclosing_scene()
@@ -442,18 +476,16 @@ class TestScanFrames:
                           if i % 2 else o for i, o in enumerate(scene.obstacles))
             scene = dataclasses.replace(scene, obstacles=boxes)
             static, movers = _layers(scene)
-            setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
+            setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static, ROI)
             times = [0.0, 0.05, 0.1, 0.15, 1.0]
-            chunk = scan_frames(*edges_at(movers, times), movers.ego_position,
-                                setup, [FrameRun(0, self.FOG.sigma, np.random.default_rng(seed))])
-            ranges, hit_ids, hit = chunk
-            one_by_one = np.random.default_rng(seed)
-            for k, t in enumerate(times):
-                cloud = scan_revolution(advance(scene, t), self.PLAN, self.FOG, CAL, t,
-                                        dropout=True, rng=one_by_one)
-                assert np.array_equal(cloud.returns["angle"], setup.angles[hit[k]])
-                assert np.array_equal(cloud.returns["range_m"], ranges[k][hit[k]])
-                assert np.array_equal(cloud.returns["hit_id"], hit_ids[k][hit[k]])
+            for target in _targets(scene):
+                chunk_rng, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+                chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup, target,
+                                    [FrameRun(0, True, chunk_rng)])
+                clouds = [scan_revolution(advance(scene, t), self.PLAN, self.FOG, CAL, t,
+                                          dropout=True, rng=one_by_one) for t in times]
+                assert _listed(chunk) == list(_counts(clouds, target, ROI))
+                assert chunk_rng.bit_generator.state == one_by_one.bit_generator.state
 
     def test_stacked_runs_draw_from_their_own_generators(self):
         # S runs of K frames each in one call equal S one-run calls, draw for draw
@@ -462,21 +494,23 @@ class TestScanFrames:
         boxes = tuple(dataclasses.replace(o, speed=float(rng.uniform(2.0, 15.0)))
                       if i % 2 else o for i, o in enumerate(scene.obstacles))
         static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
-        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static, ROI)
         times = [0.0, 0.05, 0.1]
         seeds = [5, 6, 7]
+        target = movers.obstacles[0].id
         centers = np.array([[(o.center.x + shift, o.center.y) for o in movers.obstacles]
                             for shift in (0.0, -2.5, 1.0)])
-        stacked = scan_frames(*edges_at(movers, times, centers), movers.ego_position, setup,
-                              [FrameRun(0, self.FOG.sigma, np.random.default_rng(s))
-                               for s in seeds])
+        edges = edges_at(movers, times, centers)
+        stacked = scan_frames(*edges, movers.ego_position, setup, target,
+                              [FrameRun(0, True, np.random.default_rng(s)) for s in seeds])
         for s, seed in enumerate(seeds):
             own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
-                              setup, [FrameRun(0, self.FOG.sigma, np.random.default_rng(seed))])
-            rows = slice(s * len(times), (s + 1) * len(times))
+                              setup, target, [FrameRun(0, True, np.random.default_rng(seed))])
             for whole, part in zip(stacked, own):
-                assert np.array_equal(whole[rows], part, equal_nan=True)
-        assert 0 < np.count_nonzero(stacked[2]) < np.count_nonzero(stacked[1] >= 0)
+                assert whole.shape == (3, len(times)) and np.array_equal(whole[s:s + 1], part)
+        # dropout thins what the same runs return without it
+        kept = scan_frames(*edges, movers.ego_position, setup, target, [FrameRun(0)] * 3)
+        assert 0 < stacked[1].sum() < kept[1].sum() and np.all(stacked[1] <= kept[1])
 
     def test_one_setup_serves_every_fog(self):
         rng = np.random.default_rng(45)
@@ -485,58 +519,69 @@ class TestScanFrames:
                       if i % 2 else o for i, o in enumerate(scene.obstacles))
         static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
         fogs = (CLEAR, FogCondition(0.25, 0.0025), self.FOG)
-        setup = revolution_setup(self.PLAN, fogs, CAL, static)
-        assert setup.max_ranges.shape == (3, len(setup.angles))
-        singles = [revolution_setup(self.PLAN, (fog,), CAL, static) for fog in fogs]
-        for row, single in zip(setup.max_ranges, singles):
-            # row f is fog f's ranges; nothing else depends on the fog
-            assert np.array_equal(row, single.max_ranges[0])
+        setup = revolution_setup(self.PLAN, fogs, CAL, static, ROI)
+        n = len(setup.angles)
+        assert setup.max_ranges.shape == setup.static_hit.shape == setup.survival.shape == (3, n)
+        assert setup.sigmas.tolist() == [fog.sigma for fog in fogs]
+        assert setup.roi_hits.tolist() == np.count_nonzero(
+            setup.static_hit & setup.in_roi, axis=1).tolist()
+        singles = [revolution_setup(self.PLAN, (fog,), CAL, static, ROI) for fog in fogs]
+        fog_rows = ("max_ranges", "sigmas", "static_hit", "survival", "roi_hits")
+        for row, single in enumerate(singles):
+            # row f is fog f's; nothing else depends on the fog
             for name, array in setup._asdict().items():
-                if name != "max_ranges":
+                if name in fog_rows:
+                    assert np.array_equal(array[row], getattr(single, name)[0])
+                else:
                     assert np.array_equal(array, getattr(single, name), equal_nan=True)
         # runs at mixed fogs, drawing or not, in one call equal one-run calls
         # on one-fog setups, each from a fresh generator of its seed
         times = [0.0, 0.05, 0.1]
-        runs = [(2, self.FOG.sigma, 5), (0, 0.0, 6), (1, fogs[1].sigma, 5), (2, 0.0, 6)]
+        runs = [(2, True, 5), (0, False, 6), (1, True, 5), (2, False, 6)]
+        target = movers.obstacles[0].id
         centers = np.array([[(o.center.x + shift, o.center.y) for o in movers.obstacles]
                             for shift in (0.0, -2.5, 1.0, -2.5)])
         stacked = scan_frames(*edges_at(movers, times, centers), movers.ego_position, setup,
-                              [FrameRun(row, sigma, np.random.default_rng(seed))
-                               for row, sigma, seed in runs])
-        for s, (row, sigma, seed) in enumerate(runs):
+                              target, [FrameRun(row, dropout, np.random.default_rng(seed))
+                                       for row, dropout, seed in runs])
+        for s, (row, dropout, seed) in enumerate(runs):
             own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
-                              singles[row], [FrameRun(0, sigma, np.random.default_rng(seed))])
-            rows = slice(s * len(times), (s + 1) * len(times))
+                              singles[row], target,
+                              [FrameRun(0, dropout, np.random.default_rng(seed))])
             for whole, part in zip(stacked, own):
-                assert np.array_equal(whole[rows], part, equal_nan=True)
-        # runs 1 and 3 see the same frames; the thicker fog keeps a strict subset
-        clear, foggy = stacked[2][3:6], stacked[2][9:12]
-        assert np.array_equal(stacked[1][3:6], stacked[1][9:12])
-        assert not np.any(foggy & ~clear) and np.count_nonzero(foggy) < np.count_nonzero(clear)
+                assert np.array_equal(whole[s:s + 1], part)
+        # runs 1 and 3 see the same frames; the thicker fog returns fewer
+        clear, foggy = stacked[1][1], stacked[1][3]
+        assert np.all(foggy <= clear) and foggy.sum() < clear.sum()
 
     def test_a_hit_at_its_max_range_counts_and_a_nan_range_misses(self):
         rng = np.random.default_rng(47)
         scene = make_random_scene(rng, 8, 14)
         boxes = tuple(dataclasses.replace(o, speed=5.0) if i % 2 else o
                       for i, o in enumerate(scene.obstacles))
-        static, movers = _layers(dataclasses.replace(scene, obstacles=boxes))
-        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static)
+        scene = dataclasses.replace(scene, obstacles=boxes)
+        static, movers = _layers(scene)
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static, ROI)
         n = len(setup.angles)
         centers = np.array([[(o.center.x, o.center.y) for o in movers.obstacles]] * 3)
-        ranges, ids, _ = scan_frames(*edges_at(movers, (0.5,), centers[:1]), movers.ego_position,
-                                     setup._replace(max_ranges=np.full((1, n), np.inf)),
-                                     [FrameRun(0)])
+        ranges, ids, _ = dense_scan_frames(*edges_at(movers, (0.5,), centers[:1]),
+                                           movers.ego_position,
+                                           with_limits(setup, np.full((1, n), np.inf),
+                                                       np.zeros(1)), [FrameRun(0)])
         hits = ids[0] >= 0
         assert hits.any() and not hits.all()
+        assert np.isin(ids[0], [o.id for o in movers.obstacles]).any()
+        assert np.count_nonzero(hits & setup.in_roi) > 0
         # three runs of that frame: each pulse limited to its own hit range,
         # to one ulp below it, and to nan
         at_hit = np.where(hits, ranges[0], 1.0)
-        limits = np.stack((at_hit, np.nextafter(at_hit, 0.0), np.full(n, np.nan)))
-        _, _, hit = scan_frames(*edges_at(movers, (0.5,), centers), movers.ego_position,
-                                setup._replace(max_ranges=limits),
-                                [FrameRun(0), FrameRun(1), FrameRun(2)])
-        assert np.array_equal(hit[0], hits)
-        assert not hit[1].any() and not hit[2].any()
+        limited = with_limits(setup, np.stack((at_hit, np.nextafter(at_hit, 0.0),
+                                               np.full(n, np.nan))), np.zeros(3))
+        for target in _targets(scene):
+            targets, rois = scan_frames(*edges_at(movers, (0.5,), centers), movers.ego_position,
+                                        limited, target, [FrameRun(0), FrameRun(1), FrameRun(2)])
+            assert targets.tolist() == [[int(np.count_nonzero(ids[0] == target))], [0], [0]]
+            assert rois.tolist() == [[int(np.count_nonzero(hits & setup.in_roi))], [0], [0]]
 
     def test_setup_carries_the_per_ray_invariants(self):
         setup = revolution_setup(self.PLAN, (self.FOG,), CAL, EMPTY_SCENE)
@@ -549,6 +594,91 @@ class TestScanFrames:
         assert np.array_equal(setup.key[:n], np.mod(setup.angles, TAU)[setup.order[:n]])
         assert np.array_equal(setup.key[n:], setup.key[:n] + TAU)
         assert np.array_equal(setup.order, np.tile(setup.order[:n], 2))
+
+
+def _apart(box, other) -> bool:
+    """Whether no bearing from the origin meets both boxes: their centers' bearings lie
+    further apart than the half-angles that their circumscribed circles subtend."""
+    def cone(o):
+        dist = math.hypot(o.center.x, o.center.y)
+        radius = math.hypot(o.half_length, o.half_width)
+        return (math.atan2(o.center.y, o.center.x),
+                math.pi if radius >= dist else math.asin(radius / dist))
+    (b1, h1), (b2, h2) = cone(box), cone(other)
+    return abs(math.remainder(b1 - b2, TAU)) > h1 + h2
+
+
+class TestDenseOracle:
+    """scan_frames, which corrects the setup's static counts only at the slots
+    the movers reach, counts and draws what the dense per-pulse oracle does."""
+
+    PLAN = _plan_for(VariantConfig("range_and_resolution", 0.2, 2.0))
+    FOGS = (CLEAR, FogCondition(0.25, 0.0025), FogCondition(1.0, 0.01))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_counts_and_generator_states_equal_the_dense_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        bearing, reach = rng.uniform(0.0, TAU), rng.uniform(8.0, 25.0)
+        wall = ObstacleBox(100, Vec2(reach * math.cos(bearing), reach * math.sin(bearing)),
+                           float(rng.uniform(0.0, TAU)), float(rng.uniform(0.5, 6.0)),
+                           float(rng.uniform(0.5, 2.5)), 0.0)
+        # a twin of the wall ties with it on every ray it hits at t = 0; its id
+        # is below or above the wall's
+        twin = dataclasses.replace(wall, id=data.draw(st.sampled_from([0, 200])),
+                                   speed=float(rng.uniform(1.0, 10.0)))
+        # a box 20 m straight behind the wall, narrower seen from the sensor
+        scale = 1.0 + 20.0 / reach
+        size = 0.1 * min(wall.half_length, wall.half_width)
+        hidden = ObstacleBox(201, Vec2(wall.center.x * scale, wall.center.y * scale),
+                             float(rng.uniform(0.0, TAU)), size, size,
+                             float(rng.uniform(0.1, 2.0)))
+        # other static boxes and free movers, none on the wall's bearings at t = 0
+        others = make_random_scene(rng, 2, 8).obstacles + tuple(
+            ObstacleBox(202 + i, Vec2(*rng.uniform(-60.0, 60.0, 2).tolist()),
+                        float(rng.uniform(0.0, TAU)), float(rng.uniform(0.5, 4.0)),
+                        float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 15.0)))
+            for i in range(data.draw(st.integers(0, 3))))
+        others = [o for o in others if _apart(o, wall)]
+        static = Scene(Vec2(0.0, 0.0), (wall, *(o for o in others if o.speed == 0.0)),
+                       Vec2(0.0, 50.0))
+        free = [o for o in others if o.speed > 0.0]
+        movers = Scene(static.ego_position, (twin, hidden, *free), static.conflict_point)
+        ego = movers.ego_position
+        times = [0.0] + sorted(data.draw(st.lists(st.floats(0.0, 3.0), max_size=3)))
+
+        setup = revolution_setup(self.PLAN, self.FOGS, CAL, static, ROI)
+        n = len(setup.angles)
+        ranges, ids, _ = dense_scan_frames(*edges_at(movers, (0.0,)), ego,
+                                           with_limits(setup, np.full((1, n), np.inf),
+                                                       np.zeros(1)), [FrameRun(0)])
+        assert np.any(ids[0] == min(wall.id, twin.id))
+        assert not np.any(ids[0] == max(wall.id, twin.id)) and not np.any(ids[0] == hidden.id)
+        # rows 3 and 4 limit each pulse to its range at t = 0 and to one ulp below it
+        exact = np.where(ids[0] >= 0, ranges[0], 1.0)
+        sigma = data.draw(st.sampled_from([0.0, 0.01]))
+        setup = with_limits(setup, np.vstack((setup.max_ranges, exact, np.nextafter(exact, 0.0))),
+                            np.concatenate((setup.sigmas, [sigma, sigma])))
+
+        # four runs from the start centers, then up to two shifted ones
+        runs = [(0, False), (2, True), (3, data.draw(st.booleans())), (4, data.draw(st.booleans()))]
+        shifts = [(0.0, 0.0)] * 4
+        for _ in range(data.draw(st.integers(0, 2))):
+            runs.append((data.draw(st.integers(0, 4)), data.draw(st.booleans())))
+            shifts.append(tuple(rng.uniform(-3.0, 3.0, 2).tolist()))
+        centers = np.array([[(o.center.x + dx, o.center.y + dy) for o in movers.obstacles]
+                            for dx, dy in shifts])
+        seeds = [data.draw(st.integers(0, 2 ** 32 - 1)) for _ in runs]
+        target = data.draw(st.sampled_from(_targets(Scene(ego, static.obstacles + movers.obstacles,
+                                                          static.conflict_point))))
+        edges = edges_at(movers, times, centers)
+        own, ref = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
+        counts = scan_frames(*edges, ego, setup, target,
+                             [FrameRun(row, dropout, g) for (row, dropout), g in zip(runs, own)])
+        expected = dense_counts(*edges, ego, setup, target,
+                                [FrameRun(row, dropout, g) for (row, dropout), g in zip(runs, ref)])
+        assert _listed(counts) == _listed(expected)
+        assert [g.bit_generator.state for g in own] == [g.bit_generator.state for g in ref]
 
 
 class TestPointCloud:

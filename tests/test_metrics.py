@@ -21,6 +21,7 @@ from gazelidar.policy import VariantConfig, build_scan_plan
 from gazelidar.runner import run_single
 from gazelidar.scene import ObstacleBox, Scene, Vec2, advance, edges_at
 from helpers import EMPTY_SCENE, make_enclosing_scene
+from oracles import dense_scan_frames
 
 TAU = math.tau
 
@@ -130,7 +131,7 @@ def _roi_on(draw, angles):
 
 
 class TestRoiFlags:
-    """roi_densities counts a chunk's returns through the per-pulse RoI flags of
+    """scan_frames counts a chunk's returns through the per-pulse RoI flags of
     its setup; the count equals mapping the returns' angles into the RoI."""
 
     @settings(max_examples=60, deadline=None)
@@ -144,10 +145,13 @@ class TestRoiFlags:
         scene = make_enclosing_scene()
         setup = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, roi)
         times = (0.0, 0.05, 0.1)
-        _, _, hit = scan_frames(*edges_at(scene, times), scene.ego_position, setup,
-                                [FrameRun(0, FOG.sigma, np.random.default_rng(seed))])
-        [samples] = roi_densities(hit[None], setup.in_roi, roi)
+        edges = edges_at(scene, times)
+        _, rois = scan_frames(*edges, scene.ego_position, setup, 1,
+                              [FrameRun(0, True, np.random.default_rng(seed))])
+        [samples] = roi_densities(rois, roi)
         assert samples.dtype == SAMPLE_DTYPE and samples.shape == (3,)
+        _, _, hit = dense_scan_frames(*edges, scene.ego_position, setup,
+                                      [FrameRun(0, True, np.random.default_rng(seed))])
         for k, sample in enumerate(samples):
             expected = int(np.count_nonzero(roi.contains_many(setup.angles[hit[k]])))
             assert sample.points_in_roi == expected
@@ -161,49 +165,61 @@ class TestRoiFlags:
         plan = PLANS[1]
         built_for = ArcSet.from_arc(0.0, math.pi)
         scene = make_enclosing_scene()
-        setup = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, built_for)
-        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup, [FrameRun(0)])
-        assert roi_densities(hit[None], setup.in_roi, built_for)[0][0].points_in_roi == int(
-            np.count_nonzero(built_for.contains_many(setup.angles[hit[0]])))
+        edges = edges_at(scene, (0.0,))
+
+        def counted(roi):
+            """The RoI returns of scan_frames on a setup whose flags are built for roi."""
+            setup = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, roi)
+            _, rois = scan_frames(*edges, scene.ego_position, setup, 1, [FrameRun(0)])
+            return roi_densities(rois, roi)[0][0].points_in_roi
         cloud = scan_revolution(scene, plan, FOG, CAL, 0.0)
+        assert counted(built_for) == int(
+            np.count_nonzero(built_for.contains_many(cloud.returns["angle"])))
         for other in (built_for.complement(), ArcSet.from_arc(1.5 * math.pi, 0.5 * math.pi),
                       ArcSet(built_for.arcs)):
             expected = int(np.count_nonzero(other.contains_many(cloud.returns["angle"])))
             assert expected < len(cloud.returns)
             assert density(cloud, other).points_in_roi == expected
-            own = revolution_setup(plan, (FOG,), CAL, EMPTY_SCENE, other).in_roi
-            assert roi_densities(hit[None], own, other)[0][0].points_in_roi == expected
-        # a run keeps each gaze state's RoI beside the flags built for it
+            assert counted(other) == expected
+        # a run keeps each gaze state's RoI beside the setup whose flags are built for it
         left = default_config.gaze_trace.states[0]
         config = dataclasses.replace(default_config, max_sim_time=0.2, gaze_trace=GazeTrace(
             (0.0, 0.1), (left, GazeState(math.radians(45.0), left.eta))))
-        built, counted = [], []
+        built, scanned, densities = [], [], []
 
         def building(plan, fogs, cal, static, roi):
             built.append((roi, revolution_setup(plan, fogs, cal, static, roi)))
             return built[-1][1]
 
-        def counting(hit, in_roi, roi, *args):
-            counted.append((in_roi, roi))
-            return roi_densities(hit, in_roi, roi, *args)
+        def scanning(edges, edge_ids, origin, setup, *args):
+            scanned.append(setup)
+            return scan_frames(edges, edge_ids, origin, setup, *args)
+
+        def counting(rois, roi):
+            densities.append(roi)
+            return roi_densities(rois, roi)
         with mock.patch.object(runner, "revolution_setup", building), \
+                mock.patch.object(runner, "scan_frames", scanning), \
                 mock.patch.object(runner, "roi_densities", counting):
             run_single(config, config.variants[3], 0.5, 1)
-        assert len(built) == 2 and len(counted) == 2
+        assert len(built) == 2 and len(scanned) == len(densities) == 2
         for roi, setup in built:
             assert np.array_equal(setup.in_roi, roi.contains_many(setup.angles))
         # each state's densities count the flags built for its RoI
-        assert [(id(in_roi), roi) for in_roi, roi in counted] == [
-            (id(setup.in_roi), roi) for roi, setup in built]
+        assert [(id(setup), roi) for setup, roi in zip(scanned, densities)] == [
+            (id(setup), roi) for roi, setup in built]
 
     def test_a_setup_without_an_roi_flags_no_pulse(self):
         setup = revolution_setup(PLANS[0], (FOG,), CAL, EMPTY_SCENE)
         assert not setup.in_roi.any()
         assert not setup.in_roi.flags.writeable
+        assert setup.roi_hits.tolist() == [0]
         scene = make_enclosing_scene()
-        _, _, hit = scan_frames(*edges_at(scene, (0.0,)), scene.ego_position, setup, [FrameRun(0)])
+        edges = edges_at(scene, (0.0,))
+        _, rois = scan_frames(*edges, scene.ego_position, setup, 1, [FrameRun(0)])
+        _, _, hit = dense_scan_frames(*edges, scene.ego_position, setup, [FrameRun(0)])
         roi = ArcSet.from_arc(0.0, 1.0)
-        assert hit.any() and roi_densities(hit[None], setup.in_roi, roi)[0][0].points_in_roi == 0
+        assert hit.any() and roi_densities(rois, roi)[0][0].points_in_roi == 0
         cloud = scan_revolution(scene, PLANS[0], FOG, CAL, 0.0)
         assert density(cloud, roi).points_in_roi == int(
             np.count_nonzero(roi.contains_many(cloud.returns["angle"]))) > 0
@@ -234,20 +250,19 @@ class TestChunkMetrics:
         frames = data.draw(st.integers(1, 8))
         dropout = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        target = data.draw(st.sampled_from([TARGET, 2, 3, 99]))
         times = [0.5 * k for k in range(frames)]
         setup = revolution_setup(FINE_PLAN, (THIN_FOG,), CAL, EMPTY_SCENE, roi)
-        _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
-                                      [FrameRun(0, THIN_FOG.sigma if dropout else 0.0,
-                                                np.random.default_rng(seed))])
-        hit_ids, hit = hit_ids[None], hit[None]
+        targets, rois = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
+                                    target, [FrameRun(0, dropout, np.random.default_rng(seed))])
         rng = np.random.default_rng(seed)
         clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
                                   dropout=dropout, rng=rng) for t in times]
-        assert roi_densities(hit, setup.in_roi, roi).tolist() == [[
+        assert roi_densities(rois, roi).tolist() == [[
             density(cloud, roi).tolist() for cloud in clouds]]
 
-        target = data.draw(st.sampled_from([TARGET, 2, 3, 99]))
         counts = [int(np.count_nonzero(c.returns["hit_id"] == target)) for c in clouds]
+        assert targets.tolist() == [counts]
         where = data.draw(st.sampled_from(["first", "middle", "last", "any"]))
         at = {"first": 0, "middle": frames // 2, "last": frames - 1}.get(where)
         if at is None:
@@ -255,14 +270,14 @@ class TestChunkMetrics:
         else:
             min_points = max(1, counts[at])
         if min_points < 1:
-            for call in (lambda: first_detection(hit_ids, hit, target, min_points),
+            for call in (lambda: first_detection(targets, min_points),
                          lambda: detect(clouds[0], target, min_points)):
                 with pytest.raises(ValueError, match="min_points"):
                     call()
             return
         per_frame = next((k for k, cloud in enumerate(clouds)
                           if detect(cloud, target, min_points)), None)
-        assert first_detection(hit_ids, hit, target, min_points) == [per_frame]
+        assert first_detection(targets, min_points) == [per_frame]
         if at is not None and target == TARGET:
             # the approaching target's count grows every frame, so the
             # threshold set from frame `at` detects first at `at`
@@ -270,20 +285,18 @@ class TestChunkMetrics:
 
     @pytest.mark.parametrize("min_points", [1, 40, 10 ** 6])
     def test_a_stack_of_runs_answers_per_run(self, min_points):
-        # three runs of the approach from other start points, in one (3, K, n) stack
+        # three runs of the approach from other start points, in one (3, K) stack
         roi = compute_roi(_ROF)
         setup = revolution_setup(FINE_PLAN, (THIN_FOG,), CAL, EMPTY_SCENE, roi)
         times = [0.1 * k for k in range(6)]
         starts = np.array([[(o.center.x, o.center.y + dy) for o in APPROACH.obstacles]
                            for dy in (0.0, 15.0, 60.0)])
-        _, hit_ids, hit = scan_frames(*edges_at(APPROACH, times, starts), APPROACH.ego_position,
-                                      setup, [FrameRun(0)] * 3)
-        stack = (3, len(times), -1)
-        hit_ids, hit = hit_ids.reshape(stack), hit.reshape(stack)
-        firsts = first_detection(hit_ids, hit, TARGET, min_points)
-        assert firsts == [first_detection(hit_ids[s:s + 1], hit[s:s + 1], TARGET, min_points)[0]
-                          for s in range(3)]
-        assert roi_densities(hit, setup.in_roi, roi).tolist() == [
-            roi_densities(hit[s:s + 1], setup.in_roi, roi)[0].tolist() for s in range(3)]
+        targets, rois = scan_frames(*edges_at(APPROACH, times, starts), APPROACH.ego_position,
+                                    setup, TARGET, [FrameRun(0)] * 3)
+        assert targets.shape == rois.shape == (3, len(times))
+        firsts = first_detection(targets, min_points)
+        assert firsts == [first_detection(targets[s:s + 1], min_points)[0] for s in range(3)]
+        assert roi_densities(rois, roi).tolist() == [
+            roi_densities(rois[s:s + 1], roi)[0].tolist() for s in range(3)]
         if min_points == 40:
             assert None in firsts and len(set(firsts)) > 1

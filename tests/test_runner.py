@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import platform
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -27,7 +28,7 @@ from gazelidar.runner import (ConfigError, load_run_config,
                               uses_rng, validate_run_config,
                               write_density_samples_csv, write_results_csv,
                               write_summary_json, _spawn_starts)
-from gazelidar.scene import ObstacleBox, Vec2
+from gazelidar.scene import MAX_OFFSET, ObstacleBox, Vec2
 from helpers import CONFIG_DIR, DEFAULT_CONFIG, run_python
 from oracles import (jittered_scene, listed_summary, per_frame_run, per_row_density_samples_csv,
                      per_row_results_csv, quartiles_inclusive, states_per_frame)
@@ -556,6 +557,28 @@ class TestValidateRunConfig:
             "variants[0] (resolution): omega_high overflows to inf rad/s"]
         assert run_single(fast_spin, fast, 0.0, 101).failed
 
+    def test_flags_a_vertex_past_the_caster_bound(self, default_config):
+        scene = default_config.scene
+        beyond = f"a vertex lies more than {MAX_OFFSET:g} m from the ego on an axis"
+
+        def with_box(box, **changes):
+            return validate_run_config(dataclasses.replace(default_config, scene=dataclasses.replace(
+                scene, obstacles=scene.obstacles + (box,)), **changes))
+        # a static box whose far face lies on the bound, then one ulp past it
+        box = ObstacleBox(40, Vec2(MAX_OFFSET, 0.0), 0.0, 1.0, 1.0, 0.0)
+        assert with_box(box) == []
+        far = dataclasses.replace(box, center=Vec2(math.nextafter(MAX_OFFSET, math.inf), 0.0))
+        assert with_box(far) == [f"scenario.obstacles[12]: {beyond}"]
+        # a mover is checked where max_sim_time_s takes it, with and without jitter
+        mover = dataclasses.replace(box, center=Vec2(0.0, 90.0), speed=MAX_OFFSET / 10.0)
+        assert with_box(mover, max_sim_time=5.0) == []
+        assert with_box(mover, max_sim_time=15.0) == [
+            f"scenario.obstacles[12]: {beyond} at t = 0 or at max_sim_time_s 15"]
+        # a jitter of 6e149 m keeps the cars inside, but takes the fast box out
+        assert with_box(mover, max_sim_time=5.0, spawn_jitter_m=6e149) == [
+            "spawn_jitter_m: 6e+149 moves a vertex of scenario.obstacles[12] more than "
+            f"{MAX_OFFSET:g} m from the ego on an axis at t = 0 or at max_sim_time_s 5"]
+
     @pytest.mark.parametrize("jitter", [1e308, math.nan, math.inf, -1.0])
     def test_flags_a_jitter_runs_cannot_draw(self, default_config, jitter):
         # 1e308, nan and inf overflowed Generator.uniform; -1.0 ran as if it were 0
@@ -836,6 +859,15 @@ class TestChunkKernel:
                 per_frame_run(config, variant, fog, seed))
 
 
+def _assert_split_by_frames_cast(records):
+    total = sum(r.wall_time for r in records)
+    cast = sum(r.frames_cast for r in records)
+    assert total > 0.0
+    for r in records:
+        share = r.frames_cast / cast if cast else 1.0 / len(records)
+        assert r.wall_time == pytest.approx(total * share, rel=1e-12)
+
+
 class TestSeedStack:
     """_run_seeds steps every live run of a variant, at any of its fogs, through
     one scan_frames call; each record equals its one-run call and the per-frame
@@ -851,8 +883,8 @@ class TestSeedStack:
             assert _strip_wall_time(record) == _strip_wall_time(
                 per_frame_run(config, variant, fog, seed))
             assert record.frames_cast >= record.frames and record.reused_from is None
-        # the loop's time is split evenly over the runs it stepped
-        assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0
+        # the loop's time is split over the runs it stepped by the frames each cast
+        _assert_split_by_frames_cast(records)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -880,6 +912,19 @@ class TestSeedStack:
         with mock.patch.object(runner, "RAYS_PER_CALL", data.draw(st.integers(1, 8000))):
             records = runner._run_seeds(config, variant, runs)
             self._check(records, config, variant, runs)
+
+    def test_a_run_that_detects_first_carries_less_of_the_loop_time(self, default_config):
+        # in clear air the baseline detects at frame 0, in fog 0.5 dozens of frames later
+        t0 = time.perf_counter()
+        records = runner._run_seeds(default_config, default_config.variants[0],
+                                    [(0.0, 101), (0.5, 101)])
+        elapsed = time.perf_counter() - t0
+        early, late = records
+        assert early.frames == 1 and late.frames > runner.CHUNK_FRAMES
+        assert early.frames_cast == runner.CHUNK_FRAMES < late.frames_cast
+        _assert_split_by_frames_cast(records)
+        assert 0.0 < early.wall_time < late.wall_time
+        assert early.wall_time + late.wall_time <= elapsed
 
     @pytest.mark.parametrize("jitter", [0.0, 3.0])
     def test_a_mixed_stack_equals_one_run_calls_and_the_per_frame_reference(

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from gazelidar.scene import (ObstacleBox, Scene, Vec2, advance, cast_edges, cast_rays, edges_at,
                              ray_fan)
 from helpers import make_random_scene
-from oracles import box_segments, brute_force_cast, dense_cast_rays, scalar_cast, stepped_advance
+from oracles import (box_segments, brute_force_cast, dense_cast_edges, dense_cast_rays, scalar_cast,
+                     stepped_advance)
 
 TAU = math.tau
 
@@ -432,6 +433,16 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
+def _frames(sparse, base, frames):
+    """cast_edges' slots written over `frames` copies of its base layer: dense (K, n)
+    ranges and ids."""
+    slots, slot_ranges, slot_ids = sparse
+    ranges, ids = (np.tile(layer, frames) for layer in base)
+    ranges[slots] = slot_ranges
+    ids[slots] = slot_ids
+    return ranges.reshape(frames, -1), ids.reshape(frames, -1)
+
+
 def _all_miss(n):
     """The layer of a cast that hits nothing: nan ranges and -1 ids."""
     return np.full(n, np.nan), np.full(n, -1, dtype=np.int64)
@@ -496,9 +507,17 @@ class TestFrameBatches:
             times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 4.0, 6))))
             angles = rng.uniform(0.0, TAU, size=500)
             max_ranges = rng.uniform(5.0, 120.0, size=500)
-            ranges, hit_ids = cast_edges(*edges_at(scene, times), scene.ego_position,
-                                         ray_fan(angles), _all_miss(500))
-            assert ranges.shape == hit_ids.shape == (len(times), 500)
+            sparse = cast_edges(*edges_at(scene, times), scene.ego_position, ray_fan(angles),
+                                _all_miss(500))
+            slots = sparse[0]
+            assert np.all(np.diff(slots) > 0) and np.all(sparse[2] >= 0)
+            ranges, hit_ids = _frames(sparse, _all_miss(500), len(times))
+            oracle = dense_cast_edges(*edges_at(scene, times), scene.ego_position,
+                                      ray_fan(angles), _all_miss(500))
+            assert np.array_equal(ranges, oracle[0], equal_nan=True)
+            assert np.array_equal(hit_ids, oracle[1])
+            # the slots are exactly those an edge hits
+            assert np.array_equal(slots, np.flatnonzero(hit_ids >= 0))
             for k, t in enumerate(times):
                 moved = advance(scene, t)
                 # at any range, and clipped to each ray's max range
@@ -519,10 +538,27 @@ class TestFrameBatches:
 
     def test_no_edges_and_no_rays_miss(self):
         angles = np.arange(8) * (TAU / 8)
-        ranges, ids = cast_edges(np.empty((3, 0, 4)), np.empty(0, dtype=np.int64), Vec2(0, 0),
-                                 ray_fan(angles), _all_miss(8))
+        sparse = cast_edges(np.empty((3, 0, 4)), np.empty(0, dtype=np.int64), Vec2(0, 0),
+                            ray_fan(angles), _all_miss(8))
+        assert all(part.shape == (0,) for part in sparse)
+        ranges, ids = _frames(sparse, _all_miss(8), 3)
         assert ranges.shape == (3, 8) and np.all(np.isnan(ranges)) and np.all(ids == -1)
         scene = make_random_scene(np.random.default_rng(32))
-        ranges, hit_ids = cast_edges(*edges_at(scene, [0.0, 1.0]), scene.ego_position,
-                                     ray_fan(np.empty(0)), _all_miss(0))
-        assert ranges.shape == hit_ids.shape == (2, 0)
+        sparse = cast_edges(*edges_at(scene, [0.0, 1.0]), scene.ego_position,
+                            ray_fan(np.empty(0)), _all_miss(0))
+        assert all(part.shape == (0,) for part in sparse)
+
+    def test_an_edge_behind_the_base_changes_no_slot(self):
+        # the base layer lies at 5 m on every ray: a box 40 m out is no slot,
+        # and one whose faces reach 5 m exactly ties there
+        angles = np.arange(64) * (TAU / 64)
+        base = (np.full(64, 5.0), np.full(64, 7, dtype=np.int64))
+        far = _scene_of([(40.0, 0.0, 0.0, 2.0, 2.0, 0.0)])
+        assert all(part.shape == (0,) for part in cast_edges(
+            *edges_at(far, (0.0,)), far.ego_position, ray_fan(angles), base))
+        near = _scene_of([(7.0, 0.0, 0.0, 2.0, 8.0, 0.0)])   # its near face is x = 5
+        slots, ranges, ids = cast_edges(*edges_at(near, (0.0,)), near.ego_position,
+                                        ray_fan(angles), base)
+        # ray 0 at bearing 0 meets the face at exactly 5 m, where the base's id 7 loses to 1
+        assert slots[0] == 0 and ranges[0] == 5.0 and ids[0] == 1
+        assert np.all(ranges <= 5.0)
