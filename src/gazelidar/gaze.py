@@ -218,13 +218,13 @@ class GazeTrace:
 def load_gaze_trace(path, eta: float = 0.5) -> GazeTrace:
     """Load a gaze trace CSV with header ``t_s,theta_g_deg``.
 
-    Read as UTF-8. Values must be finite, timestamps strictly increasing
+    Read as UTF-8, a leading BOM skipped. Values must be finite, timestamps strictly increasing
     and the file non-empty. The threshold eta is applied to every entry.
     """
     times: list[float] = []
     states: list[GazeState] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise GazeTraceError(f"{path}: {exc}") from exc

@@ -129,17 +129,17 @@ class RevolutionSetup(NamedTuple):
     roi.contains_many(angles) for the RoI given to revolution_setup, all
     false without one.
 
-    The rest holds one row per fog given to revolution_setup, row f for fog
-    f, and is derived by with_limits: max_ranges (F, n), each pulse's
-    fog-limited max range; sigmas (F,), each fog's dropout coefficient;
-    static_hit (F, n), whether the static layer's hit lies within the max
-    range; survival (F, n), the chance exp(range * -sigma) that such a hit
-    survives dropout, 0 where there is none; and roi_hits (F,), the static
-    hits inside the RoI. A frame's counts are these static counts, corrected
-    only where a mover reaches a pulse. None of it depends on a frame, so a
-    sweep computes a setup once per gaze state of a variant, for all of its
-    fogs, and reuses it, through scan_frames, every frame of every run. The
-    arrays are read-only because they are shared between frames.
+    The rest holds one C-ordered row per fog given to revolution_setup, row
+    f for fog f, and is derived by with_limits: max_ranges (F, n), each
+    pulse's fog-limited max range; sigmas (F,), each fog's dropout
+    coefficient; static_hit (F, n), whether the static layer's hit lies
+    within the max range; survival (F, n), the chance exp(range * -sigma)
+    that such a hit survives dropout, 0 where there is none; and roi_hits
+    (F,), the static hits inside the RoI, which a frame corrects only where
+    a mover reaches a pulse. None of it depends on a frame, so a sweep
+    computes a setup once per gaze state of a variant, for all of its fogs,
+    and reuses it, through scan_frames, every frame of every run. The arrays
+    are read-only because they are shared between frames.
     """
 
     angles: np.ndarray
@@ -162,10 +162,13 @@ def with_limits(setup: RevolutionSetup, max_ranges: np.ndarray,
                 sigmas: np.ndarray) -> RevolutionSetup:
     """setup with its fog rows set from max_ranges (F, n) and sigmas (F,), all read-only.
 
-    A static hit counts where its range is at most the max range of its
-    pulse, so a nan limit misses, and survives dropout with probability
+    Both are copied, max_ranges in C order, so that every setup's rows are
+    C-ordered, whoever builds them, and the caller's arrays stay writable. A
+    static hit counts where its range is at most the max range of its pulse,
+    so a nan limit misses, and survives dropout with probability
     exp(range * -sigma): a uniform draw below it keeps the hit.
     """
+    max_ranges, sigmas = np.array(max_ranges, order="C"), np.array(sigmas)
     static_hit = setup.static_ranges <= max_ranges   # a miss's nan compares false
     survival = np.exp(np.where(static_hit, setup.static_ranges, 0.0) * -sigmas[:, None])
     survival[~static_hit] = 0.0   # a draw in [0, 1) is never below 0
@@ -201,21 +204,11 @@ def revolution_setup(plan: ScanPlan, fogs: Sequence[FogCondition], cal: SensorCa
 
 class FrameRun(NamedTuple):
     """One run's block of a scan_frames call: the fog row of the setup that
-    limits its pulses, whether fog dropout is on, and its generator. A run
-    draws only with dropout on and a positive sigma in its row; then it
-    needs an rng, else it may be None."""
+    limits its pulses, and its generator. A run draws fog dropout only if it
+    carries a generator and its row's sigma is positive."""
 
     row: int
-    dropout: bool = False
     rng: np.random.Generator | None = None
-
-
-def _drawing(setup: RevolutionSetup, runs: list[FrameRun]) -> list[int]:
-    """Indices of the runs that draw dropout uniforms; ValueError if one lacks an rng."""
-    drawing = [s for s, run in enumerate(runs) if run.dropout and setup.sigmas[run.row] > 0.0]
-    if any(runs[s].rng is None for s in drawing):
-        raise ValueError("dropout requires an rng")
-    return drawing
 
 
 def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: RevolutionSetup,
@@ -233,20 +226,23 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     its one-frame calls would draw. Returns (targets, rois), (S, k) arrays:
     each frame's returns off obstacle target_id and inside the setup's RoI.
 
-    Each frame starts from the setup's static counts of the run's row, or,
-    for a drawing run, from its uniforms compared with the row's survival.
-    cast_edges gives the few slots where a mover reaches a pulse at or
-    nearer than the static layer; only there is a static return taken away
-    and the mover's put in its place.
+    The target must be one of the edges' boxes, a mover: a target_id that
+    the setup's static layer hits is refused with a ValueError, since its
+    static returns are not counted. Each frame's RoI count starts from the
+    setup's static count of the run's row, or, for a drawing run, from its
+    uniforms compared with the row's survival. cast_edges gives the few
+    slots where a mover reaches a pulse at or nearer than the static layer;
+    only there is a static return taken away and the mover's put in its
+    place, and only there can the target return.
     """
-    drawing = _drawing(setup, runs)
+    if np.any(setup.static_ids == target_id):
+        raise ValueError(f"target {target_id} is in the setup's static layer; it must be a mover")
     n = setup.angles.shape[0]
     k = edges.shape[0] // len(runs)
     rows = np.array([run.row for run in runs], dtype=np.intp)
-    on_target = setup.static_ids == target_id
-    targets = np.repeat(np.count_nonzero(setup.static_hit & on_target, axis=1)[rows], k)
-    rois = np.repeat(setup.roi_hits[rows], k)
-    targets, rois = targets.reshape(len(runs), k), rois.reshape(len(runs), k)
+    drawing = [s for s, run in enumerate(runs)
+               if run.rng is not None and setup.sigmas[run.row] > 0.0]
+    rois = np.repeat(setup.roi_hits[rows], k).reshape(len(runs), k)
 
     fan = (setup.cos, setup.sin, setup.key, setup.order)
     slots, ranges, hit_ids = cast_edges(edges, edge_ids, origin, fan,
@@ -262,8 +258,6 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
             runs[s].rng.random(out=block)
         survival = setup.survival[rows[drawing]][:, None]
         rois[drawing] = np.count_nonzero(draws < survival * setup.in_roi, axis=-1)
-        if on_target.any():
-            targets[drawing] = np.count_nonzero(draws < survival * on_target, axis=-1)
         # each slot's uniform, at its frame and ray of its run's block of draws
         block = np.full(len(runs), -1)
         block[drawing] = np.arange(len(drawing))
@@ -272,14 +266,13 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
         drawn_row, drawn_ray = row[drawn], ray[drawn]
         was[drawn] = draw < setup.survival[drawn_row, drawn_ray]
         now[drawn] &= draw < np.exp(ranges[drawn] * -setup.sigmas[drawn_row])
+    frames = len(runs) * k
+    targets = np.bincount(frame[now & (hit_ids == target_id)], minlength=frames)
     # take each slot's static return away and put the mover's in its place
     in_roi = setup.in_roi[ray]
-    frames = len(runs) * k
-    for counts, gained, lost in ((targets, now & (hit_ids == target_id), was & on_target[ray]),
-                                 (rois, now & in_roi, was & in_roi)):
-        counts += (np.bincount(frame[gained], minlength=frames)
-                   - np.bincount(frame[lost], minlength=frames)).reshape(counts.shape)
-    return targets, rois
+    rois += (np.bincount(frame[now & in_roi], minlength=frames)
+             - np.bincount(frame[was & in_roi], minlength=frames)).reshape(rois.shape)
+    return targets.reshape(rois.shape), rois
 
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
@@ -297,7 +290,9 @@ def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
     """
     setup = revolution_setup(plan, (fog,), cal, scene)
     hit = setup.static_hit[0]
-    if _drawing(setup, [FrameRun(0, dropout, rng)]):
+    if dropout and setup.sigmas[0] > 0.0:
+        if rng is None:
+            raise ValueError("dropout requires an rng")
         hit = rng.random(hit.shape[0]) < setup.survival[0]
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]

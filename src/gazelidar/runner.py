@@ -139,9 +139,9 @@ def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
 
 
 def _read_json(path: Path):
-    """The JSON value in the file at `path`, read as UTF-8 whatever the locale."""
+    """The JSON value in the file at `path`, read as UTF-8 whatever the locale, a BOM skipped."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -464,8 +464,9 @@ def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
     """Whether a run at this fog level draws from its seed's generator.
 
     Reads the rules of the two draw sites: spawn jitter in _spawn_starts, and
-    fog dropout in lidar.scan_frames, which draws with fog_dropout on and a
-    positive sigma in the run's fog. When false, the seed cannot change a record.
+    fog dropout in lidar.scan_frames, which draws for a run given its
+    generator (with fog_dropout on) and a positive sigma in its fog. When
+    false, the seed cannot change a record.
     """
     return config.spawn_jitter_m > 0.0 or (
         config.dropout and fog_from_fraction(fog_fraction, config.kappa).sigma > 0.0)
@@ -489,7 +490,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     row per distinct fog) is built once for every fog. A step casts the next
     k frames of every live run in scan_frames calls of as many runs as
     RAYS_PER_CALL allows, one call when it allows them all; each run has its
-    own generator, its fog's max-range row and dropout coefficient. metrics
+    fog's row and, with fog_dropout on, its own generator. metrics
     then finds each run's first detecting frame and its RoI density per
     frame up to it. Frames cast after that frame, and their draws, are
     discarded; frames_cast counts them. A run's TTA is the target's distance
@@ -512,7 +513,7 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     heading = math.cos(target.heading), math.sin(target.heading)
     rngs = [np.random.default_rng(seed) for _, seed in runs]
     rows = [fractions.index(fraction) for fraction, _ in runs]
-    frame_runs = [FrameRun(row, config.dropout, rng) for row, rng in zip(rows, rngs)]
+    frame_runs = [FrameRun(row, rng if config.dropout else None) for row, rng in zip(rows, rngs)]
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
     empty = np.empty(0, SAMPLE_DTYPE)
     samples = [[] for _ in runs]

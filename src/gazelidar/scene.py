@@ -198,15 +198,16 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
     every frame, and edge_ids the (E,) obstacle id of each row, as edges_at
     gives them. `fan` is ray_fan of the n rays' angles. Every frame starts
     from the layer base = (ranges, ids), (n,) ranges and int64 ids of a
-    cast, nan and -1 where it misses. Only the (ray, edge) pairs that
-    _candidate_pairs keeps are solved, all K frames in one pass. Returns
-    (slots, ranges, hit_ids) for the slots, frame * n + ray in ascending
-    order, where some edge hits at or nearer than the base: the nearest
-    range there, and the smallest obstacle id at that range, ids compared
-    as uint64 and the base's included on a tie; edge ids are at least 0.
-    Every other slot keeps the base's range and id. There is no range
-    limit: a caller keeps a hit where its range is at most the ray's max
-    range, which is what limiting every layer and edge gives, since the
+    cast, nan and -1 where it misses; a nan range compares false, so it
+    bounds no hit and ties none without an inf copy. Only the (ray, edge)
+    pairs that _candidate_pairs keeps are solved, all K frames in one pass.
+    Returns (slots, ranges, hit_ids) for the slots, frame * n + ray in
+    ascending order, where some edge hits at or nearer than the base: the
+    nearest range there, and the smallest obstacle id at that range, ids
+    compared as uint64 and the base's included on a tie; edge ids are at
+    least 0. Every other slot keeps the base's range and id. There is no
+    range limit: a caller keeps a hit where its range is at most the ray's
+    max range, which is what limiting every layer and edge gives, since the
     nearest hit within a limit is the unlimited nearest if that lies within
     it, else none.
     """
@@ -229,8 +230,7 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (wx * ey - wy * ex)[edge] / denom
         u = (dy * wx[edge] - dx * wy[edge]) / denom
-    base_near = np.where(np.isnan(base_ranges), np.inf, base_ranges)
-    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & (t <= base_near[ray])
+    valid = (denom != 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0) & ~(t > base_ranges[ray])
     frame, edge = np.divmod(edge[valid], m)
     pair_slots = frame * n + ray[valid]
     t = t[valid]
@@ -251,7 +251,7 @@ def cast_edges(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, fan: tuple
     ray = slots % n
     # a miss's -1, the largest id as uint64, never wins a tie
     base_id = base_ids[ray]
-    tie = (t == base_near[ray]) & (base_id >= 0) & (base_id < ids)
+    tie = (t == base_ranges[ray]) & (base_id >= 0) & (base_id < ids)
     ids[tie] = base_id[tie]
     return slots, t, ids
 

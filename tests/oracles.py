@@ -208,14 +208,12 @@ def dense_scan_frames(edges, edge_ids, origin: Vec2, setup, runs):
 
     Each frame is dense_cast_edges over the setup's static layer; a hit
     counts within the max range of its pulse in the run's row and, for a
-    run with dropout on and a positive sigma in that row, survives where its
+    run with a generator and a positive sigma in that row, survives where its
     uniform lies below exp(-sigma r), the sigma multiplied over every pulse
     of the run's block, hit or not.
     """
-    sigmas = [setup.sigmas[run.row] if run.dropout else 0.0 for run in runs]
+    sigmas = [setup.sigmas[run.row] if run.rng is not None else 0.0 for run in runs]
     drawing = [s for s, sigma in enumerate(sigmas) if sigma > 0.0]
-    if any(runs[s].rng is None for s in drawing):
-        raise ValueError("dropout requires an rng")
     fan = (setup.cos, setup.sin, setup.key, setup.order)
     ranges, hit_ids = dense_cast_edges(edges, edge_ids, origin, fan,
                                        (setup.static_ranges, setup.static_ids))

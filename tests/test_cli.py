@@ -1,6 +1,7 @@
 """Command-line interface: validate, run, and report."""
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
 import errno
@@ -135,6 +136,23 @@ class TestValidate:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {config}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("marked", ["config", "gaze_trace"])
+    def test_a_utf8_bom_is_skipped(self, tmp_path, capsys, marked):
+        # spreadsheet tools save UTF-8 files with a leading byte order mark
+        trace = tmp_path / "gaze.csv"
+        trace.write_bytes((CONFIG_DIR / "gaze_left.csv").read_bytes())
+        config = _write_trimmed_config(tmp_path, gaze_trace=str(trace))
+        assert _run(tmp_path, "plain", config)[0] == 0
+        path = {"config": config, "gaze_trace": trace}[marked]
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
+        code, out = _run(tmp_path, "marked", config)
+        assert code == 0
+        for name in ("results.csv", "density_samples.csv", "summary.json"):
+            assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     @pytest.mark.parametrize("trace_bytes, name, problem", [
         (None, "gaze\0.csv", "embedded null byte"),

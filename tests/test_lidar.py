@@ -250,13 +250,20 @@ def _counts(clouds, target_id, roi):
 
 
 def _targets(scene):
-    """Every obstacle id of scene and the smallest id that none has."""
+    """The id of every moving obstacle of scene, the targets that scan_frames
+    counts, and the smallest id that no obstacle has."""
     ids = [o.id for o in scene.obstacles]
-    return ids + [min(set(range(len(ids) + 1)) - set(ids))]
+    return [o.id for o in scene.obstacles if o.speed > 0.0] + [
+        min(set(range(len(ids) + 1)) - set(ids))]
 
 
 def _listed(counts):
     return [c.tolist() for c in counts]
+
+
+def _rng(dropout: bool, seed: int):
+    """A run's generator of seed with fog dropout on, None with it off."""
+    return np.random.default_rng(seed) if dropout else None
 
 
 ROI = compute_roi(compute_rof(GazeState(THETA, 0.5), AcuityFunction.boxcar(math.radians(30.0))))
@@ -270,8 +277,8 @@ class TestLayeredCast:
     FOG = FogCondition(0.25, 0.0025)
 
     def _check(self, scene, times=(0.0,)):
-        """Each frame's counts from scan_frames, for every obstacle id and one that
-        none has, equal those of scan_revolution of advance(scene, t), whose
+        """Each frame's counts from scan_frames, for every mover id and one that
+        no box has, equal those of scan_revolution of advance(scene, t), whose
         returns equal the dense oracles'; returns the returns per frame."""
         static, movers = _layers(scene)
         setup = revolution_setup(self.PLAN, (self.FOG,), CAL, static, ROI)
@@ -315,7 +322,7 @@ class TestLayeredCast:
             for target in _targets(scene):
                 layered_rng = np.random.default_rng(seed)
                 layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
-                                      target, [FrameRun(0, True, layered_rng)])
+                                      target, [FrameRun(0, layered_rng)])
                 assert _listed(layered) == list(_counts([whole], target, ROI))
                 assert layered_rng.bit_generator.state == whole_rng.bit_generator.state
 
@@ -383,17 +390,24 @@ class TestDropout:
                             dropout=True)
 
     def test_scan_frames_requires_an_rng_in_fog(self):
+        """In fog, scan_frames drops out only for a run with an rng: a run
+        without one draws nothing and counts what dropout off returns, while
+        scan_revolution with dropout on and no rng raises."""
         scene = make_enclosing_scene()
-        setup = revolution_setup(_plan_for(VariantConfig("baseline")),
-                                 (FogCondition(0.5, 0.005),), CAL, scene)
+        plan = _plan_for(VariantConfig("baseline"))
+        fog = FogCondition(0.5, 0.005)
         with pytest.raises(ValueError, match="rng"):
-            scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64), scene.ego_position,
-                        setup, 1, [FrameRun(0, True)])
-        # without dropout the run draws nothing and needs no rng
-        targets, rois = scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64),
-                                    scene.ego_position, setup, 1, [FrameRun(0)])
-        assert targets.tolist() == [[int(np.count_nonzero(setup.static_hit[0]
-                                                          & (setup.static_ids == 1)))]] != [[0]]
+            scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True)
+        # the walls as movers over an empty static layer; wall 1 is the target
+        setup = revolution_setup(plan, (fog,), CAL, EMPTY_SCENE, ROI)
+        edges = edges_at(scene, (0.0,))
+        kept = scan_frames(*edges, scene.ego_position, setup, 1, [FrameRun(0)])
+        full = scan_revolution(scene, plan, fog, CAL, 0.0)
+        assert _listed(kept) == list(_counts([full], 1, ROI))
+        assert kept[0].tolist() != [[0]] and kept[1].tolist() != [[0]]
+        thinned = scan_frames(*edges, scene.ego_position, setup, 1,
+                              [FrameRun(0, np.random.default_rng(12))])
+        assert thinned[0].sum() < kept[0].sum() and thinned[1].sum() < kept[1].sum()
 
     def test_clear_air_needs_no_rng_and_drops_nothing(self):
         scene = make_enclosing_scene()
@@ -481,7 +495,7 @@ class TestScanFrames:
             for target in _targets(scene):
                 chunk_rng, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
                 chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup, target,
-                                    [FrameRun(0, True, chunk_rng)])
+                                    [FrameRun(0, chunk_rng)])
                 clouds = [scan_revolution(advance(scene, t), self.PLAN, self.FOG, CAL, t,
                                           dropout=True, rng=one_by_one) for t in times]
                 assert _listed(chunk) == list(_counts(clouds, target, ROI))
@@ -502,10 +516,10 @@ class TestScanFrames:
                             for shift in (0.0, -2.5, 1.0)])
         edges = edges_at(movers, times, centers)
         stacked = scan_frames(*edges, movers.ego_position, setup, target,
-                              [FrameRun(0, True, np.random.default_rng(s)) for s in seeds])
+                              [FrameRun(0, np.random.default_rng(s)) for s in seeds])
         for s, seed in enumerate(seeds):
             own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
-                              setup, target, [FrameRun(0, True, np.random.default_rng(seed))])
+                              setup, target, [FrameRun(0, np.random.default_rng(seed))])
             for whole, part in zip(stacked, own):
                 assert whole.shape == (3, len(times)) and np.array_equal(whole[s:s + 1], part)
         # dropout thins what the same runs return without it
@@ -542,12 +556,11 @@ class TestScanFrames:
         centers = np.array([[(o.center.x + shift, o.center.y) for o in movers.obstacles]
                             for shift in (0.0, -2.5, 1.0, -2.5)])
         stacked = scan_frames(*edges_at(movers, times, centers), movers.ego_position, setup,
-                              target, [FrameRun(row, dropout, np.random.default_rng(seed))
+                              target, [FrameRun(row, _rng(dropout, seed))
                                        for row, dropout, seed in runs])
         for s, (row, dropout, seed) in enumerate(runs):
             own = scan_frames(*edges_at(movers, times, centers[s:s + 1]), movers.ego_position,
-                              singles[row], target,
-                              [FrameRun(0, dropout, np.random.default_rng(seed))])
+                              singles[row], target, [FrameRun(0, _rng(dropout, seed))])
             for whole, part in zip(stacked, own):
                 assert np.array_equal(whole[s:s + 1], part)
         # runs 1 and 3 see the same frames; the thicker fog returns fewer
@@ -582,6 +595,33 @@ class TestScanFrames:
                                         limited, target, [FrameRun(0), FrameRun(1), FrameRun(2)])
             assert targets.tolist() == [[int(np.count_nonzero(ids[0] == target))], [0], [0]]
             assert rois.tolist() == [[int(np.count_nonzero(hits & setup.in_roi))], [0], [0]]
+
+    def test_a_target_in_the_static_layer_is_refused(self):
+        scene = make_enclosing_scene()
+        setup = revolution_setup(self.PLAN, (self.FOG,), CAL, scene)
+        for wall in scene.obstacles:
+            assert np.any(setup.static_ids == wall.id)
+            with pytest.raises(ValueError, match=rf"target {wall.id} .*static layer"):
+                scan_frames(np.empty((1, 0, 4)), np.empty(0, dtype=np.int64),
+                            scene.ego_position, setup, wall.id, [FrameRun(0)])
+
+    def test_setup_rows_are_c_ordered(self):
+        # revolution_setup picks each pulse's limit out of a (fog, power) table
+        assert len({seg.power for seg in self.PLAN.segments}) > 1
+        setup = revolution_setup(self.PLAN, (CLEAR, FogCondition(0.25, 0.0025), self.FOG),
+                                 CAL, make_enclosing_scene(), ROI)
+        n = len(setup.angles)
+        limits = np.asfortranarray(np.full((2, n), 50.0))
+        assert not limits.flags.c_contiguous
+        sigmas = np.array([0.0, 0.01])
+        limited = with_limits(setup, limits, sigmas)
+        assert np.array_equal(limited.max_ranges, limits)
+        # the copies are read-only, the caller's arrays are not
+        assert limits.flags.writeable and sigmas.flags.writeable
+        for rows, fogs in ((setup, 3), (limited, 2)):
+            for name in ("max_ranges", "static_hit", "survival"):
+                array = getattr(rows, name)
+                assert array.shape == (fogs, n) and array.flags.c_contiguous, name
 
     def test_setup_carries_the_per_ray_invariants(self):
         setup = revolution_setup(self.PLAN, (self.FOG,), CAL, EMPTY_SCENE)
@@ -674,9 +714,11 @@ class TestDenseOracle:
         edges = edges_at(movers, times, centers)
         own, ref = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
         counts = scan_frames(*edges, ego, setup, target,
-                             [FrameRun(row, dropout, g) for (row, dropout), g in zip(runs, own)])
+                             [FrameRun(row, g if dropout else None)
+                              for (row, dropout), g in zip(runs, own)])
         expected = dense_counts(*edges, ego, setup, target,
-                                [FrameRun(row, dropout, g) for (row, dropout), g in zip(runs, ref)])
+                                [FrameRun(row, g if dropout else None)
+                                 for (row, dropout), g in zip(runs, ref)])
         assert _listed(counts) == _listed(expected)
         assert [g.bit_generator.state for g in own] == [g.bit_generator.state for g in ref]
 

@@ -147,11 +147,11 @@ class TestRoiFlags:
         times = (0.0, 0.05, 0.1)
         edges = edges_at(scene, times)
         _, rois = scan_frames(*edges, scene.ego_position, setup, 1,
-                              [FrameRun(0, True, np.random.default_rng(seed))])
+                              [FrameRun(0, np.random.default_rng(seed))])
         [samples] = roi_densities(rois, roi)
         assert samples.dtype == SAMPLE_DTYPE and samples.shape == (3,)
         _, _, hit = dense_scan_frames(*edges, scene.ego_position, setup,
-                                      [FrameRun(0, True, np.random.default_rng(seed))])
+                                      [FrameRun(0, np.random.default_rng(seed))])
         for k, sample in enumerate(samples):
             expected = int(np.count_nonzero(roi.contains_many(setup.angles[hit[k]])))
             assert sample.points_in_roi == expected
@@ -254,7 +254,8 @@ class TestChunkMetrics:
         times = [0.5 * k for k in range(frames)]
         setup = revolution_setup(FINE_PLAN, (THIN_FOG,), CAL, EMPTY_SCENE, roi)
         targets, rois = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
-                                    target, [FrameRun(0, dropout, np.random.default_rng(seed))])
+                                    target,
+                                    [FrameRun(0, np.random.default_rng(seed) if dropout else None)])
         rng = np.random.default_rng(seed)
         clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
                                   dropout=dropout, rng=rng) for t in times]
