@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the configured sweep and write result files")
     p_run.add_argument("--config", required=True, help="path to a run config JSON file")
     p_run.add_argument("--out", required=True, help="directory for results.csv, density_samples.csv, summary.json")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="at most N worker processes; a pool starts only when it pays (default 1)")
     p_run.add_argument("--seed-override", type=int, default=None,
                        help="replace the configured seed list with this single seed")
 

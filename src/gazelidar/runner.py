@@ -39,6 +39,14 @@ TAU = math.tau
 RAYS_PER_CALL = 2 ** 17
 CHUNK_FRAMES = 24
 
+# Wall time a pool must save before run_sweep starts one. Measured on a shared
+# 2-core machine: a pool of two forked workers takes about 10 ms to start and
+# tear down, each worker's first task runs 3-6 ms slower than its second, and
+# the records come back through pickle, so pooling the last three of four
+# tasks of `run` cost 27, 36 and 72 ms beyond the task it saved on sweeps of
+# 240, 720 and 1,800 records; at 39 and 71 ms saved, pool and parent tied.
+POOL_START_S = 0.05
+
 # mallopt(3) parameters from glibc's malloc.h, and the largest mmap threshold
 # that glibc's own dynamic rule reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX).
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -449,9 +457,10 @@ def validate_run_config(config: RunConfig) -> list[str]:
 
 
 def _spawn_starts(movers, rngs, jitter: float) -> np.ndarray:
-    """(S, m, 2) start centers of the m moving boxes, one row per generator: each draws
-    m shifts from U(-jitter, jitter), the doubles of m scalar draws in id order, and
-    box i starts shift i back along its heading. Nothing is drawn without jitter."""
+    """(S, m, 2) start centers of the m moving boxes, one row per entry of rngs: each
+    generator draws m shifts from U(-jitter, jitter), the doubles of m scalar draws in
+    id order, and box i starts shift i back along its heading. Nothing is drawn without
+    jitter, and then the entries, which may be None, are only counted."""
     centers = np.array([(o.center.x, o.center.y) for o in movers])
     if jitter <= 0.0:
         return np.tile(centers, (len(rngs), 1, 1))
@@ -493,10 +502,11 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     fog's row and, with fog_dropout on, its own generator. metrics
     then finds each run's first detecting frame and its RoI density per
     frame up to it. Frames cast after that frame, and their draws, are
-    discarded; frames_cast counts them. A run's TTA is the target's distance
-    to the conflict point at its detecting frame over its speed, the distance
-    taken with advance() and Vec2.distance_to's float operations from the
-    target's start center.
+    discarded; frames_cast counts them. Only a run that uses_rng gets a
+    generator, so a sweep that draws nothing never imports numpy.random.
+    A run's TTA is the target's distance to the conflict point at its
+    detecting frame over its speed, the distance taken with advance() and
+    Vec2.distance_to's float operations from the target's start center.
     """
     t_start = time.perf_counter()
     fractions = list(dict.fromkeys(fraction for fraction, _ in runs))
@@ -511,7 +521,8 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     movers = dataclasses.replace(scene, obstacles=tuple(o for o in scene.obstacles if o.speed != 0.0))
     row = movers.obstacles.index(target)
     heading = math.cos(target.heading), math.sin(target.heading)
-    rngs = [np.random.default_rng(seed) for _, seed in runs]
+    rngs = [np.random.default_rng(seed) if uses_rng(config, fraction) else None
+            for fraction, seed in runs]
     rows = [fractions.index(fraction) for fraction, _ in runs]
     frame_runs = [FrameRun(row, rng if config.dropout else None) for row, rng in zip(rows, rngs)]
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
@@ -580,22 +591,26 @@ def _record_key(record: RunRecord):
     return (v.variant, v.p_low_ratio, v.omega_high_ratio, record.fog_fraction, record.seed)
 
 
+def _simulated_runs(config: RunConfig) -> list[tuple[float, int]]:
+    """The (fog, seed) runs one variant's task simulates: every seed at a fog
+    whose runs draw random numbers, only the first seed at any other."""
+    return [(fog, seed) for fog in config.fog_fractions
+            for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
+
+
 def _run_cells(args) -> list[RunRecord]:
     """The runs of one variant's (variant, fog) cells, at every fog, one per seed.
 
-    Every run that is simulated steps through one _run_seeds loop. A cell
-    whose runs draw random numbers simulates all its seeds. A cell whose runs
-    draw none simulates only its first seed, and the record is copied to the
-    other seeds; copies carry reused_from and a wall_time of 0.
+    Every run that is simulated (_simulated_runs) steps through one
+    _run_seeds loop. A cell whose runs draw none simulates only its first
+    seed, and the record is copied to the other seeds; copies carry
+    reused_from and a wall_time of 0.
     """
     config, variant = args
-    draws = {fog: uses_rng(config, fog) for fog in config.fog_fractions}
-    runs = [(fog, seed) for fog in config.fog_fractions
-            for seed in (config.seeds if draws[fog] else config.seeds[:1])]
     records = []
-    for record in _run_seeds(config, variant, runs):
+    for record in _run_seeds(config, variant, _simulated_runs(config)):
         records.append(record)
-        if not draws[record.fog_fraction]:
+        if not uses_rng(config, record.fog_fraction):
             records += [dataclasses.replace(record, seed=seed, wall_time=0.0,
                                             reused_from=record.seed) for seed in config.seeds[1:]]
     return records
@@ -623,28 +638,55 @@ def _keep_freed_pages() -> None:
         mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
+def _is_heavy(config: RunConfig) -> bool:
+    """Whether one variant task's simulated runs fire more than RAYS_PER_CALL rays
+    in their first frame alone, so that pooling its sweep pays from the start."""
+    pulses = config.pulse_rate * revolution_period(TAU * config.frame_rate)
+    return len(_simulated_runs(config)) * pulses > RAYS_PER_CALL
+
+
+def _pool_saving(task_s: float, left: int, jobs: int) -> float:
+    """Seconds that min(jobs, left) workers save over this process on `left` more
+    tasks of task_s seconds each, the pool's start cost not counted."""
+    if jobs < 2 or left < 2:
+        return 0.0
+    return task_s * (left - math.ceil(left / min(jobs, left)))
+
+
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    Each variant, at every fog, is one _run_cells task. jobs > 1 executes the
-    tasks in worker processes, at most one per variant, with identical results;
-    each worker keeps its freed pages (_keep_freed_pages), whether forked or
-    not. A serial sweep leaves the caller's allocator as it is.
+    Each variant, at every fog, is one _run_cells task. jobs > 1 allows at
+    most jobs worker processes, at most one per variant; a pool starts only
+    when it pays, and the records are the same wherever a task ran. A heavy
+    sweep (_is_heavy) pools every task at once. Any other runs its tasks in
+    this process, in order, and after each one pools the rest only if, at
+    the mean task time so far, the pool would save more than POOL_START_S.
+    Each worker keeps its freed pages (_keep_freed_pages), whether forked or
+    not; a sweep run here leaves the caller's allocator as it is.
 
-    numpy loads numpy.random lazily, on a run's first default_rng. The pool's
-    parent imports it before the workers start, so forked workers inherit it
-    instead of each importing it again on its first task of every sweep. A
-    serial sweep imports it on its first draw; validate and report never do.
+    numpy loads numpy.random lazily, on a run's first default_rng, and only
+    runs that draw make one. With jobs > 1 and a fog of the config that
+    draws, this process imports it before its first task: its one-off cost
+    does not count as task time, and forked workers inherit it instead of
+    each importing it again on its first task of every sweep.
     """
     tasks = ([(config, variant) for variant in config.variants]
              if config.fog_fractions and config.seeds else [])
-    if jobs > 1 and len(tasks) > 1:
+    parallel = jobs > 1 and len(tasks) > 1
+    if parallel and any(uses_rng(config, fog) for fog in config.fog_fractions):
         import numpy.random  # noqa: F401
+    pooled = parallel and _is_heavy(config)
+    done = []
+    start = time.perf_counter()
+    while tasks and not pooled:
+        done.append(_run_cells(tasks.pop(0)))
+        task_s = (time.perf_counter() - start) / len(done)
+        pooled = _pool_saving(task_s, len(tasks), jobs) > POOL_START_S
+    if tasks:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                                     initializer=_keep_freed_pages) as pool:
-            done = list(pool.map(_run_cells, tasks))
-    else:
-        done = [_run_cells(task) for task in tasks]
+            done += pool.map(_run_cells, tasks)
     return sorted((record for task in done for record in task), key=_record_key)
 
 

@@ -536,6 +536,7 @@ class TestRun:
             return sweeps[-1]
 
         monkeypatch.setattr(gazelidar.cli, "run_sweep", recorded)
+        monkeypatch.setattr(gazelidar.runner, "_is_heavy", lambda config: True)   # a real pool
         for jobs in ("1", "2"):
             assert main(["run", "--config", str(config), "--out", str(tmp_path / jobs),
                          "--jobs", jobs]) == 0

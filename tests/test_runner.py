@@ -1062,7 +1062,9 @@ class TestUsesRng:
     @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
     def test_runs_without_rng_never_draw(self, default_config, monkeypatch, kind):
         config = _sweep_config(default_config, kind)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws())
+        made = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: made.append(seed) or _NoDraws())
         checked = 0
         for variant in config.variants:
             for fog in config.fog_fractions:
@@ -1074,6 +1076,8 @@ class TestUsesRng:
                     assert not record.failed and record.frames > 0
                     checked += 1
         assert checked == {"default": 12, "dropout": 2, "jitter_dropout": 0}[kind]
+        # only a run that draws makes a generator
+        assert made == [101] * (len(config.variants) * len(config.fog_fractions) - checked)
 
 
 class TestSpawnJitter:
@@ -1140,6 +1144,48 @@ class TestSpawnJitter:
         assert a.tta != b.tta
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces the process pool with one that runs its tasks here; yields the lists
+    of the pools' max_workers and of the tasks each pool mapped."""
+    started = []
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            # workers pin the heap thresholds whether they are forked or spawned
+            assert initializer is runner._keep_freed_pages
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            tasks.append(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started, tasks
+
+
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Counts the real process pools that start; yields the list of their max_workers."""
+    started = []
+
+    class CountingPool(runner.concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
 class TestRunSweep:
     def test_records_come_back_sorted(self, default_config):
         config = dataclasses.replace(
@@ -1156,37 +1202,22 @@ class TestRunSweep:
             ("range", 0.5, 101), ("range", 0.5, 102),
         ]
 
-    def test_worker_processes_change_nothing(self, default_config):
+    def test_worker_processes_change_nothing(self, default_config, monkeypatch, real_pool):
         config = dataclasses.replace(default_config,
-                                     variants=(default_config.variants[0],),
+                                     variants=default_config.variants[:2],
                                      fog_fractions=(0.0,),
                                      seeds=(101, 102))
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
+        monkeypatch.setattr(runner, "_is_heavy", lambda config: True)
         parallel = [_strip_wall_time(r) for r in run_sweep(config, jobs=2)]
+        assert real_pool == [2]
         assert serial == parallel
 
-    def test_pool_starts_at_most_one_worker_per_variant(self, default_config, monkeypatch):
-        started = []
-        tasks = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer):
-                # workers pin the heap thresholds whether they are forked or spawned
-                assert initializer is runner._keep_freed_pages
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, items, chunksize=1):
-                items = list(items)
-                tasks.append(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_starts_at_most_one_worker_per_variant(self, default_config, monkeypatch,
+                                                        recording_pool):
+        started, tasks = recording_pool
+        # a heavy sweep pools every task at once
+        monkeypatch.setattr(runner, "_is_heavy", lambda config: True)
         config = dataclasses.replace(default_config, variants=default_config.variants[:2],
                                      fog_fractions=(0.0,), seeds=(101, 102, 103))
         assert len(run_sweep(config, jobs=64)) == 6
@@ -1212,21 +1243,79 @@ class TestRunSweep:
             for jobs in (0, 2):
                 assert run_sweep(dataclasses.replace(four, **empty), jobs) == []
 
+    def test_a_light_sweep_starts_no_pool_that_never_pays(self, default_config, monkeypatch,
+                                                          recording_pool):
+        started, tasks = recording_pool
+        monkeypatch.setattr(runner, "POOL_START_S", math.inf)
+        config = dataclasses.replace(default_config, seeds=(101, 102))
+        assert not runner._is_heavy(config)
+        serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
+        for jobs in (2, 64):
+            assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
+        assert started == [] and tasks == []
+
+    def test_a_heavy_sweep_pools_every_task_at_once(self, default_config, monkeypatch,
+                                                    recording_pool):
+        started, tasks = recording_pool
+        # however little a pool would save by the parent's clock
+        monkeypatch.setattr(runner, "POOL_START_S", math.inf)
+        # 15,000 pulses a frame, one frame a run: 10 simulated runs a variant fire
+        # 150,000 rays, more than RAYS_PER_CALL
+        config = dataclasses.replace(default_config, pulse_rate=3e5, max_sim_time=0.05,
+                                     fog_fractions=(0.0, 0.5), seeds=(1, 2, 3, 4, 5),
+                                     dropout=True, spawn_jitter_m=3.0)
+        assert runner._is_heavy(config)
+        # without jitter, fog 0 draws nothing and simulates one seed: 6 runs, 90,000 rays
+        assert not runner._is_heavy(dataclasses.replace(config, spawn_jitter_m=0.0))
+        # a copied seed fires no ray: 2 simulated runs, 30,000 rays
+        assert not runner._is_heavy(dataclasses.replace(config, dropout=False, spawn_jitter_m=0.0))
+        serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
+        assert started == [] and len(serial) == 40
+        assert [_strip_wall_time(r) for r in run_sweep(config, jobs=3)] == serial
+        assert started == [3] and tasks == [[(config, v) for v in config.variants]]
+
+    @pytest.mark.parametrize("jobs, costs, here, workers", [
+        # mean 0.01 s with 3 left saves 0.01 s on 2 workers; mean 0.03 s with 2 left, 0.03 s
+        (2, [0.01, 0.05, 0.0, 0.0], 2, 2),
+        # mean 0.02 s with 3 left saves 0.04 s on 3 workers
+        (3, [0.02, 0.0, 0.0, 0.0], 1, 3),
+        # 0.02 s saved with 3 and with 2 left, nothing with 1 left
+        (2, [0.02, 0.02, 0.02, 0.02], 4, None),
+    ])
+    def test_the_parent_pools_the_rest_once_the_pool_pays(self, default_config, monkeypatch,
+                                                          recording_pool, jobs, costs, here,
+                                                          workers):
+        started, tasks = recording_pool
+        monkeypatch.setattr(runner, "POOL_START_S", 0.025)
+        config = dataclasses.replace(default_config, seeds=(101, 102))
+        serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
+        # a clock that moves only by each task's scripted cost
+        now = [0.0]
+        ran = []
+        run_cells = runner._run_cells
+
+        def costed(task):
+            now[0] += costs[len(ran)]
+            ran.append(task)
+            return run_cells(task)
+        monkeypatch.setattr(runner, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(runner, "_run_cells", costed)
+        records = run_sweep(config, jobs=jobs)
+        assert [_strip_wall_time(r) for r in records] == serial
+        every = [(config, v) for v in config.variants]
+        assert ran == every
+        assert started == ([] if workers is None else [workers])
+        assert tasks == ([] if workers is None else [every[here:]])
+
     def test_variant_tasks_write_the_same_bytes_on_any_number_of_workers(self, default_config,
-                                                                         tmp_path, monkeypatch):
+                                                                         tmp_path, monkeypatch,
+                                                                         real_pool):
         # three seeded variants at four fogs: --jobs 1 runs them in this process,
         # --jobs 2 and 3 on a real pool of 2 and 3 workers
         config = dataclasses.replace(_sweep_config(default_config, "jitter_dropout"),
                                      variants=default_config.variants[1:],
                                      fog_fractions=(0.0, 0.1, 0.25, 0.5), max_sim_time=1.0)
-        started = []
-
-        class CountingPool(runner.concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(runner, "_is_heavy", lambda config: True)
         written = []
         for jobs in (1, 2, 3):
             records = run_sweep(config, jobs=jobs)
@@ -1236,7 +1325,7 @@ class TestRunSweep:
             write_density_samples_csv(records, out / "density_samples.csv")
             write_summary_json(summarize(records), out / "summary.json")
             written.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert started == [2, 3]
+        assert real_pool == [2, 3]
         assert len(written[0]) == 3 and written[1] == written[0] and written[2] == written[0]
 
     @pytest.mark.parametrize("kind", ["default", "dropout", "jitter_dropout"])
@@ -1319,6 +1408,7 @@ def mapping(pool, fn, tasks):
 
 
 concurrent.futures.ProcessPoolExecutor.map = mapping
+runner._is_heavy = lambda config: True   # a pool at once, whatever the sweep costs
 assert "numpy.random" not in sys.modules
 assert len(runner.run_sweep(config, jobs=2)) == 16
 print(json.dumps(gained))
@@ -1333,6 +1423,27 @@ assert gazelidar.cli.validate_run_config(config) == []
 print("numpy.random" in sys.modules)
 """
 
+# A serial `run` of the config, then a pool of two workers on it, in a fresh
+# process; then a sweep whose fog-0.5 runs draw. Prints, as its last line,
+# whether numpy.random was imported after each.
+_RUN_IMPORTS = """
+import dataclasses, sys
+import gazelidar.cli
+from gazelidar import runner
+imported = []
+for jobs in (1, 2):
+    runner._is_heavy = lambda config: jobs > 1   # the second run pools at once
+    assert gazelidar.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2],
+                               "--jobs", str(jobs)]) == 0
+    imported.append("numpy.random" in sys.modules)
+config = runner.load_run_config(sys.argv[1])
+assert not any(runner.uses_rng(config, fog) for fog in config.fog_fractions)
+runner.run_sweep(dataclasses.replace(config, dropout=True, variants=config.variants[:1],
+                                     seeds=(1,), max_sim_time=0.5))
+imported.append("numpy.random" in sys.modules)
+print(imported)
+"""
+
 
 class TestImports:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -1343,11 +1454,15 @@ class TestImports:
         # one list per variant task; a lazy import would show in each worker's first task
         assert json.loads(done.stdout) == [[]] * 4
 
-    def test_loading_and_validating_leave_numpy_random_unimported(self):
-        # the pool's parent imports it; validate, report and a serial run's setup do not pay it
+    def test_loading_and_validating_leave_numpy_random_unimported(self, tmp_path):
+        # validate and report never pay it, and a sweep pays it only if one of its runs draws
         done = run_python(_VALIDATE_IMPORTS, str(DEFAULT_CONFIG))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+        # the shipped sweep draws nothing, serially or from a pool's parent
+        done = run_python(_RUN_IMPORTS, str(DEFAULT_CONFIG), str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 # Runs one seeded cell twice in a fresh process, which keeps pytest's allocator
