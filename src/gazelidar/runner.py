@@ -39,13 +39,21 @@ TAU = math.tau
 RAYS_PER_CALL = 2 ** 17
 CHUNK_FRAMES = 24
 
-# Wall time a pool must save before run_sweep starts one. Measured on a shared
-# 2-core machine: a pool of two forked workers takes about 10 ms to start and
-# tear down, each worker's first task runs 3-6 ms slower than its second, and
-# the records come back through pickle, so pooling the last three of four
-# tasks of `run` cost 27, 36 and 72 ms beyond the task it saved on sweeps of
-# 240, 720 and 1,800 records; at 39 and 71 ms saved, pool and parent tied.
-POOL_START_S = 0.05
+# run_sweep pools a sweep at once when one variant task's simulated runs fire
+# more than HEAVY_RAYS rays in their first frame alone. The measured sweeps lie
+# far to either side: shipped, dense and seeded_jobs2 fire 1,172, 7,812 and
+# 23,438, each task some 3-20 ms, and the 2 MHz hires sweep 6,000,000, each
+# task about 0.5 s. Where between them pooling starts to pay at once was
+# not measured; a light sweep whose tasks run long is pooled by its clock.
+HEAVY_RAYS = 2 ** 17
+
+# Wall time a pool must save before run_sweep starts one for a light sweep.
+# Measured in fresh `gazelidar run` processes on a shared 2-core machine:
+# pooling the last two of four tasks on two forked workers cost 20-24 ms
+# beyond the task it saved, with tasks of 25 to 82 ms that return 16 to 60
+# records each (7 alternating pairs per sweep), so the pool won from about
+# 25 ms saved. A pool's cost also grows with the records it sends back.
+POOL_START_S = 0.03
 
 # mallopt(3) parameters from glibc's malloc.h, and the largest mmap threshold
 # that glibc's own dynamic rule reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX).
@@ -639,10 +647,10 @@ def _keep_freed_pages() -> None:
 
 
 def _is_heavy(config: RunConfig) -> bool:
-    """Whether one variant task's simulated runs fire more than RAYS_PER_CALL rays
+    """Whether one variant task's simulated runs fire more than HEAVY_RAYS rays
     in their first frame alone, so that pooling its sweep pays from the start."""
     pulses = config.pulse_rate * revolution_period(TAU * config.frame_rate)
-    return len(_simulated_runs(config)) * pulses > RAYS_PER_CALL
+    return len(_simulated_runs(config)) * pulses > HEAVY_RAYS
 
 
 def _pool_saving(task_s: float, left: int, jobs: int) -> float:
@@ -660,28 +668,29 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     most jobs worker processes, at most one per variant; a pool starts only
     when it pays, and the records are the same wherever a task ran. A heavy
     sweep (_is_heavy) pools every task at once. Any other runs its tasks in
-    this process, in order, and after each one pools the rest only if, at
-    the mean task time so far, the pool would save more than POOL_START_S.
+    this process, in order, and after each one but the first pools the rest
+    only if, at the mean time of the tasks since the first, the pool would
+    save more than POOL_START_S. The first task is not timed: in a fresh
+    process it can run up to three times as long as the next ones.
     Each worker keeps its freed pages (_keep_freed_pages), whether forked or
     not; a sweep run here leaves the caller's allocator as it is.
 
     numpy loads numpy.random lazily, on a run's first default_rng, and only
-    runs that draw make one. With jobs > 1 and a fog of the config that
-    draws, this process imports it before its first task: its one-off cost
-    does not count as task time, and forked workers inherit it instead of
-    each importing it again on its first task of every sweep.
+    runs that draw make one. A heavy sweep with a fog that draws imports it
+    here before its pool starts, so that forked workers inherit it instead
+    of each importing it again on its first task of every sweep; any other
+    sweep that draws imports it in its first task, before a pool can start.
     """
     tasks = ([(config, variant) for variant in config.variants]
              if config.fog_fractions and config.seeds else [])
-    parallel = jobs > 1 and len(tasks) > 1
-    if parallel and any(uses_rng(config, fog) for fog in config.fog_fractions):
+    pooled = jobs > 1 and len(tasks) > 1 and _is_heavy(config)
+    if pooled and any(uses_rng(config, fog) for fog in config.fog_fractions):
         import numpy.random  # noqa: F401
-    pooled = parallel and _is_heavy(config)
-    done = []
+    done = [] if pooled or not tasks else [_run_cells(tasks.pop(0))]
     start = time.perf_counter()
     while tasks and not pooled:
         done.append(_run_cells(tasks.pop(0)))
-        task_s = (time.perf_counter() - start) / len(done)
+        task_s = (time.perf_counter() - start) / (len(done) - 1)
         pooled = _pool_saving(task_s, len(tasks), jobs) > POOL_START_S
     if tasks:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),

@@ -1260,7 +1260,7 @@ class TestRunSweep:
         # however little a pool would save by the parent's clock
         monkeypatch.setattr(runner, "POOL_START_S", math.inf)
         # 15,000 pulses a frame, one frame a run: 10 simulated runs a variant fire
-        # 150,000 rays, more than RAYS_PER_CALL
+        # 150,000 rays, more than HEAVY_RAYS
         config = dataclasses.replace(default_config, pulse_rate=3e5, max_sim_time=0.05,
                                      fog_fractions=(0.0, 0.5), seeds=(1, 2, 3, 4, 5),
                                      dropout=True, spawn_jitter_m=3.0)
@@ -1275,19 +1275,28 @@ class TestRunSweep:
         assert started == [3] and tasks == [[(config, v) for v in config.variants]]
 
     @pytest.mark.parametrize("jobs, costs, here, workers", [
-        # mean 0.01 s with 3 left saves 0.01 s on 2 workers; mean 0.03 s with 2 left, 0.03 s
-        (2, [0.01, 0.05, 0.0, 0.0], 2, 2),
-        # mean 0.02 s with 3 left saves 0.04 s on 3 workers
-        (3, [0.02, 0.0, 0.0, 0.0], 1, 3),
-        # 0.02 s saved with 3 and with 2 left, nothing with 1 left
-        (2, [0.02, 0.02, 0.02, 0.02], 4, None),
+        # the first task is not timed; 0.03 s with 4 left saves 0.06 s on 2 workers
+        (2, [0.0, 0.03, 0.0, 0.0, 0.0, 0.0], 2, 2),
+        # mean 0.01 s with 4 left saves 0.02 s on 2 workers, 0.03 s on 4
+        (2, [0.0, 0.01, 0.0, 0.0, 0.0, 0.0], 6, None),
+        (4, [0.0, 0.01, 0.0, 0.0, 0.0, 0.0], 2, 4),
+        # mean 0.01 s saves 0.02 s; then mean 0.03 s with 3 left saves 0.03 s
+        (2, [0.0, 0.01, 0.05, 0.0, 0.0, 0.0], 3, 2),
+        # a slow first task alone would save 0.3 s on 3 workers, but it is not timed
+        (3, [0.1, 0.005, 0.0, 0.0, 0.0, 0.0], 6, None),
+        # 0.012 s a task saves at most 0.024 s, with 4 left
+        (2, [0.012] * 6, 6, None),
     ])
     def test_the_parent_pools_the_rest_once_the_pool_pays(self, default_config, monkeypatch,
                                                           recording_pool, jobs, costs, here,
                                                           workers):
         started, tasks = recording_pool
         monkeypatch.setattr(runner, "POOL_START_S", 0.025)
-        config = dataclasses.replace(default_config, seeds=(101, 102))
+        config = dataclasses.replace(
+            default_config, seeds=(101, 102),
+            variants=default_config.variants + (VariantConfig("range", p_low_ratio=0.5),
+                                                VariantConfig("resolution", omega_high_ratio=1.5)))
+        assert not runner._is_heavy(config)
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
         # a clock that moves only by each task's scripted cost
         now = [0.0]
