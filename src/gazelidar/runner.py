@@ -44,16 +44,14 @@ CHUNK_FRAMES = 24
 # far to either side: shipped, dense and seeded_jobs2 fire 1,172, 7,812 and
 # 23,438, each task some 3-20 ms, and the 2 MHz hires sweep 6,000,000, each
 # task about 0.5 s. Where between them pooling starts to pay at once was
-# not measured; a light sweep whose tasks run long is pooled by its clock.
+# not measured; a light sweep whose tasks run long is pooled by POOL_RAYS.
 HEAVY_RAYS = 2 ** 17
 
-# Wall time a pool must save before run_sweep starts one for a light sweep.
-# Measured in fresh `gazelidar run` processes on a shared 2-core machine:
-# pooling the last two of four tasks on two forked workers cost 20-24 ms
-# beyond the task it saved, with tasks of 25 to 82 ms that return 16 to 60
-# records each (7 alternating pairs per sweep), so the pool won from about
-# 25 ms saved. A pool's cost also grows with the records it sends back.
-POOL_START_S = 0.03
+# A light sweep pools the tasks left after its first one only when that task's
+# simulated runs cast more than POOL_RAYS rays in all. On --jobs 2 (README) that
+# lost for dense with 16 seeds at 1 s (2.5 M rays) and seeded_jobs2 at 5 s
+# (2.34 M), and won for seeded_jobs2 at 10 s (4.69 M) and dense at 3 s (7.5 M).
+POOL_RAYS = 2 ** 22
 
 # mallopt(3) parameters from glibc's malloc.h, and the largest mmap threshold
 # that glibc's own dynamic rule reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX).
@@ -291,8 +289,7 @@ def load_run_config(path) -> RunConfig:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
         raise ConfigError(f"{scenario.name}: {exc}") from exc
-    if problem := _reach_problem(obstacles, ego, spawn_jitter, max_sim_time,
-                                 "scenario.obstacles"):
+    if problem := _reach_problem(obstacles, ego, spawn_jitter, max_sim_time):
         raise ConfigError(f"{raw.prefix}{problem}")
 
     return RunConfig(
@@ -315,43 +312,50 @@ def load_run_config(path) -> RunConfig:
     )
 
 
-def _reach_problem(boxes, ego: Vec2, jitter: float, end: float, field: str) -> str | None:
+def _reach_problem(boxes, ego: Vec2, jitter: float, end: float) -> str | None:
     """Why runs cannot cast `boxes` with this spawn jitter up to time `end`, or None.
 
     Every vertex must stay within MAX_OFFSET of the ego on both axes, at any
     time of a run and for any jitter a run draws from U(-jitter, jitter),
     which moves a mover's start that far back along its heading. Vertices
     move linearly, so the rule is checked at t = 0 and t = end, with a
-    mover's start shifted by -jitter and +jitter. The first box that breaks
-    it is named `field`[i]; the problem is put on spawn_jitter_m when only
-    the jitter takes the box out.
+    mover's start shifted by -jitter and +jitter. The problem is put on
+    scenario.ego if every box is out at t = 0, on max_sim_time_s if every
+    mover is out only at t = end, else on the first box out, or on
+    spawn_jitter_m if only the jitter takes a box out.
     """
     if not jitter >= 0.0:
         return f"spawn_jitter_m: {jitter!r} is not at least 0"
     beyond = f"more than {MAX_OFFSET:g} m from the ego on an axis"
-    for i, box in enumerate(boxes):
+
+    def inside(box, d) -> bool:
+        """Whether `box`, moved d along its heading, keeps every vertex in reach."""
         ux, uy = math.cos(box.heading), math.sin(box.heading)
         # a vertex lies at most this far from the center on each axis
         reach_x = box.half_length * abs(ux) + box.half_width * abs(uy)
         reach_y = box.half_length * abs(uy) + box.half_width * abs(ux)
         x, y = box.center.x - ego.x, box.center.y - ego.y
         # each test is written so that a nan offset fails it
-        if box.speed == 0.0:
-            if not (abs(x) + reach_x <= MAX_OFFSET and abs(y) + reach_y <= MAX_OFFSET):
-                return f"{field}[{i}]: a vertex lies {beyond}"
-            continue
-
-        def inside(shifts) -> bool:
-            return all(abs(x + d * ux) + reach_x <= MAX_OFFSET
-                       and abs(y + d * uy) + reach_y <= MAX_OFFSET for d in shifts)
-        travel = (0.0, end * box.speed)
-        moved = f"at t = 0 or at max_sim_time_s {end:g}"
-        if not inside(travel):
-            if jitter > 0.0:
-                moved += f", before spawn_jitter_m {jitter!r} moves its start"
-            return f"{field}[{i}]: a vertex lies {beyond} {moved}"
-        if not inside([d + shift for d in travel for shift in (-jitter, jitter)]):
-            return f"spawn_jitter_m: {jitter!r} moves a vertex of {field}[{i}] {beyond} {moved}"
+        return (abs(x + d * ux) + reach_x <= MAX_OFFSET
+                and abs(y + d * uy) + reach_y <= MAX_OFFSET)
+    movers = [i for i, box in enumerate(boxes) if box.speed != 0.0]
+    out = [i for i, box in enumerate(boxes) if not inside(box, 0.0)]
+    late = [i for i in movers if not inside(boxes[i], end * boxes[i].speed)]
+    if boxes and len(out) == len(boxes):
+        return f"scenario.ego: every vertex of scenario.obstacles lies {beyond}"
+    if movers and not out and late == movers:
+        return f"max_sim_time_s: {end!r} takes every mover {beyond}"
+    moved = f"at t = 0 or at max_sim_time_s {end:g}"
+    if out or late:
+        i = min(out + late)
+        jittered = f", before spawn_jitter_m {jitter!r} moves its start" if jitter > 0.0 else ""
+        when = f" {moved}{jittered}" if boxes[i].speed != 0.0 else ""
+        return f"scenario.obstacles[{i}]: a vertex lies {beyond}{when}"
+    for i in movers:
+        if not all(inside(boxes[i], d + shift) for d in (0.0, end * boxes[i].speed)
+                   for shift in (-jitter, jitter)):
+            return (f"spawn_jitter_m: {jitter!r} moves a vertex of scenario.obstacles[{i}] "
+                    f"{beyond} {moved}")
     return None
 
 
@@ -428,7 +432,7 @@ def validate_run_config(config: RunConfig) -> list[str]:
                 problems.append("target moves away from the conflict point")
 
     if problem := _reach_problem(scene.obstacles, scene.ego_position, config.spawn_jitter_m,
-                                 config.max_sim_time, "scenario.obstacles"):
+                                 config.max_sim_time):
         problems.append(problem)
 
     for axis in ("seeds", "fog_fractions"):
@@ -646,32 +650,26 @@ def _keep_freed_pages() -> None:
         mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
+def _rays(config: RunConfig, frames: int) -> float:
+    """Rays that `frames` frames fire; every plan fires the same pulses a frame."""
+    return frames * (config.pulse_rate * revolution_period(TAU * config.frame_rate))
+
+
 def _is_heavy(config: RunConfig) -> bool:
     """Whether one variant task's simulated runs fire more than HEAVY_RAYS rays
     in their first frame alone, so that pooling its sweep pays from the start."""
-    pulses = config.pulse_rate * revolution_period(TAU * config.frame_rate)
-    return len(_simulated_runs(config)) * pulses > HEAVY_RAYS
-
-
-def _pool_saving(task_s: float, left: int, jobs: int) -> float:
-    """Seconds that min(jobs, left) workers save over this process on `left` more
-    tasks of task_s seconds each, the pool's start cost not counted."""
-    if jobs < 2 or left < 2:
-        return 0.0
-    return task_s * (left - math.ceil(left / min(jobs, left)))
+    return _rays(config, len(_simulated_runs(config))) > HEAVY_RAYS
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
     Each variant, at every fog, is one _run_cells task. jobs > 1 allows at
-    most jobs worker processes, at most one per variant; a pool starts only
-    when it pays, and the records are the same wherever a task ran. A heavy
-    sweep (_is_heavy) pools every task at once. Any other runs its tasks in
-    this process, in order, and after each one but the first pools the rest
-    only if, at the mean time of the tasks since the first, the pool would
-    save more than POOL_START_S. The first task is not timed: in a fresh
-    process it can run up to three times as long as the next ones.
+    most jobs worker processes, at most one per variant, and the records are
+    the same wherever a task ran. A heavy sweep (_is_heavy) pools every task
+    at once. Any other runs its first task here, then hands the rest to
+    min(jobs, tasks left) workers only if two or more are left and that
+    task's simulated runs cast more than POOL_RAYS rays (copies cast none).
     Each worker keeps its freed pages (_keep_freed_pages), whether forked or
     not; a sweep run here leaves the caller's allocator as it is.
 
@@ -686,12 +684,13 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     pooled = jobs > 1 and len(tasks) > 1 and _is_heavy(config)
     if pooled and any(uses_rng(config, fog) for fog in config.fog_fractions):
         import numpy.random  # noqa: F401
-    done = [] if pooled or not tasks else [_run_cells(tasks.pop(0))]
-    start = time.perf_counter()
-    while tasks and not pooled:
+    done = []
+    if tasks and not pooled:
         done.append(_run_cells(tasks.pop(0)))
-        task_s = (time.perf_counter() - start) / (len(done) - 1)
-        pooled = _pool_saving(task_s, len(tasks), jobs) > POOL_START_S
+        cast = _rays(config, sum(r.frames_cast for r in done[0] if r.reused_from is None))
+        if jobs < 2 or len(tasks) < 2 or cast <= POOL_RAYS:
+            done += map(_run_cells, tasks)
+            tasks = []
     if tasks:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                                     initializer=_keep_freed_pages) as pool:

@@ -375,17 +375,26 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("index, key, value", [
-        (2, "center", [1e308, 0.0]), (2, "half_length", 1e308), (1, "speed_mps", 1e308),
-        (0, "half_length", 1e300)], ids=["far-box", "long-box", "fast-mover", "long-target"])
+    @pytest.mark.parametrize("index, key, value, field", [
+        (2, "center", [1e308, 0.0], "scenario.obstacles[2]: a vertex"),
+        (2, "half_length", 1e308, "scenario.obstacles[2]: a vertex"),
+        (1, "speed_mps", 1e308, "scenario.obstacles[1]: a vertex"),
+        (0, "half_length", 1e300, "scenario.obstacles[0]: a vertex"),
+        (None, "ego", [1.0000000000000002e+150, 0.0], "scenario.ego: every vertex"),
+        (None, "max_sim_time_s", 1e300, "max_sim_time_s: 1e+300 takes every mover"),
+    ], ids=["far-box", "long-box", "fast-mover", "long-target", "far-ego", "long-sweep"])
     def test_geometry_past_the_caster_bound_exits_without_running(self, tmp_path, capsys,
-                                                                  monkeypatch, index, key, value):
+                                                                  monkeypatch, index, key, value,
+                                                                  field):
         # each was accepted once, and the run overflowed numpy into nonsense results:
-        # obstacle 10's far center or length, obstacle 2's speed, the target's length
-        scenario = copy.deepcopy(DEFAULT_JSON["scenario"])
-        scenario["obstacles"][index][key] = value
-        config = _write_trimmed_config(tmp_path, scenario=scenario)
-        field = f"scenario.obstacles[{index}]: a vertex"
+        # obstacle 10's far center or length, obstacle 2's speed, the target's length;
+        # an ego that takes every box out, or a run long enough to take every mover out,
+        # is named itself
+        raw = {"scenario": copy.deepcopy(DEFAULT_JSON["scenario"])}
+        node = (raw["scenario"]["obstacles"][index] if index is not None
+                else raw["scenario"] if key == "ego" else raw)
+        node[key] = value
+        config = _write_trimmed_config(tmp_path, **raw)
         assert main(["validate", "--config", str(config)]) == 1
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 1

@@ -22,7 +22,8 @@ from gazelidar import __version__, runner
 from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
 from gazelidar.metrics import SAMPLE_DTYPE
-from gazelidar.policy import DegeneratePartitionError, VariantConfig, solve_power_levels
+from gazelidar.policy import (DegeneratePartitionError, VariantConfig, revolution_period,
+                             solve_power_levels)
 from gazelidar.runner import (ConfigError, load_run_config,
                               quartiles, run_single, run_sweep, summarize, summary_text,
                               uses_rng, validate_run_config,
@@ -36,6 +37,18 @@ from oracles import (jittered_scene, listed_summary, per_frame_run, per_row_dens
 DEFAULT_JSON = json.loads(DEFAULT_CONFIG.read_text())
 # gaze angles in degrees; 0 gives a RoF wrapped across 0/tau
 _THETA_DEG = st.one_of(st.sampled_from([0.0, 135.4308]), st.floats(0.0, 360.0))
+
+
+def _numeric_leaves(node, route=()):
+    """Routes of the numbers, not bools, in a parsed JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    leaves = []
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            leaves += _numeric_leaves(v, route + (k,))
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            leaves.append(route + (k,))
+    return leaves
 
 
 def _write_config(tmp_path, mutate=None):
@@ -333,23 +346,15 @@ class TestLoadRunConfig:
             run_single(default_config, default_config.variants[0], 0.5, 101))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_any_scalar_in_a_numeric_field_loads_or_raises_config_error(self, data):
+    @given(route=st.sampled_from(_numeric_leaves(DEFAULT_JSON)),
+           value=st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.integers(),
+                           st.floats(), st.lists(st.integers(), max_size=2)))
+    # every box out of the caster's reach at t = 0, then every mover at the end
+    @example(route=("scenario", "ego", 0), value=1.0000000000000002e+150)
+    @example(route=("max_sim_time_s",), value=1e300)
+    def test_any_scalar_in_a_numeric_field_loads_or_raises_config_error(self, route, value):
         raw = copy.deepcopy(DEFAULT_JSON)
         raw["gaze_trace"] = str(CONFIG_DIR / "gaze_left.csv")
-        leaves = []
-
-        def collect(node, route):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for k, v in items:
-                if isinstance(v, (dict, list)):
-                    collect(v, route + (k,))
-                elif isinstance(v, (int, float)) and not isinstance(v, bool):
-                    leaves.append(route + (k,))
-        collect(raw, ())
-        route = data.draw(st.sampled_from(leaves))
-        value = data.draw(st.one_of(st.none(), st.booleans(), st.text(max_size=4),
-                                    st.integers(), st.floats(), st.lists(st.integers(), max_size=2)))
         node = raw
         for step in route[:-1]:
             node = node[step]
@@ -578,6 +583,16 @@ class TestValidateRunConfig:
         assert with_box(mover, max_sim_time=5.0, spawn_jitter_m=6e149) == [
             "spawn_jitter_m: 6e+149 moves a vertex of scenario.obstacles[12] more than "
             f"{MAX_OFFSET:g} m from the ego on an axis at t = 0 or at max_sim_time_s 5"]
+        # the ego is named when it takes every box out, and max_sim_time_s when it
+        # takes out every mover, as load_run_config names them
+        far_ego = dataclasses.replace(scene, ego_position=Vec2(math.nextafter(MAX_OFFSET, 1e300),
+                                                               0.0))
+        assert validate_run_config(dataclasses.replace(default_config, scene=far_ego)) == [
+            f"scenario.ego: every vertex of scenario.obstacles lies more than {MAX_OFFSET:g} m "
+            "from the ego on an axis"]
+        assert validate_run_config(dataclasses.replace(default_config, max_sim_time=1e300)) == [
+            f"max_sim_time_s: 1e+300 takes every mover more than {MAX_OFFSET:g} m from the ego "
+            "on an axis"]
 
     @pytest.mark.parametrize("jitter", [1e308, math.nan, math.inf, -1.0])
     def test_flags_a_jitter_runs_cannot_draw(self, default_config, jitter):
@@ -1243,10 +1258,8 @@ class TestRunSweep:
             for jobs in (0, 2):
                 assert run_sweep(dataclasses.replace(four, **empty), jobs) == []
 
-    def test_a_light_sweep_starts_no_pool_that_never_pays(self, default_config, monkeypatch,
-                                                          recording_pool):
+    def test_a_light_sweep_starts_no_pool_that_never_pays(self, default_config, recording_pool):
         started, tasks = recording_pool
-        monkeypatch.setattr(runner, "POOL_START_S", math.inf)
         config = dataclasses.replace(default_config, seeds=(101, 102))
         assert not runner._is_heavy(config)
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
@@ -1254,11 +1267,8 @@ class TestRunSweep:
             assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
         assert started == [] and tasks == []
 
-    def test_a_heavy_sweep_pools_every_task_at_once(self, default_config, monkeypatch,
-                                                    recording_pool):
+    def test_a_heavy_sweep_pools_every_task_at_once(self, default_config, recording_pool):
         started, tasks = recording_pool
-        # however little a pool would save by the parent's clock
-        monkeypatch.setattr(runner, "POOL_START_S", math.inf)
         # 15,000 pulses a frame, one frame a run: 10 simulated runs a variant fire
         # 150,000 rays, more than HEAVY_RAYS
         config = dataclasses.replace(default_config, pulse_rate=3e5, max_sim_time=0.05,
@@ -1274,47 +1284,53 @@ class TestRunSweep:
         assert [_strip_wall_time(r) for r in run_sweep(config, jobs=3)] == serial
         assert started == [3] and tasks == [[(config, v) for v in config.variants]]
 
-    @pytest.mark.parametrize("jobs, costs, here, workers", [
-        # the first task is not timed; 0.03 s with 4 left saves 0.06 s on 2 workers
-        (2, [0.0, 0.03, 0.0, 0.0, 0.0, 0.0], 2, 2),
-        # mean 0.01 s with 4 left saves 0.02 s on 2 workers, 0.03 s on 4
-        (2, [0.0, 0.01, 0.0, 0.0, 0.0, 0.0], 6, None),
-        (4, [0.0, 0.01, 0.0, 0.0, 0.0, 0.0], 2, 4),
-        # mean 0.01 s saves 0.02 s; then mean 0.03 s with 3 left saves 0.03 s
-        (2, [0.0, 0.01, 0.05, 0.0, 0.0, 0.0], 3, 2),
-        # a slow first task alone would save 0.3 s on 3 workers, but it is not timed
-        (3, [0.1, 0.005, 0.0, 0.0, 0.0, 0.0], 6, None),
-        # 0.012 s a task saves at most 0.024 s, with 4 left
-        (2, [0.012] * 6, 6, None),
-    ])
-    def test_the_parent_pools_the_rest_once_the_pool_pays(self, default_config, monkeypatch,
-                                                          recording_pool, jobs, costs, here,
-                                                          workers):
-        started, tasks = recording_pool
-        monkeypatch.setattr(runner, "POOL_START_S", 0.025)
-        config = dataclasses.replace(
-            default_config, seeds=(101, 102),
-            variants=default_config.variants + (VariantConfig("range", p_low_ratio=0.5),
-                                                VariantConfig("resolution", omega_high_ratio=1.5)))
+    @pytest.fixture
+    def long_light(self, default_config):
+        """A light sweep of 4 variants whose runs never detect, so each lasts
+        max_sim_time; runs draw nothing, so each fog copies its first seed's
+        record. Returns the config, its serial records and the rays that its
+        first task's simulated runs cast, copies not counted."""
+        config = dataclasses.replace(default_config, seeds=(101, 102), min_points=10 ** 6,
+                                     max_sim_time=0.2)
         assert not runner._is_heavy(config)
-        serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
-        # a clock that moves only by each task's scripted cost
-        now = [0.0]
-        ran = []
-        run_cells = runner._run_cells
+        records = run_sweep(config, jobs=1)
+        first = [r for r in records if r.variant == config.variants[0]]
+        assert len(first) == 6 and sum(r.reused_from is not None for r in first) == 3
+        pulses = config.pulse_rate * revolution_period(math.tau * config.frame_rate)
+        cast = sum(r.frames_cast for r in first if r.reused_from is None) * pulses
+        # every simulated run casts more than its first frame
+        assert cast > 3 * pulses
+        return config, [_strip_wall_time(r) for r in records], cast
 
-        def costed(task):
-            now[0] += costs[len(ran)]
-            ran.append(task)
-            return run_cells(task)
-        monkeypatch.setattr(runner, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        monkeypatch.setattr(runner, "_run_cells", costed)
-        records = run_sweep(config, jobs=jobs)
-        assert [_strip_wall_time(r) for r in records] == serial
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (4, 3)])
+    def test_the_parent_pools_the_rest_when_its_first_task_cast_more_than_pool_rays(
+            self, long_light, monkeypatch, recording_pool, jobs, workers):
+        started, tasks = recording_pool
+        config, serial, cast = long_light
         every = [(config, v) for v in config.variants]
-        assert ran == every
-        assert started == ([] if workers is None else [workers])
-        assert tasks == ([] if workers is None else [every[here:]])
+        # a count equal to the bound runs every task here, and so does a bound
+        # that only the copies' rays would pass
+        for bound in (cast, cast * 2 - 1):
+            monkeypatch.setattr(runner, "POOL_RAYS", bound)
+            assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
+            assert started == [] and tasks == []
+        # one ray less pools the 3 tasks left on min(jobs, 3) workers
+        monkeypatch.setattr(runner, "POOL_RAYS", cast - 1)
+        assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
+        assert started == [workers] and tasks == [every[1:]]
+
+    @pytest.mark.parametrize("jobs", [-1, 1, 2, 4])
+    def test_the_parent_runs_a_single_task_left_or_any_on_one_job(self, long_light, monkeypatch,
+                                                                   recording_pool, jobs):
+        started, tasks = recording_pool
+        config, serial, cast = long_light
+        monkeypatch.setattr(runner, "POOL_RAYS", 0)
+        two = dataclasses.replace(config, variants=config.variants[:2])
+        assert ([_strip_wall_time(r) for r in run_sweep(two, jobs=jobs)]
+                == [r for r in serial if r[0] in two.variants])
+        if jobs < 2:
+            assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
+        assert started == [] and tasks == []
 
     def test_variant_tasks_write_the_same_bytes_on_any_number_of_workers(self, default_config,
                                                                          tmp_path, monkeypatch,
