@@ -7,18 +7,21 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .runner import (ConfigError, _keep_freed_pages, load_run_config, read_summary_json,
+from .runner import (ConfigError, _fmt, _keep_freed_pages, load_run_config, read_summary_json,
                      run_sweep, summarize, summary_text, validate_run_config,
                      write_density_samples_csv, write_results_csv, write_summary_json)
 
 
-def _checked_config(config_path: str, prefix: str, stream):
-    """The config if it loads and validates, else None after printing its problems."""
+def _checked_config(config_path: str, prefix: str, stream, seed_override: int | None = None):
+    """The config, its seeds replaced by any seed_override, if that loads and
+    validates, else None after printing its problems."""
     try:
         config = load_run_config(config_path)
     except ConfigError as exc:
         print(f"{prefix} {exc}", file=stream)
         return None
+    if seed_override is not None:
+        config = dataclasses.replace(config, seeds=(seed_override,))
     problems = validate_run_config(config)
     for p in problems:
         print(f"{prefix} {config_path}: {p}", file=stream)
@@ -34,11 +37,9 @@ def cmd_validate(config_path: str) -> int:
 
 def cmd_run(config_path: str, out_dir: str, jobs: int = 1,
             seed_override: int | None = None) -> int:
-    config = _checked_config(config_path, "error:", sys.stderr)
+    config = _checked_config(config_path, "error:", sys.stderr, seed_override)
     if config is None:
         return 2
-    if seed_override is not None:
-        config = dataclasses.replace(config, seeds=(seed_override,))
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -71,17 +72,20 @@ def cmd_report(results_dir: str, fmt: str = "table") -> int:
     if fmt == "json":
         sys.stdout.write(summary_text(summary))
         return 0
-    header = (f"{'variant':<22} {'fog':>5} {'runs':>4} {'fail':>4} {'det':>4} "
+    # fog as results.csv writes it, so that two fogs never print alike
+    fogs = [_fmt(c["fog"]) for c in summary["cells"]]
+    width = max([5, *map(len, fogs)])
+    header = (f"{'variant':<22} {'fog':>{width}} {'runs':>4} {'fail':>4} {'det':>4} "
               f"{'tta q1':>8} {'tta med':>8} {'tta q3':>8} "
               f"{'dens q1':>9} {'dens med':>9} {'dens q3':>9}")
     print(header)
     print("-" * len(header))
-    for c in summary["cells"]:
+    for c, fog in zip(summary["cells"], fogs):
         tta = c["tta_s"]
         dens = c["density_pts_per_deg"]
         tta_cols = tuple(f"{tta[k]:8.3f}" for k in ("q1", "median", "q3")) if tta else ("-".rjust(8),) * 3
         dens_cols = tuple(f"{dens[k]:9.4f}" for k in ("q1", "median", "q3")) if dens else ("-".rjust(9),) * 3
-        print(f"{c['variant']:<22} {c['fog']:>5.2f} {c['runs']:>4} {c['failures']:>4} {c['detected']:>4} "
+        print(f"{c['variant']:<22} {fog:>{width}} {c['runs']:>4} {c['failures']:>4} {c['detected']:>4} "
               f"{' '.join(tta_cols)} {' '.join(dens_cols)}")
     return 0
 

@@ -204,8 +204,8 @@ def revolution_setup(plan: ScanPlan, fogs: Sequence[FogCondition], cal: SensorCa
 
 class FrameRun(NamedTuple):
     """One run's block of a scan_frames call: the fog row of the setup that
-    limits its pulses, and its generator. A run draws fog dropout only if it
-    carries a generator and its row's sigma is positive."""
+    limits its pulses, and its generator, which the caller hands over only to
+    a run that drops out: a run draws exactly when it carries one."""
 
     row: int
     rng: np.random.Generator | None = None
@@ -220,17 +220,18 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     blocks of k frames, one FrameRun of the list `runs` each. A pulse
     returns where the nearest hit over the setup's static layer and the
     frame's edges lies within the max range of its pulse in the run's row,
-    and, for a run that draws, survives dropout: with probability
-    exp(-sigma r), against one uniform per pulse in frame order. A drawing
-    run draws its block's k * n uniforms at once, in run order, the stream
-    its one-frame calls would draw. Returns (targets, rois), (S, k) arrays:
-    each frame's returns off obstacle target_id and inside the setup's RoI.
+    and, for a run with a generator, survives dropout: with probability
+    exp(-sigma r), against one uniform per pulse in frame order. Such a run
+    draws its block's k * n uniforms at once, whatever its hits and fog, in
+    run order: the stream its one-frame calls would draw. Returns (targets,
+    rois), (S, k) arrays: each frame's returns off obstacle target_id and
+    inside the setup's RoI.
 
     The target must be one of the edges' boxes, a mover: a target_id that
     the setup's static layer hits is refused with a ValueError, since its
     static returns are not counted. Each frame's RoI count starts from the
-    setup's static count of the run's row, or, for a drawing run, from its
-    uniforms compared with the row's survival. cast_edges gives the few
+    setup's static count of the run's row, or, for a run with a generator,
+    from its uniforms compared with the row's survival. cast_edges gives the few
     slots where a mover reaches a pulse at or nearer than the static layer;
     only there is a static return taken away and the mover's put in its
     place, and only there can the target return.
@@ -240,8 +241,7 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
     n = setup.angles.shape[0]
     k = edges.shape[0] // len(runs)
     rows = np.array([run.row for run in runs], dtype=np.intp)
-    drawing = [s for s, run in enumerate(runs)
-               if run.rng is not None and setup.sigmas[run.row] > 0.0]
+    drawing = [s for s, run in enumerate(runs) if run.rng is not None]
     rois = np.repeat(setup.roi_hits[rows], k).reshape(len(runs), k)
 
     fan = (setup.cos, setup.sin, setup.key, setup.order)
@@ -276,24 +276,18 @@ def scan_frames(edges: np.ndarray, edge_ids: np.ndarray, origin: Vec2, setup: Re
 
 
 def scan_revolution(scene: Scene, plan: ScanPlan, fog: FogCondition,
-                    cal: SensorCalibration, start_time: float,
-                    dropout: bool = False, rng=None) -> PointCloud:
+                    cal: SensorCalibration, start_time: float, rng=None) -> PointCloud:
     """Sweep one revolution over a frozen scene: the static layer of its setup.
 
     Every box stands still for the revolution, so the whole scene is the
     setup's static layer and no pulse needs a frame of moving edges. Each
     pulse is range-limited by the effective range of its segment's emitted
-    power under the given fog. With dropout enabled, a hit survives with
-    probability exp(-sigma r); one uniform is drawn per pulse so the draw
-    order does not depend on the hit pattern, the draws a one-frame
-    scan_frames makes.
+    power under the given fog. Given a generator rng, a hit survives fog
+    dropout with probability exp(-sigma r), against one uniform per pulse
+    whatever the hits and fog: the draws a one-frame scan_frames makes.
     """
     setup = revolution_setup(plan, (fog,), cal, scene)
-    hit = setup.static_hit[0]
-    if dropout and setup.sigmas[0] > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng")
-        hit = rng.random(hit.shape[0]) < setup.survival[0]
+    hit = setup.static_hit[0] if rng is None else rng.random(len(setup.angles)) < setup.survival[0]
     returns = np.empty(np.count_nonzero(hit), dtype=RETURN_DTYPE)
     returns["angle"] = setup.angles[hit]
     returns["range_m"] = setup.static_ranges[hit]

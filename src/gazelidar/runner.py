@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atmosphere import SensorCalibration, fog_from_fraction
+from .atmosphere import FogCondition, SensorCalibration, fog_from_fraction
 from .gaze import AcuityFunction, GazeTrace, compute_rof, compute_roi, load_gaze_trace
 # No run calls scan_revolution, density, detect or advance; they are imported because
 # bench/tracing.py wraps them here, and tests/test_bench_targets.py requires each name.
@@ -40,9 +40,9 @@ RAYS_PER_CALL = 2 ** 17
 CHUNK_FRAMES = 24
 
 # run_sweep pools a sweep at once when one variant task's simulated runs fire
-# more than HEAVY_RAYS rays in their first frame alone. The measured sweeps lie
-# far to either side: shipped, dense and seeded_jobs2 fire 1,172, 7,812 and
-# 23,438, each task some 3-20 ms, and the 2 MHz hires sweep 6,000,000, each
+# more than HEAVY_RAYS rays in their first frame alone (_rays). The measured sweeps
+# lie far to either side: shipped, dense and seeded_jobs2 fire 1,170, 7,812 and
+# 23,400, each task some 3-20 ms, and the 2 MHz hires sweep 6,000,000, each
 # task about 0.5 s. Where between them pooling starts to pay at once was
 # not measured; a light sweep whose tasks run long is pooled by POOL_RAYS.
 HEAVY_RAYS = 2 ** 17
@@ -50,7 +50,7 @@ HEAVY_RAYS = 2 ** 17
 # A light sweep pools the tasks left after its first one only when that task's
 # simulated runs cast more than POOL_RAYS rays in all. On --jobs 2 (README) that
 # lost for dense with 16 seeds at 1 s (2.5 M rays) and seeded_jobs2 at 5 s
-# (2.34 M), and won for seeded_jobs2 at 10 s (4.69 M) and dense at 3 s (7.5 M).
+# (2.34 M), and won for seeded_jobs2 at 10 s (4.68 M) and dense at 3 s (7.5 M).
 POOL_RAYS = 2 ** 22
 
 # mallopt(3) parameters from glibc's malloc.h, and the largest mmap threshold
@@ -445,10 +445,8 @@ def validate_run_config(config: RunConfig) -> list[str]:
 
     spans = _gaze_spans(config.gaze_trace, config.frame_rate, config.max_sim_time)
     states = dict.fromkeys(state for _, _, state in spans)
-    # every plan conserves this period, so every plan fires this many pulses
-    period = revolution_period(TAU * config.frame_rate)
-    pulses = config.pulse_rate * period
-    if not 0.0 < period < math.inf:
+    pulses = _rays(config)
+    if not 0.0 < revolution_period(TAU * config.frame_rate) < math.inf:
         states = {}   # ScanPlan refuses the period, so no plan is built
     for i, variant in enumerate(config.variants):
         j = [v.variant for v in config.variants].index(variant.variant)
@@ -481,16 +479,17 @@ def _spawn_starts(movers, rngs, jitter: float) -> np.ndarray:
     return centers - shifts[..., None] * headings
 
 
-def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
-    """Whether a run at this fog level draws from its seed's generator.
+def _drops_out(config: RunConfig, fog: FogCondition) -> bool:
+    """The one rule for whether a run in this fog draws dropout: fog_dropout on, sigma > 0."""
+    return config.dropout and fog.sigma > 0.0
 
-    Reads the rules of the two draw sites: spawn jitter in _spawn_starts, and
-    fog dropout in lidar.scan_frames, which draws for a run given its
-    generator (with fog_dropout on) and a positive sigma in its fog. When
-    false, the seed cannot change a record.
-    """
-    return config.spawn_jitter_m > 0.0 or (
-        config.dropout and fog_from_fraction(fog_fraction, config.kappa).sigma > 0.0)
+
+def uses_rng(config: RunConfig, fog_fraction: float) -> bool:
+    """Whether a run at this fog level draws from its seed's generator: for spawn
+    jitter in _spawn_starts, or for dropout in lidar.scan_frames if it _drops_out.
+    When false, the seed cannot change a record."""
+    return config.spawn_jitter_m > 0.0 or _drops_out(
+        config, fog_from_fraction(fog_fraction, config.kappa))
 
 
 def run_single(config: RunConfig, variant: VariantConfig, fog_fraction: float,
@@ -510,12 +509,12 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     config scene's static boxes, which jitter never moves, and one max-range
     row per distinct fog) is built once for every fog. A step casts the next
     k frames of every live run in scan_frames calls of as many runs as
-    RAYS_PER_CALL allows, one call when it allows them all; each run has its
-    fog's row and, with fog_dropout on, its own generator. metrics
-    then finds each run's first detecting frame and its RoI density per
-    frame up to it. Frames cast after that frame, and their draws, are
-    discarded; frames_cast counts them. Only a run that uses_rng gets a
-    generator, so a sweep that draws nothing never imports numpy.random.
+    RAYS_PER_CALL allows, one call when it allows them all; each run's
+    FrameRun has its fog's row and, only if the run _drops_out, its
+    generator. metrics then finds each run's first detecting frame and its
+    RoI density per frame up to it. Frames cast after that frame, and their
+    draws, are discarded; frames_cast counts them. Only a run that uses_rng
+    gets a generator, so a sweep that draws nothing never imports numpy.random.
     A run's TTA is the target's distance to the conflict point at its
     detecting frame over its speed, the distance taken with advance() and
     Vec2.distance_to's float operations from the target's start center.
@@ -536,7 +535,8 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     rngs = [np.random.default_rng(seed) if uses_rng(config, fraction) else None
             for fraction, seed in runs]
     rows = [fractions.index(fraction) for fraction, _ in runs]
-    frame_runs = [FrameRun(row, rng if config.dropout else None) for row, rng in zip(rows, rngs)]
+    frame_runs = [FrameRun(row, rng if _drops_out(config, fogs[row]) else None)
+                  for row, rng in zip(rows, rngs)]
     starts = _spawn_starts(movers.obstacles, rngs, config.spawn_jitter_m)
     empty = np.empty(0, SAMPLE_DTYPE)
     samples = [[] for _ in runs]
@@ -650,9 +650,10 @@ def _keep_freed_pages() -> None:
         mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
-def _rays(config: RunConfig, frames: int) -> float:
-    """Rays that `frames` frames fire; every plan fires the same pulses a frame."""
-    return frames * (config.pulse_rate * revolution_period(TAU * config.frame_rate))
+def _rays(config: RunConfig, frames: int = 1) -> float:
+    """Rays that `frames` frames fire: the whole pulses of each, as ScanPlan.rays_per_revolution
+    counts them for every plan, since every plan conserves one period. inf if they overflow."""
+    return frames * np.floor(config.pulse_rate * revolution_period(TAU * config.frame_rate))
 
 
 def _is_heavy(config: RunConfig) -> bool:

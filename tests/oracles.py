@@ -208,20 +208,19 @@ def dense_scan_frames(edges, edge_ids, origin: Vec2, setup, runs):
 
     Each frame is dense_cast_edges over the setup's static layer; a hit
     counts within the max range of its pulse in the run's row and, for a
-    run with a generator and a positive sigma in that row, survives where its
-    uniform lies below exp(-sigma r), the sigma multiplied over every pulse
-    of the run's block, hit or not.
+    run with a generator, whatever the sigma of that row, survives where its
+    uniform lies below exp(-sigma r), one uniform drawn for every pulse of
+    the run's block, hit or not.
     """
-    sigmas = [setup.sigmas[run.row] if run.rng is not None else 0.0 for run in runs]
-    drawing = [s for s, sigma in enumerate(sigmas) if sigma > 0.0]
     fan = (setup.cos, setup.sin, setup.key, setup.order)
     ranges, hit_ids = dense_cast_edges(edges, edge_ids, origin, fan,
                                        (setup.static_ranges, setup.static_ids))
     blocks = ranges.reshape(len(runs), -1, ranges.shape[1])
     hit = blocks <= setup.max_ranges[[run.row for run in runs]][:, None]
-    for s in drawing:
-        survival = np.exp(np.where(hit[s], blocks[s], 0.0) * -sigmas[s])
-        hit[s] &= runs[s].rng.random(survival.shape) < survival
+    for s, run in enumerate(runs):
+        if run.rng is not None:
+            survival = np.exp(np.where(hit[s], blocks[s], 0.0) * -setup.sigmas[run.row])
+            hit[s] &= run.rng.random(survival.shape) < survival
     return ranges, hit_ids, hit.reshape(ranges.shape)
 
 
@@ -332,7 +331,8 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
     RoF, RoI, scan plan, pulse directions and effective ranges are all
     rebuilt every frame, every box, static or moving, is advanced and cast
     in one layer, and the start scene draws its jitter one box at a time.
-    Failures propagate; wall_time is 0.
+    scan_revolution is handed the generator only with fog_dropout on in a
+    fog of positive sigma. Failures propagate; wall_time is 0.
     """
     rng = np.random.default_rng(seed)
     fog = fog_from_fraction(fog_fraction, config.kappa)
@@ -350,7 +350,7 @@ def per_frame_run(config, variant, fog_fraction: float, seed: int) -> RunRecord:
         plan = build_scan_plan(variant, rof, roi, config.calibration, omega,
                                config.pulse_rate, config.p_max)
         cloud = scan_revolution(scene_t, plan, fog, config.calibration, t,
-                                dropout=config.dropout, rng=rng)
+                                rng if config.dropout and fog.sigma > 0.0 else None)
         samples.append(density(cloud, roi))
         frame += 1
         if detect(cloud, config.target_id, config.min_points):

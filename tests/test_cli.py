@@ -507,6 +507,19 @@ class TestRun:
             seeds = {row["seed"] for row in csv.DictReader(fh)}
         assert seeds == {"7"}
 
+    def test_seed_override_validates_only_the_seed_it_runs(self, tmp_path, capsys):
+        # the configured seeds repeat, but only the override runs; validate still refuses them
+        config = _write_trimmed_config(tmp_path, seeds=[3, 3])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--seed-override", "5"]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            assert {row["seed"] for row in csv.DictReader(fh)} == {"5"}
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "seeds[1] repeats seeds[0] (3)" in capsys.readouterr().out
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "all")]) == 2
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_stacked_seeds_do_not_affect_each_other(self, tmp_path, jobs):
         # with jitter and dropout every seed is simulated, all of a cell's in one stack
@@ -626,6 +639,22 @@ class TestReport:
         assert lines[0].startswith("variant")
         assert len(lines) == 2 + 8
         assert any(line.startswith("range_and_resolution") for line in lines)
+
+    def test_fogs_print_as_results_csv_writes_them_in_aligned_columns(self, tmp_path, capsys):
+        # two decimals would print both fogs as 0.12
+        config = _write_trimmed_config(tmp_path, fog_fractions=[0.12, 0.125, 0.123456789012])
+        assert _run(tmp_path, "out", config)[0] == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path / "out")]) == 0
+        header, rule, *rows = capsys.readouterr().out.splitlines()
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            written = sorted({row["fog"] for row in csv.DictReader(fh)})
+        assert written == ["0.12", "0.123456789012", "0.125"]
+        fog_col = header.split().index("fog")
+        assert sorted({row.split()[fog_col] for row in rows}) == written
+        assert len(rows) == 4 * 3 and {len(line) for line in [header, rule, *rows]} == {len(header)}
+        end = header.index("fog") + 3
+        assert all(row[:end].endswith(row.split()[fog_col]) for row in rows)
 
     def test_json_matches_the_run_summary(self, tmp_path, capsys):
         _, out = _run(tmp_path)

@@ -318,7 +318,7 @@ class TestLayeredCast:
         for seed in range(5):
             whole_rng = np.random.default_rng(seed)
             whole = scan_revolution(advance(scene, 0.5), self.PLAN, self.FOG, CAL, 0.5,
-                                    dropout=True, rng=whole_rng)
+                                    rng=whole_rng)
             for target in _targets(scene):
                 layered_rng = np.random.default_rng(seed)
                 layered = scan_frames(*edges_at(movers, (0.5,)), movers.ego_position, setup,
@@ -383,21 +383,24 @@ class TestLayeredCast:
 
 class TestDropout:
     def test_requires_an_rng_in_fog(self):
-        scene = make_enclosing_scene()
-        plan = _plan_for(VariantConfig("baseline"))
-        with pytest.raises(ValueError, match="rng"):
-            scan_revolution(scene, plan, FogCondition(0.5, 0.005), CAL, 0.0,
-                            dropout=True)
-
-    def test_scan_frames_requires_an_rng_in_fog(self):
-        """In fog, scan_frames drops out only for a run with an rng: a run
-        without one draws nothing and counts what dropout off returns, while
-        scan_revolution with dropout on and no rng raises."""
+        """In fog, scan_revolution drops out only with an rng: without one it
+        returns every hit within range, with one it thins them."""
         scene = make_enclosing_scene()
         plan = _plan_for(VariantConfig("baseline"))
         fog = FogCondition(0.5, 0.005)
-        with pytest.raises(ValueError, match="rng"):
-            scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True)
+        setup = revolution_setup(plan, (fog,), CAL, scene)
+        full = scan_revolution(scene, plan, fog, CAL, 0.0)
+        assert np.array_equal(full.returns["angle"], setup.angles[setup.static_hit[0]])
+        thinned = scan_revolution(scene, plan, fog, CAL, 0.0, rng=np.random.default_rng(12))
+        assert 0 < len(thinned.returns) < len(full.returns)
+
+    def test_scan_frames_requires_an_rng_in_fog(self):
+        """In fog, scan_frames drops out only for a run with an rng: a run
+        without one draws nothing and counts what scan_revolution without
+        one returns, and a run with one is thinned."""
+        scene = make_enclosing_scene()
+        plan = _plan_for(VariantConfig("baseline"))
+        fog = FogCondition(0.5, 0.005)
         # the walls as movers over an empty static layer; wall 1 is the target
         setup = revolution_setup(plan, (fog,), CAL, EMPTY_SCENE, ROI)
         edges = edges_at(scene, (0.0,))
@@ -410,19 +413,44 @@ class TestDropout:
         assert thinned[0].sum() < kept[0].sum() and thinned[1].sum() < kept[1].sum()
 
     def test_clear_air_needs_no_rng_and_drops_nothing(self):
+        """Clear air is scanned without an rng; handed one, it still drops
+        nothing, though it draws one uniform per pulse."""
         scene = make_enclosing_scene()
         plan = _plan_for(VariantConfig("baseline"))
         full = scan_revolution(scene, plan, CLEAR, CAL, 0.0)
-        assert scan_revolution(scene, plan, CLEAR, CAL, 0.0, dropout=True) == full
+        assert len(full.returns) > 0
+        rng = np.random.default_rng(3)
+        assert scan_revolution(scene, plan, CLEAR, CAL, 0.0, rng=rng) == full
+        reference = np.random.default_rng(3)
+        reference.random(plan.rays_per_revolution)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_generator_at_sigma_0_draws_every_pulse_and_drops_nothing(self):
+        """At sigma 0 a run with a generator draws k * n uniforms in scan_frames
+        and n in scan_revolution, and counts what a run without one counts."""
+        scene = make_enclosing_scene()
+        plan = _plan_for(VariantConfig("baseline"))
+        setup = revolution_setup(plan, (CLEAR,), CAL, EMPTY_SCENE, ROI)
+        n, times = len(setup.angles), (0.0, 0.05, 0.1, 0.15)
+        edges = edges_at(scene, times)
+        kept = scan_frames(*edges, scene.ego_position, setup, 1, [FrameRun(0)])
+        assert kept[0].sum() > 0 and kept[1].sum() > 0
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        drawn = scan_frames(*edges, scene.ego_position, setup, 1, [FrameRun(0, rng)])
+        assert _listed(drawn) == _listed(kept)
+        reference.random(len(times) * n)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        full = scan_revolution(scene, plan, CLEAR, CAL, 0.0)
+        assert scan_revolution(scene, plan, CLEAR, CAL, 0.0, rng=rng) == full
+        reference.random(n)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_is_deterministic_per_seed(self):
         scene = make_enclosing_scene(30.0)
         plan = _plan_for(VariantConfig("baseline"))
         fog = FogCondition(1.0, 0.02)
-        a = scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True,
-                            rng=np.random.default_rng(12))
-        b = scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True,
-                            rng=np.random.default_rng(12))
+        a = scan_revolution(scene, plan, fog, CAL, 0.0, rng=np.random.default_rng(12))
+        b = scan_revolution(scene, plan, fog, CAL, 0.0, rng=np.random.default_rng(12))
         assert a == b
 
     def test_thins_the_cloud(self):
@@ -430,19 +458,19 @@ class TestDropout:
         plan = _plan_for(VariantConfig("baseline"))
         fog = FogCondition(1.0, 0.02)
         full = scan_revolution(scene, plan, fog, CAL, 0.0)
-        thinned = scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True,
-                                  rng=np.random.default_rng(12))
+        thinned = scan_revolution(scene, plan, fog, CAL, 0.0, rng=np.random.default_rng(12))
         assert 0 < len(thinned.returns) < len(full.returns)
 
     def test_consumes_one_draw_per_pulse(self):
-        scene = make_enclosing_scene(30.0)
+        # whatever the fog and however many pulses hit: none in an empty scene
         plan = _plan_for(VariantConfig("baseline"))
-        rng = np.random.default_rng(99)
-        scan_revolution(scene, plan, FogCondition(1.0, 0.02), CAL, 0.0,
-                        dropout=True, rng=rng)
-        reference = np.random.default_rng(99)
-        reference.random(plan.rays_per_revolution)
-        assert rng.random() == reference.random()
+        for scene in (make_enclosing_scene(30.0), EMPTY_SCENE):
+            for fog in (FogCondition(1.0, 0.02), CLEAR):
+                rng = np.random.default_rng(99)
+                scan_revolution(scene, plan, fog, CAL, 0.0, rng=rng)
+                reference = np.random.default_rng(99)
+                reference.random(plan.rays_per_revolution)
+                assert rng.random() == reference.random()
 
     @pytest.mark.parametrize("seed", [12, 99])
     def test_a_hit_survives_when_its_draw_is_below_exp_minus_sigma_r(self, seed):
@@ -450,7 +478,7 @@ class TestDropout:
         plan = _plan_for(VariantConfig("baseline"))
         for fog in (FogCondition(1.0, 0.02), CLEAR):
             full = scan_revolution(scene, plan, fog, CAL, 0.0)
-            thinned = scan_revolution(scene, plan, fog, CAL, 0.0, dropout=True,
+            thinned = scan_revolution(scene, plan, fog, CAL, 0.0,
                                       rng=np.random.default_rng(seed))
             # one draw per pulse, in firing order; pick out the pulses that hit
             draws = np.random.default_rng(seed).random(plan.rays_per_revolution)
@@ -497,7 +525,7 @@ class TestScanFrames:
                 chunk = scan_frames(*edges_at(movers, times), movers.ego_position, setup, target,
                                     [FrameRun(0, chunk_rng)])
                 clouds = [scan_revolution(advance(scene, t), self.PLAN, self.FOG, CAL, t,
-                                          dropout=True, rng=one_by_one) for t in times]
+                                          rng=one_by_one) for t in times]
                 assert _listed(chunk) == list(_counts(clouds, target, ROI))
                 assert chunk_rng.bit_generator.state == one_by_one.bit_generator.state
 

@@ -157,8 +157,7 @@ class TestRoiFlags:
             assert sample.points_in_roi == expected
             assert sample.density == expected / math.degrees(roi.width)
         # the one-frame density of the first frame's cloud maps its angles
-        cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, dropout=True,
-                                rng=np.random.default_rng(seed))
+        cloud = scan_revolution(scene, plan, FOG, CAL, 0.0, rng=np.random.default_rng(seed))
         assert density(cloud, roi) == samples[0]
 
     def test_flags_built_for_another_roi_are_not_counted(self, default_config):
@@ -256,9 +255,9 @@ class TestChunkMetrics:
         targets, rois = scan_frames(*edges_at(APPROACH, times), APPROACH.ego_position, setup,
                                     target,
                                     [FrameRun(0, np.random.default_rng(seed) if dropout else None)])
-        rng = np.random.default_rng(seed)
-        clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t,
-                                  dropout=dropout, rng=rng) for t in times]
+        rng = np.random.default_rng(seed) if dropout else None
+        clouds = [scan_revolution(advance(APPROACH, t), FINE_PLAN, THIN_FOG, CAL, t, rng)
+                  for t in times]
         assert roi_densities(rois, roi).tolist() == [[
             density(cloud, roi).tolist() for cloud in clouds]]
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from gazelidar import __version__, runner
 from gazelidar.atmosphere import SensorCalibration
 from gazelidar.gaze import AcuityFunction, GazeState, GazeTrace, compute_rof
+from gazelidar.lidar import pulse_directions
 from gazelidar.metrics import SAMPLE_DTYPE
 from gazelidar.policy import (DegeneratePartitionError, VariantConfig, revolution_period,
                              solve_power_levels)
@@ -1094,6 +1095,27 @@ class TestUsesRng:
         # only a run that draws makes a generator
         assert made == [101] * (len(config.variants) * len(config.fog_fractions) - checked)
 
+    @pytest.mark.parametrize("dropout, jitter", [(True, 3.0), (True, 0.0), (False, 3.0)])
+    def test_a_frame_run_carries_a_generator_only_where_the_run_drops_out(
+            self, default_config, monkeypatch, dropout, jitter):
+        # the shipped fogs 0, 0.25 and 0.5, of which fog 0 has sigma 0
+        config = dataclasses.replace(default_config, dropout=dropout, spawn_jitter_m=jitter,
+                                     seeds=(101, 102), max_sim_time=0.5)
+        assert config.fog_fractions == (0.0, 0.25, 0.5)
+        made, handed = [], set()
+        make, scan = np.random.default_rng, runner.scan_frames
+
+        def recorded(*args):
+            handed.update((run.row, run.rng is not None) for run in args[-1])
+            return scan(*args)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or make(seed))
+        monkeypatch.setattr(runner, "scan_frames", recorded)
+        runs = [(fog, seed) for fog in config.fog_fractions for seed in config.seeds]
+        runner._run_seeds(config, config.variants[0], runs)
+        # with jitter a fog-0 run makes a generator, but its FrameRun carries none
+        assert made == [seed for fog, seed in runs if jitter or (dropout and fog > 0.0)]
+        assert handed == {(row, dropout and row > 0) for row in range(3)}
+
 
 class TestSpawnJitter:
     @staticmethod
@@ -1267,6 +1289,14 @@ class TestRunSweep:
             assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
         assert started == [] and tasks == []
 
+    @pytest.mark.parametrize("pulse_rate", [7812.5, 7819.9, 3e5])
+    def test_rays_count_the_whole_pulses_a_frame_fires(self, default_config, pulse_rate):
+        config = dataclasses.replace(default_config, pulse_rate=pulse_rate)
+        roi, plan = runner._scan_plan(config, config.variants[1], config.gaze_trace.at(0.0))
+        fired = len(pulse_directions(plan)[0])
+        assert fired == plan.rays_per_revolution == math.floor(pulse_rate / 20.0)
+        assert runner._rays(config, 1) == fired and runner._rays(config, 7) == 7 * fired
+
     def test_a_heavy_sweep_pools_every_task_at_once(self, default_config, recording_pool):
         started, tasks = recording_pool
         # 15,000 pulses a frame, one frame a run: 10 simulated runs a variant fire
@@ -1296,7 +1326,9 @@ class TestRunSweep:
         records = run_sweep(config, jobs=1)
         first = [r for r in records if r.variant == config.variants[0]]
         assert len(first) == 6 and sum(r.reused_from is not None for r in first) == 3
-        pulses = config.pulse_rate * revolution_period(math.tau * config.frame_rate)
+        # the whole pulses a frame fires: 390, not 7812.5 Hz / 20 Hz = 390.625
+        pulses = math.floor(config.pulse_rate * revolution_period(math.tau * config.frame_rate))
+        assert pulses == 390
         cast = sum(r.frames_cast for r in first if r.reused_from is None) * pulses
         # every simulated run casts more than its first frame
         assert cast > 3 * pulses
