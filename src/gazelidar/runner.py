@@ -11,6 +11,7 @@ import csv
 import ctypes
 import dataclasses
 import io
+import itertools
 import json
 import math
 import time
@@ -103,6 +104,7 @@ class RunRecord:
     # in proportion to their frames_cast, evenly if none cast a frame.
     wall_time: float
     # Seed of the simulated record this one copies; None if simulated itself.
+    # Only run_sweep makes copies, in the calling process.
     reused_from: int | None = None
 
     @property
@@ -603,31 +605,6 @@ def _record_key(record: RunRecord):
     return (v.variant, v.p_low_ratio, v.omega_high_ratio, record.fog_fraction, record.seed)
 
 
-def _simulated_runs(config: RunConfig) -> list[tuple[float, int]]:
-    """The (fog, seed) runs one variant's task simulates: every seed at a fog
-    whose runs draw random numbers, only the first seed at any other."""
-    return [(fog, seed) for fog in config.fog_fractions
-            for seed in (config.seeds if uses_rng(config, fog) else config.seeds[:1])]
-
-
-def _run_cells(args) -> list[RunRecord]:
-    """The runs of one variant's (variant, fog) cells, at every fog, one per seed.
-
-    Every run that is simulated (_simulated_runs) steps through one
-    _run_seeds loop. A cell whose runs draw none simulates only its first
-    seed, and the record is copied to the other seeds; copies carry
-    reused_from and a wall_time of 0.
-    """
-    config, variant = args
-    records = []
-    for record in _run_seeds(config, variant, _simulated_runs(config)):
-        records.append(record)
-        if not uses_rng(config, record.fog_fraction):
-            records += [dataclasses.replace(record, seed=seed, wall_time=0.0,
-                                            reused_from=record.seed) for seed in config.seeds[1:]]
-    return records
-
-
 def _keep_freed_pages() -> None:
     """Keep freed blocks of up to MMAP_THRESHOLD bytes in this process's heap.
 
@@ -656,47 +633,53 @@ def _rays(config: RunConfig, frames: int = 1) -> float:
     return frames * np.floor(config.pulse_rate * revolution_period(TAU * config.frame_rate))
 
 
-def _is_heavy(config: RunConfig) -> bool:
-    """Whether one variant task's simulated runs fire more than HEAVY_RAYS rays
-    in their first frame alone, so that pooling its sweep pays from the start."""
-    return _rays(config, len(_simulated_runs(config))) > HEAVY_RAYS
-
-
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full variant x fog x seed grid, sorted by (variant, fog, seed).
 
-    Each variant, at every fog, is one _run_cells task. jobs > 1 allows at
-    most jobs worker processes, at most one per variant, and the records are
-    the same wherever a task ran. A heavy sweep (_is_heavy) pools every task
-    at once. Any other runs its first task here, then hands the rest to
-    min(jobs, tasks left) workers only if two or more are left and that
-    task's simulated runs cast more than POOL_RAYS rays (copies cast none).
-    Each worker keeps its freed pages (_keep_freed_pages), whether forked or
-    not; a sweep run here leaves the caller's allocator as it is.
+    A variant simulates every seed at a fog whose runs draw (uses_rng), only
+    the first seed at any other, in one _run_seeds task; the records are the
+    same wherever a task ran. Each other seed of a fog that draws nothing is
+    then copied here from the simulated record, with reused_from set and a
+    wall_time of 0. jobs > 1 allows at most jobs worker processes, at most one
+    per variant. A sweep whose task fires more than HEAVY_RAYS rays in its
+    first frame alone pools every task at once. Any other runs its first task
+    here, then hands the rest to min(jobs, tasks left) workers only if two or
+    more are left and that task cast more than POOL_RAYS rays. Each worker
+    keeps its freed pages (_keep_freed_pages), whether forked or not; a sweep
+    run here leaves the caller's allocator as it is.
 
     numpy loads numpy.random lazily, on a run's first default_rng, and only
-    runs that draw make one. A heavy sweep with a fog that draws imports it
-    here before its pool starts, so that forked workers inherit it instead
-    of each importing it again on its first task of every sweep; any other
-    sweep that draws imports it in its first task, before a pool can start.
+    runs that draw make one. A sweep whose runs draw imports it here before
+    its first task, so that forked workers inherit it instead of each
+    importing it again on its first task of every sweep.
     """
-    tasks = ([(config, variant) for variant in config.variants]
-             if config.fog_fractions and config.seeds else [])
-    pooled = jobs > 1 and len(tasks) > 1 and _is_heavy(config)
-    if pooled and any(uses_rng(config, fog) for fog in config.fog_fractions):
+    draws = {fog: uses_rng(config, fog) for fog in config.fog_fractions}
+    runs = [(fog, seed) for fog in config.fog_fractions
+            for seed in (config.seeds if draws[fog] else config.seeds[:1])]
+    variants = list(config.variants) if runs else []
+    if variants and any(draws.values()):
         import numpy.random  # noqa: F401
     done = []
-    if tasks and not pooled:
-        done.append(_run_cells(tasks.pop(0)))
-        cast = _rays(config, sum(r.frames_cast for r in done[0] if r.reused_from is None))
-        if jobs < 2 or len(tasks) < 2 or cast <= POOL_RAYS:
-            done += map(_run_cells, tasks)
-            tasks = []
-    if tasks:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+    pooled = jobs > 1 and len(variants) > 1 and _rays(config, len(runs)) > HEAVY_RAYS
+    if variants and not pooled:
+        done.append(_run_seeds(config, variants.pop(0), runs))
+        cast = _rays(config, sum(r.frames_cast for r in done[0]))
+        if jobs < 2 or len(variants) < 2 or cast <= POOL_RAYS:
+            done += (_run_seeds(config, variant, runs) for variant in variants)
+            variants = []
+    if variants:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(variants)),
                                                     initializer=_keep_freed_pages) as pool:
-            done += pool.map(_run_cells, tasks)
-    return sorted((record for task in done for record in task), key=_record_key)
+            done += pool.map(_run_seeds, itertools.repeat(config), variants,
+                             itertools.repeat(runs))
+    records = []
+    for record in itertools.chain.from_iterable(done):
+        records.append(record)
+        if not draws[record.fog_fraction]:
+            records += (dataclasses.replace(record, seed=seed, wall_time=0.0,
+                                            reused_from=record.seed) for seed in config.seeds[1:])
+    records.sort(key=_record_key)
+    return records
 
 
 def _fmt(x: float) -> str:
@@ -705,7 +688,7 @@ def _fmt(x: float) -> str:
 
 def write_results_csv(records: list[RunRecord], path) -> None:
     """One row per run: variant,fog,seed,detected,tta_s,frames,mean_density_pts_per_deg.
-    A copy holds the samples array of the record sorted before it and reuses its mean."""
+    Copies share their original's samples array and sort beside it: one mean for them all."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant", "fog", "seed", "detected", "tta_s", "frames",
@@ -729,7 +712,7 @@ def write_results_csv(records: list[RunRecord], path) -> None:
 
 def write_density_samples_csv(records: list[RunRecord], path) -> None:
     """One row per simulated frame, long format, each record's rows in one write.
-    A copy holds the samples array of the record sorted before it and reuses its rows."""
+    Copies share their original's samples array and sort beside it: its rows are formatted once."""
     samples = None
     with open(path, "w", newline="") as fh:
         fh.write("variant,fog,seed,frame,points_in_roi,roi_width_deg,density_pts_per_deg\n")

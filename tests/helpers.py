@@ -29,10 +29,11 @@ def run_python(program: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def run_cells_importing(task) -> tuple[list, list[str]]:
-    """runner._run_cells(task), with the module names that sys.modules gained while it ran."""
+def run_cells_importing(config, variant, runs) -> tuple[list, list[str]]:
+    """runner._run_seeds(config, variant, runs), with the module names that sys.modules
+    gained while it ran."""
     before = set(sys.modules)
-    records = runner._run_cells(task)
+    records = runner._run_seeds(config, variant, runs)
     return records, sorted(set(sys.modules) - before)
 
 

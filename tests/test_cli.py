@@ -547,8 +547,8 @@ class TestRun:
 
     @pytest.mark.parametrize("jitter", [3.0, 0.0], ids=["every-seed-simulated", "fog-0-seeds-copied"])
     def test_two_workers_write_the_bytes_of_one(self, tmp_path, monkeypatch, jitter):
-        # without jitter a fog-0 cell draws nothing, so its later seeds are copies; from a
-        # worker they come back through pickle, each still holding its original's samples array
+        # without jitter a fog-0 cell draws nothing, so its later seeds are copies; a worker
+        # sends back only its first seed's record, and the parent's copies hold its samples array
         config = _write_trimmed_config(tmp_path, fog_dropout=True, spawn_jitter_m=jitter,
                                        seeds=[101, 102, 103])
         sweeps = []
@@ -558,7 +558,7 @@ class TestRun:
             return sweeps[-1]
 
         monkeypatch.setattr(gazelidar.cli, "run_sweep", recorded)
-        monkeypatch.setattr(gazelidar.runner, "_is_heavy", lambda config: True)   # a real pool
+        monkeypatch.setattr(gazelidar.runner, "HEAVY_RAYS", -1)   # a real pool
         for jobs in ("1", "2"):
             assert main(["run", "--config", str(config), "--out", str(tmp_path / jobs),
                          "--jobs", jobs]) == 0

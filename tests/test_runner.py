@@ -994,8 +994,9 @@ class TestSeedStack:
                                 ("default", [(0.0, 101), (0.5, 101)])]:
             stacks.clear()
             log.clear()
-            config = dataclasses.replace(_sweep_config(default_config, kind), fog_fractions=fogs)
-            records = runner._run_cells((config, config.variants[0]))
+            config = dataclasses.replace(_sweep_config(default_config, kind), fog_fractions=fogs,
+                                         variants=default_config.variants[:1])
+            records = run_sweep(config)
             # one stack holds every simulated run of the variant's fogs
             assert stacks == [simulated] and log.live[0] == len(simulated)
             assert [(r.fog_fraction, r.seed) for r in records] == [
@@ -1184,7 +1185,7 @@ class TestSpawnJitter:
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replaces the process pool with one that runs its tasks here; yields the lists
-    of the pools' max_workers and of the tasks each pool mapped."""
+    of the pools' max_workers and of the variants each pool mapped a task for."""
     started = []
     tasks = []
 
@@ -1200,10 +1201,10 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            tasks.append(items)
-            return map(fn, items)
+        def map(self, fn, configs, variants, runs):
+            variants = list(variants)
+            tasks.append(variants)
+            return map(fn, configs, variants, runs)
 
     monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started, tasks
@@ -1245,7 +1246,7 @@ class TestRunSweep:
                                      fog_fractions=(0.0,),
                                      seeds=(101, 102))
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
-        monkeypatch.setattr(runner, "_is_heavy", lambda config: True)
+        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
         parallel = [_strip_wall_time(r) for r in run_sweep(config, jobs=2)]
         assert real_pool == [2]
         assert serial == parallel
@@ -1254,11 +1255,11 @@ class TestRunSweep:
                                                         recording_pool):
         started, tasks = recording_pool
         # a heavy sweep pools every task at once
-        monkeypatch.setattr(runner, "_is_heavy", lambda config: True)
+        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
         config = dataclasses.replace(default_config, variants=default_config.variants[:2],
                                      fog_fractions=(0.0,), seeds=(101, 102, 103))
         assert len(run_sweep(config, jobs=64)) == 6
-        assert started == [2] and tasks == [[(config, v) for v in config.variants]]
+        assert started == [2] and tasks == [list(config.variants)]
         one_run = dataclasses.replace(config, variants=config.variants[:1])
         assert len(run_sweep(one_run, jobs=64)) == 3
         assert started == [2]
@@ -1274,7 +1275,7 @@ class TestRunSweep:
             tasks.clear()
             assert [_strip_wall_time(r) for r in run_sweep(four, jobs=jobs)] == serial
             assert started == ([] if workers is None else [workers])
-            assert tasks == ([] if workers is None else [[(four, v) for v in four.variants]])
+            assert tasks == ([] if workers is None else [list(four.variants)])
         # an empty grid has no run
         for empty in (dict(variants=()), dict(fog_fractions=()), dict(seeds=())):
             for jobs in (0, 2):
@@ -1283,7 +1284,8 @@ class TestRunSweep:
     def test_a_light_sweep_starts_no_pool_that_never_pays(self, default_config, recording_pool):
         started, tasks = recording_pool
         config = dataclasses.replace(default_config, seeds=(101, 102))
-        assert not runner._is_heavy(config)
+        # runs draw nothing, so a variant simulates one seed at each of 3 fogs
+        assert runner._rays(config, 3) <= runner.HEAVY_RAYS
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
         for jobs in (2, 64):
             assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
@@ -1304,15 +1306,51 @@ class TestRunSweep:
         config = dataclasses.replace(default_config, pulse_rate=3e5, max_sim_time=0.05,
                                      fog_fractions=(0.0, 0.5), seeds=(1, 2, 3, 4, 5),
                                      dropout=True, spawn_jitter_m=3.0)
-        assert runner._is_heavy(config)
-        # without jitter, fog 0 draws nothing and simulates one seed: 6 runs, 90,000 rays
-        assert not runner._is_heavy(dataclasses.replace(config, spawn_jitter_m=0.0))
-        # a copied seed fires no ray: 2 simulated runs, 30,000 rays
-        assert not runner._is_heavy(dataclasses.replace(config, dropout=False, spawn_jitter_m=0.0))
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
         assert started == [] and len(serial) == 40
         assert [_strip_wall_time(r) for r in run_sweep(config, jobs=3)] == serial
-        assert started == [3] and tasks == [[(config, v) for v in config.variants]]
+        assert started == [3] and tasks == [list(config.variants)]
+        # without jitter, fog 0 draws nothing and simulates one seed: 6 runs, 90,000 rays;
+        # a copied seed fires no ray: 2 simulated runs, 30,000 rays. Neither pools, and
+        # neither first task casts more than POOL_RAYS.
+        for light in (dataclasses.replace(config, spawn_jitter_m=0.0),
+                      dataclasses.replace(config, dropout=False, spawn_jitter_m=0.0)):
+            serial = [_strip_wall_time(r) for r in run_sweep(light, jobs=1)]
+            assert [_strip_wall_time(r) for r in run_sweep(light, jobs=3)] == serial
+            assert started == [3] and len(serial) == 40
+
+    def test_a_pooled_task_sends_back_only_its_simulated_runs(self, default_config, monkeypatch,
+                                                              real_pool):
+        returned = []
+
+        class KeepingPool(runner.concurrent.futures.ProcessPoolExecutor):   # real and counted
+            def map(self, *args):
+                returned.extend(list(task) for task in super().map(*args))
+                return returned
+
+        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", KeepingPool)
+        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
+        # fog 0 draws nothing, so a variant simulates its first seed there and every seed at 0.5
+        config = _sweep_config(default_config, "dropout")
+        serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
+        records = run_sweep(config, jobs=2)
+        assert real_pool == [2]
+        # one task per variant, in config order, each sending back only the runs it simulated
+        simulated = [(0.0, 101), (0.5, 101), (0.5, 102), (0.5, 103)]
+        assert [[(r.variant, r.fog_fraction, r.seed) for r in task] for task in returned] == [
+            [(variant, fog, seed) for fog, seed in simulated] for variant in config.variants]
+        assert all(r.reused_from is None for task in returned for r in task)
+        # the full sorted grid, its copies made here from the records the tasks sent back
+        assert [_strip_wall_time(r) for r in records] == serial
+        originals = {(r.variant, r.fog_fraction): r for task in returned for r in task
+                     if r.fog_fraction == 0.0}
+        for r in records:
+            if r.fog_fraction == 0.0 and r.seed != 101:
+                original = originals[r.variant, 0.0]
+                assert r.reused_from == 101 and r.wall_time == 0.0
+                assert r.samples is original.samples and r.frames_cast == original.frames_cast
+            else:
+                assert any(r is sent for task in returned for sent in task)
 
     @pytest.fixture
     def long_light(self, default_config):
@@ -1322,7 +1360,8 @@ class TestRunSweep:
         first task's simulated runs cast, copies not counted."""
         config = dataclasses.replace(default_config, seeds=(101, 102), min_points=10 ** 6,
                                      max_sim_time=0.2)
-        assert not runner._is_heavy(config)
+        # runs draw nothing, so a variant simulates one seed at each of 3 fogs
+        assert runner._rays(config, 3) <= runner.HEAVY_RAYS
         records = run_sweep(config, jobs=1)
         first = [r for r in records if r.variant == config.variants[0]]
         assert len(first) == 6 and sum(r.reused_from is not None for r in first) == 3
@@ -1339,7 +1378,7 @@ class TestRunSweep:
             self, long_light, monkeypatch, recording_pool, jobs, workers):
         started, tasks = recording_pool
         config, serial, cast = long_light
-        every = [(config, v) for v in config.variants]
+        every = list(config.variants)
         # a count equal to the bound runs every task here, and so does a bound
         # that only the copies' rays would pass
         for bound in (cast, cast * 2 - 1):
@@ -1372,7 +1411,7 @@ class TestRunSweep:
         config = dataclasses.replace(_sweep_config(default_config, "jitter_dropout"),
                                      variants=default_config.variants[1:],
                                      fog_fractions=(0.0, 0.1, 0.25, 0.5), max_sim_time=1.0)
-        monkeypatch.setattr(runner, "_is_heavy", lambda config: True)
+        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
         written = []
         for jobs in (1, 2, 3):
             records = run_sweep(config, jobs=jobs)
@@ -1457,15 +1496,15 @@ pool_map = concurrent.futures.ProcessPoolExecutor.map
 gained = []
 
 
-def mapping(pool, fn, tasks):
-    assert fn is runner._run_cells
-    done = list(pool_map(pool, helpers.run_cells_importing, tasks))
+def mapping(pool, fn, *iterables):
+    assert fn is runner._run_seeds
+    done = list(pool_map(pool, helpers.run_cells_importing, *iterables))
     gained.extend(names for _, names in done)
     return [records for records, _ in done]
 
 
 concurrent.futures.ProcessPoolExecutor.map = mapping
-runner._is_heavy = lambda config: True   # a pool at once, whatever the sweep costs
+runner.HEAVY_RAYS = -1   # a pool at once, whatever the sweep costs
 assert "numpy.random" not in sys.modules
 assert len(runner.run_sweep(config, jobs=2)) == 16
 print(json.dumps(gained))
@@ -1488,8 +1527,8 @@ import dataclasses, sys
 import gazelidar.cli
 from gazelidar import runner
 imported = []
+runner.HEAVY_RAYS = -1   # the second run, on --jobs 2, pools at once
 for jobs in (1, 2):
-    runner._is_heavy = lambda config: jobs > 1   # the second run pools at once
     assert gazelidar.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2],
                                "--jobs", str(jobs)]) == 0
     imported.append("numpy.random" in sys.modules)
