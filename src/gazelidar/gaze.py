@@ -75,13 +75,7 @@ class ArcSet:
         return not self.arcs
 
     def contains(self, angle: float) -> bool:
-        a = normalize_angle(angle)
-        for start, end in self.arcs:
-            if start <= a < end:
-                return True
-            if a < start:
-                break
-        return False
+        return bool(self.contains_many(angle))
 
     @cached_property
     def bounds(self) -> np.ndarray:
@@ -91,7 +85,7 @@ class ArcSet:
         return bounds
 
     def contains_many(self, angles) -> np.ndarray:
-        """contains() over an array of angles, as a boolean array."""
+        """Whether each angle, taken mod tau, lies in an arc, as a boolean array."""
         a = np.array(angles, dtype=np.float64)      # 0-d input stays an array the fold can assign
         with np.errstate(invalid="ignore"):     # inf gives nan, contained nowhere
             np.mod(a, TAU, out=a)

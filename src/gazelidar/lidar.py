@@ -64,12 +64,8 @@ class ScanPlan:
             raise ValueError("segment sweep times do not add up to the revolution period")
 
     @property
-    def pulses_per_revolution(self) -> float:
-        return self.pulse_rate * self.revolution_period
-
-    @property
     def rays_per_revolution(self) -> int:
-        return int(math.floor(self.pulses_per_revolution))
+        return int(math.floor(self.pulse_rate * self.revolution_period))
 
 
 def pulse_directions(plan: ScanPlan) -> tuple[np.ndarray, np.ndarray]:

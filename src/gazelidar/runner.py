@@ -36,17 +36,12 @@ TAU = math.tau
 
 # A scan_frames call casts k frames of each of L live runs, L * k * n rays of
 # n pulses a frame: the most runs, then the most frames, that stay within
-# RAYS_PER_CALL, but at least one run and one frame, and at most CHUNK_FRAMES.
+# RAYS_PER_CALL, but at least one run and one frame, and at most CHUNK_FRAMES. run_sweep
+# pools at once if one frame of a variant's simulated runs needs more than one call: the
+# 2 MHz sweeps' 300,000 and 6,000,000 rays do; shipped's 1,170, dense's 7,812 and
+# seeded_jobs2's 23,400 do not.
 RAYS_PER_CALL = 2 ** 17
 CHUNK_FRAMES = 24
-
-# run_sweep pools a sweep at once when one variant task's simulated runs fire
-# more than HEAVY_RAYS rays in their first frame alone (_rays). The measured sweeps
-# lie far to either side: shipped, dense and seeded_jobs2 fire 1,170, 7,812 and
-# 23,400, each task some 3-20 ms, and the 2 MHz hires sweep 6,000,000, each
-# task about 0.5 s. Where between them pooling starts to pay at once was
-# not measured; a light sweep whose tasks run long is pooled by POOL_RAYS.
-HEAVY_RAYS = 2 ** 17
 
 # A light sweep pools the tasks left after its first one only when that task's
 # simulated runs cast more than POOL_RAYS rays in all. On --jobs 2 (README) that
@@ -154,10 +149,20 @@ def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ValueError on a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: Path):
     """The JSON value in the file at `path`, read as UTF-8 whatever the locale, a BOM skipped."""
     try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
+        return json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -165,17 +170,21 @@ def _read_json(path: Path):
 class _Fields:
     """One JSON object of a config or summary.json; each read names the field it reads.
 
-    `name` names the object, as in "<file>: scenario", and the field at
-    `key` is `prefix + key`, as in "<file>: scenario.ego"; `prefix` is
-    `name` and a dot unless given. A read without a default requires its key.
+    `name` names the object, as in "<file>: scenario", and the field at `key` is
+    `prefix + key`, as in "<file>: scenario.ego"; `prefix` is `name` and a dot unless
+    given. A read without a default requires its key. `unread` holds, in order, the
+    (prefix, key) of each unread field of this object and the objects opened from it.
     """
 
-    def __init__(self, obj, name: str, prefix: str | None = None):
+    def __init__(self, obj, name: str, prefix: str | None = None, unread: dict | None = None):
         self.obj = _typed(obj, dict, name)
         self.name = name
         self.prefix = f"{name}." if prefix is None else prefix
+        self.unread = {} if unread is None else unread
+        self.unread.update(dict.fromkeys((self.prefix, key) for key in self.obj))
 
     def get(self, key: str, default=None, kind: type | None = None):
+        self.unread.pop((self.prefix, key), None)
         if key not in self.obj and default is None:
             raise ConfigError(f"{self.name}: missing required key '{key}'")
         value = self.obj.get(key, default)
@@ -188,7 +197,7 @@ class _Fields:
         return self.number(key, 0.0, low_open=True, default=default)
 
     def section(self, key: str, default=None) -> "_Fields":
-        return _Fields(self.get(key, default), self.prefix + key)
+        return _Fields(self.get(key, default), self.prefix + key, unread=self.unread)
 
     def items(self, key: str, default=None) -> list[tuple[str, object]]:
         """(name, value) of each entry of the non-empty list at `key`."""
@@ -200,7 +209,7 @@ class _Fields:
     def entries(self, key: str):
         """A _Fields for each object of the list at `key`, which may be empty."""
         values = self.get(key, kind=list)
-        return (_Fields(v, f"{self.prefix}{key}[{i}]") for i, v in enumerate(values))
+        return (_Fields(v, f"{self.prefix}{key}[{i}]", unread=self.unread) for i, v in enumerate(values))
 
     def vec2(self, key: str) -> Vec2:
         value, name = self.get(key), self.prefix + key
@@ -213,8 +222,8 @@ def load_run_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises ConfigError naming the offending field on the first structural
-    problem found. Relative paths inside the file resolve against its
-    directory.
+    problem found, a key that no field reads or an object's repeated key
+    among them. Relative paths inside the file resolve against its directory.
     """
     path = Path(path)
     raw = _read_json(path)
@@ -261,7 +270,7 @@ def load_run_config(path) -> RunConfig:
 
     variants = []
     for name, entry in raw.items("variants"):
-        v = _Fields(entry, name)
+        v = _Fields(entry, name, unread=raw.unread)
         args = (v.get("name"), v.number("p_low_ratio", 0.0, 1.0, low_open=True, default=0.2),
                 v.number("omega_high_ratio", 1.0, default=2.0))
         try:
@@ -281,12 +290,14 @@ def load_run_config(path) -> RunConfig:
     target_id = scenario.number("target_id", integer=True)
     obstacles = []
     for name, entry in scenario.items("obstacles"):
-        o = _Fields(entry, name)
+        o = _Fields(entry, name, unread=raw.unread)
         # edges_at stores obstacle ids as int64, and casts mark a miss -1
         obstacles.append(ObstacleBox(
             o.number("id", 0, 2 ** 63 - 1, integer=True), o.vec2("center"),
             math.radians(o.number("heading_deg")), o.positive("half_length"),
             o.positive("half_width"), o.number("speed_mps", 0.0)))
+    if raw.unread:   # a misspelled key would otherwise run another experiment silently
+        raise ConfigError("{}{}: unknown key".format(*next(iter(raw.unread))))
     try:
         scene = Scene(ego, tuple(obstacles), conflict)
     except ValueError as exc:
@@ -588,15 +599,12 @@ def _run_seeds(config: RunConfig, variant: VariantConfig, runs) -> list[RunRecor
     records = []
     for i, (fraction, seed) in enumerate(runs):
         wall_time = elapsed * frames_cast[i] / cast if cast else elapsed / len(runs)
-        if failure is not None and i in live:
-            records.append(RunRecord(variant, fraction, seed, None, empty,
-                                     frames_cast[i], failure, wall_time))
-            continue
+        failed = failure is not None and ttas[i] is None   # the plan failed while the run was live
         # with the dtype given, numpy fills one new SAMPLE_DTYPE array; without it,
         # promoting the parts' record dtypes costs more than copying their rows
-        kept = np.concatenate(samples[i], dtype=SAMPLE_DTYPE) if samples[i] else empty
-        records.append(RunRecord(variant, fraction, seed, ttas[i], kept,
-                                 frames_cast[i], None, wall_time))
+        kept = np.concatenate(samples[i], dtype=SAMPLE_DTYPE) if samples[i] and not failed else empty
+        records.append(RunRecord(variant, fraction, seed, ttas[i], kept, frames_cast[i],
+                                 failure if failed else None, wall_time))
     return records
 
 
@@ -641,12 +649,13 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     same wherever a task ran. Each other seed of a fog that draws nothing is
     then copied here from the simulated record, with reused_from set and a
     wall_time of 0. jobs > 1 allows at most jobs worker processes, at most one
-    per variant. A sweep whose task fires more than HEAVY_RAYS rays in its
-    first frame alone pools every task at once. Any other runs its first task
-    here, then hands the rest to min(jobs, tasks left) workers only if two or
-    more are left and that task cast more than POOL_RAYS rays. Each worker
-    keeps its freed pages (_keep_freed_pages), whether forked or not; a sweep
-    run here leaves the caller's allocator as it is.
+    per variant. A sweep whose task fires more than RAYS_PER_CALL rays in its
+    first frame alone, one scan_frames call, pools every task at once. Any
+    other runs its first task here, then hands the rest to min(jobs, tasks
+    left) workers only if two or more are left and that task cast more than
+    POOL_RAYS rays. Each worker keeps its freed pages (_keep_freed_pages),
+    whether forked or not; a sweep run here leaves the caller's allocator as
+    it is. Returned samples arrays are read-only: a copy shares its original's.
 
     numpy loads numpy.random lazily, on a run's first default_rng, and only
     runs that draw make one. A sweep whose runs draw imports it here before
@@ -660,7 +669,7 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
     if variants and any(draws.values()):
         import numpy.random  # noqa: F401
     done = []
-    pooled = jobs > 1 and len(variants) > 1 and _rays(config, len(runs)) > HEAVY_RAYS
+    pooled = jobs > 1 and len(variants) > 1 and _rays(config, len(runs)) > RAYS_PER_CALL
     if variants and not pooled:
         done.append(_run_seeds(config, variants.pop(0), runs))
         cast = _rays(config, sum(r.frames_cast for r in done[0]))
@@ -674,6 +683,7 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[RunRecord]:
                              itertools.repeat(runs))
     records = []
     for record in itertools.chain.from_iterable(done):
+        record.samples.flags.writeable = False
         records.append(record)
         if not draws[record.fog_fraction]:
             records += (dataclasses.replace(record, seed=seed, wall_time=0.0,

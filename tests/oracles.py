@@ -9,7 +9,8 @@ bisection, a dense (K, n) cast and scan of every pulse of every frame
 instead of the slots the movers reach, per-frame stepping instead of
 closed-form motion, stdlib
 statistics instead of numpy percentiles, a linear scan instead of a
-search for the plan segment under a bearing, a trace lookup per frame
+search for the plan segment under a bearing or for the arc that holds an
+angle, a trace lookup per frame
 instead of one frame bound per trace sample, and a run loop that rebuilds
 the scan plan every frame instead of once per gaze state, casts the whole
 scene every frame instead of its static boxes once per gaze state, and scans
@@ -239,6 +240,18 @@ def segment_at(plan, angle: float):
         if seg.start <= angle < seg.end:
             return seg
     raise ValueError(f"bearing {angle} outside the plan")
+
+
+def arcs_contain(arc_set, angle: float) -> bool:
+    """Whether an ArcSet holds the angle, taken mod tau: a walk over its sorted
+    half-open arcs, scalar float math instead of a search of the arc starts."""
+    a = normalize_angle(angle)
+    for start, end in arc_set.arcs:
+        if start <= a < end:
+            return True
+        if a < start:
+            break
+    return False
 
 
 def states_per_frame(trace, frame_rate: float, end: float) -> list:

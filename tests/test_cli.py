@@ -195,6 +195,24 @@ class TestValidate:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new, problem", [
+        ('"min_points": 1', '"min_point": 5', "detection.min_point: unknown key"),
+        ('"seeds": [', '"seeds": [1], "seeds": [', "key 'seeds' repeated in one object"),
+    ], ids=["misspelled", "repeated"])
+    def test_a_key_that_would_run_another_experiment_exits_with_one_line(
+            self, tmp_path, capsys, monkeypatch, old, new, problem):
+        config = _write_trimmed_config(tmp_path)
+        config.write_text(config.read_text().replace(old, new, 1))
+        assert main(["validate", "--config", str(config)]) == 1
+        assert capsys.readouterr().out == f"invalid: {config}: {problem}\n"
+        monkeypatch.setattr("sys.argv", ["gazelidar", "run", "--config", str(config),
+                                         "--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_accepts_a_max_sim_time_of_1e12(self, tmp_path, capsys):
         config = _write_trimmed_config(tmp_path, max_sim_time_s=1e12)
         assert main(["validate", "--config", str(config)]) == 0
@@ -558,8 +576,9 @@ class TestRun:
             return sweeps[-1]
 
         monkeypatch.setattr(gazelidar.cli, "run_sweep", recorded)
-        monkeypatch.setattr(gazelidar.runner, "HEAVY_RAYS", -1)   # a real pool
         for jobs in ("1", "2"):
+            if jobs == "2":   # a real pool at once, of one-frame calls
+                monkeypatch.setattr(gazelidar.runner, "RAYS_PER_CALL", 0)
             assert main(["run", "--config", str(config), "--out", str(tmp_path / jobs),
                          "--jobs", jobs]) == 0
         for name in ("results.csv", "density_samples.csv", "summary.json"):
@@ -710,10 +729,12 @@ class TestReport:
          "cells[0]: missing required key 'density_pts_per_deg'"),
         (lambda text: text + "\xff", "can't decode byte 0xff"),
         (lambda text: "[" * 100_000, "maximum recursion depth exceeded"),
+        (lambda text: text.replace('"runs"', '"runs": 1, "runs"', 1),
+         "key 'runs' repeated in one object"),
     ], ids=["bad_json", "cell_without_runs", "top_level_list", "no_cells", "cells_object",
             "cell_not_object", "variant_number", "fog_1.5", "runs_negative", "runs_float",
             "tta_list", "quartile_string", "no_median", "no_density", "not_utf8",
-            "nested_too_deep"])
+            "nested_too_deep", "repeated_key"])
     def test_corrupt_summary_exits_2_naming_the_problem(self, tmp_path, capsys, corrupt,
                                                          problem, fmt):
         _, out = _run(tmp_path)

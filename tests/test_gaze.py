@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gazelidar.gaze import (AcuityFunction, ArcSet, GazeState, GazeTrace,
                             GazeTraceError, compute_rof, compute_roi,
                             load_gaze_trace, normalize_angle)
-from oracles import acuity_value, bisect_threshold_half_width, wrap_to_pi
+from oracles import acuity_value, arcs_contain, bisect_threshold_half_width, wrap_to_pi
 
 TAU = math.tau
 
@@ -103,18 +103,23 @@ class TestArcSet:
                   ArcSet(((2.0, TAU),)), ArcSet.full(), ArcSet.empty(),
                   ArcSet(((0.0, 0.5), (1.0, 2.0), (3.0, 3.5), (6.0, TAU)))):
             many = s.contains_many(probes)
+            expected = [arcs_contain(s, float(a)) for a in probes]
             assert many.dtype == bool
-            assert many.tolist() == [s.contains(float(a)) for a in probes]
+            assert many.tolist() == expected
+            assert [s.contains(float(a)) for a in probes] == expected
             for a in (1.5, float(probes[0]), probes[5], np.array(2.0 * TAU)):   # 0-d probes
                 one = s.contains_many(a)
                 assert one.shape == () and one.dtype == bool
-                assert bool(one) == s.contains(float(a))
+                assert bool(one) == s.contains(a) == arcs_contain(s, float(a))
 
     @given(st.lists(st.floats(0.0, TAU), max_size=10),
            st.lists(st.floats(-3.0 * TAU, 3.0 * TAU), max_size=50))
     def test_contains_many_matches_contains(self, cuts, probes):
+        # both against the scalar walk over the arcs, since contains is a one-angle contains_many
         s = ArcSet(tuple(zip(*[iter(sorted(set(cuts)))] * 2)))
-        assert s.contains_many(np.array(probes)).tolist() == [s.contains(a) for a in probes]
+        expected = [arcs_contain(s, a) for a in probes]
+        assert s.contains_many(np.array(probes)).tolist() == expected
+        assert [s.contains(a) for a in probes] == expected
 
     def test_bounds_are_built_once_and_read_only(self):
         s = ArcSet(((0.0, 0.5), (1.0, 2.0), (6.0, TAU)))

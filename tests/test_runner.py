@@ -330,6 +330,48 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=field):
             load_run_config(_write_config(tmp_path, mutate))
 
+    @pytest.mark.parametrize("where, key, value, field", [
+        ((), "fog_dropuot", True, "fog_dropuot"),
+        (("detection",), "min_point", 5, r"detection\.min_point"),
+        (("variants", 1), "p_low", 0.5, r"variants\[1\]\.p_low"),
+        (("scenario", "obstacles", 1), "speed", 3.0, r"scenario\.obstacles\[1\]\.speed"),
+        # a dotted top-level key, named like the section field it is not
+        ((), "detection.min_points", 5, r"detection\.min_points"),
+    ], ids=["top_level", "section", "variant", "obstacle", "dotted_top_level"])
+    def test_a_key_that_no_field_reads_is_refused_by_name(self, tmp_path, where, key, value,
+                                                          field):
+        # each loaded before and ran another experiment: detection.min_point left min_points 1
+        def mutate(raw):
+            node = raw
+            for step in where:
+                node = node[step]
+            node[key] = value
+        with pytest.raises(ConfigError, match=rf"config\.json: {field}: unknown key$"):
+            load_run_config(_write_config(tmp_path, mutate))
+
+    @pytest.mark.parametrize("acuity, key", [
+        ({"kind": "gaussian", "sigma_deg": 10.0, "half_width_deg": 30.0}, "half_width_deg"),
+        ({"kind": "boxcar", "half_width_deg": 30.0, "sigma_deg": 10.0}, "sigma_deg"),
+    ])
+    def test_the_other_acuity_kinds_key_is_refused(self, tmp_path, acuity, key):
+        with pytest.raises(ConfigError, match=rf"config\.json: acuity\.{key}: unknown key$"):
+            load_run_config(_write_config(tmp_path, lambda raw: raw.update(acuity=acuity)))
+        alone = {k: v for k, v in acuity.items() if k != key}
+        assert load_run_config(_write_config(tmp_path, lambda raw: raw.update(acuity=alone)))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"seeds": [', '"seeds": [1], "seeds": [', "seeds"),
+        ('"detection": {"min_points": 1', '"detection": {"min_points": 5, "min_points": 1',
+         "min_points"),
+    ], ids=["top_level", "section"])
+    def test_a_key_repeated_in_one_object_is_refused(self, tmp_path, old, new, key):
+        # JSON keeps the last value and drops the first without a word
+        path = _write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert path.read_text().count(f'"{key}"') == 2
+        with pytest.raises(ConfigError, match=rf"config\.json: key '{key}' repeated in one object"):
+            load_run_config(path)
+
     def test_integers_are_accepted_as_numbers(self, tmp_path):
         config = load_run_config(_write_config(tmp_path, lambda raw: raw.update(
             frame_rate_hz=20, fog_fractions=[0, 1])))
@@ -1246,7 +1288,7 @@ class TestRunSweep:
                                      fog_fractions=(0.0,),
                                      seeds=(101, 102))
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
-        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
+        monkeypatch.setattr(runner, "RAYS_PER_CALL", 0)
         parallel = [_strip_wall_time(r) for r in run_sweep(config, jobs=2)]
         assert real_pool == [2]
         assert serial == parallel
@@ -1255,7 +1297,7 @@ class TestRunSweep:
                                                         recording_pool):
         started, tasks = recording_pool
         # a heavy sweep pools every task at once
-        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
+        monkeypatch.setattr(runner, "RAYS_PER_CALL", 0)
         config = dataclasses.replace(default_config, variants=default_config.variants[:2],
                                      fog_fractions=(0.0,), seeds=(101, 102, 103))
         assert len(run_sweep(config, jobs=64)) == 6
@@ -1285,7 +1327,7 @@ class TestRunSweep:
         started, tasks = recording_pool
         config = dataclasses.replace(default_config, seeds=(101, 102))
         # runs draw nothing, so a variant simulates one seed at each of 3 fogs
-        assert runner._rays(config, 3) <= runner.HEAVY_RAYS
+        assert runner._rays(config, 3) <= runner.RAYS_PER_CALL
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
         for jobs in (2, 64):
             assert [_strip_wall_time(r) for r in run_sweep(config, jobs=jobs)] == serial
@@ -1302,7 +1344,7 @@ class TestRunSweep:
     def test_a_heavy_sweep_pools_every_task_at_once(self, default_config, recording_pool):
         started, tasks = recording_pool
         # 15,000 pulses a frame, one frame a run: 10 simulated runs a variant fire
-        # 150,000 rays, more than HEAVY_RAYS
+        # 150,000 rays, more than the RAYS_PER_CALL that one scan_frames call holds
         config = dataclasses.replace(default_config, pulse_rate=3e5, max_sim_time=0.05,
                                      fog_fractions=(0.0, 0.5), seeds=(1, 2, 3, 4, 5),
                                      dropout=True, spawn_jitter_m=3.0)
@@ -1319,6 +1361,37 @@ class TestRunSweep:
             assert [_strip_wall_time(r) for r in run_sweep(light, jobs=3)] == serial
             assert started == [3] and len(serial) == 40
 
+    def test_a_first_frame_that_needs_two_calls_pools_every_task_at_once(
+            self, default_config, default_sweep, monkeypatch, recording_pool):
+        started, tasks = recording_pool
+        serial = [_strip_wall_time(r) for r in default_sweep[0]]
+        # shipped draws nothing, so a variant simulates one seed at each of 3 fogs,
+        # whose first frame fires 3 * 390 rays: two calls under a cap of 1,000, one under 1,170
+        assert runner._rays(default_config, 3) == 1170
+        for cap, pooled in ((1000, True), (1170, False)):
+            started.clear()
+            tasks.clear()
+            monkeypatch.setattr(runner, "RAYS_PER_CALL", cap)
+            assert [_strip_wall_time(r) for r in run_sweep(default_config, jobs=2)] == serial
+            assert started == ([2] if pooled else [])
+            assert tasks == ([list(default_config.variants)] if pooled else [])
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "forced_pool"])
+    def test_swept_samples_are_read_only(self, default_config, monkeypatch, real_pool, pooled):
+        config = dataclasses.replace(default_config, variants=default_config.variants[:2],
+                                     fog_fractions=(0.0,), seeds=(101, 102, 103))
+        if pooled:
+            monkeypatch.setattr(runner, "RAYS_PER_CALL", 0)
+        records = run_sweep(config, jobs=2)
+        assert real_pool == ([2] if pooled else [])
+        # seeds 102 and 103 copy 101 and share its array, so one write would change all three
+        assert records[0].samples is records[1].samples is records[2].samples
+        assert not any(r.samples.flags.writeable for r in records)
+        density = records[0].samples["density"].tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            records[0].samples["density"][:] = 0
+        assert [r.samples["density"].tolist() for r in records[:3]] == [density] * 3
+
     def test_a_pooled_task_sends_back_only_its_simulated_runs(self, default_config, monkeypatch,
                                                               real_pool):
         returned = []
@@ -1329,10 +1402,10 @@ class TestRunSweep:
                 return returned
 
         monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", KeepingPool)
-        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
         # fog 0 draws nothing, so a variant simulates its first seed there and every seed at 0.5
         config = _sweep_config(default_config, "dropout")
         serial = [_strip_wall_time(r) for r in run_sweep(config, jobs=1)]
+        monkeypatch.setattr(runner, "RAYS_PER_CALL", 0)
         records = run_sweep(config, jobs=2)
         assert real_pool == [2]
         # one task per variant, in config order, each sending back only the runs it simulated
@@ -1361,7 +1434,7 @@ class TestRunSweep:
         config = dataclasses.replace(default_config, seeds=(101, 102), min_points=10 ** 6,
                                      max_sim_time=0.2)
         # runs draw nothing, so a variant simulates one seed at each of 3 fogs
-        assert runner._rays(config, 3) <= runner.HEAVY_RAYS
+        assert runner._rays(config, 3) <= runner.RAYS_PER_CALL
         records = run_sweep(config, jobs=1)
         first = [r for r in records if r.variant == config.variants[0]]
         assert len(first) == 6 and sum(r.reused_from is not None for r in first) == 3
@@ -1411,9 +1484,10 @@ class TestRunSweep:
         config = dataclasses.replace(_sweep_config(default_config, "jitter_dropout"),
                                      variants=default_config.variants[1:],
                                      fog_fractions=(0.0, 0.1, 0.25, 0.5), max_sim_time=1.0)
-        monkeypatch.setattr(runner, "HEAVY_RAYS", -1)
         written = []
         for jobs in (1, 2, 3):
+            if jobs == 2:   # a pool at once, of one-frame calls, against chunked calls here
+                monkeypatch.setattr(runner, "RAYS_PER_CALL", 0)
             records = run_sweep(config, jobs=jobs)
             out = tmp_path / str(jobs)
             out.mkdir()
@@ -1504,7 +1578,7 @@ def mapping(pool, fn, *iterables):
 
 
 concurrent.futures.ProcessPoolExecutor.map = mapping
-runner.HEAVY_RAYS = -1   # a pool at once, whatever the sweep costs
+runner.RAYS_PER_CALL = 0   # a pool at once, whatever the sweep costs; one run and frame a call
 assert "numpy.random" not in sys.modules
 assert len(runner.run_sweep(config, jobs=2)) == 16
 print(json.dumps(gained))
@@ -1527,7 +1601,7 @@ import dataclasses, sys
 import gazelidar.cli
 from gazelidar import runner
 imported = []
-runner.HEAVY_RAYS = -1   # the second run, on --jobs 2, pools at once
+runner.RAYS_PER_CALL = 0   # the second run, on --jobs 2, pools at once
 for jobs in (1, 2):
     assert gazelidar.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2],
                                "--jobs", str(jobs)]) == 0
